@@ -6,10 +6,8 @@ moves the headline miss counts — DRRIP should track the better of its
 two constituent policies on every workload.
 """
 
-import numpy as np
-
 from repro.core import format_table
-from repro.sim import CacheConfig, SetAssociativeCache, SimulationConfig, simulate_spmv
+from repro.sim import SimulationConfig, simulate_spmv
 
 
 def test_cache_policy_ablation(benchmark, shared_workloads):
@@ -18,17 +16,10 @@ def test_cache_policy_ablation(benchmark, shared_workloads):
         results = {}
         for dataset in ("twtr-mini", "sk-mini"):
             graph = shared_workloads.graph(dataset)
-            base = SimulationConfig.scaled_for(graph)
-            trace = simulate_spmv(graph, base).trace  # reuse the trace
             row = [dataset]
             for policy in ("lru", "srrip", "brrip", "drrip"):
-                config = CacheConfig(
-                    num_sets=base.cache.num_sets,
-                    ways=base.cache.ways,
-                    line_size=base.cache.line_size,
-                    policy=policy,
-                )
-                misses = SetAssociativeCache(config).simulate(trace.lines).num_misses
+                config = SimulationConfig.scaled_for(graph, policy=policy)
+                misses = simulate_spmv(graph, config).l3_misses
                 results[(dataset, policy)] = misses
                 row.append(misses / 1e3)
             rows.append(row)

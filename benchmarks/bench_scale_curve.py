@@ -4,18 +4,14 @@ Two measurements on one RM-family benchmark graph, each taken in a
 *child interpreter* so ``ru_maxrss`` is an honest per-mode peak rather
 than whatever this process touched earlier:
 
-1. **Peak RSS, streamed vs materialized** — the materialized child runs
-   :func:`repro.sim.simulate_spmv` (full trace in memory), the streamed
-   child runs :func:`repro.sim.simulate_spmv_streamed` (bounded chunks).
-   The ratio gate (< 0.4) applies once the graph is big enough that the
-   trace, not the interpreter, dominates the materialized peak
-   (``_RSS_GATE_MIN_EDGES``); below that the ratio is recorded but not
-   gated.
-2. **Wall-clock, 4-way sharded vs single-process** — both streamed; the
-   sharded child uses ``shard_mode="process"``.  The >= 1.3x gate
-   applies only with >= 4 cores *and* >= ``_RSS_GATE_MIN_EDGES`` edges
-   (``applicable`` records the decision) — process sharding on one core
-   is pure overhead by design, and below acceptance size the serial
+1. **Peak RSS** — both children run :func:`repro.sim.simulate_spmv`,
+   which streams bounded chunks; the ceiling gate keeps the peak
+   O(graph + chunk), never O(trace).
+2. **Wall-clock, 4-way sharded vs single-process** — the sharded child
+   uses ``shard_mode="process"``.  The >= 1.3x gate applies only with
+   >= 4 cores *and* >= ``_SPEEDUP_GATE_MIN_EDGES`` edges (``applicable``
+   records the decision) — process sharding on one core is pure
+   overhead by design, and below acceptance size the serial
    trace-generation share caps the speedup by Amdahl regardless of
    cores.
 
@@ -57,11 +53,9 @@ _OUTPUT = _REPO_ROOT / "BENCH_scale.json"
 #: lifts it to the 10^7–10^8 acceptance band.
 _DEFAULT_VERTICES = 1 << 17
 
-#: The streamed/materialized RSS ratio is gated only above this edge
-#: count: below it the interpreter+numpy baseline (~10^8 bytes) and the
-#: graph itself dominate both peaks and the ratio says nothing about
-#: the trace pipeline.
-_RSS_GATE_MIN_EDGES = 4_000_000
+#: The shard speedup is gated only above this edge count: below it the
+#: serial trace generation dominates and caps any speedup.
+_SPEEDUP_GATE_MIN_EDGES = 4_000_000
 
 #: Absolute streamed-peak ceiling: fixed interpreter+graph allowance
 #: plus a per-edge budget.  The graph (CSR both directions + vertex
@@ -70,7 +64,7 @@ _RSS_GATE_MIN_EDGES = 4_000_000
 _RSS_CEILING_BASE = 400 << 20
 _RSS_CEILING_PER_EDGE = 120
 
-_MODES = ("materialized", "streamed", "sharded4")
+_MODES = ("serial", "sharded4")
 
 
 def _child_main(mode: str, graph_path: str) -> None:
@@ -84,19 +78,15 @@ def _child_main(mode: str, graph_path: str) -> None:
     import resource
 
     from repro.graph import load_graph_npz
-    from repro.sim import SimulationConfig, simulate_spmv, simulate_spmv_streamed
+    from repro.sim import SimulationConfig, simulate_spmv
 
     graph = load_graph_npz(Path(graph_path), mmap_mode="r")
     config = SimulationConfig.scaled_for(graph)
     t0 = time.perf_counter()
-    if mode == "materialized":
+    if mode == "serial":
         result = simulate_spmv(graph, config)
-    elif mode == "streamed":
-        result = simulate_spmv_streamed(graph, config)
     elif mode == "sharded4":
-        result = simulate_spmv_streamed(
-            graph, config, num_shards=4, shard_mode="process"
-        )
+        result = simulate_spmv(graph, config, num_shards=4, shard_mode="process")
     else:
         raise ValueError(f"unknown child mode {mode!r}")
     seconds = time.perf_counter() - t0
@@ -150,13 +140,9 @@ def run_bench(num_vertices: int = _DEFAULT_VERTICES) -> dict:
                        compressed=False)
         modes = {mode: _run_child(mode, graph_path) for mode in _MODES}
 
-    num_edges = modes["streamed"]["num_edges"]
-    rss_ratio = (
-        modes["streamed"]["peak_rss_bytes"] / modes["materialized"]["peak_rss_bytes"]
-    )
-    rss_applicable = num_edges >= _RSS_GATE_MIN_EDGES
+    num_edges = modes["serial"]["num_edges"]
     rss_ceiling = _RSS_CEILING_BASE + _RSS_CEILING_PER_EDGE * num_edges
-    speedup = modes["streamed"]["seconds"] / modes["sharded4"]["seconds"]
+    speedup = modes["serial"]["seconds"] / modes["sharded4"]["seconds"]
     cores = os.cpu_count() or 1
     # Below ~4M edges the coordinator's serial share (trace gen +
     # interleave, ~17% of the streamed wall at 10^6) caps the best
@@ -165,17 +151,12 @@ def run_bench(num_vertices: int = _DEFAULT_VERTICES) -> dict:
     # loud: each inapplicable gate records an explicit ``waived`` reason
     # so BENCH_scale.json (and the CI step summary) never silently
     # passes on a box that could not exercise the gate.
-    speedup_applicable = cores >= 4 and num_edges >= _RSS_GATE_MIN_EDGES
+    speedup_applicable = cores >= 4 and num_edges >= _SPEEDUP_GATE_MIN_EDGES
     speedup_waived = None
     if cores < 4:
         speedup_waived = f"{cores} core(s) < 4"
-    elif num_edges < _RSS_GATE_MIN_EDGES:
-        speedup_waived = f"{num_edges} edges < {_RSS_GATE_MIN_EDGES}"
-    rss_waived = (
-        None
-        if rss_applicable
-        else f"{num_edges} edges < {_RSS_GATE_MIN_EDGES}"
-    )
+    elif num_edges < _SPEEDUP_GATE_MIN_EDGES:
+        speedup_waived = f"{num_edges} edges < {_SPEEDUP_GATE_MIN_EDGES}"
 
     # Same pinned-geometry ladder as the scale_curve experiment: the
     # cache is sized once for the smallest rung so the curve walks the
@@ -206,31 +187,19 @@ def run_bench(num_vertices: int = _DEFAULT_VERTICES) -> dict:
         "gates": {
             "bit_exact": {
                 "holds": all(
-                    modes[m]["num_accesses"] == modes["materialized"]["num_accesses"]
-                    and modes[m]["l3_misses"] == modes["materialized"]["l3_misses"]
-                    and modes[m]["tlb_misses"] == modes["materialized"]["tlb_misses"]
+                    modes[m]["num_accesses"] == modes["serial"]["num_accesses"]
+                    and modes[m]["l3_misses"] == modes["serial"]["l3_misses"]
+                    and modes[m]["tlb_misses"] == modes["serial"]["tlb_misses"]
                     for m in _MODES
                 ),
                 "applicable": True,
-            },
-            "rss_ratio": {
-                "value": rss_ratio,
-                "threshold": 0.4,
-                "applicable": rss_applicable,
-                "waived": rss_waived,
-                "holds": rss_ratio < 0.4,
-                "note": (
-                    "streamed peak / materialized peak; gated only at "
-                    f">= {_RSS_GATE_MIN_EDGES} edges where the trace "
-                    "dominates the materialized peak"
-                ),
             },
             "rss_ceiling": {
                 "value": modes["sharded4"]["peak_rss_bytes"],
                 "threshold": rss_ceiling,
                 "applicable": True,
                 "holds": modes["sharded4"]["peak_rss_bytes"] < rss_ceiling
-                and modes["streamed"]["peak_rss_bytes"] < rss_ceiling,
+                and modes["serial"]["peak_rss_bytes"] < rss_ceiling,
                 "note": "coordinator peak stays O(graph + chunk), never O(trace)",
             },
             "shard_speedup": {
@@ -240,7 +209,7 @@ def run_bench(num_vertices: int = _DEFAULT_VERTICES) -> dict:
                 "waived": speedup_waived,
                 "holds": speedup >= 1.3,
                 "note": (
-                    "streamed single-process seconds / sharded4 process-mode "
+                    "single-process seconds / sharded4 process-mode "
                     "seconds; gated only with >= 4 cores on a big-enough "
                     "graph (replay must dominate the serial trace gen)"
                 ),
@@ -327,16 +296,14 @@ def write_json(payload: dict, path: Path = _OUTPUT) -> None:
 def _assert_gates(payload: dict) -> None:
     """The CI contract for the scale tier.
 
-    Bit-exactness always holds; the RSS ratio and shard speedup gates
-    are enforced only where they are meaningful (big-enough graph,
-    enough cores) — their ``applicable`` flags record the decision so
-    the JSON shows *why* a gate was waived.
+    Bit-exactness and the RSS ceiling always hold; the shard speedup
+    gate is enforced only where it is meaningful (big-enough graph,
+    enough cores) — its ``applicable`` flag records the decision so the
+    JSON shows *why* it was waived.
     """
     gates = payload["gates"]
     assert gates["bit_exact"]["holds"], payload["modes"]
     assert gates["rss_ceiling"]["holds"], gates["rss_ceiling"]
-    if gates["rss_ratio"]["applicable"]:
-        assert gates["rss_ratio"]["holds"], gates["rss_ratio"]
     if gates["shard_speedup"]["applicable"]:
         assert gates["shard_speedup"]["holds"], gates["shard_speedup"]
 

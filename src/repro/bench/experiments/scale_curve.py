@@ -7,7 +7,7 @@ miss rate climbs, while the effective diameter of a scale-free graph
 grows only logarithmically — so ever-larger graphs concentrate their
 traffic on a structurally "small world" whose locality reordering can
 still exploit.  This experiment walks an RM-family size ladder through
-the streaming simulator (:func:`repro.sim.simulator.simulate_spmv_streamed`)
+the streaming simulator (:func:`repro.sim.simulator.simulate_spmv`)
 and records, per size: edge count, 90th-percentile effective diameter,
 mean AID and the random-region miss rate.
 
@@ -30,7 +30,7 @@ from repro.generate.rmat import rmat_edges
 from repro.graph.build import build_graph
 from repro.graph.diameter import effective_diameter
 from repro.graph.graph import Graph
-from repro.sim.simulator import SimulationConfig, simulate_spmv_streamed
+from repro.sim.simulator import SimulationConfig, simulate_spmv
 
 from repro.bench.harness import ExperimentReport
 from repro.bench.workloads import Workloads
@@ -78,7 +78,7 @@ def measure_rung(
     """Structure + streamed-simulation metrics for one built graph."""
     diameter = effective_diameter(graph, percentile=0.9, num_sources=8, seed=7)
     aid = aid_per_vertex(graph)
-    result = simulate_spmv_streamed(graph, config, num_shards=num_shards)
+    result = simulate_spmv(graph, config, num_shards=num_shards)
     return {
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,

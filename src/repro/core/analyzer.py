@@ -30,7 +30,7 @@ from repro.core.ecs import ECSMeasurement, ecs_from_result
 from repro.core.gap import GapProfile, average_gap_profile
 from repro.core.hub_coverage import HubCoverage, hub_coverage
 from repro.core.hubs_misses import HubMissCount, hub_data_misses
-from repro.core.locality_types import LocalityTypeCounts, classify_locality_types
+from repro.core.locality_types import LocalityTypeCounts
 from repro.core.missdist import MissRateDistribution, miss_rate_degree_distribution
 
 __all__ = ["GraphSummary", "LocalityAnalyzer"]
@@ -61,7 +61,8 @@ class LocalityAnalyzer:
     config:
         Optional simulation configuration; when omitted a scaled one is
         derived from the graph the first time a simulation-backed metric
-        is requested.  Scans are always enabled so ECS is available.
+        is requested.  Scans and locality-type classification are always
+        enabled so ECS and :meth:`locality_types` are available.
     """
 
     def __init__(self, graph: Graph, config: SimulationConfig | None = None):
@@ -123,7 +124,7 @@ class LocalityAnalyzer:
                     promote_sequential=config.promote_sequential,
                     timing=config.timing,
                 )
-            self._result = simulate_spmv(self.graph, config)
+            self._result = simulate_spmv(self.graph, config, classify_locality=True)
         return self._result
 
     def miss_rate_distribution(self, by: str = "proc") -> MissRateDistribution:
@@ -136,7 +137,6 @@ class LocalityAnalyzer:
         return hub_data_misses(self.simulation, min_degree)
 
     def locality_types(self) -> LocalityTypeCounts:
-        result = self.simulation
-        return classify_locality_types(
-            result.trace, result.thread_ids, random_region=result.random_region
-        )
+        counts = self.simulation.locality_types
+        assert counts is not None  # the simulation always classifies
+        return counts

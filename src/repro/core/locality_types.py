@@ -14,49 +14,20 @@ SpMV traversal:
 
 This module classifies every random-access *reuse* (an access to a line
 that has been touched before) in a simulated trace by comparing it to
-the most recent access to the same line.  RAs target types I-III; IV
-and V depend on partitioning and scheduling.
+the most recent access to the same line
+(:class:`repro.sim.stats.LocalityTypeClassifier`).  RAs target types
+I-III; IV and V depend on partitioning and scheduling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.sim.address_space import Region
+from repro.sim.stats import LocalityTypeClassifier, LocalityTypeCounts
 from repro.sim.trace import MemoryTrace
 
 __all__ = ["LocalityTypeCounts", "classify_locality_types"]
-
-
-@dataclass(frozen=True)
-class LocalityTypeCounts:
-    """Reuse-event counts per locality type."""
-
-    type_i: int
-    type_ii: int
-    type_iii: int
-    type_iv: int
-    type_v: int
-    cold: int
-
-    @property
-    def total_reuses(self) -> int:
-        return self.type_i + self.type_ii + self.type_iii + self.type_iv + self.type_v
-
-    def fractions(self) -> dict[str, float]:
-        """Each type's share of all reuse events."""
-        total = self.total_reuses
-        if total == 0:
-            return {name: 0.0 for name in ("I", "II", "III", "IV", "V")}
-        return {
-            "I": self.type_i / total,
-            "II": self.type_ii / total,
-            "III": self.type_iii / total,
-            "IV": self.type_iv / total,
-            "V": self.type_v / total,
-        }
 
 
 def classify_locality_types(
@@ -65,46 +36,14 @@ def classify_locality_types(
     *,
     random_region: int = Region.VERTEX_DATA,
 ) -> LocalityTypeCounts:
-    """Classify every random-access reuse in the trace.
+    """Classify every random-access reuse in a materialized trace.
 
     ``thread_ids`` is the per-access thread attribution produced by
-    :func:`repro.sim.parallel.interleave_traces`; when omitted the trace
-    is treated as single-threaded (types IV/V cannot occur).
+    :func:`repro.sim.parallel.interleave_stream`; when omitted the trace
+    is treated as single-threaded (types IV/V cannot occur).  A
+    simulation classifies its own trace chunk by chunk with
+    ``simulate_spmv(..., classify_locality=True)``.
     """
-    mask = trace.kinds == random_region
-    lines = trace.lines[mask]
-    read_v = trace.read_vertex[mask]
-    proc_v = trace.proc_vertex[mask]
-    if thread_ids is None:
-        threads = np.zeros(lines.shape[0], dtype=np.int64)
-    else:
-        threads = np.asarray(thread_ids)[mask]
-
-    counts = [0, 0, 0, 0, 0]
-    cold = 0
-    last: dict[int, tuple[int, int, int]] = {}
-    for line, u, v, t in zip(
-        lines.tolist(), read_v.tolist(), proc_v.tolist(), threads.tolist()
-    ):
-        prev = last.get(line)
-        last[line] = (t, v, u)
-        if prev is None:
-            cold += 1
-            continue
-        pt, pv, pu = prev
-        if pt != t:
-            counts[3 if pu == u else 4] += 1  # IV / V
-        elif pv == v:
-            counts[0] += 1  # I: same processed vertex, spatial reuse
-        elif pu == u:
-            counts[1] += 1  # II: common neighbour of two vertices
-        else:
-            counts[2] += 1  # III: distinct neighbours sharing a line
-    return LocalityTypeCounts(
-        type_i=counts[0],
-        type_ii=counts[1],
-        type_iii=counts[2],
-        type_iv=counts[3],
-        type_v=counts[4],
-        cold=cold,
-    )
+    classifier = LocalityTypeClassifier(trace.space, random_region)
+    classifier.add(trace, thread_ids)
+    return classifier.counts()

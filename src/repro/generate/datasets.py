@@ -157,8 +157,8 @@ DATASETS: dict[str, DatasetSpec] = {
 #: at ~10⁷ edges for ``REPRO_SCALE=1``, reaching the 10⁸ band at
 #: ``REPRO_SCALE=10``.  These are the sizes where the diameter-dependence
 #: study (arXiv 2111.12281) predicts reordering rankings start to shift;
-#: run them through :func:`repro.sim.simulator.simulate_spmv_streamed`,
-#: not the materializing pipeline.
+#: :func:`repro.sim.simulator.simulate_spmv` streams them in bounded
+#: memory.
 SCALE_DATASETS: dict[str, DatasetSpec] = {
     spec.name: spec
     for spec in [

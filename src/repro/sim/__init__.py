@@ -24,20 +24,28 @@ from repro.sim.ihtl import (
 from repro.sim.parallel import (
     edge_balanced_partitions,
     interleave_stream,
-    interleave_traces,
     partition_edge_counts,
 )
 from repro.sim.scheduler import ScheduleResult, chunk_costs, simulate_work_stealing
-from repro.sim.shard import ShardedSimulation, shard_set_ranges, simulate_sharded
+from repro.sim.shard import (
+    ShardedReplay,
+    ShardedSimulation,
+    shard_set_ranges,
+    simulate_sharded,
+)
 from repro.sim.simulator import (
     SimulationConfig,
     SimulationResult,
-    StreamedSimulationResult,
     simulate_spmv,
     simulate_spmv_streamed,
 )
 from repro.sim.spmv import pagerank, spmv_iterations, spmv_pull, spmv_push
-from repro.sim.stats import VertexAccessStats, attribute_random_accesses
+from repro.sim.stats import (
+    LocalityTypeClassifier,
+    LocalityTypeCounts,
+    VertexAccessStats,
+    attribute_random_accesses,
+)
 from repro.sim.timing import TimingModel
 from repro.sim.tlb import TLBConfig, lines_to_pages, simulate_tlb
 from repro.sim.trace import (
@@ -67,23 +75,24 @@ __all__ = [
     "split_by_in_hubs",
     "edge_balanced_partitions",
     "interleave_stream",
-    "interleave_traces",
     "partition_edge_counts",
     "ScheduleResult",
     "chunk_costs",
     "simulate_work_stealing",
+    "ShardedReplay",
     "ShardedSimulation",
     "shard_set_ranges",
     "simulate_sharded",
     "SimulationConfig",
     "SimulationResult",
-    "StreamedSimulationResult",
     "simulate_spmv",
     "simulate_spmv_streamed",
     "pagerank",
     "spmv_iterations",
     "spmv_pull",
     "spmv_push",
+    "LocalityTypeClassifier",
+    "LocalityTypeCounts",
     "VertexAccessStats",
     "attribute_random_accesses",
     "TimingModel",

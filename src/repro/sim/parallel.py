@@ -18,12 +18,12 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.graph.graph import Graph
+from repro.obs import span
 from repro.sim.trace import MemoryTrace
 
 __all__ = [
     "edge_balanced_partitions",
     "interleave_stream",
-    "interleave_traces",
     "partition_edge_counts",
 ]
 
@@ -56,57 +56,22 @@ def partition_edge_counts(graph: Graph, boundaries: np.ndarray, *, direction: st
     return np.diff(adj.offsets[boundaries])
 
 
-def interleave_traces(
-    traces: list[MemoryTrace], interval: int
-) -> tuple[MemoryTrace, np.ndarray]:
-    """Merge per-thread traces round-robin in blocks of ``interval``.
-
-    Thread 0 contributes its first ``interval`` accesses, then thread 1,
-    ... wrapping around until every trace is drained (threads that run
-    out simply stop contributing, like a thread that finished early).
-
-    Returns the merged trace plus a per-access thread-ID array.
-    """
-    if not traces:
-        raise SimulationError("need at least one trace to interleave")
-    if interval <= 0:
-        raise SimulationError(f"interval must be positive, got {interval}")
-    num_threads = len(traces)
-    lengths = [len(t) for t in traces]
-
-    # Sort key: (round, thread). Stable argsort keeps within-round,
-    # within-thread program order.
-    rounds = np.concatenate(
-        [np.arange(length, dtype=np.int64) // interval for length in lengths]
-    )
-    threads = np.concatenate(
-        [np.full(length, t, dtype=np.int64) for t, length in enumerate(lengths)]
-    )
-    order = np.argsort(rounds * num_threads + threads, kind="stable")
-
-    merged = MemoryTrace(
-        lines=np.concatenate([t.lines for t in traces])[order],
-        kinds=np.concatenate([t.kinds for t in traces])[order],
-        read_vertex=np.concatenate([t.read_vertex for t in traces])[order],
-        proc_vertex=np.concatenate([t.proc_vertex for t in traces])[order],
-        space=traces[0].space,
-    )
-    return merged, threads[order]
-
-
 def interleave_stream(
     sources: "list[Iterable[MemoryTrace]]",
     interval: int,
     *,
     batch_accesses: int = 1 << 20,
 ) -> Iterator[tuple[MemoryTrace, np.ndarray]]:
-    """Streaming :func:`interleave_traces`: merge per-thread *chunk streams*.
+    """Merge per-thread *chunk streams* round-robin in blocks of ``interval``.
 
+    Thread 0 contributes its first ``interval`` accesses, then thread 1,
+    ... wrapping around until every stream is drained (threads that run
+    out simply stop contributing, like a thread that finished early).
     Each source is an iterable of :class:`MemoryTrace` blocks (typically
     :func:`repro.sim.trace.spmv_trace_chunks` over one thread partition).
     Yields ``(merged_chunk, thread_ids)`` pairs whose concatenation is
-    **bit-identical** to ``interleave_traces(materialized, interval)``,
-    while only ever buffering ~``batch_accesses`` accesses.
+    the merge of the fully materialized per-thread traces, while only
+    ever buffering ~``batch_accesses`` accesses.
 
     Correctness hinges on emitting only *complete rounds*: a batch
     contains every access with round index below ``r_safe`` — the
@@ -190,33 +155,34 @@ def interleave_stream(
                 return
             continue
 
-        part_arrays: list[list[np.ndarray]] = [[], [], [], []]
-        rounds_parts: list[np.ndarray] = []
-        threads_parts: list[np.ndarray] = []
-        for t in range(num_threads):
-            k = counts[t]
-            if not k:
-                continue
-            local = consumed[t] + np.arange(k, dtype=np.int64)
-            rounds_parts.append(local // interval)
-            threads_parts.append(np.full(k, t, dtype=np.int64))
-            for blk in _take(t, k):
-                for slot, arr in zip(part_arrays, blk):
-                    slot.append(arr)
-            consumed[t] += k
-        rounds = np.concatenate(rounds_parts)
-        threads = np.concatenate(threads_parts)
-        order = np.argsort(rounds * num_threads + threads, kind="stable")
-        assert space is not None
-        yield (
-            MemoryTrace(
+        with span("sim.interleave"):
+            part_arrays: list[list[np.ndarray]] = [[], [], [], []]
+            rounds_parts: list[np.ndarray] = []
+            threads_parts: list[np.ndarray] = []
+            for t in range(num_threads):
+                k = counts[t]
+                if not k:
+                    continue
+                local = consumed[t] + np.arange(k, dtype=np.int64)
+                rounds_parts.append(local // interval)
+                threads_parts.append(np.full(k, t, dtype=np.int64))
+                for blk in _take(t, k):
+                    for slot, arr in zip(part_arrays, blk):
+                        slot.append(arr)
+                consumed[t] += k
+            rounds = np.concatenate(rounds_parts)
+            threads = np.concatenate(threads_parts)
+            # Sort key (round, thread); the stable sort keeps each
+            # thread's program order within a round.
+            order = np.argsort(rounds * num_threads + threads, kind="stable")
+            assert space is not None
+            merged = MemoryTrace(
                 lines=np.concatenate(part_arrays[0])[order],
                 kinds=np.concatenate(part_arrays[1])[order],
                 read_vertex=np.concatenate(part_arrays[2])[order],
                 proc_vertex=np.concatenate(part_arrays[3])[order],
                 space=space,
-            ),
-            threads[order],
-        )
+            )
+        yield merged, threads[order]
         if not any(alive) and not any(buffered):
             return

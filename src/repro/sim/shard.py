@@ -50,7 +50,7 @@ from __future__ import annotations
 import multiprocessing as mp
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from repro.sim.cache import CacheConfig, CacheSnapshot, SetAssociativeCache
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
-__all__ = ["ShardedSimulation", "shard_set_ranges", "simulate_sharded"]
+__all__ = ["ShardedReplay", "ShardedSimulation", "shard_set_ranges", "simulate_sharded"]
 
 _MODES = ("serial", "process")
 
@@ -134,13 +134,14 @@ class _ShardWorker:
     def process(
         self,
         chunk: np.ndarray,
-        positions: np.ndarray,
-        owned_in_sent: np.ndarray,
+        positions: "np.ndarray | None",
+        owned_in_sent: "np.ndarray | None",
         want_snapshot: bool,
     ) -> tuple[np.ndarray, "np.ndarray | None"]:
+        """Replay ``chunk``; ``None`` positions/mask mean "the whole stream"."""
         if chunk.shape[0]:
             res = self.cache.simulate(chunk, kernel=self.kernel, positions=positions)
-            owned_hits = res.hits[owned_in_sent]
+            owned_hits = res.hits if owned_in_sent is None else res.hits[owned_in_sent]
         else:
             owned_hits = np.zeros(0, dtype=np.uint8)
         snap = self.cache.resident_lines((self.lo, self.hi)) if want_snapshot else None
@@ -244,6 +245,185 @@ def _segment_bounds(length: int, global_start: int, scan_interval: int) -> list[
     return cuts
 
 
+class ShardedReplay:
+    """Incremental set-sharded replay of one access stream.
+
+    :meth:`feed` takes the stream's line chunks in program order and
+    returns each chunk's hit bits at once, so a caller can attribute
+    them and drop the chunk; :meth:`finish` collects the workers' final
+    state.  Use it as a context manager: leaving the block reaps process
+    workers on every exit path.
+    """
+
+    def __init__(
+        self,
+        config: CacheConfig,
+        *,
+        num_shards: int = 1,
+        scan_interval: int = 0,
+        mode: str = "serial",
+        kernel: str = "auto",
+    ) -> None:
+        if mode not in _MODES:
+            raise SimulationError(f"mode must be one of {_MODES}, got {mode!r}")
+        num_sets = config.num_sets
+        self._config = config
+        self._mode = mode
+        self._scan_interval = scan_interval
+        self.ranges = shard_set_ranges(num_sets, num_shards)
+        self._replicate = config.policy == "drrip" and num_sets >= 2
+        self._leader_by_set = (
+            _leader_sets(config) if self._replicate else np.zeros(num_sets, dtype=bool)
+        )
+        # Shard of set s == searchsorted over the ascending lower bounds.
+        self._set_lo = np.asarray([r[0] for r in self.ranges], dtype=np.int64)
+        shard_type = _ProcessShard if mode == "process" else _ShardWorker
+        self._workers = [shard_type(config, lo, hi, kernel) for lo, hi in self.ranges]
+        self.snapshots: list[CacheSnapshot] = []
+        self.shard_accesses = [0] * num_shards
+        self._position = 0
+
+    def __enter__(self) -> "ShardedReplay":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._mode == "process":
+            for w in self._workers:
+                w.terminate()  # type: ignore[union-attr]
+
+    def feed(self, chunk: np.ndarray) -> np.ndarray:
+        """Replay the next chunk of the stream; returns its hit bits."""
+        arr = np.asarray(chunk, dtype=np.int64)
+        if not arr.shape[0]:
+            return np.zeros(0, dtype=np.uint8)
+        scan = self._scan_interval
+        cuts = _segment_bounds(arr.shape[0], self._position, scan)
+        hits = [
+            self._route(
+                arr[lo:hi],
+                self._position + lo,
+                bool(scan and (self._position + hi) % scan == 0),
+            )
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
+        self._position += arr.shape[0]
+        return hits[0] if len(hits) == 1 else np.concatenate(hits)
+
+    def _route(self, seg: np.ndarray, seg_start: int, want_snapshot: bool) -> np.ndarray:
+        num_shards = len(self._workers)
+        length = seg.shape[0]
+        seg_hits = np.zeros(length, dtype=np.uint8)
+        if _obs_enabled():
+            _obs_metrics.registry.counter("sim.shard.chunks_routed").inc(num_shards)
+
+        owned_index: "list[np.ndarray | slice]"
+        if self._mode == "serial" and num_shards == 1:
+            # One shard owns every set: replay the segment as it is.
+            owned_index = [slice(None)]
+            sent_counts = [length]
+            replies = [self._workers[0].process(seg, None, None, want_snapshot)]  # type: ignore[union-attr]
+        else:
+            set_idx = seg % self._config.num_sets
+            shard_of = np.searchsorted(self._set_lo, set_idx, side="right") - 1
+            is_leader = self._leader_by_set[set_idx]
+            # Coordinator-side bookkeeping per shard: where each worker's
+            # owned hits scatter back to, and how many accesses it replays.
+            # One stable sort groups positions by shard (ascending within
+            # each group) — O(n log n) once, not O(n) per shard.
+            order = np.argsort(shard_of, kind="stable")
+            counts = np.bincount(shard_of, minlength=num_shards)
+            offsets = np.zeros(num_shards + 1, dtype=np.int64)
+            np.cumsum(counts, out=offsets[1:])
+            owned_index = [order[offsets[i] : offsets[i + 1]] for i in range(num_shards)]
+            if self._replicate:
+                # Replayed = owned + leader accesses owned elsewhere.
+                leader_total = int(np.count_nonzero(is_leader))
+                leaders_of = np.bincount(shard_of[is_leader], minlength=num_shards)
+                sent_counts = [
+                    int(counts[i]) + leader_total - int(leaders_of[i])
+                    for i in range(num_shards)
+                ]
+            else:
+                sent_counts = [int(c) for c in counts]
+            if self._mode == "process":
+                replies = self._publish(seg, seg_start, want_snapshot)
+            else:
+                seg_positions = np.arange(seg_start, seg_start + length, dtype=np.int64)
+                replies = []
+                for i in range(num_shards):
+                    owned = shard_of == i
+                    sent = np.logical_or(owned, is_leader) if self._replicate else owned
+                    replies.append(
+                        self._workers[i].process(  # type: ignore[union-attr]
+                            seg[sent], seg_positions[sent], owned[sent], want_snapshot
+                        )
+                    )
+
+        snap_parts: list[np.ndarray] = []
+        for i in range(num_shards):
+            owned_hits, snap = replies[i]
+            seg_hits[owned_index[i]] = owned_hits
+            self.shard_accesses[i] += sent_counts[i]
+            if want_snapshot:
+                snap_parts.append(snap)
+        if want_snapshot:
+            self.snapshots.append(
+                CacheSnapshot(seg_start + length, np.concatenate(snap_parts))
+            )
+        return seg_hits
+
+    def _publish(self, seg: np.ndarray, seg_start: int, want_snapshot: bool) -> list:
+        """Publish the segment once in shared memory; workers mask it themselves."""
+        shm = shared_memory.SharedMemory(create=True, size=seg.nbytes)
+        try:
+            np.ndarray(seg.shape, dtype=np.int64, buffer=shm.buf)[:] = seg
+            for w in self._workers:
+                w.conn.send(  # type: ignore[union-attr]
+                    ("seg", shm.name, seg.shape[0], seg_start, want_snapshot)
+                )
+            if _obs_enabled():
+                _obs_metrics.registry.counter("sim.shard.barrier_waits").inc()
+            return [w.conn.recv() for w in self._workers]  # type: ignore[union-attr]
+        finally:
+            shm.close()
+            shm.unlink()
+
+    def finish(self) -> "tuple[int, list[int], np.ndarray]":
+        """Stop the workers; returns ``(psel, shard_access_pos, resident_lines)``.
+
+        Raises :class:`SimulationError` if DRRIP shards end with
+        different PSEL values (broken leader replication).
+        """
+        if self._mode == "process":
+            for w in self._workers:
+                w.conn.send(("finish",))  # type: ignore[union-attr]
+            finals = [w.conn.recv() for w in self._workers]  # type: ignore[union-attr]
+            for w in self._workers:
+                w.proc.join(timeout=30)  # type: ignore[union-attr]
+        else:
+            finals = [w.finish() for w in self._workers]  # type: ignore[union-attr]
+
+        psels = [int(f[1]) for f in finals]
+        if self._replicate:
+            if len(set(psels)) != 1:
+                raise SimulationError(
+                    f"DRRIP PSEL diverged across shards: {psels} — leader replication broken"
+                )
+            merged_psel = psels[0]
+        elif self._config.policy == "drrip":
+            # num_sets == 1 all-SRRIP-leader fallback: the (single) shard
+            # owning set 0 holds the whole PSEL trajectory.
+            owner = next(i for i, (lo, hi) in enumerate(self.ranges) if hi > lo)
+            merged_psel = psels[owner]
+        else:
+            merged_psel = psels[0]
+        return (
+            merged_psel,
+            [int(f[2]) for f in finals],
+            np.concatenate([f[0] for f in finals]),
+        )
+
+
 def simulate_sharded(
     chunks: "Iterable[np.ndarray]",
     config: CacheConfig,
@@ -259,171 +439,31 @@ def simulate_sharded(
     ----------
     chunks:
         Iterable of int64 line-ID arrays in program order — a single
-        full trace in a one-element list, or a bounded-memory stream
-        (e.g. mapped from :func:`repro.sim.parallel.interleave_stream`).
+        full trace in a one-element list, or a bounded-memory stream.
     num_shards:
-        Worker count; any positive value (1 degenerates to a routed
-        single-process replay, values above ``num_sets`` leave trailing
+        Worker count; any positive value (1 degenerates to a plain
+        single-cache replay, values above ``num_sets`` leave trailing
         workers idle).
     mode:
         ``"serial"`` replays shards in-process (oracle / 1-core
         fallback); ``"process"`` uses persistent worker processes.
     """
-    if mode not in _MODES:
-        raise SimulationError(f"mode must be one of {_MODES}, got {mode!r}")
-    num_sets = config.num_sets
-    ranges = shard_set_ranges(num_sets, num_shards)
-    replicate_leaders = config.policy == "drrip" and num_sets >= 2
-    leader_mask_by_set = (
-        _leader_sets(config) if replicate_leaders else np.zeros(num_sets, dtype=bool)
-    )
-    # Shard of set s == searchsorted over the ascending lower bounds.
-    set_lo = np.asarray([r[0] for r in ranges], dtype=np.int64)
-
-    counter = _obs_metrics.registry.counter
-    obs_on = _obs_enabled()
-
-    workers: "list[_ShardWorker] | list[_ProcessShard]"
-    if mode == "process":
-        workers = [_ProcessShard(config, lo, hi, kernel) for lo, hi in ranges]
-    else:
-        workers = [_ShardWorker(config, lo, hi, kernel) for lo, hi in ranges]
-
-    hit_parts: list[np.ndarray] = []
-    snapshots: list[CacheSnapshot] = []
-    shard_accesses = [0] * num_shards
-    global_pos = 0
-
-    def _route(seg: np.ndarray, seg_start: int, want_snapshot: bool) -> None:
-        length = seg.shape[0]
-        set_idx = seg % num_sets
-        shard_of = np.searchsorted(set_lo, set_idx, side="right") - 1
-        is_leader = leader_mask_by_set[set_idx]
-        seg_hits = np.zeros(length, dtype=np.uint8)
-        if obs_on:
-            counter("sim.shard.chunks_routed").inc(num_shards)
-
-        # Coordinator-side bookkeeping per shard: where each worker's
-        # owned hits scatter back to, and how many accesses it replays.
-        # One stable sort groups positions by shard (ascending within
-        # each group) — O(n log n) once, not O(n) per shard.
-        order = np.argsort(shard_of, kind="stable")
-        counts = np.bincount(shard_of, minlength=num_shards)
-        offsets = np.zeros(num_shards + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        owned_index = [order[offsets[i] : offsets[i + 1]] for i in range(num_shards)]
-        if replicate_leaders:
-            # Replayed = owned + leader accesses owned elsewhere.
-            leader_total = int(np.count_nonzero(is_leader))
-            leaders_of = np.bincount(shard_of[is_leader], minlength=num_shards)
-            sent_counts = [
-                int(counts[i]) + leader_total - int(leaders_of[i])
-                for i in range(num_shards)
-            ]
-        else:
-            sent_counts = [int(c) for c in counts]
-
-        if mode == "process":
-            # Publish the segment once; workers mask it themselves.
-            shm = shared_memory.SharedMemory(create=True, size=seg.nbytes)
-            try:
-                np.ndarray((length,), dtype=np.int64, buffer=shm.buf)[:] = seg
-                for w in workers:
-                    w.conn.send(  # type: ignore[union-attr]
-                        ("seg", shm.name, length, seg_start, want_snapshot)
-                    )
-                if obs_on:
-                    counter("sim.shard.barrier_waits").inc()
-                replies = [w.conn.recv() for w in workers]  # type: ignore[union-attr]
-            finally:
-                shm.close()
-                shm.unlink()
-        else:
-            seg_positions = np.arange(seg_start, seg_start + length, dtype=np.int64)
-            replies = []
-            for i in range(num_shards):
-                owned = shard_of == i
-                sent_mask = np.logical_or(owned, is_leader) if replicate_leaders else owned
-                replies.append(
-                    workers[i].process(  # type: ignore[union-attr]
-                        seg[sent_mask],
-                        seg_positions[sent_mask],
-                        owned[sent_mask],
-                        want_snapshot,
-                    )
-                )
-
-        snap_parts: list[np.ndarray] = []
-        for i in range(num_shards):
-            owned_hits, snap = replies[i]
-            seg_hits[owned_index[i]] = owned_hits
-            shard_accesses[i] += sent_counts[i]
-            if want_snapshot:
-                snap_parts.append(snap)
-        hit_parts.append(seg_hits)
-        if want_snapshot:
-            snapshots.append(
-                CacheSnapshot(seg_start + length, np.concatenate(snap_parts))
-            )
-
-    try:
-        for chunk in iter(chunks):
-            arr = np.asarray(chunk, dtype=np.int64)
-            if not arr.shape[0]:
-                continue
-            cuts = _segment_bounds(arr.shape[0], global_pos, scan_interval)
-            j = 0
-            while j + 1 < len(cuts):
-                lo_cut, hi_cut = cuts[j], cuts[j + 1]
-                at_boundary = bool(
-                    scan_interval and (global_pos + hi_cut) % scan_interval == 0
-                )
-                _route(arr[lo_cut:hi_cut], global_pos + lo_cut, at_boundary)
-                j += 1
-            global_pos += arr.shape[0]
-
-        if mode == "process":
-            for w in workers:
-                w.conn.send(("finish",))  # type: ignore[union-attr]
-            finals = [w.conn.recv() for w in workers]  # type: ignore[union-attr]
-            for w in workers:
-                w.proc.join(timeout=30)  # type: ignore[union-attr]
-        else:
-            finals = [w.finish() for w in workers]  # type: ignore[union-attr]
-    finally:
-        if mode == "process":
-            for w in workers:
-                w.terminate()  # type: ignore[union-attr]
-
-    psels = [int(f[1]) for f in finals]
-    if replicate_leaders:
-        if len(set(psels)) != 1:
-            raise SimulationError(
-                f"DRRIP PSEL diverged across shards: {psels} — leader replication broken"
-            )
-        merged_psel = psels[0]
-    elif config.policy == "drrip":
-        # num_sets == 1 all-SRRIP-leader fallback: the (single) shard
-        # owning set 0 holds the whole PSEL trajectory.
-        owner = next(i for i, (lo, hi) in enumerate(ranges) if hi > lo)
-        merged_psel = psels[owner]
-    else:
-        merged_psel = psels[0]
-    resident = (
-        np.concatenate([f[0] for f in finals])
-        if finals
-        else np.zeros(0, dtype=np.int64)
-    )
-    hits = (
-        np.concatenate(hit_parts) if hit_parts else np.zeros(0, dtype=np.uint8)
-    )
-    return ShardedSimulation(
-        hits=hits,
-        snapshots=snapshots,
+    with ShardedReplay(
+        config,
         num_shards=num_shards,
-        set_ranges=ranges,
-        shard_accesses=shard_accesses,
-        shard_access_pos=[int(f[2]) for f in finals],
-        psel=merged_psel,
+        scan_interval=scan_interval,
+        mode=mode,
+        kernel=kernel,
+    ) as replay:
+        hits = [replay.feed(chunk) for chunk in chunks]
+        psel, access_pos, resident = replay.finish()
+    return ShardedSimulation(
+        hits=np.concatenate(hits) if hits else np.zeros(0, dtype=np.uint8),
+        snapshots=replay.snapshots,
+        num_shards=num_shards,
+        set_ranges=replay.ranges,
+        shard_accesses=replay.shard_accesses,
+        shard_access_pos=access_pos,
+        psel=psel,
         resident_lines=resident,
     )

@@ -3,17 +3,20 @@
 :func:`simulate_spmv` performs the paper's two-phase parallel
 simulation: (1) log memory accesses per thread partition, (2) interleave
 the per-thread logs round-robin per interval and replay them through a
-simulated shared L3 (and optionally a DTLB).  The returned
-:class:`SimulationResult` carries everything the paper's metrics need:
-hit bits with per-access attribution, resident-line snapshots for the
-Effective Cache Size, TLB miss counts, and a work-stealing schedule for
-idle-time estimation.
+simulated shared L3 (and optionally a DTLB).  Both phases stream: trace
+chunks -> round-robin merge -> (optionally set-sharded) replay, each
+holding O(``chunk_accesses``) accesses at a time.  Everything the
+paper's metrics read off the per-access outcome is folded in chunk by
+chunk, so the returned :class:`SimulationResult` is O(V + snapshots):
+per-region counters, per-vertex access and miss counts under both
+attributions, resident-line snapshots for the Effective Cache Size, TLB
+misses, and optionally the locality-type counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -24,27 +27,27 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import span
 
 from repro.sim.address_space import AddressSpace, Region
-from repro.sim.cache import CacheConfig, CacheSnapshot, SetAssociativeCache
-from repro.sim.parallel import (
-    edge_balanced_partitions,
-    interleave_stream,
-    interleave_traces,
-)
+from repro.sim.cache import CacheConfig, CacheSnapshot
+from repro.sim.parallel import edge_balanced_partitions, interleave_stream
 from repro.sim.scheduler import (
     ScheduleResult,
     cost_balanced_chunks,
     simulate_work_stealing,
 )
-from repro.sim.shard import ShardedSimulation, simulate_sharded
-from repro.sim.stats import VertexAccessStats, attribute_random_accesses
+from repro.sim.shard import ShardedReplay
+from repro.sim.stats import (
+    LocalityTypeClassifier,
+    LocalityTypeCounts,
+    VertexAccessStats,
+    attribute_random_accesses,
+)
 from repro.sim.timing import TimingModel
-from repro.sim.tlb import TLBConfig, lines_to_pages, simulate_tlb
-from repro.sim.trace import MemoryTrace, spmv_trace, spmv_trace_chunks
+from repro.sim.tlb import TLBConfig, lines_to_pages, tlb_cache
+from repro.sim.trace import MemoryTrace, spmv_trace_chunks
 
 __all__ = [
     "SimulationConfig",
     "SimulationResult",
-    "StreamedSimulationResult",
     "simulate_spmv",
     "simulate_spmv_streamed",
 ]
@@ -100,205 +103,13 @@ class SimulationConfig:
 
 @dataclass
 class SimulationResult:
-    """Hit/miss outcome of one simulated parallel SpMV traversal."""
+    """Outcome of one simulated parallel SpMV traversal, O(V + snapshots).
 
-    graph: Graph
-    config: SimulationConfig
-    trace: MemoryTrace
-    hits: np.ndarray
-    thread_ids: np.ndarray
-    snapshots: list[CacheSnapshot]
-    tlb_misses: int
-    partition_boundaries: np.ndarray
-
-    # -- headline counters --------------------------------------------------
-
-    @property
-    def num_accesses(self) -> int:
-        return len(self.trace)
-
-    @property
-    def l3_misses(self) -> int:
-        return self.num_accesses - int(self.hits.sum())
-
-    @property
-    def random_region(self) -> int:
-        return (
-            Region.VERTEX_DATA if self.config.direction == "pull" else Region.VERTEX_OUT
-        )
-
-    @property
-    def random_accesses(self) -> int:
-        return int((self.trace.kinds == self.random_region).sum())
-
-    @property
-    def random_misses(self) -> int:
-        mask = self.trace.kinds == self.random_region
-        return int(mask.sum()) - int(self.hits[mask].sum())
-
-    @property
-    def random_miss_rate(self) -> float:
-        accesses = self.random_accesses
-        if accesses == 0:
-            return 0.0
-        return self.random_misses / accesses
-
-    # -- attribution ---------------------------------------------------------
-
-    def random_stats(self, by: str = "read") -> VertexAccessStats:
-        """Per-vertex random-access stats (see :mod:`repro.sim.stats`)."""
-        return attribute_random_accesses(
-            self.trace,
-            self.hits,
-            self.graph.num_vertices,
-            by=by,
-            random_region=self.random_region,
-        )
-
-    # -- effective cache size --------------------------------------------------
-
-    def effective_cache_size_samples(self) -> np.ndarray:
-        """Per-snapshot percentage of capacity holding random-access data.
-
-        Snapshots are classified in one batched pass (see
-        :meth:`AddressSpace.region_counts_batch`) instead of one
-        ``region_counts`` call per snapshot.
-        """
-        if not self.snapshots:
-            return np.zeros(0, dtype=np.float64)
-        capacity = self.config.cache.num_lines
-        space = self.trace.space
-        counts = space.region_counts_batch(
-            [snap.resident_lines for snap in self.snapshots]
-        )
-        return counts[:, self.random_region] / capacity * 100.0
-
-    def effective_cache_size(self) -> float:
-        """Average ECS percentage over all snapshots (Table V)."""
-        samples = self.effective_cache_size_samples()
-        if samples.size == 0:
-            raise SimulationError(
-                "no snapshots recorded; run with scan_interval > 0 to measure ECS"
-            )
-        return float(samples.mean())
-
-    # -- scheduling / timing --------------------------------------------------
-
-    def per_vertex_cost(self) -> np.ndarray:
-        """Simulated cycles each vertex's processing consumes."""
-        timing = self.config.timing
-        degrees = (
-            self.graph.in_degrees()
-            if self.config.direction == "pull"
-            else self.graph.out_degrees()
-        )
-        stats = self.random_stats(by="proc")
-        return (
-            degrees.astype(np.float64) * timing.cycles_per_edge
-            + stats.misses.astype(np.float64) * timing.cycles_per_l3_miss
-        )
-
-    def schedule(self, *, chunks_per_thread: int = 64) -> ScheduleResult:
-        """Work-stealing schedule of this traversal (idle % of Table IV).
-
-        Work units are cost-balanced chunks (~64 per thread), matching
-        the fine-grained edge-balanced partitioning of the paper's
-        runtime.
-        """
-        costs = cost_balanced_chunks(
-            self.per_vertex_cost(),
-            self.partition_boundaries,
-            chunks_per_thread=chunks_per_thread,
-        )
-        return simulate_work_stealing(costs)
-
-    def traversal_time_ms(self, *, chunks_per_thread: int = 64) -> float:
-        """Simulated traversal time (Table IV "Time" substitute)."""
-        idle = self.schedule(chunks_per_thread=chunks_per_thread).idle_percent
-        return self.config.timing.traversal_time_ms(
-            self.graph.num_edges, self.l3_misses, self.tlb_misses, idle
-        )
-
-
-def simulate_spmv(
-    graph: Graph, config: SimulationConfig | None = None, **scaled_kwargs: Any
-) -> SimulationResult:
-    """Simulate one parallel SpMV traversal of ``graph``.
-
-    When ``config`` is omitted a scaled configuration is derived from the
-    graph via :meth:`SimulationConfig.scaled_for`, forwarding any keyword
-    arguments.
-    """
-    if config is None:
-        config = SimulationConfig.scaled_for(graph, **scaled_kwargs)
-    elif scaled_kwargs:
-        raise SimulationError("pass either a config or scaling kwargs, not both")
-
-    with span(
-        "sim.spmv",
-        vertices=graph.num_vertices,
-        edges=graph.num_edges,
-        policy=config.cache.policy,
-        threads=config.num_threads,
-    ):
-        with span("sim.partition"):
-            space = AddressSpace(
-                graph.num_vertices, graph.num_edges, line_size=config.cache.line_size
-            )
-            boundaries = edge_balanced_partitions(
-                graph, config.num_threads, direction=config.direction
-            )
-        with span("sim.trace"):
-            traces = [
-                spmv_trace(
-                    graph,
-                    space,
-                    direction=config.direction,
-                    vertex_range=(int(boundaries[t]), int(boundaries[t + 1])),
-                    promote_sequential=config.promote_sequential,
-                )
-                for t in range(config.num_threads)
-            ]
-        with span("sim.interleave"):
-            merged, thread_ids = interleave_traces(traces, config.interleave_interval)
-
-        cache = SetAssociativeCache(config.cache)
-        with span("sim.cache", accesses=len(merged)):
-            outcome = cache.simulate(merged.lines, scan_interval=config.scan_interval)
-        tlb_misses = 0
-        if config.tlb is not None:
-            with span("sim.tlb"):
-                tlb_misses = simulate_tlb(
-                    merged.lines, config.cache.line_size, config.tlb
-                ).num_misses
-        if obs_enabled():
-            obs_metrics.registry.counter("sim.accesses").inc(len(merged))
-            obs_metrics.registry.counter("sim.l3_misses").inc(
-                len(merged) - int(outcome.hits.sum())
-            )
-            obs_metrics.registry.counter("sim.tlb_misses").inc(tlb_misses)
-
-    return SimulationResult(
-        graph=graph,
-        config=config,
-        trace=merged,
-        hits=outcome.hits,
-        thread_ids=thread_ids,
-        snapshots=outcome.snapshots,
-        tlb_misses=tlb_misses,
-        partition_boundaries=boundaries,
-    )
-
-
-@dataclass
-class StreamedSimulationResult:
-    """Headline outcome of one *streamed* (scale-tier) SpMV simulation.
-
-    Unlike :class:`SimulationResult` this never retains the trace, so
-    per-vertex attribution (``random_stats`` / ``schedule``) is not
-    available — only the aggregate counters the scaling-curve experiment
-    needs: per-region access/hit counts, ECS snapshots, TLB misses and
-    the shard-merge bookkeeping.
+    ``region_accesses``/``region_hits`` count accesses and hits per
+    :class:`~repro.sim.address_space.Region`; ``read_stats`` and
+    ``proc_stats`` attribute the random accesses and their misses per
+    vertex (see :mod:`repro.sim.stats`).  ``locality_types`` is set when
+    the run classified reuses (``classify_locality=True``).
     """
 
     graph: Graph
@@ -306,10 +117,14 @@ class StreamedSimulationResult:
     space: AddressSpace
     region_accesses: np.ndarray
     region_hits: np.ndarray
+    read_stats: VertexAccessStats
+    proc_stats: VertexAccessStats
     snapshots: list[CacheSnapshot]
     tlb_misses: int
     partition_boundaries: np.ndarray
-    shard: ShardedSimulation
+    locality_types: LocalityTypeCounts | None = None
+
+    # -- headline counters --------------------------------------------------
 
     @property
     def num_accesses(self) -> int:
@@ -335,10 +150,7 @@ class StreamedSimulationResult:
 
     @property
     def random_misses(self) -> int:
-        return int(
-            self.region_accesses[self.random_region]
-            - self.region_hits[self.random_region]
-        )
+        return self.random_accesses - int(self.region_hits[self.random_region])
 
     @property
     def random_miss_rate(self) -> float:
@@ -347,8 +159,25 @@ class StreamedSimulationResult:
             return 0.0
         return self.random_misses / accesses
 
+    # -- attribution ---------------------------------------------------------
+
+    def random_stats(self, by: str = "read") -> VertexAccessStats:
+        """Per-vertex random-access stats (see :mod:`repro.sim.stats`)."""
+        if by == "read":
+            return self.read_stats
+        if by == "proc":
+            return self.proc_stats
+        raise SimulationError(f"attribution must be 'read' or 'proc', got {by!r}")
+
+    # -- effective cache size --------------------------------------------------
+
     def effective_cache_size_samples(self) -> np.ndarray:
-        """Per-snapshot ECS percentage (same maths as the retained path)."""
+        """Per-snapshot percentage of capacity holding random-access data.
+
+        Snapshots are classified in one batched pass (see
+        :meth:`AddressSpace.region_counts_batch`) instead of one
+        ``region_counts`` call per snapshot.
+        """
         if not self.snapshots:
             return np.zeros(0, dtype=np.float64)
         capacity = self.config.cache.num_lines
@@ -358,6 +187,7 @@ class StreamedSimulationResult:
         return counts[:, self.random_region] / capacity * 100.0
 
     def effective_cache_size(self) -> float:
+        """Average ECS percentage over all snapshots (Table V)."""
         samples = self.effective_cache_size_samples()
         if samples.size == 0:
             raise SimulationError(
@@ -365,8 +195,55 @@ class StreamedSimulationResult:
             )
         return float(samples.mean())
 
+    # -- scheduling / timing --------------------------------------------------
 
-def simulate_spmv_streamed(
+    def per_vertex_cost(self) -> np.ndarray:
+        """Simulated cycles each vertex's processing consumes."""
+        timing = self.config.timing
+        degrees = (
+            self.graph.in_degrees()
+            if self.config.direction == "pull"
+            else self.graph.out_degrees()
+        )
+        return (
+            degrees.astype(np.float64) * timing.cycles_per_edge
+            + self.proc_stats.misses.astype(np.float64) * timing.cycles_per_l3_miss
+        )
+
+    def schedule(self, *, chunks_per_thread: int = 64) -> ScheduleResult:
+        """Work-stealing schedule of this traversal (idle % of Table IV).
+
+        Work units are cost-balanced chunks (~64 per thread), matching
+        the fine-grained edge-balanced partitioning of the paper's
+        runtime.
+        """
+        costs = cost_balanced_chunks(
+            self.per_vertex_cost(),
+            self.partition_boundaries,
+            chunks_per_thread=chunks_per_thread,
+        )
+        return simulate_work_stealing(costs)
+
+    def traversal_time_ms(self, *, chunks_per_thread: int = 64) -> float:
+        """Simulated traversal time (Table IV "Time" substitute)."""
+        idle = self.schedule(chunks_per_thread=chunks_per_thread).idle_percent
+        return self.config.timing.traversal_time_ms(
+            self.graph.num_edges, self.l3_misses, self.tlb_misses, idle
+        )
+
+
+def _in_spans(name: str, chunks: Iterable[MemoryTrace]) -> Iterator[MemoryTrace]:
+    """Re-yield ``chunks``, producing each one inside a span called ``name``."""
+    iterator = iter(chunks)
+    while True:
+        with span(name):
+            chunk = next(iterator, None)
+        if chunk is None:
+            return
+        yield chunk
+
+
+def simulate_spmv(
     graph: Graph,
     config: SimulationConfig | None = None,
     *,
@@ -374,48 +251,64 @@ def simulate_spmv_streamed(
     shard_mode: str = "serial",
     chunk_accesses: int = 1 << 20,
     kernel: str = "auto",
+    classify_locality: bool = False,
     **scaled_kwargs: Any,
-) -> StreamedSimulationResult:
-    """Scale-tier :func:`simulate_spmv`: bounded memory, optional sharding.
+) -> SimulationResult:
+    """Simulate one parallel SpMV traversal of ``graph``.
+
+    When ``config`` is omitted a scaled configuration is derived from the
+    graph via :meth:`SimulationConfig.scaled_for`, forwarding any keyword
+    arguments.
 
     The pipeline is trace chunks (:func:`spmv_trace_chunks`, one stream
-    per thread partition) -> streaming round-robin interleave
+    per thread partition) -> round-robin interleave
     (:func:`interleave_stream`) -> set-sharded replay
-    (:func:`simulate_sharded`).  Every stage holds O(``chunk_accesses``)
-    state; only the final hit bits (1 byte/access) and per-chunk kind
-    codes survive to the end for region accounting.
+    (:class:`~repro.sim.shard.ShardedReplay`: ``num_shards`` workers,
+    in-process or in ``shard_mode="process"`` worker processes), with
+    the TLB replayed alongside.  Each merged chunk of ~``chunk_accesses``
+    accesses is attributed and dropped before the next one is built.
+    Results are bit-identical for every ``num_shards``, ``shard_mode``,
+    ``chunk_accesses`` and ``kernel`` (``tests/test_trace_stream.py``).
 
-    Headline counters are **bit-identical** to :func:`simulate_spmv`
-    with the same config, for any ``num_shards``/``chunk_accesses``
-    (property-tested in ``tests/test_shard.py``).
+    ``classify_locality=True`` also counts locality types I–V
+    (:class:`~repro.sim.stats.LocalityTypeClassifier`), at the cost of
+    one sort of each chunk's random accesses.
     """
     if config is None:
         config = SimulationConfig.scaled_for(graph, **scaled_kwargs)
     elif scaled_kwargs:
         raise SimulationError("pass either a config or scaling kwargs, not both")
 
+    num_vertices = graph.num_vertices
+    random_region = (
+        Region.VERTEX_DATA if config.direction == "pull" else Region.VERTEX_OUT
+    )
     with span(
-        "sim.spmv_streamed",
-        vertices=graph.num_vertices,
+        "sim.spmv",
+        vertices=num_vertices,
         edges=graph.num_edges,
         policy=config.cache.policy,
         threads=config.num_threads,
         shards=num_shards,
     ):
-        space = AddressSpace(
-            graph.num_vertices, graph.num_edges, line_size=config.cache.line_size
-        )
-        boundaries = edge_balanced_partitions(
-            graph, config.num_threads, direction=config.direction
-        )
+        with span("sim.partition"):
+            space = AddressSpace(
+                num_vertices, graph.num_edges, line_size=config.cache.line_size
+            )
+            boundaries = edge_balanced_partitions(
+                graph, config.num_threads, direction=config.direction
+            )
         sources = [
-            spmv_trace_chunks(
-                graph,
-                space,
-                direction=config.direction,
-                vertex_range=(int(boundaries[t]), int(boundaries[t + 1])),
-                promote_sequential=config.promote_sequential,
-                max_accesses=max(1, chunk_accesses // config.num_threads),
+            _in_spans(
+                "sim.trace",
+                spmv_trace_chunks(
+                    graph,
+                    space,
+                    direction=config.direction,
+                    vertex_range=(int(boundaries[t]), int(boundaries[t + 1])),
+                    promote_sequential=config.promote_sequential,
+                    max_accesses=max(1, chunk_accesses // config.num_threads),
+                ),
             )
             for t in range(config.num_threads)
         ]
@@ -423,61 +316,70 @@ def simulate_spmv_streamed(
             sources, config.interleave_interval, batch_accesses=chunk_accesses
         )
 
-        kind_parts: list[np.ndarray] = []
-        tlb_cache: SetAssociativeCache | None = None
-        if config.tlb is not None:
-            tlb_cache = SetAssociativeCache(
-                CacheConfig(
-                    num_sets=config.tlb.num_sets,
-                    ways=config.tlb.ways,
-                    line_size=64,
-                    policy="lru",
-                )
-            )
+        # Rows: regions; columns: misses, hits.
+        region_outcomes = np.zeros((Region.COUNT, 2), dtype=np.int64)
+        # Rows: accesses, misses.
+        by_read = np.zeros((2, num_vertices), dtype=np.int64)
+        by_proc = np.zeros((2, num_vertices), dtype=np.int64)
+        classifier = (
+            LocalityTypeClassifier(space, random_region) if classify_locality else None
+        )
+        tlb = tlb_cache(config.tlb) if config.tlb is not None else None
         tlb_misses = 0
-
-        def _line_chunks() -> "Any":
-            nonlocal tlb_misses
-            for merged, _tids in stream:
-                kind_parts.append(merged.kinds)
-                if tlb_cache is not None and config.tlb is not None:
-                    pages = lines_to_pages(
-                        merged.lines, config.cache.line_size, config.tlb.page_size
-                    )
-                    tlb_res = tlb_cache.simulate(pages)
-                    tlb_misses += tlb_res.num_misses
-                yield merged.lines
-
-        sharded = simulate_sharded(
-            _line_chunks(),
+        with ShardedReplay(
             config.cache,
             num_shards=num_shards,
             scan_interval=config.scan_interval,
             mode=shard_mode,
             kernel=kernel,
-        )
+        ) as replay:
+            for chunk, thread_ids in stream:
+                with span("sim.cache", accesses=len(chunk)):
+                    hits = replay.feed(chunk.lines)
+                if tlb is not None and config.tlb is not None:
+                    with span("sim.tlb"):
+                        pages = lines_to_pages(
+                            chunk.lines, config.cache.line_size, config.tlb.page_size
+                        )
+                        tlb_misses += tlb.simulate(pages).num_misses
+                with span("sim.attribute"):
+                    region_outcomes += np.bincount(
+                        chunk.kinds.astype(np.int64) * 2 + hits,
+                        minlength=2 * Region.COUNT,
+                    ).reshape(Region.COUNT, 2)
+                    for totals, by in ((by_read, "read"), (by_proc, "proc")):
+                        stats = attribute_random_accesses(
+                            chunk, hits, num_vertices, by=by, random_region=random_region
+                        )
+                        totals[0] += stats.accesses
+                        totals[1] += stats.misses
+                    if classifier is not None:
+                        classifier.add(chunk, thread_ids)
+            replay.finish()
 
-        kinds = (
-            np.concatenate(kind_parts) if kind_parts else np.zeros(0, dtype=np.uint8)
-        )
-        region_accesses = np.bincount(kinds, minlength=Region.COUNT).astype(np.int64)
-        region_hits = np.bincount(
-            kinds, weights=sharded.hits.astype(np.float64), minlength=Region.COUNT
-        ).astype(np.int64)
-
+        region_accesses = region_outcomes.sum(axis=1)
+        region_hits = region_outcomes[:, 1].copy()
         if obs_enabled():
-            obs_metrics.registry.counter("sim.accesses").inc(sharded.num_accesses)
-            obs_metrics.registry.counter("sim.l3_misses").inc(sharded.num_misses)
+            obs_metrics.registry.counter("sim.accesses").inc(int(region_accesses.sum()))
+            obs_metrics.registry.counter("sim.l3_misses").inc(
+                int(region_outcomes[:, 0].sum())
+            )
             obs_metrics.registry.counter("sim.tlb_misses").inc(tlb_misses)
 
-    return StreamedSimulationResult(
+    return SimulationResult(
         graph=graph,
         config=config,
         space=space,
         region_accesses=region_accesses,
         region_hits=region_hits,
-        snapshots=sharded.snapshots,
+        read_stats=VertexAccessStats(accesses=by_read[0], misses=by_read[1]),
+        proc_stats=VertexAccessStats(accesses=by_proc[0], misses=by_proc[1]),
+        snapshots=replay.snapshots,
         tlb_misses=tlb_misses,
         partition_boundaries=boundaries,
-        shard=sharded,
+        locality_types=classifier.counts() if classifier is not None else None,
     )
+
+
+#: The scale tier's name for :func:`simulate_spmv`, which always streams.
+simulate_spmv_streamed = simulate_spmv

@@ -15,7 +15,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.sim.cache import CacheConfig, SetAssociativeCache, SimulatedAccesses
 
-__all__ = ["TLBConfig", "simulate_tlb", "lines_to_pages"]
+__all__ = ["TLBConfig", "simulate_tlb", "lines_to_pages", "tlb_cache"]
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,14 @@ def lines_to_pages(lines: np.ndarray, line_size: int, page_size: int) -> np.ndar
     return np.asarray(lines, dtype=np.int64) // ratio
 
 
-def simulate_tlb(
-    lines: np.ndarray, line_size: int, config: TLBConfig
-) -> SimulatedAccesses:
-    """Run the trace's page stream through a fresh LRU TLB."""
-    pages = lines_to_pages(lines, line_size, config.page_size)
-    cache = SetAssociativeCache(
+def tlb_cache(config: TLBConfig) -> SetAssociativeCache:
+    """A fresh LRU cache of page translations with the TLB's geometry.
+
+    Feed it page IDs (:func:`lines_to_pages`); it keeps its state across
+    :meth:`~repro.sim.cache.SetAssociativeCache.simulate` calls, so a
+    streamed trace can be replayed chunk by chunk.
+    """
+    return SetAssociativeCache(
         CacheConfig(
             num_sets=config.num_sets,
             ways=config.ways,
@@ -87,4 +89,11 @@ def simulate_tlb(
             policy="lru",
         )
     )
-    return cache.simulate(pages)
+
+
+def simulate_tlb(
+    lines: np.ndarray, line_size: int, config: TLBConfig
+) -> SimulatedAccesses:
+    """Run the trace's page stream through a fresh LRU TLB."""
+    pages = lines_to_pages(lines, line_size, config.page_size)
+    return tlb_cache(config).simulate(pages)

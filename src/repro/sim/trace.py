@@ -2,8 +2,8 @@
 
 Reproduces the paper's instrumentation of Algorithm 1 "at source code
 level to call the simulator for every load/store" (Section V-B), but
-generates the whole access stream up front as numpy arrays so the cache
-simulator can consume it in one tight loop.
+generates the access stream as numpy arrays, in bounded chunks, so the
+cache simulator can consume it in tight loops.
 
 Per processed vertex ``v`` the pull traversal emits, in program order:
 
@@ -248,31 +248,21 @@ def spmv_trace(
     promote_sequential:
         Emit each newly-entered sequential line twice (see module doc).
     """
-    _resolve_direction(graph, direction)  # validate early
     if space is None:
         space = AddressSpace(graph.num_vertices, graph.num_edges)
-    start, end = _resolve_range(graph, vertex_range)
-
-    parts = _range_parts(
-        graph, space, direction, start, end, promote_sequential, _DedupCarry()
+    # A budget of ~3 accesses per edge and vertex makes the whole range
+    # one chunk (see the budgets in spmv_trace_chunks).
+    chunks = list(
+        spmv_trace_chunks(
+            graph,
+            space,
+            direction=direction,
+            vertex_range=vertex_range,
+            promote_sequential=promote_sequential,
+            max_accesses=3 * (graph.num_edges + graph.num_vertices) + 3,
+        )
     )
-    parts_lines, parts_kinds, parts_read, parts_proc, parts_pos = parts
-    if not parts_lines:
-        return _empty_trace(space)
-
-    lines = np.concatenate(parts_lines)
-    kinds = np.concatenate(parts_kinds)
-    read_vertex = np.concatenate(parts_read)
-    proc_vertex = np.concatenate(parts_proc)
-    positions = np.concatenate(parts_pos)
-    order = np.argsort(positions, kind="stable")
-    return MemoryTrace(
-        lines=lines[order],
-        kinds=kinds[order],
-        read_vertex=read_vertex[order],
-        proc_vertex=proc_vertex[order],
-        space=space,
-    )
+    return concatenate_traces(chunks) if chunks else _empty_trace(space)
 
 
 def spmv_trace_chunks(
@@ -383,68 +373,18 @@ def spmv_trace_chunks(
         a = b
 
 
-def concatenate_traces(
-    traces: "Iterable[MemoryTrace]", *, total_length: int | None = None
-) -> MemoryTrace:
-    """Join traces back-to-back (they must share an address space).
-
-    Accepts any iterable — in particular the :func:`spmv_trace_chunks`
-    generator — and, when ``total_length`` is given (e.g. derived from
-    :func:`repro.sim.parallel.partition_edge_counts`), fills pre-sized
-    output arrays chunk by chunk.  That caps peak memory at the output
-    plus one chunk, where the old list-of-arrays concatenation held
-    every input *and* the output alive at the copy moment.
-    """
-    if total_length is None:
-        materialized = traces if isinstance(traces, list) else list(traces)
-        if not materialized:
-            raise SimulationError("cannot concatenate zero traces")
-        space = materialized[0].space
-        if any(t.space is not space and t.space != space for t in materialized):
-            raise SimulationError("traces use different address spaces")
-        return MemoryTrace(
-            lines=np.concatenate([t.lines for t in materialized]),
-            kinds=np.concatenate([t.kinds for t in materialized]),
-            read_vertex=np.concatenate([t.read_vertex for t in materialized]),
-            proc_vertex=np.concatenate([t.proc_vertex for t in materialized]),
-            space=space,
-        )
-
-    if total_length < 0:
-        raise SimulationError(f"total_length must be >= 0, got {total_length}")
-    lines = np.empty(total_length, dtype=np.int64)
-    kinds = np.empty(total_length, dtype=np.uint8)
-    read_vertex = np.empty(total_length, dtype=np.int64)
-    proc_vertex = np.empty(total_length, dtype=np.int64)
-    filled = 0
-    space = None
-    # One iteration per *chunk*, not per access — the per-element work
-    # stays inside the vectorized slice assignments below.
-    for t in iter(traces):  # repro-lint: disable=RL003
-        if space is None:
-            space = t.space
-        elif t.space is not space and t.space != space:
-            raise SimulationError("traces use different address spaces")
-        k = len(t)
-        if filled + k > total_length:
-            raise SimulationError(
-                f"traces overflow total_length={total_length} at {filled + k}"
-            )
-        lines[filled : filled + k] = t.lines
-        kinds[filled : filled + k] = t.kinds
-        read_vertex[filled : filled + k] = t.read_vertex
-        proc_vertex[filled : filled + k] = t.proc_vertex
-        filled += k
-    if space is None:
+def concatenate_traces(traces: "Iterable[MemoryTrace]") -> MemoryTrace:
+    """Join traces back-to-back (they must share an address space)."""
+    materialized = list(traces)
+    if not materialized:
         raise SimulationError("cannot concatenate zero traces")
-    if filled != total_length:
-        raise SimulationError(
-            f"traces provided {filled} accesses, expected total_length={total_length}"
-        )
+    space = materialized[0].space
+    if any(t.space is not space and t.space != space for t in materialized):
+        raise SimulationError("traces use different address spaces")
     return MemoryTrace(
-        lines=lines,
-        kinds=kinds,
-        read_vertex=read_vertex,
-        proc_vertex=proc_vertex,
+        lines=np.concatenate([t.lines for t in materialized]),
+        kinds=np.concatenate([t.kinds for t in materialized]),
+        read_vertex=np.concatenate([t.read_vertex for t in materialized]),
+        proc_vertex=np.concatenate([t.proc_vertex for t in materialized]),
         space=space,
     )

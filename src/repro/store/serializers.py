@@ -9,7 +9,7 @@ kind               payload                       format
 ``graph``          :class:`~repro.graph.graph.Graph` (CSR+CSC)   ``.npz``
 ``reordered-graph``  same, after an RA's relabeling              ``.npz``
 ``reordering``     :class:`~repro.reorder.base.ReorderResult`    ``.npz``
-``simulation``     :class:`StoredSimulation` (trace + hit bits)  ``.npz``
+``simulation``     :class:`StoredSimulation` (O(V) counters)    ``.npz``
 ``json``           JSON documents (report data, manifests)       ``.json``
 =================  ============================  =========
 
@@ -22,7 +22,7 @@ load failure here signals corruption and is quarantined by the caller.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -35,7 +35,7 @@ from repro.reorder.base import ReorderResult
 from repro.sim.address_space import AddressSpace
 from repro.sim.cache import CacheSnapshot
 from repro.sim.simulator import SimulationConfig, SimulationResult
-from repro.sim.trace import MemoryTrace
+from repro.sim.stats import LocalityTypeCounts, VertexAccessStats
 
 __all__ = [
     "Serializer",
@@ -154,31 +154,33 @@ class ReorderingSerializer(Serializer):
 
 @dataclass
 class StoredSimulation:
-    """A :class:`SimulationResult` minus its graph and config.
+    """A :class:`SimulationResult` minus its graph and config: O(V + snapshots).
 
     The graph is itself a stored artifact and the config is re-derived
     deterministically by the pipeline, so the simulation artifact keeps
-    only what the simulator produced: the interleaved trace, per-access
-    hit bits and thread attribution, ECS snapshots (flattened with
-    lengths), TLB misses and partition boundaries.
+    only what the simulator produced: per-region access/hit counters,
+    per-vertex access/miss counts under both attributions, ECS snapshots
+    (flattened with lengths), partition boundaries, TLB misses and the
+    locality-type counts when the run classified them.
     """
 
-    lines: np.ndarray
-    kinds: np.ndarray
-    read_vertex: np.ndarray
-    proc_vertex: np.ndarray
-    hits: np.ndarray
-    thread_ids: np.ndarray
+    region_accesses: np.ndarray
+    region_hits: np.ndarray
+    read_accesses: np.ndarray
+    read_misses: np.ndarray
+    proc_accesses: np.ndarray
+    proc_misses: np.ndarray
     partition_boundaries: np.ndarray
     snapshot_indices: np.ndarray
     snapshot_lines: np.ndarray
     snapshot_lengths: np.ndarray
     tlb_misses: int
     space_params: dict
+    locality_types: "dict | None" = None
 
     @classmethod
     def from_result(cls, result: SimulationResult) -> "StoredSimulation":
-        space = result.trace.space
+        space = result.space
         snapshots = result.snapshots
         lengths = np.asarray(
             [snap.resident_lines.shape[0] for snap in snapshots], dtype=np.int64
@@ -189,12 +191,12 @@ class StoredSimulation:
             else np.zeros(0, dtype=np.int64)
         )
         return cls(
-            lines=result.trace.lines,
-            kinds=result.trace.kinds,
-            read_vertex=result.trace.read_vertex,
-            proc_vertex=result.trace.proc_vertex,
-            hits=result.hits,
-            thread_ids=result.thread_ids,
+            region_accesses=result.region_accesses,
+            region_hits=result.region_hits,
+            read_accesses=result.read_stats.accesses,
+            read_misses=result.read_stats.misses,
+            proc_accesses=result.proc_stats.accesses,
+            proc_misses=result.proc_stats.misses,
             partition_boundaries=result.partition_boundaries,
             snapshot_indices=np.asarray(
                 [snap.access_index for snap in snapshots], dtype=np.int64
@@ -210,18 +212,13 @@ class StoredSimulation:
                 "edges_elem": space.edges_elem,
                 "data_elem": space.data_elem,
             },
+            locality_types=(
+                None if result.locality_types is None else asdict(result.locality_types)
+            ),
         )
 
     def to_result(self, graph: Graph, config: SimulationConfig) -> SimulationResult:
         """Rebuild the full result in the context of its graph/config."""
-        space = AddressSpace(**self.space_params)
-        trace = MemoryTrace(
-            lines=self.lines,
-            kinds=self.kinds,
-            read_vertex=self.read_vertex,
-            proc_vertex=self.proc_vertex,
-            space=space,
-        )
         snapshots = []
         offset = 0
         for index, length in zip(
@@ -237,12 +234,19 @@ class StoredSimulation:
         return SimulationResult(
             graph=graph,
             config=config,
-            trace=trace,
-            hits=self.hits,
-            thread_ids=self.thread_ids,
+            space=AddressSpace(**self.space_params),
+            region_accesses=self.region_accesses,
+            region_hits=self.region_hits,
+            read_stats=VertexAccessStats(self.read_accesses, self.read_misses),
+            proc_stats=VertexAccessStats(self.proc_accesses, self.proc_misses),
             snapshots=snapshots,
             tlb_misses=int(self.tlb_misses),
             partition_boundaries=self.partition_boundaries,
+            locality_types=(
+                None
+                if self.locality_types is None
+                else LocalityTypeCounts(**self.locality_types)
+            ),
         )
 
 
@@ -251,12 +255,12 @@ class SimulationSerializer(Serializer):
     extension = ".npz"
 
     _ARRAYS = (
-        "lines",
-        "kinds",
-        "read_vertex",
-        "proc_vertex",
-        "hits",
-        "thread_ids",
+        "region_accesses",
+        "region_hits",
+        "read_accesses",
+        "read_misses",
+        "proc_accesses",
+        "proc_misses",
         "partition_boundaries",
         "snapshot_indices",
         "snapshot_lines",
@@ -269,6 +273,7 @@ class SimulationSerializer(Serializer):
         meta = {
             "tlb_misses": int(obj.tlb_misses),
             "space_params": jsonify(obj.space_params),
+            "locality_types": jsonify(obj.locality_types),
         }
         arrays = {name: getattr(obj, name) for name in self._ARRAYS}
         with open(path, "wb") as handle:
@@ -286,6 +291,7 @@ class SimulationSerializer(Serializer):
         return StoredSimulation(
             tlb_misses=int(meta["tlb_misses"]),
             space_params=meta["space_params"],
+            locality_types=meta.get("locality_types"),
             **arrays,
         )
 

@@ -88,7 +88,7 @@ class TestExtremeCacheGeometries:
         )
         sim = simulate_spmv(g, config)
         # with everything cached, only cold misses remain
-        assert sim.l3_misses <= len(np.unique(sim.trace.lines))
+        assert sim.l3_misses <= len(np.unique(spmv_trace(g).lines))
 
     def test_more_threads_than_vertices(self):
         g = graph_of(3, [(0, 1), (1, 2)])

@@ -227,20 +227,45 @@ def test_scale_streamed_golden(golden_rmat, update_golden):
     chunked traces -> streaming round-robin interleave -> 3-way
     set-sharded replay — with a deliberately tiny ``chunk_accesses`` so
     the run crosses many chunk, batch and segment boundaries.  Pins the
-    merged headline counters plus the per-shard routing/draw bookkeeping:
-    any drift in the chunk-boundary dedup carry, the round-robin batch
-    cut, the set routing or the position-keyed draw stream moves one of
-    these integers and fails here.
+    merged headline counters plus the per-shard routing/draw bookkeeping
+    of the same replay fed the same stream: any drift in the
+    chunk-boundary dedup carry, the round-robin batch cut, the set
+    routing or the position-keyed draw stream moves one of these
+    integers and fails here.
     """
-    from repro.sim.simulator import simulate_spmv_streamed
+    from repro.sim import (
+        AddressSpace,
+        edge_balanced_partitions,
+        interleave_stream,
+        simulate_sharded,
+        spmv_trace_chunks,
+    )
 
     approx_len = golden_rmat.num_edges + golden_rmat.num_vertices // 4
     config = SimulationConfig.scaled_for(
         golden_rmat, scan_interval=max(1, approx_len // 64)
     )
-    result = simulate_spmv_streamed(
-        golden_rmat, config, num_shards=3, chunk_accesses=512
+    result = simulate_spmv(golden_rmat, config, num_shards=3, chunk_accesses=512)
+
+    space = AddressSpace(golden_rmat.num_vertices, golden_rmat.num_edges)
+    bounds = edge_balanced_partitions(golden_rmat, config.num_threads)
+    sources = [
+        spmv_trace_chunks(
+            golden_rmat,
+            space,
+            vertex_range=(int(bounds[t]), int(bounds[t + 1])),
+            max_accesses=512 // config.num_threads,
+        )
+        for t in range(config.num_threads)
+    ]
+    stream = interleave_stream(sources, config.interleave_interval, batch_accesses=512)
+    shard = simulate_sharded(
+        (chunk.lines for chunk, _ in stream),
+        config.cache,
+        num_shards=3,
+        scan_interval=config.scan_interval,
     )
+    assert shard.num_misses == result.l3_misses
     computed = {
         "num_accesses": result.num_accesses,
         "l3_misses": result.l3_misses,
@@ -252,9 +277,9 @@ def test_scale_streamed_golden(golden_rmat, update_golden):
             sum(int(s.resident_lines.sum()) for s in result.snapshots)
         ),
         "effective_cache_size_percent": result.effective_cache_size(),
-        "shard_accesses": result.shard.shard_accesses,
-        "shard_access_pos": result.shard.shard_access_pos,
-        "psel": result.shard.psel,
+        "shard_accesses": shard.shard_accesses,
+        "shard_access_pos": shard.shard_access_pos,
+        "psel": shard.psel,
     }
     check_golden("scale_streamed", computed, update_golden)
 

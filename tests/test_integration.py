@@ -15,7 +15,7 @@ from repro import (
     get_algorithm,
     simulate_spmv,
 )
-from repro.core import classify_locality_types, miss_rate_degree_distribution
+from repro.core import miss_rate_degree_distribution
 from repro.graph import apply_to_vertex_data, validate_graph
 from repro.sim import spmv_pull
 
@@ -78,10 +78,7 @@ class TestAnalyzerOnReorderedGraphs:
         config = SimulationConfig.scaled_for(small_web)
 
         def spatial_fraction(graph):
-            sim = simulate_spmv(graph, config)
-            counts = classify_locality_types(
-                sim.trace, sim.thread_ids, random_region=sim.random_region
-            )
+            counts = simulate_spmv(graph, config, classify_locality=True).locality_types
             fractions = counts.fractions()
             return fractions["I"] + fractions["III"]
 

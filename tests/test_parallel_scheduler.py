@@ -6,8 +6,9 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import (
     AddressSpace,
+    concatenate_traces,
     edge_balanced_partitions,
-    interleave_traces,
+    interleave_stream,
     partition_edge_counts,
     simulate_work_stealing,
     spmv_trace,
@@ -42,6 +43,13 @@ class TestPartitions:
     def test_rejects_zero_parts(self, tiny_graph):
         with pytest.raises(SimulationError):
             edge_balanced_partitions(tiny_graph, 0)
+
+
+def interleave_traces(traces, interval):
+    """Merge whole per-thread traces through the streaming interleave."""
+    batches = list(interleave_stream([[trace] for trace in traces], interval))
+    merged = concatenate_traces([batch[0] for batch in batches])
+    return merged, np.concatenate([batch[1] for batch in batches])
 
 
 class TestInterleave:

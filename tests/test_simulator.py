@@ -11,6 +11,7 @@ from repro.sim import (
     TLBConfig,
     TimingModel,
     simulate_spmv,
+    spmv_trace,
 )
 
 
@@ -21,8 +22,13 @@ def web_sim(small_web):
 
 
 class TestCounters:
-    def test_access_accounting(self, web_sim):
-        assert web_sim.num_accesses == len(web_sim.trace)
+    def test_access_accounting(self, web_sim, small_web):
+        bounds = web_sim.partition_boundaries.tolist()
+        per_thread = [
+            spmv_trace(small_web, web_sim.space, vertex_range=(lo, hi))
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert web_sim.num_accesses == sum(len(trace) for trace in per_thread)
         assert 0 <= web_sim.l3_misses <= web_sim.num_accesses
 
     def test_random_access_count(self, web_sim, small_web):
@@ -145,4 +151,5 @@ class TestLocalityOrdering:
         a = simulate_spmv(small_web, config)
         b = simulate_spmv(small_web, config)
         assert a.l3_misses == b.l3_misses
-        assert np.array_equal(a.hits, b.hits)
+        assert np.array_equal(a.region_hits, b.region_hits)
+        assert np.array_equal(a.proc_stats.misses, b.proc_stats.misses)

@@ -72,12 +72,25 @@ class TestRoundTrips:
 
     def test_simulation(self, store, two_hop_ring):
         config = SimulationConfig.scaled_for(two_hop_ring, scan_interval=16)
-        result = simulate_spmv(two_hop_ring, config)
-        store.put(_key(4), "simulation", StoredSimulation.from_result(result))
+        result = simulate_spmv(two_hop_ring, config, classify_locality=True)
+        stored = StoredSimulation.from_result(result)
+        # O(V) counters, never one entry per access.
+        assert result.num_accesses > two_hop_ring.num_vertices + 1
+        for name in ("region_accesses", "read_accesses", "proc_misses"):
+            assert getattr(stored, name).size <= two_hop_ring.num_vertices + 1
+        store.put(_key(4), "simulation", stored)
         loaded = store.get(_key(4), "simulation")
         rebuilt = loaded.to_result(two_hop_ring, config)
-        assert np.array_equal(rebuilt.hits, result.hits)
-        assert np.array_equal(rebuilt.trace.lines, result.trace.lines)
+        assert np.array_equal(rebuilt.region_accesses, result.region_accesses)
+        assert np.array_equal(rebuilt.region_hits, result.region_hits)
+        for by in ("read", "proc"):
+            assert np.array_equal(
+                rebuilt.random_stats(by).accesses, result.random_stats(by).accesses
+            )
+            assert np.array_equal(
+                rebuilt.random_stats(by).misses, result.random_stats(by).misses
+            )
+        assert rebuilt.locality_types == result.locality_types
         assert rebuilt.tlb_misses == result.tlb_misses
         assert rebuilt.l3_misses == result.l3_misses
         assert len(rebuilt.snapshots) == len(result.snapshots)

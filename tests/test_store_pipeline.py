@@ -112,8 +112,10 @@ class TestWarmRunsAreCached:
     def test_simulation_results_identical_cold_vs_warm(self, store):
         cold = Workloads(store=store).simulation(_DATASET, "degree", with_scans=False)
         warm = Workloads(store=store).simulation(_DATASET, "degree", with_scans=False)
-        assert np.array_equal(warm.hits, cold.hits)
-        assert np.array_equal(warm.trace.lines, cold.trace.lines)
+        assert np.array_equal(warm.region_accesses, cold.region_accesses)
+        assert np.array_equal(warm.region_hits, cold.region_hits)
+        assert np.array_equal(warm.proc_stats.misses, cold.proc_stats.misses)
+        assert np.array_equal(warm.read_stats.misses, cold.read_stats.misses)
         assert warm.l3_misses == cold.l3_misses
         assert warm.tlb_misses == cold.tlb_misses
 

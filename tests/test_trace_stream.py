@@ -1,15 +1,18 @@
-"""Property tests: the streaming trace pipeline is bit-exact.
+"""Property tests: the streaming simulation pipeline is bit-exact.
 
-The scale tier replaces materialize-everything stages with bounded
-streams — :func:`spmv_trace_chunks` for trace generation,
-:func:`interleave_stream` for the round-robin merge, and
-:func:`simulate_spmv_streamed` for the whole pipeline.  Their contract
-is not "approximately the same": every array they produce must equal
-the materializing reference bit for bit, for any chunk size, thread
-count and interval.  These tests pin that equivalence across randomized
-RMAT graphs, both traversal directions, chunk sizes down to 1 access,
-and the chunk-boundary edge cases (zero-degree runs, a boundary inside
-one vertex's access burst, finished-early threads).
+The simulator never materializes a whole trace: :func:`spmv_trace_chunks`
+generates it in bounded chunks, :func:`interleave_stream` merges the
+per-thread streams round-robin, and :func:`simulate_spmv` replays and
+attributes each merged chunk before building the next.  Their contract
+is not "approximately the same": every array they produce must equal a
+materializing reference bit for bit, for any chunk size, thread count,
+interval and shard count.  The references here compute the same things
+the direct way — whole traces, one stable-sort merge, one replay, then
+attribution and a per-access locality-type loop over the retained
+trace.  The tests pin that equivalence across randomized RMAT graphs,
+both traversal directions, chunk sizes down to 1 access, and the
+chunk-boundary edge cases (zero-degree runs, a boundary inside one
+vertex's access burst, finished-early threads).
 """
 
 from __future__ import annotations
@@ -24,12 +27,16 @@ from repro.generate.rmat import rmat_edges
 from repro.graph import Graph, build_graph
 from repro.sim import (
     AddressSpace,
+    LocalityTypeClassifier,
+    LocalityTypeCounts,
+    Region,
+    SetAssociativeCache,
     SimulationConfig,
+    attribute_random_accesses,
     concatenate_traces,
     interleave_stream,
-    interleave_traces,
     simulate_spmv,
-    simulate_spmv_streamed,
+    simulate_tlb,
     spmv_trace,
     spmv_trace_chunks,
 )
@@ -47,6 +54,100 @@ def _rmat(seed: int, log_scale: int = 7, num_edges: int = 640) -> Graph:
             1 << log_scale, src, dst, name=f"rm{seed}"
         ).graph
     return _GRAPHS[key]
+
+
+def interleave_traces(traces: list, interval: int):
+    """Round-robin merge of whole traces: one stable sort by (round, thread)."""
+    lengths = [len(trace) for trace in traces]
+    rounds = np.concatenate([np.arange(n, dtype=np.int64) // interval for n in lengths])
+    threads = np.concatenate(
+        [np.full(n, t, dtype=np.int64) for t, n in enumerate(lengths)]
+    )
+    order = np.argsort(rounds * len(traces) + threads, kind="stable")
+    joined = concatenate_traces(traces)
+    merged = MemoryTrace(
+        lines=joined.lines[order],
+        kinds=joined.kinds[order],
+        read_vertex=joined.read_vertex[order],
+        proc_vertex=joined.proc_vertex[order],
+        space=joined.space,
+    )
+    return merged, threads[order]
+
+
+def classify_by_loop(trace, thread_ids, random_region):
+    """Locality types by a per-access walk with a last-accessor dict."""
+    mask = trace.kinds == random_region
+    counts = [0, 0, 0, 0, 0]
+    cold = 0
+    last = {}
+    for line, u, v, t in zip(
+        trace.lines[mask].tolist(),
+        trace.read_vertex[mask].tolist(),
+        trace.proc_vertex[mask].tolist(),
+        np.asarray(thread_ids)[mask].tolist(),
+    ):
+        prev = last.get(line)
+        last[line] = (t, v, u)
+        if prev is None:
+            cold += 1
+        elif prev[0] != t:
+            counts[3 if prev[2] == u else 4] += 1
+        elif prev[1] == v:
+            counts[0] += 1
+        elif prev[2] == u:
+            counts[1] += 1
+        else:
+            counts[2] += 1
+    return LocalityTypeCounts(*counts, cold=cold)
+
+
+def materialized_simulation(graph, config) -> dict:
+    """Everything :func:`simulate_spmv` reports, from a retained trace."""
+    space = AddressSpace(
+        graph.num_vertices, graph.num_edges, line_size=config.cache.line_size
+    )
+    bounds = edge_balanced_partitions(
+        graph, config.num_threads, direction=config.direction
+    )
+    traces = [
+        spmv_trace(
+            graph,
+            space,
+            direction=config.direction,
+            vertex_range=(int(bounds[t]), int(bounds[t + 1])),
+            promote_sequential=config.promote_sequential,
+        )
+        for t in range(config.num_threads)
+    ]
+    merged, threads = interleave_traces(traces, config.interleave_interval)
+    outcome = SetAssociativeCache(config.cache).simulate(
+        merged.lines, scan_interval=config.scan_interval, kernel="reference"
+    )
+    random_region = (
+        Region.VERTEX_DATA if config.direction == "pull" else Region.VERTEX_OUT
+    )
+    stats = {
+        by: attribute_random_accesses(
+            merged, outcome.hits, graph.num_vertices, by=by, random_region=random_region
+        )
+        for by in ("read", "proc")
+    }
+    return {
+        "region_accesses": np.bincount(merged.kinds, minlength=Region.COUNT),
+        "region_hits": np.bincount(
+            merged.kinds, weights=outcome.hits, minlength=Region.COUNT
+        ).astype(np.int64),
+        "stats": stats,
+        "snapshots": outcome.snapshots,
+        "tlb_misses": (
+            simulate_tlb(merged.lines, config.cache.line_size, config.tlb).num_misses
+            if config.tlb is not None
+            else 0
+        ),
+        "locality_types": classify_by_loop(merged, threads, random_region),
+        "partition_boundaries": bounds,
+    }
 
 
 def _assert_traces_equal(actual: MemoryTrace, expected: MemoryTrace) -> None:
@@ -133,27 +234,6 @@ class TestTraceChunks:
             next(iter(spmv_trace_chunks(graph, direction="sideways")))
 
 
-class TestConcatenateTraces:
-    def _chunks(self):
-        graph = _rmat(1)
-        space = AddressSpace(graph.num_vertices, graph.num_edges)
-        return list(spmv_trace_chunks(graph, space, max_accesses=128))
-
-    def test_presized_matches_list_branch(self):
-        chunks = self._chunks()
-        total = sum(len(c) for c in chunks)
-        presized = concatenate_traces(iter(chunks), total_length=total)
-        _assert_traces_equal(presized, concatenate_traces(chunks))
-
-    def test_wrong_total_length_rejected(self):
-        chunks = self._chunks()
-        total = sum(len(c) for c in chunks)
-        with pytest.raises(SimulationError):
-            concatenate_traces(iter(chunks), total_length=total - 1)
-        with pytest.raises(SimulationError):
-            concatenate_traces(iter(chunks), total_length=total + 1)
-
-
 class TestInterleaveStream:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -213,13 +293,11 @@ class TestStreamedSimulator:
     @pytest.fixture(scope="class")
     def config(self, graph):
         approx = graph.num_edges + graph.num_vertices // 4
-        return SimulationConfig.scaled_for(
-            graph, scan_interval=max(1, approx // 16)
-        )
+        return SimulationConfig.scaled_for(graph, scan_interval=max(1, approx // 16))
 
     @pytest.fixture(scope="class")
     def reference(self, graph, config):
-        return simulate_spmv(graph, config)
+        return materialized_simulation(graph, config)
 
     @pytest.mark.parametrize(
         "num_shards, mode, chunk_accesses",
@@ -233,31 +311,90 @@ class TestStreamedSimulator:
     def test_matches_materialized_simulation(
         self, graph, config, reference, num_shards, mode, chunk_accesses
     ):
-        streamed = simulate_spmv_streamed(
+        streamed = simulate_spmv(
             graph,
             config,
             num_shards=num_shards,
             shard_mode=mode,
             chunk_accesses=chunk_accesses,
+            classify_locality=True,
         )
-        assert streamed.num_accesses == reference.num_accesses
-        assert streamed.l3_misses == reference.l3_misses
-        assert streamed.tlb_misses == reference.tlb_misses
-        assert streamed.random_accesses == reference.random_accesses
-        assert streamed.random_misses == reference.random_misses
+        self._assert_matches(streamed, reference)
+
+    def test_push_matches_materialized_simulation(self, graph):
+        config = SimulationConfig.scaled_for(
+            graph, scan_interval=300, direction="push", policy="brrip"
+        )
+        streamed = simulate_spmv(
+            graph, config, num_shards=2, chunk_accesses=1500, classify_locality=True
+        )
+        self._assert_matches(streamed, materialized_simulation(graph, config))
+
+    @staticmethod
+    def _assert_matches(streamed, reference) -> None:
         np.testing.assert_array_equal(
-            streamed.partition_boundaries, reference.partition_boundaries
+            streamed.region_accesses, reference["region_accesses"]
         )
-        assert len(streamed.snapshots) == len(reference.snapshots)
-        for got, want in zip(streamed.snapshots, reference.snapshots):
+        np.testing.assert_array_equal(streamed.region_hits, reference["region_hits"])
+        for by, want in reference["stats"].items():
+            got = streamed.random_stats(by)
+            np.testing.assert_array_equal(got.accesses, want.accesses)
+            np.testing.assert_array_equal(got.misses, want.misses)
+        assert streamed.tlb_misses == reference["tlb_misses"]
+        assert streamed.locality_types == reference["locality_types"]
+        np.testing.assert_array_equal(
+            streamed.partition_boundaries, reference["partition_boundaries"]
+        )
+        assert len(streamed.snapshots) == len(reference["snapshots"])
+        for got, want in zip(streamed.snapshots, reference["snapshots"]):
             assert got.access_index == want.access_index
             np.testing.assert_array_equal(
                 got.resident_lines, want.resident_lines
             )
-        assert streamed.effective_cache_size() == pytest.approx(
-            reference.effective_cache_size()
-        )
 
     def test_config_kwargs_are_exclusive(self, graph, config):
         with pytest.raises(SimulationError):
-            simulate_spmv_streamed(graph, config, pressure=0.5)
+            simulate_spmv(graph, config, pressure=0.5)
+
+
+class TestLocalityTypeClassifier:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        length=st.integers(0, 400),
+        num_lines=st.integers(1, 8),  # the data region of 64 vertices
+        num_threads=st.integers(1, 3),
+        chunk=st.sampled_from([1, 7, 50, 1000]),
+    )
+    def test_chunked_matches_per_access_loop(
+        self, seed, length, num_lines, num_threads, chunk
+    ):
+        rng = np.random.default_rng(seed)
+        space = AddressSpace(64, 64)
+        base = space.data_base // space.line_size
+        trace = MemoryTrace(
+            lines=base + rng.integers(0, num_lines, size=length),
+            kinds=rng.choice(
+                [Region.EDGES, Region.VERTEX_DATA], size=length, p=[0.2, 0.8]
+            ).astype(np.uint8),
+            read_vertex=rng.integers(0, 4, size=length),
+            proc_vertex=np.sort(rng.integers(0, 6, size=length)),
+            space=space,
+        )
+        threads = rng.integers(0, num_threads, size=length)
+        classifier = LocalityTypeClassifier(space)
+        for lo in range(0, length, chunk):
+            part = slice(lo, lo + chunk)
+            classifier.add(
+                MemoryTrace(
+                    lines=trace.lines[part],
+                    kinds=trace.kinds[part],
+                    read_vertex=trace.read_vertex[part],
+                    proc_vertex=trace.proc_vertex[part],
+                    space=space,
+                ),
+                threads[part],
+            )
+        assert classifier.counts() == classify_by_loop(
+            trace, threads, Region.VERTEX_DATA
+        )
