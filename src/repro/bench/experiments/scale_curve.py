@@ -69,16 +69,11 @@ def build_ladder_graph(num_vertices: int) -> Graph:
     ).graph
 
 
-def measure_rung(
-    graph: Graph,
-    *,
-    config: "SimulationConfig | None" = None,
-    num_shards: int = 1,
-) -> dict:
+def measure_rung(graph: Graph, *, config: "SimulationConfig | None" = None) -> dict:
     """Structure + streamed-simulation metrics for one built graph."""
     diameter = effective_diameter(graph, percentile=0.9, num_sources=8, seed=7)
     aid = aid_per_vertex(graph)
-    result = simulate_spmv(graph, config, num_shards=num_shards)
+    result = simulate_spmv(graph, config)
     return {
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,

@@ -27,12 +27,7 @@ from repro.sim.parallel import (
     partition_edge_counts,
 )
 from repro.sim.scheduler import ScheduleResult, chunk_costs, simulate_work_stealing
-from repro.sim.shard import (
-    ShardedReplay,
-    ShardedSimulation,
-    shard_set_ranges,
-    simulate_sharded,
-)
+from repro.sim.shard import ShardedReplay, shard_set_ranges
 from repro.sim.simulator import (
     SimulationConfig,
     SimulationResult,
@@ -80,9 +75,7 @@ __all__ = [
     "chunk_costs",
     "simulate_work_stealing",
     "ShardedReplay",
-    "ShardedSimulation",
     "shard_set_ranges",
-    "simulate_sharded",
     "SimulationConfig",
     "SimulationResult",
     "simulate_spmv",

@@ -4,8 +4,8 @@ The reference simulator in :mod:`repro.sim.cache` replays one access at a
 time against lists-of-lists state — exact, readable, and slow (~1 µs per
 access).  This module replays the same trace with NumPy array state and is
 bit-exact with the reference for every policy: same hit bits, same
-snapshots, same PSEL / access-position state after chained ``simulate``
-calls.
+final tags/RRPVs and PSEL / access-position state after chained
+``simulate`` calls.
 
 Architecture (see DESIGN.md for the long version):
 
@@ -111,7 +111,6 @@ _MODES = ("auto", "kernel", "reference")
 # the kernel's fixed grouping/padding overhead.
 _MIN_ACCESSES = 8192
 _MIN_SETS = 4
-_MIN_SCAN_INTERVAL = 4096
 
 # Chunking: aim for this many concurrent streams per lockstep pass
 # (empirically the sweet spot between NumPy per-call overhead at small
@@ -136,17 +135,6 @@ _RRIP_MAX_CHAIN = 24
 # frequent aging forgets state quickly, so its fixed point converges in
 # a handful of passes regardless of skew.
 _RRIP_MIN_DENSITY = 80
-
-
-@declares_effects("env-read")
-def _debug_enabled() -> bool:
-    """Whether fixed-point pass tracing is requested.
-
-    Declared carve-out: the flag gates *diagnostic printing* inside the
-    RRIP fixed point only — every numeric path is identical with it on
-    or off, so the read cannot perturb replayed state.
-    """
-    return bool(os.environ.get("REPRO_SIM_KERNEL_DEBUG"))
 
 
 @declares_effects("env-read")
@@ -181,15 +169,11 @@ def kernel_possible(config: CacheConfig, lines: np.ndarray) -> bool:
     return True
 
 
-def kernel_profitable(
-    config: CacheConfig, lines: np.ndarray, scan_interval: int
-) -> bool:
+def kernel_profitable(config: CacheConfig, lines: np.ndarray) -> bool:
     """Size heuristics: is the kernel path likely to beat the reference?"""
     if lines.shape[0] < _MIN_ACCESSES:
         return False
     if config.num_sets < _MIN_SETS:
-        return False
-    if scan_interval and scan_interval < _MIN_SCAN_INTERVAL:
         return False
     if config.policy in ("brrip", "drrip"):
         # Skew guard: the bimodal fixed point pays ~max_count rows of
@@ -201,13 +185,9 @@ def kernel_profitable(
     return True
 
 
-def kernel_supported(
-    config: CacheConfig, lines: np.ndarray, scan_interval: int
-) -> bool:
+def kernel_supported(config: CacheConfig, lines: np.ndarray) -> bool:
     """Is the kernel path worthwhile (and valid) for this simulate call?"""
-    return kernel_possible(config, lines) and kernel_profitable(
-        config, lines, scan_interval
-    )
+    return kernel_possible(config, lines) and kernel_profitable(config, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -240,20 +220,13 @@ def _write_state(
         cache._rrpv = rrpv.astype(np.int64).tolist()
 
 
-def _resident_from_state(tags: np.ndarray, num_sets: int) -> np.ndarray:
-    """Match ``SetAssociativeCache.resident_lines`` byte-for-byte."""
-    sets = np.arange(num_sets, dtype=np.int64)[:, None]
-    lines = tags.astype(np.int64) * num_sets + sets
-    return lines[tags >= 0]
-
-
 # ---------------------------------------------------------------------------
 # Trace preparation: grouping, dedup, stream tables
 # ---------------------------------------------------------------------------
 
 
 class _Streams:
-    """Per-segment stream table shared by all policies."""
+    """Per-batch stream table shared by all policies."""
 
     __slots__ = (
         "n", "nd", "order", "keep", "didx", "run2", "head_prog",
@@ -661,7 +634,7 @@ def _saturating_walk(p0: int, deltas: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Per-segment drivers
+# Per-policy drivers
 # ---------------------------------------------------------------------------
 
 
@@ -674,10 +647,10 @@ def _hits_program_order(st: _Streams, H: np.ndarray) -> np.ndarray:
     return hits
 
 
-def _segment_lru(
+def _replay_lru(
     st: _Streams, state_tags: np.ndarray, ways: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Single-pass exact LRU replay of one segment."""
+    """Single-pass exact LRU replay of one batch."""
     T = st.num_streams
     CL = st.chunk_len
     P = _pad_matrix(st, st.ded_tags, -1, st.tag_dtype)
@@ -704,7 +677,7 @@ def _segment_lru(
     return _hits_program_order(st, H), out_tags
 
 
-def _segment_rrip(
+def _replay_rrip(
     st: _Streams,
     policy: str,
     state_tags: np.ndarray,
@@ -714,9 +687,9 @@ def _segment_rrip(
     long_ins: Optional[np.ndarray],
     role_acc: Optional[np.ndarray],
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-    """Fixed-point replay of one segment for srrip/brrip/drrip.
+    """Fixed-point replay of one batch for srrip/brrip/drrip.
 
-    ``long_ins`` carries the segment's per-access bimodal draws (None
+    ``long_ins`` carries the batch's per-access bimodal draws (None
     for SRRIP, which never reads them).  Returns ``(hits, out_tags,
     out_rrpv, psel)`` or ``None`` when the work budget is exhausted
     (caller falls back to the reference).
@@ -848,11 +821,8 @@ def _segment_rrip(
 
     dirty = np.ones(T, dtype=bool)
     budget = _PASS_BUDGET * T
-    debug = _debug_enabled()
-    pass_no = 0
 
     while True:
-        pass_no += 1
         cols = np.flatnonzero(dirty)
         budget -= cols.shape[0]
         if budget < 0:
@@ -896,7 +866,6 @@ def _segment_rrip(
             # Inserts are a function of the leader heads' miss bits only;
             # skip the recompute entirely while those are unchanged.
             lmiss = ~H.ravel()[st.pos_flat[lead_sorted]]
-            ins_chg = 0
             if not np.array_equal(lmiss, lmiss_prev):
                 lmiss_prev = lmiss
                 s0_new, cross_new, psel_final = _psel_signature(lmiss)
@@ -907,21 +876,11 @@ def _segment_rrip(
                     ins_ded = _drrip_inserts(s0_new, cross_new)
                     ins_ded[st.run2] = 0
                     chg = np.flatnonzero(ins_ded != ins_ded_prev)
-                    ins_chg = int(chg.shape[0])
                     if chg.shape[0]:
                         flat = st.pos_flat[chg]
                         I.ravel()[flat] = ins_ded[chg]
                         dirty[flat % T] = True
                     ins_ded_prev = ins_ded
-            if debug:
-                print(
-                    f"    pass {pass_no}: simmed={cols.shape[0]} "
-                    f"entry_dirty={int(dirty.sum())} ins_chg={ins_chg} "
-                    f"leader_miss={int(lmiss.sum())}"
-                )
-        elif debug:
-            print(f"    pass {pass_no}: simmed={cols.shape[0]} "
-                  f"entry_dirty={int(dirty.sum())}")
 
         if not dirty.any():
             break
@@ -945,92 +904,64 @@ def _segment_rrip(
 def kernel_simulate(
     cache: SetAssociativeCache,
     lines: np.ndarray,
-    scan_interval: int,
     positions: Optional[np.ndarray] = None,
-) -> Optional[Tuple[np.ndarray, List[Tuple[int, np.ndarray]]]]:
+) -> Optional[np.ndarray]:
     """Kernel-path replacement for ``SetAssociativeCache.simulate``.
 
-    Returns ``(hits, snapshots)`` and mutates the cache state exactly as
-    the reference loop would, or ``None`` if the kernel declined (caller
+    Returns the hit bits and mutates the cache state exactly as the
+    reference loop would, or ``None`` if the kernel declined (caller
     must then run the reference loop on the *unmodified* cache).
     ``positions`` optionally overrides the lifetime access positions the
     BRRIP/DRRIP draws are keyed on (sharded replay of a masked global
     stream; see :meth:`SetAssociativeCache.simulate`).
     """
-    config = cache.config
-    policy = config.policy
-    num_sets, ways = config.num_sets, config.ways
-    n = lines.shape[0]
-
-    with _obs_span("sim.kernel", policy=policy, accesses=n) as sp:
-        result = _kernel_simulate_inner(
-            cache, lines, scan_interval, policy, num_sets, ways, n, positions
-        )
-        if result is None:
+    policy = cache.config.policy
+    with _obs_span("sim.kernel", policy=policy, accesses=lines.shape[0]) as sp:
+        hits = _kernel_simulate_inner(cache, lines, positions)
+        if hits is None:
             sp.set(declined=True)
             _obs_metrics.registry.counter("cache.kernel_declined").inc()
-    return result
+    return hits
 
 
 def _kernel_simulate_inner(
     cache: SetAssociativeCache,
     lines: np.ndarray,
-    scan_interval: int,
-    policy: str,
-    num_sets: int,
-    ways: int,
-    n: int,
-    positions: Optional[np.ndarray] = None,
-) -> Optional[Tuple[np.ndarray, List[Tuple[int, np.ndarray]]]]:
+    positions: Optional[np.ndarray],
+) -> Optional[np.ndarray]:
+    config = cache.config
+    policy = config.policy
+    num_sets, ways = config.num_sets, config.ways
+    n = lines.shape[0]
     state_tags, state_rrpv = _state_arrays(cache)
     psel = cache._psel
     pos0 = cache._access_pos
-    if policy in ("brrip", "drrip"):
-        # Per-access bimodal draws for the whole batch, keyed by the
-        # cache's lifetime access position (bit-exact with the scalar
-        # and reference paths by construction — same hash, same keys).
-        if positions is not None:
-            long_all: Optional[np.ndarray] = _draws.long_inserts_at(
-                cache._draw_key, positions
-            )
+    st = _build_streams(
+        lines, num_sets, max_chain=None if policy == "lru" else _RRIP_MAX_CHAIN
+    )
+    if policy == "lru":
+        hits, state_tags = _replay_lru(st, state_tags, ways)
+    else:
+        if policy == "srrip":
+            long_all: Optional[np.ndarray] = None
+        elif positions is not None:
+            # Per-access bimodal draws, keyed by the cache's lifetime
+            # access position (bit-exact with the scalar and reference
+            # paths by construction — same hash, same keys).
+            long_all = _draws.long_inserts_at(cache._draw_key, positions)
         else:
             long_all = _draws.long_inserts(cache._draw_key, pos0, n)
-    else:
-        long_all = None
-    if policy == "drrip":
-        role_acc = np.asarray(cache._role, dtype=np.int8)[lines % num_sets]
-    else:
-        role_acc = None
-
-    hits = np.empty(n, dtype=np.uint8)
-    snapshots: List[Tuple[int, np.ndarray]] = []
-
-    if scan_interval:
-        seg_edges = list(range(0, n, scan_interval)) + [n]
-    else:
-        seg_edges = [0, n]
-
-    for gi in range(len(seg_edges) - 1):
-        lo, hi = seg_edges[gi], seg_edges[gi + 1]
-        st = _build_streams(
-            lines[lo:hi],
-            num_sets,
-            max_chain=None if policy == "lru" else _RRIP_MAX_CHAIN,
+        role_acc = (
+            np.asarray(cache._role, dtype=np.int8)[lines % num_sets]
+            if policy == "drrip"
+            else None
         )
-        if policy == "lru":
-            seg_hits, state_tags = _segment_lru(st, state_tags, ways)
-        else:
-            res = _segment_rrip(
-                st, policy, state_tags, state_rrpv, ways, psel,
-                long_all[lo:hi] if long_all is not None else None,
-                role_acc[lo:hi] if role_acc is not None else None,
-            )
-            if res is None:
-                return None
-            seg_hits, state_tags, state_rrpv, psel = res
-        hits[lo:hi] = seg_hits
-        if scan_interval and hi % scan_interval == 0:
-            snapshots.append((hi, _resident_from_state(state_tags, num_sets)))
+        res = _replay_rrip(
+            st, policy, state_tags, state_rrpv, ways, psel, long_all, role_acc
+        )
+        if res is None:
+            return None
+        hits, state_tags, state_rrpv, psel = res
 
     # Reference LRU never touches RRPV state; keep it bit-identical.
     _write_state(cache, state_tags, state_rrpv if policy != "lru" else None)
@@ -1040,4 +971,4 @@ def _kernel_simulate_inner(
             cache._access_pos = int(positions[-1]) + 1
     else:
         cache._access_pos = pos0 + n
-    return hits, snapshots
+    return hits

@@ -7,9 +7,10 @@ replacement policies and their set-dueling combination DRRIP
 LRU for comparison and testing.
 
 The simulator is functional (timing-less): it classifies every access of
-a pre-generated trace as hit or miss, and can periodically snapshot the
-resident cache lines, which is how the Effective Cache Size metric
-(Section VI-F) is computed.
+a pre-generated trace as hit or miss.  Its resident lines can be read
+between calls (:meth:`SetAssociativeCache.resident_lines`), which is how
+:class:`~repro.sim.shard.ShardedReplay` snapshots them for the Effective
+Cache Size metric (Section VI-F).
 
 BRRIP's bimodal insertion decisions come from the per-access counter-hash
 stream in :mod:`repro.sim._draws`: the draw for the access at lifetime
@@ -230,7 +231,6 @@ class SetAssociativeCache:
         self,
         lines: np.ndarray,
         *,
-        scan_interval: int = 0,
         kernel: str = "auto",
         positions: "np.ndarray | None" = None,
     ) -> "SimulatedAccesses":
@@ -240,9 +240,6 @@ class SetAssociativeCache:
         ----------
         lines:
             int64 array of line IDs in program order.
-        scan_interval:
-            When positive, snapshot resident lines every that many
-            accesses (used by the ECS metric).
         kernel:
             Dispatch mode: ``"auto"`` (default) picks the vectorized
             kernel path when it is applicable and likely faster,
@@ -273,23 +270,12 @@ class SetAssociativeCache:
             _obs_metrics.registry.counter("cache.accesses").inc(lines.shape[0])
         mode = _kernels.kernel_mode(kernel)
         if mode != "reference" and _kernels.kernel_possible(self.config, lines):
-            if mode == "kernel" or _kernels.kernel_profitable(
-                self.config, lines, scan_interval
-            ):
-                res = _kernels.kernel_simulate(
-                    self, lines, scan_interval, positions=positions
-                )
-                if res is not None:
-                    hits, raw_snaps = res
+            if mode == "kernel" or _kernels.kernel_profitable(self.config, lines):
+                hits = _kernels.kernel_simulate(self, lines, positions=positions)
+                if hits is not None:
                     if _obs_enabled():
                         _obs_metrics.registry.counter("cache.kernel_batches").inc()
-                    return SimulatedAccesses(
-                        hits=hits,
-                        snapshots=[
-                            CacheSnapshot(idx, resident)
-                            for idx, resident in raw_snaps
-                        ],
-                    )
+                    return SimulatedAccesses(hits=hits)
                 # The kernel attempted the batch and gave up (fixed-point
                 # budget); the silent cost is kernel overhead plus the
                 # full reference replay below, so make it observable.
@@ -298,18 +284,14 @@ class SetAssociativeCache:
                 _warn_kernel_fallback(self.config.policy, mode)
         if _obs_enabled():
             _obs_metrics.registry.counter("cache.reference_batches").inc()
-        return self._simulate_reference(lines, scan_interval, positions)
+        return self._simulate_reference(lines, positions)
 
     def _simulate_reference(
-        self,
-        lines: np.ndarray,
-        scan_interval: int = 0,
-        positions: "np.ndarray | None" = None,
+        self, lines: np.ndarray, positions: "np.ndarray | None" = None
     ) -> "SimulatedAccesses":
         """The original per-access loop — kept as the bit-exact oracle."""
         num_accesses = lines.shape[0]
         hits = np.zeros(num_accesses, dtype=np.uint8)
-        snapshots: list[CacheSnapshot] = []
         policy = self.config.policy
         num_sets = self.config.num_sets
         tags = self._tags
@@ -329,8 +311,6 @@ class SetAssociativeCache:
                 else:
                     del ts[0]
                     ts.append(line)
-                if scan_interval and (i + 1) % scan_interval == 0:
-                    snapshots.append(CacheSnapshot(i + 1, self.resident_lines()))
         else:
             srrip_only = policy == "srrip"
             brrip_only = policy == "brrip"
@@ -388,8 +368,6 @@ class SetAssociativeCache:
                         insert = _RRPV_MAX - 1
                     ts[victim] = line
                     rr[victim] = insert
-                if scan_interval and (i + 1) % scan_interval == 0:
-                    snapshots.append(CacheSnapshot(i + 1, self.resident_lines()))
 
         self._psel = psel
         if positions is not None:
@@ -397,7 +375,7 @@ class SetAssociativeCache:
                 self._access_pos = int(positions[-1]) + 1
         else:
             self._access_pos += num_accesses
-        return SimulatedAccesses(hits=hits, snapshots=snapshots)
+        return SimulatedAccesses(hits=hits)
 
 
 @dataclass
@@ -405,7 +383,6 @@ class SimulatedAccesses:
     """Result of one :meth:`SetAssociativeCache.simulate` call."""
 
     hits: np.ndarray
-    snapshots: list[CacheSnapshot]
 
     @property
     def num_accesses(self) -> int:

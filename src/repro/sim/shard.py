@@ -28,29 +28,38 @@ Merge invariants (property-tested in ``tests/test_shard.py``):
 - **draw keying** — draws are consumed by global access position, so a
   worker's sparse subsequence draws the same words the reference draws
   at those positions.
-- **merge order** — hit bits are scattered back to global positions;
+- **merge order** — each worker writes the hit bits of the accesses
+  it owns into the segment's hit array at their segment offsets;
   snapshots are cut at global multiples of ``scan_interval`` (the
   coordinator slices incoming chunks so every snapshot boundary falls
   between worker batches).
 
-``mode="process"`` runs each worker in its own OS process (persistent
-workers, one barrier per routed segment).  Segments travel through
+Routing is decided in one place, :meth:`_ShardWorker.process`: every
+worker is handed the *whole* segment and its global start, and computes
+its own owned/leader mask, subsequence and global positions.  A worker
+that owns every set replays the segment unmasked.  The coordinator
+never looks at set indices; it only merges what the workers leave.
+
+``mode="serial"`` calls the workers in-process — the fallback for 1-core
+boxes and the differential-testing oracle for the process path.
+``mode="process"`` runs the same method in one persistent OS process
+per shard (one barrier per routed segment).  Segments travel through
 POSIX shared memory, not pipes: the coordinator publishes each segment
-*once* and every worker computes its own ownership mask, subsequence
-and global positions from the shared block — so per-segment transport
-is one memcpy plus a few-byte control message, instead of pickling
-``O(accesses)`` arrays per worker.  Only the small owned-hit bitmaps
-come back over the pipe.  ``mode="serial"`` runs the same worker code
-in-process, which is both the fallback for 1-core boxes and the
-differential-testing oracle for the process path.
+and a zeroed hit array *once*, and workers write their owned hits
+straight into the shared block — so per-segment transport is one
+memcpy plus a few-byte control message each way, and only snapshots
+come back over the pipe.  The resource tracker is started before the
+workers fork so that they share it: a worker's attach re-registers the
+block in the coordinator's tracker (a no-op), and the coordinator's
+unlink unregisters it exactly once.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Iterable
+from multiprocessing import resource_tracker, shared_memory
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -62,9 +71,11 @@ from repro.sim.cache import CacheConfig, CacheSnapshot, SetAssociativeCache
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
-__all__ = ["ShardedReplay", "ShardedSimulation", "shard_set_ranges", "simulate_sharded"]
+__all__ = ["ReplayTotals", "ShardedReplay", "shard_set_ranges"]
 
 _MODES = ("serial", "process")
+#: Bytes per access in a shared segment block: int64 line, uint8 hit.
+_BLOCK_BYTES = 9
 
 
 def shard_set_ranges(num_sets: int, num_shards: int) -> list[tuple[int, int]]:
@@ -79,136 +90,108 @@ def shard_set_ranges(num_sets: int, num_shards: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(num_shards)]
 
 
-def _leader_sets(config: CacheConfig) -> np.ndarray:
-    """Boolean mask over sets: True where the DRRIP role is a leader."""
-    cache = SetAssociativeCache(config)
-    return np.asarray(cache._role, dtype=np.int64) != 0
+def _replicates_leaders(config: CacheConfig) -> bool:
+    """Whether every shard must also replay the DRRIP leader sets."""
+    return config.policy == "drrip" and config.num_sets >= 2
 
 
 @dataclass
-class ShardedSimulation:
-    """Merged result of one sharded replay (mirrors ``SimulatedAccesses``)."""
+class ReplayTotals:
+    """Merged final state of one replay (:meth:`ShardedReplay.finish`)."""
 
-    hits: np.ndarray
-    snapshots: list[CacheSnapshot]
-    num_shards: int
-    set_ranges: list[tuple[int, int]]
-    shard_accesses: list[int]
-    shard_access_pos: list[int]
     psel: int
+    #: Accesses each shard replayed: owned plus replicated leader accesses.
+    shard_accesses: list[int]
+    #: Each shard's lifetime access position (next draw key) at the end.
+    shard_access_pos: list[int]
+    #: Merged resident lines in set-major order.
     resident_lines: np.ndarray = field(repr=False)
-
-    @property
-    def num_accesses(self) -> int:
-        return self.hits.shape[0]
-
-    @property
-    def num_hits(self) -> int:
-        return int(self.hits.sum())
-
-    @property
-    def num_misses(self) -> int:
-        return self.num_accesses - self.num_hits
-
-    @property
-    def miss_rate(self) -> float:
-        if self.num_accesses == 0:
-            return 0.0
-        return self.num_misses / self.num_accesses
 
 
 class _ShardWorker:
-    """One shard's state: a full-geometry cache fed a masked subsequence.
+    """One shard's state: a full-geometry cache fed its share of each segment.
 
     The cache has the *full* configured geometry so set indexing, leader
     roles and draw keying are identical to the reference; only the owned
     sets (plus replicated leader sets under DRRIP) ever hold lines.
     """
 
-    def __init__(self, config: CacheConfig, lo: int, hi: int, kernel: str) -> None:
+    def __init__(self, config: CacheConfig, lo: int, hi: int) -> None:
         self.cache = SetAssociativeCache(config)
         self.lo = lo
         self.hi = hi
-        self.kernel = kernel
+        self.replayed = 0
+        self._owns_all = lo == 0 and hi == config.num_sets
+        self._leader_by_set = (
+            np.asarray(self.cache._role, dtype=np.int64) != 0
+            if _replicates_leaders(config)
+            else None
+        )
 
     def process(
         self,
-        chunk: np.ndarray,
-        positions: "np.ndarray | None",
-        owned_in_sent: "np.ndarray | None",
+        seg: np.ndarray,
+        seg_start: int,
+        hits_out: np.ndarray,
         want_snapshot: bool,
-    ) -> tuple[np.ndarray, "np.ndarray | None"]:
-        """Replay ``chunk``; ``None`` positions/mask mean "the whole stream"."""
-        if chunk.shape[0]:
-            res = self.cache.simulate(chunk, kernel=self.kernel, positions=positions)
-            owned_hits = res.hits if owned_in_sent is None else res.hits[owned_in_sent]
-        else:
-            owned_hits = np.zeros(0, dtype=np.uint8)
-        snap = self.cache.resident_lines((self.lo, self.hi)) if want_snapshot else None
-        return owned_hits, snap
+    ) -> np.ndarray:
+        """Replay this shard's share of ``seg`` (global positions from ``seg_start``).
 
-    def finish(self) -> tuple[np.ndarray, int, int]:
+        Writes the hit bits of the accesses this shard owns into
+        ``hits_out`` (the segment-length hit array every shard shares;
+        the other shards own the rest) and returns the owned sets'
+        resident lines if ``want_snapshot``, else an empty array.
+        """
+        if self._owns_all:
+            hits_out[:] = self.cache.simulate(seg).hits
+            self.replayed += seg.shape[0]
+        else:
+            set_idx = seg % self.cache.config.num_sets
+            owned = (set_idx >= self.lo) & (set_idx < self.hi)
+            sent = owned if self._leader_by_set is None else owned | self._leader_by_set[set_idx]
+            sent_at = np.flatnonzero(sent)
+            positions = sent_at + np.int64(seg_start)
+            hits = self.cache.simulate(seg[sent_at], positions=positions).hits
+            owned_in_sent = owned[sent_at]
+            hits_out[sent_at[owned_in_sent]] = hits[owned_in_sent]
+            self.replayed += sent_at.shape[0]
+        if not want_snapshot:
+            return np.zeros(0, dtype=np.int64)
+        return self.cache.resident_lines((self.lo, self.hi))
+
+    def finish(self) -> tuple[np.ndarray, int, int, int]:
         return (
             self.cache.resident_lines((self.lo, self.hi)),
             self.cache._psel,
             self.cache._access_pos,
+            self.replayed,
         )
 
 
-def _untrack_shm(shm: shared_memory.SharedMemory) -> None:
-    """Detach an *attached* block from this process's resource tracker.
-
-    Until Python 3.13 (``track=False``) every attach registers the block
-    with the local resource tracker, which then "cleans up" (unlinks!)
-    blocks the coordinator still owns and warns at exit.  Only the
-    coordinator, which created the block, may unlink it.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(getattr(shm, "_name", shm.name), "shared_memory")
-    except Exception:
-        pass
+def _segment_views(
+    shm: shared_memory.SharedMemory, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(lines, hits)`` arrays laid out in one shared segment block."""
+    lines = np.ndarray((length,), dtype=np.int64, buffer=shm.buf)
+    hits = np.ndarray((length,), dtype=np.uint8, buffer=shm.buf, offset=8 * length)
+    return lines, hits
 
 
-def _worker_main(
-    conn: "Connection", config: CacheConfig, lo: int, hi: int, kernel: str
-) -> None:
-    """Worker loop: mask shared segments locally, replay, return owned hits.
-
-    The mask computation here must stay bit-identical to the
-    coordinator's serial-mode routing (``_route``): ownership of set
-    ``s`` is the contiguous-range test ``lo <= s < hi``, which matches
-    the coordinator's searchsorted-over-lower-bounds exactly (ranges
-    partition the set space, so each set passes the test for precisely
-    one shard).  The serial/process property tests pin this.
-    """
-    worker = _ShardWorker(config, lo, hi, kernel)
-    num_sets = config.num_sets
-    replicate = config.policy == "drrip" and num_sets >= 2
-    leader_by_set = (
-        np.asarray(worker.cache._role, dtype=np.int64) != 0
-        if replicate
-        else np.zeros(num_sets, dtype=bool)
-    )
+def _worker_main(conn: "Connection", config: CacheConfig, lo: int, hi: int) -> None:
+    """Worker loop: replay each shared segment, leave owned hits in the block."""
+    worker = _ShardWorker(config, lo, hi)
     while True:
         msg = conn.recv()
         if msg[0] == "seg":
             _, name, length, seg_start, want_snapshot = msg
             shm = shared_memory.SharedMemory(name=name)
-            _untrack_shm(shm)
+            seg, hits = _segment_views(shm, length)
             try:
-                seg = np.ndarray((length,), dtype=np.int64, buffer=shm.buf)
-                set_idx = seg % num_sets
-                owned = (set_idx >= lo) & (set_idx < hi)
-                sent = np.logical_or(owned, leader_by_set[set_idx]) if replicate else owned
-                chunk = seg[sent]  # a copy — safe to use after shm.close()
-                positions = np.flatnonzero(sent) + np.int64(seg_start)
-                owned_in_sent = owned[sent]
-                del seg, set_idx, owned, sent
+                snap = worker.process(seg, seg_start, hits, want_snapshot)
             finally:
+                del seg, hits  # the block cannot close while views exist
                 shm.close()
-            conn.send(worker.process(chunk, positions, owned_in_sent, want_snapshot))
+            conn.send(snap)
         else:
             conn.send(worker.finish())
             conn.close()
@@ -218,14 +201,32 @@ def _worker_main(
 class _ProcessShard:
     """Coordinator-side handle for one worker process."""
 
-    def __init__(self, config: CacheConfig, lo: int, hi: int, kernel: str) -> None:
+    def __init__(self, config: CacheConfig, lo: int, hi: int, index: int) -> None:
         ctx = mp.get_context()
+        self.index = index
         self.conn, child = ctx.Pipe(duplex=True)
-        self.proc = ctx.Process(
-            target=_worker_main, args=(child, config, lo, hi, kernel), daemon=True
-        )
+        self.proc = ctx.Process(target=_worker_main, args=(child, config, lo, hi), daemon=True)
         self.proc.start()
         child.close()
+
+    def send(self, msg: "tuple[object, ...]") -> None:
+        try:
+            self.conn.send(msg)
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            raise self._died() from exc
+
+    def recv(self) -> Any:
+        try:
+            return self.conn.recv()
+        except (EOFError, ConnectionResetError) as exc:
+            raise self._died() from exc
+
+    def _died(self) -> SimulationError:
+        self.proc.join(timeout=5)
+        return SimulationError(
+            f"shard worker {self.index} (pid {self.proc.pid}) died "
+            f"with exit code {self.proc.exitcode}"
+        )
 
     def terminate(self) -> None:
         if self.proc.is_alive():
@@ -250,9 +251,11 @@ class ShardedReplay:
 
     :meth:`feed` takes the stream's line chunks in program order and
     returns each chunk's hit bits at once, so a caller can attribute
-    them and drop the chunk; :meth:`finish` collects the workers' final
-    state.  Use it as a context manager: leaving the block reaps process
-    workers on every exit path.
+    them and drop the chunk; resident-line snapshots accumulate in
+    :attr:`snapshots` at every global ``scan_interval`` multiple;
+    :meth:`finish` collects the workers' final state.  Use it as a
+    context manager: leaving the block reaps process workers on every
+    exit path.
     """
 
     def __init__(
@@ -262,34 +265,33 @@ class ShardedReplay:
         num_shards: int = 1,
         scan_interval: int = 0,
         mode: str = "serial",
-        kernel: str = "auto",
     ) -> None:
         if mode not in _MODES:
             raise SimulationError(f"mode must be one of {_MODES}, got {mode!r}")
-        num_sets = config.num_sets
         self._config = config
-        self._mode = mode
         self._scan_interval = scan_interval
-        self.ranges = shard_set_ranges(num_sets, num_shards)
-        self._replicate = config.policy == "drrip" and num_sets >= 2
-        self._leader_by_set = (
-            _leader_sets(config) if self._replicate else np.zeros(num_sets, dtype=bool)
-        )
-        # Shard of set s == searchsorted over the ascending lower bounds.
-        self._set_lo = np.asarray([r[0] for r in self.ranges], dtype=np.int64)
-        shard_type = _ProcessShard if mode == "process" else _ShardWorker
-        self._workers = [shard_type(config, lo, hi, kernel) for lo, hi in self.ranges]
+        self.ranges = shard_set_ranges(config.num_sets, num_shards)
+        # Exactly one of the two lists is non-empty.
+        self._serial: list[_ShardWorker] = []
+        self._procs: list[_ProcessShard] = []
+        if mode == "process":
+            # Workers must inherit the coordinator's tracker, not start
+            # their own (see the module docstring).
+            resource_tracker.ensure_running()
+            self._procs = [
+                _ProcessShard(config, lo, hi, i) for i, (lo, hi) in enumerate(self.ranges)
+            ]
+        else:
+            self._serial = [_ShardWorker(config, lo, hi) for lo, hi in self.ranges]
         self.snapshots: list[CacheSnapshot] = []
-        self.shard_accesses = [0] * num_shards
         self._position = 0
 
     def __enter__(self) -> "ShardedReplay":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        if self._mode == "process":
-            for w in self._workers:
-                w.terminate()  # type: ignore[union-attr]
+        for w in self._procs:
+            w.terminate()
 
     def feed(self, chunk: np.ndarray) -> np.ndarray:
         """Replay the next chunk of the stream; returns its hit bits."""
@@ -310,101 +312,56 @@ class ShardedReplay:
         return hits[0] if len(hits) == 1 else np.concatenate(hits)
 
     def _route(self, seg: np.ndarray, seg_start: int, want_snapshot: bool) -> np.ndarray:
-        num_shards = len(self._workers)
-        length = seg.shape[0]
-        seg_hits = np.zeros(length, dtype=np.uint8)
+        """Hand ``seg`` to every worker; merge their hit bits and snapshots."""
         if _obs_enabled():
-            _obs_metrics.registry.counter("sim.shard.chunks_routed").inc(num_shards)
-
-        owned_index: "list[np.ndarray | slice]"
-        if self._mode == "serial" and num_shards == 1:
-            # One shard owns every set: replay the segment as it is.
-            owned_index = [slice(None)]
-            sent_counts = [length]
-            replies = [self._workers[0].process(seg, None, None, want_snapshot)]  # type: ignore[union-attr]
+            _obs_metrics.registry.counter("sim.shard.chunks_routed").inc(len(self.ranges))
+        if self._procs:
+            seg_hits, snaps = self._publish(seg, seg_start, want_snapshot)
         else:
-            set_idx = seg % self._config.num_sets
-            shard_of = np.searchsorted(self._set_lo, set_idx, side="right") - 1
-            is_leader = self._leader_by_set[set_idx]
-            # Coordinator-side bookkeeping per shard: where each worker's
-            # owned hits scatter back to, and how many accesses it replays.
-            # One stable sort groups positions by shard (ascending within
-            # each group) — O(n log n) once, not O(n) per shard.
-            order = np.argsort(shard_of, kind="stable")
-            counts = np.bincount(shard_of, minlength=num_shards)
-            offsets = np.zeros(num_shards + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            owned_index = [order[offsets[i] : offsets[i + 1]] for i in range(num_shards)]
-            if self._replicate:
-                # Replayed = owned + leader accesses owned elsewhere.
-                leader_total = int(np.count_nonzero(is_leader))
-                leaders_of = np.bincount(shard_of[is_leader], minlength=num_shards)
-                sent_counts = [
-                    int(counts[i]) + leader_total - int(leaders_of[i])
-                    for i in range(num_shards)
-                ]
-            else:
-                sent_counts = [int(c) for c in counts]
-            if self._mode == "process":
-                replies = self._publish(seg, seg_start, want_snapshot)
-            else:
-                seg_positions = np.arange(seg_start, seg_start + length, dtype=np.int64)
-                replies = []
-                for i in range(num_shards):
-                    owned = shard_of == i
-                    sent = np.logical_or(owned, is_leader) if self._replicate else owned
-                    replies.append(
-                        self._workers[i].process(  # type: ignore[union-attr]
-                            seg[sent], seg_positions[sent], owned[sent], want_snapshot
-                        )
-                    )
-
-        snap_parts: list[np.ndarray] = []
-        for i in range(num_shards):
-            owned_hits, snap = replies[i]
-            seg_hits[owned_index[i]] = owned_hits
-            self.shard_accesses[i] += sent_counts[i]
-            if want_snapshot:
-                snap_parts.append(snap)
+            seg_hits = np.zeros(seg.shape[0], dtype=np.uint8)
+            snaps = [w.process(seg, seg_start, seg_hits, want_snapshot) for w in self._serial]
         if want_snapshot:
-            self.snapshots.append(
-                CacheSnapshot(seg_start + length, np.concatenate(snap_parts))
-            )
+            self.snapshots.append(CacheSnapshot(seg_start + seg.shape[0], np.concatenate(snaps)))
         return seg_hits
 
-    def _publish(self, seg: np.ndarray, seg_start: int, want_snapshot: bool) -> list:
-        """Publish the segment once in shared memory; workers mask it themselves."""
-        shm = shared_memory.SharedMemory(create=True, size=seg.nbytes)
+    def _publish(
+        self, seg: np.ndarray, seg_start: int, want_snapshot: bool
+    ) -> "tuple[np.ndarray, list[np.ndarray]]":
+        """Publish the segment once in shared memory; workers fill in the hits."""
+        length = seg.shape[0]
+        shm = shared_memory.SharedMemory(create=True, size=_BLOCK_BYTES * length)
+        lines, hits = _segment_views(shm, length)
         try:
-            np.ndarray(seg.shape, dtype=np.int64, buffer=shm.buf)[:] = seg
-            for w in self._workers:
-                w.conn.send(  # type: ignore[union-attr]
-                    ("seg", shm.name, seg.shape[0], seg_start, want_snapshot)
-                )
+            lines[:] = seg
+            hits[:] = 0
+            for w in self._procs:
+                w.send(("seg", shm.name, length, seg_start, want_snapshot))
             if _obs_enabled():
                 _obs_metrics.registry.counter("sim.shard.barrier_waits").inc()
-            return [w.conn.recv() for w in self._workers]  # type: ignore[union-attr]
+            snaps = [w.recv() for w in self._procs]
+            return hits.copy(), snaps
         finally:
+            del lines, hits  # the block cannot close while views exist
             shm.close()
             shm.unlink()
 
-    def finish(self) -> "tuple[int, list[int], np.ndarray]":
-        """Stop the workers; returns ``(psel, shard_access_pos, resident_lines)``.
+    def finish(self) -> ReplayTotals:
+        """Stop the workers and merge their final state.
 
         Raises :class:`SimulationError` if DRRIP shards end with
         different PSEL values (broken leader replication).
         """
-        if self._mode == "process":
-            for w in self._workers:
-                w.conn.send(("finish",))  # type: ignore[union-attr]
-            finals = [w.conn.recv() for w in self._workers]  # type: ignore[union-attr]
-            for w in self._workers:
-                w.proc.join(timeout=30)  # type: ignore[union-attr]
+        if self._procs:
+            for w in self._procs:
+                w.send(("finish",))
+            finals = [w.recv() for w in self._procs]
+            for w in self._procs:
+                w.proc.join(timeout=30)
         else:
-            finals = [w.finish() for w in self._workers]  # type: ignore[union-attr]
+            finals = [w.finish() for w in self._serial]
 
         psels = [int(f[1]) for f in finals]
-        if self._replicate:
+        if _replicates_leaders(self._config):
             if len(set(psels)) != 1:
                 raise SimulationError(
                     f"DRRIP PSEL diverged across shards: {psels} — leader replication broken"
@@ -417,53 +374,9 @@ class ShardedReplay:
             merged_psel = psels[owner]
         else:
             merged_psel = psels[0]
-        return (
-            merged_psel,
-            [int(f[2]) for f in finals],
-            np.concatenate([f[0] for f in finals]),
+        return ReplayTotals(
+            psel=merged_psel,
+            shard_accesses=[int(f[3]) for f in finals],
+            shard_access_pos=[int(f[2]) for f in finals],
+            resident_lines=np.concatenate([f[0] for f in finals]),
         )
-
-
-def simulate_sharded(
-    chunks: "Iterable[np.ndarray]",
-    config: CacheConfig,
-    *,
-    num_shards: int,
-    scan_interval: int = 0,
-    mode: str = "serial",
-    kernel: str = "auto",
-) -> ShardedSimulation:
-    """Replay a (possibly streamed) access trace across set-sharded workers.
-
-    Parameters
-    ----------
-    chunks:
-        Iterable of int64 line-ID arrays in program order — a single
-        full trace in a one-element list, or a bounded-memory stream.
-    num_shards:
-        Worker count; any positive value (1 degenerates to a plain
-        single-cache replay, values above ``num_sets`` leave trailing
-        workers idle).
-    mode:
-        ``"serial"`` replays shards in-process (oracle / 1-core
-        fallback); ``"process"`` uses persistent worker processes.
-    """
-    with ShardedReplay(
-        config,
-        num_shards=num_shards,
-        scan_interval=scan_interval,
-        mode=mode,
-        kernel=kernel,
-    ) as replay:
-        hits = [replay.feed(chunk) for chunk in chunks]
-        psel, access_pos, resident = replay.finish()
-    return ShardedSimulation(
-        hits=np.concatenate(hits) if hits else np.zeros(0, dtype=np.uint8),
-        snapshots=replay.snapshots,
-        num_shards=num_shards,
-        set_ranges=replay.ranges,
-        shard_accesses=replay.shard_accesses,
-        shard_access_pos=access_pos,
-        psel=psel,
-        resident_lines=resident,
-    )

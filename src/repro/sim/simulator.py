@@ -250,7 +250,6 @@ def simulate_spmv(
     num_shards: int = 1,
     shard_mode: str = "serial",
     chunk_accesses: int = 1 << 20,
-    kernel: str = "auto",
     classify_locality: bool = False,
     **scaled_kwargs: Any,
 ) -> SimulationResult:
@@ -267,8 +266,8 @@ def simulate_spmv(
     in-process or in ``shard_mode="process"`` worker processes), with
     the TLB replayed alongside.  Each merged chunk of ~``chunk_accesses``
     accesses is attributed and dropped before the next one is built.
-    Results are bit-identical for every ``num_shards``, ``shard_mode``,
-    ``chunk_accesses`` and ``kernel`` (``tests/test_trace_stream.py``).
+    Results are bit-identical for every ``num_shards``, ``shard_mode``
+    and ``chunk_accesses`` (``tests/test_trace_stream.py``).
 
     ``classify_locality=True`` also counts locality types I–V
     (:class:`~repro.sim.stats.LocalityTypeClassifier`), at the cost of
@@ -331,7 +330,6 @@ def simulate_spmv(
             num_shards=num_shards,
             scan_interval=config.scan_interval,
             mode=shard_mode,
-            kernel=kernel,
         ) as replay:
             for chunk, thread_ids in stream:
                 with span("sim.cache", accesses=len(chunk)):

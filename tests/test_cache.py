@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import CacheConfig, SetAssociativeCache, count_cold_misses
+from repro.sim import CacheConfig, SetAssociativeCache, ShardedReplay, count_cold_misses
 
 traces = st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=400)
 
@@ -154,17 +154,22 @@ class TestRRIP:
 
 
 class TestSnapshots:
+    @staticmethod
+    def _snapshots(config, lines, scan_interval):
+        with ShardedReplay(config, scan_interval=scan_interval) as replay:
+            replay.feed(np.asarray(lines, dtype=np.int64))
+            replay.finish()
+        return replay.snapshots
+
     def test_scan_interval(self):
         config = CacheConfig(num_sets=2, ways=2, policy="lru")
-        cache = SetAssociativeCache(config)
-        out = cache.simulate(np.arange(10, dtype=np.int64), scan_interval=4)
-        assert [s.access_index for s in out.snapshots] == [4, 8]
+        snapshots = self._snapshots(config, np.arange(10), scan_interval=4)
+        assert [s.access_index for s in snapshots] == [4, 8]
 
     def test_snapshot_contents(self):
         config = CacheConfig(num_sets=1, ways=4, policy="lru")
-        cache = SetAssociativeCache(config)
-        out = cache.simulate(np.array([7, 9], dtype=np.int64), scan_interval=2)
-        assert sorted(out.snapshots[0].resident_lines.tolist()) == [7, 9]
+        snapshots = self._snapshots(config, [7, 9], scan_interval=2)
+        assert sorted(snapshots[0].resident_lines.tolist()) == [7, 9]
 
     def test_resident_lines_excludes_invalid(self):
         cache = SetAssociativeCache(CacheConfig(num_sets=2, ways=2, policy="lru"))

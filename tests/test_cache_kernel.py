@@ -2,7 +2,7 @@
 
 The vectorized kernels in :mod:`repro.sim._kernels` promise bit-exact
 agreement with the reference per-access loop: same hit bits, same
-snapshots, same final cache state (including DRRIP's PSEL counter and
+resident lines after every call, same final cache state (including DRRIP's PSEL counter and
 the lifetime access position that keys the BRRIP bimodal draws) even
 across chained ``simulate`` calls.  These tests drive both paths over
 random geometries, policies and traces and compare everything.
@@ -28,18 +28,22 @@ geometries = st.tuples(
 )
 
 
-def _both(config, lines, scan_interval=0, chain=1):
-    """Run reference and kernel caches over the same chained trace."""
+def _both(config, lines, chain=1, cuts=None):
+    """Run reference and kernel caches over the same chained trace.
+
+    The trace is cut into ``chain`` even calls, or at explicit ``cuts``.
+    """
     ref = SetAssociativeCache(config)
     ker = SetAssociativeCache(config)
     lines = np.asarray(lines, dtype=np.int64)
     outs = []
-    cuts = np.linspace(0, lines.shape[0], chain + 1).astype(int)
-    for i in range(chain):
-        part = lines[cuts[i]:cuts[i + 1]]
-        r = ref.simulate(part, scan_interval=scan_interval, kernel="reference")
-        k = ker.simulate(part, scan_interval=scan_interval, kernel="kernel")
-        outs.append((r, k))
+    if cuts is None:
+        cuts = np.linspace(0, lines.shape[0], chain + 1).astype(int)
+    for lo, hi in zip(cuts, cuts[1:]):
+        part = lines[lo:hi]
+        r = ref.simulate(part, kernel="reference")
+        k = ker.simulate(part, kernel="kernel")
+        outs.append((r, k, ref.resident_lines(), ker.resident_lines()))
     return ref, ker, outs
 
 
@@ -69,10 +73,10 @@ class TestDispatch:
         config = CacheConfig(num_sets=32, ways=8, policy="lru")
         small = np.arange(10, dtype=np.int64)
         big = np.arange(20_000, dtype=np.int64)
-        assert not kernel_supported(config, small, 0)
-        assert kernel_supported(config, big, 0)
+        assert not kernel_supported(config, small)
+        assert kernel_supported(config, big)
         tiny_sets = CacheConfig(num_sets=2, ways=8, policy="lru")
-        assert not kernel_supported(tiny_sets, big, 0)
+        assert not kernel_supported(tiny_sets, big)
 
     def test_bimodal_policies_gated_on_set_skew(self):
         # BRRIP/DRRIP fixed-point cost tracks the busiest set's access
@@ -86,12 +90,12 @@ class TestDispatch:
         for policy in ("brrip", "drrip"):
             big = CacheConfig(num_sets=128, ways=8, policy=policy)
             small = CacheConfig(num_sets=32, ways=8, policy=policy)
-            assert kernel_supported(big, wide, 0)
-            assert not kernel_supported(big, skewed, 0)
-            assert not kernel_supported(small, wide, 0)
+            assert kernel_supported(big, wide)
+            assert not kernel_supported(big, skewed)
+            assert not kernel_supported(small, wide)
         # SRRIP is exempt from the skew guard: aging forgets state fast.
         srrip = CacheConfig(num_sets=32, ways=8, policy="srrip")
-        assert kernel_supported(srrip, skewed, 0)
+        assert kernel_supported(srrip, skewed)
 
     def test_auto_equals_reference_for_small_traces(self):
         config = CacheConfig(num_sets=4, ways=2, policy="lru")
@@ -120,7 +124,7 @@ class TestKernelEquivalence:
             lines = rng.integers(0, space, size=n)
         config = CacheConfig(num_sets=num_sets, ways=ways, policy=policy, seed=seed % 7)
         ref, ker, outs = _both(config, lines)
-        for r, k in outs:
+        for r, k, _, _ in outs:
             assert np.array_equal(r.hits, k.hits)
         _assert_same_state(ref, ker, policy)
 
@@ -131,15 +135,17 @@ class TestKernelEquivalence:
         scan=st.sampled_from([7, 100, 511]),
     )
     def test_snapshots_match(self, policy, seed, scan):
+        # Snapshots are resident lines read between calls cut at scan
+        # multiples (how ShardedReplay takes them).
         rng = np.random.default_rng(seed)
         lines = rng.integers(0, 600, size=1500)
         config = CacheConfig(num_sets=8, ways=4, policy=policy, seed=1)
-        _, _, outs = _both(config, lines, scan_interval=scan)
-        for r, k in outs:
-            assert len(r.snapshots) == len(k.snapshots)
-            for rs, ks in zip(r.snapshots, k.snapshots):
-                assert rs.access_index == ks.access_index
-                assert np.array_equal(rs.resident_lines, ks.resident_lines)
+        cuts = list(range(0, lines.shape[0], scan)) + [lines.shape[0]]
+        _, _, outs = _both(config, lines, cuts=cuts)
+        assert len(outs) == len(cuts) - 1
+        for r, k, r_resident, k_resident in outs:
+            assert np.array_equal(r.hits, k.hits)
+            assert np.array_equal(r_resident, k_resident)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -154,7 +160,7 @@ class TestKernelEquivalence:
         lines = rng.integers(0, 300, size=2000)
         config = CacheConfig(num_sets=8, ways=4, policy=policy, seed=2)
         ref, ker, outs = _both(config, lines, chain=chain)
-        for r, k in outs:
+        for r, k, _, _ in outs:
             assert np.array_equal(r.hits, k.hits)
         _assert_same_state(ref, ker, policy)
         # one more leg, swapping modes, to prove the state is canonical
@@ -176,7 +182,7 @@ class TestKernelEquivalence:
         lines = rng.integers(0, 8192, size=40_000)
         for policy in POLICIES:
             config = CacheConfig(num_sets=128, ways=8, policy=policy)
-            assert kernel_supported(config, lines, 0)
+            assert kernel_supported(config, lines)
             ref = SetAssociativeCache(config)
             ker = SetAssociativeCache(config)
             with obs.recording(fresh=True):
@@ -243,7 +249,7 @@ class TestKernelFallbackObservability:
         monkeypatch.setattr(
             _kernels,
             "kernel_simulate",
-            lambda cache, lines, scan, positions=None: None,
+            lambda cache, lines, positions=None: None,
         )
 
     def test_fallback_counts_and_warns_once(self, monkeypatch):

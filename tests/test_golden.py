@@ -235,9 +235,9 @@ def test_scale_streamed_golden(golden_rmat, update_golden):
     """
     from repro.sim import (
         AddressSpace,
+        ShardedReplay,
         edge_balanced_partitions,
         interleave_stream,
-        simulate_sharded,
         spmv_trace_chunks,
     )
 
@@ -259,13 +259,15 @@ def test_scale_streamed_golden(golden_rmat, update_golden):
         for t in range(config.num_threads)
     ]
     stream = interleave_stream(sources, config.interleave_interval, batch_accesses=512)
-    shard = simulate_sharded(
-        (chunk.lines for chunk, _ in stream),
-        config.cache,
-        num_shards=3,
-        scan_interval=config.scan_interval,
-    )
-    assert shard.num_misses == result.l3_misses
+    with ShardedReplay(
+        config.cache, num_shards=3, scan_interval=config.scan_interval
+    ) as replay:
+        misses = sum(
+            chunk.lines.shape[0] - int(replay.feed(chunk.lines).sum())
+            for chunk, _ in stream
+        )
+        shard = replay.finish()
+    assert misses == result.l3_misses
     computed = {
         "num_accesses": result.num_accesses,
         "l3_misses": result.l3_misses,

@@ -27,6 +27,7 @@ from repro.generate.rmat import rmat_edges
 from repro.graph import Graph, build_graph
 from repro.sim import (
     AddressSpace,
+    CacheSnapshot,
     LocalityTypeClassifier,
     LocalityTypeCounts,
     Region,
@@ -121,25 +122,34 @@ def materialized_simulation(graph, config) -> dict:
         for t in range(config.num_threads)
     ]
     merged, threads = interleave_traces(traces, config.interleave_interval)
-    outcome = SetAssociativeCache(config.cache).simulate(
-        merged.lines, scan_interval=config.scan_interval, kernel="reference"
-    )
+    # One reference-loop cache fed in scan-aligned cuts, snapshotted
+    # after every cut that ends on a scan multiple.
+    cache = SetAssociativeCache(config.cache)
+    n, scan = merged.lines.shape[0], config.scan_interval
+    step = scan or max(1, n)
+    hit_parts, snapshots = [], []
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        hit_parts.append(cache.simulate(merged.lines[lo:hi], kernel="reference").hits)
+        if scan and hi % scan == 0:
+            snapshots.append(CacheSnapshot(hi, cache.resident_lines()))
+    hits = np.concatenate(hit_parts)
     random_region = (
         Region.VERTEX_DATA if config.direction == "pull" else Region.VERTEX_OUT
     )
     stats = {
         by: attribute_random_accesses(
-            merged, outcome.hits, graph.num_vertices, by=by, random_region=random_region
+            merged, hits, graph.num_vertices, by=by, random_region=random_region
         )
         for by in ("read", "proc")
     }
     return {
         "region_accesses": np.bincount(merged.kinds, minlength=Region.COUNT),
         "region_hits": np.bincount(
-            merged.kinds, weights=outcome.hits, minlength=Region.COUNT
+            merged.kinds, weights=hits, minlength=Region.COUNT
         ).astype(np.int64),
         "stats": stats,
-        "snapshots": outcome.snapshots,
+        "snapshots": snapshots,
         "tlb_misses": (
             simulate_tlb(merged.lines, config.cache.line_size, config.tlb).num_misses
             if config.tlb is not None
