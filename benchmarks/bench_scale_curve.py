@@ -136,8 +136,7 @@ def run_bench(num_vertices: int = _DEFAULT_VERTICES) -> dict:
 
     with tempfile.TemporaryDirectory(prefix="bench-scale-") as tmp:
         graph_path = Path(tmp) / "bench-graph.npz"
-        save_graph_npz(build_ladder_graph(num_vertices), graph_path,
-                       compressed=False)
+        save_graph_npz(build_ladder_graph(num_vertices), graph_path)
         modes = {mode: _run_child(mode, graph_path) for mode in _MODES}
 
     num_edges = modes["serial"]["num_edges"]

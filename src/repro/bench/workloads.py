@@ -64,6 +64,8 @@ def _params_key(params: dict) -> tuple:
 # Module-level functions so the `cached_stage` decorator key derivation
 # stays independent of any Workloads instance; the instance threads its
 # store/refresh/manifest through the reserved keyword arguments.
+# Upstream inputs arrive as zero-argument loaders that only the stage
+# body calls, so a store hit reads exactly the artifact it returns.
 
 @cached_stage(
     "graph",
@@ -77,7 +79,7 @@ def _graph_stage(dataset: str) -> Graph:
 @cached_stage(
     "reordering",
     code=("repro.generate", "repro.graph", "repro.reorder"),
-    key=lambda graph, dataset, algorithm, track_memory, params, factory: {
+    key=lambda load_graph, dataset, algorithm, track_memory, params, factory: {
         "dataset": dataset,
         "scale": scale_factor(),
         "algorithm": algorithm,
@@ -86,7 +88,7 @@ def _graph_stage(dataset: str) -> Graph:
     },
 )
 def _reordering_stage(
-    graph: Graph,
+    load_graph: Callable[[], Graph],
     dataset: str,
     algorithm: str,
     track_memory: bool,
@@ -94,13 +96,13 @@ def _reordering_stage(
     factory: "Optional[Callable[[], object]]",
 ) -> ReorderResult:
     instance = factory() if factory is not None else get_algorithm(algorithm, **params)
-    return instance(graph, track_memory=track_memory)  # type: ignore[operator]
+    return instance(load_graph(), track_memory=track_memory)  # type: ignore[operator]
 
 
 @cached_stage(
     "reordered-graph",
     code=("repro.generate", "repro.graph", "repro.reorder"),
-    key=lambda graph, result, dataset, algorithm, params: {
+    key=lambda load_graph, load_result, dataset, algorithm, params: {
         "dataset": dataset,
         "scale": scale_factor(),
         "algorithm": algorithm,
@@ -108,13 +110,14 @@ def _reordering_stage(
     },
 )
 def _reordered_graph_stage(
-    graph: Graph,
-    result: ReorderResult,
+    load_graph: Callable[[], Graph],
+    load_result: Callable[[], ReorderResult],
     dataset: str,
     algorithm: str,
     params: dict,
 ) -> Graph:
-    return result.apply(graph)
+    result: ReorderResult = load_result()
+    return result.apply(load_graph())
 
 
 @cached_stage(
@@ -238,10 +241,9 @@ class Workloads:
         """
         key = (dataset, algorithm, track_memory, _params_key(kwargs))
         if key not in self._reorderings:
-            graph = self.graph(dataset)
             with span("workload.reordering", dataset=dataset, algorithm=algorithm):
                 self._reorderings[key] = _reordering_stage(
-                    graph,
+                    lambda: self.graph(dataset),
                     dataset,
                     algorithm,
                     track_memory,
@@ -265,12 +267,11 @@ class Workloads:
             if algorithm == "identity":
                 self._reordered_graphs[key] = self.graph(dataset)
             else:
-                result = self.reordering(
-                    dataset, algorithm, factory=factory, **kwargs
-                )
                 self._reordered_graphs[key] = _reordered_graph_stage(
-                    self.graph(dataset),
-                    result,
+                    lambda: self.graph(dataset),
+                    lambda: self.reordering(
+                        dataset, algorithm, factory=factory, **kwargs
+                    ),
                     dataset,
                     algorithm,
                     dict(kwargs),

@@ -1,8 +1,10 @@
-"""Graph persistence: plain-text edge lists and compressed ``.npz``.
+"""Graph persistence: plain-text edge lists and uncompressed ``.npz``.
 
 Text format is one ``source target`` pair per line (the common SNAP /
 Konect layout); lines starting with ``#`` or ``%`` are comments.  The
-``.npz`` format stores the CSR arrays directly and round-trips exactly.
+``.npz`` format stores the CSR arrays directly (``ZIP_STORED``, never
+deflated) and round-trips exactly, so every saved graph can be read
+without inflating it and memory-mapped with ``mmap_mode="r"``.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ __all__ = [
 ]
 
 PathOrFile = Union[str, os.PathLike, TextIO]
-
-#: Graphs whose CSR+CSC payload exceeds this are stored uncompressed so
-#: they can be rehydrated with ``mmap_mode="r"`` (see DESIGN.md §11).
-MMAP_SIZE_THRESHOLD = 64 << 20
 
 
 def load_edge_list(path_or_file: PathOrFile) -> tuple[int, np.ndarray, np.ndarray]:
@@ -91,32 +89,22 @@ def _write_edge_list(graph: Graph, handle: TextIO) -> None:
     handle.write(buffer.getvalue())
 
 
-def save_graph_npz(
-    graph: Graph, path: Union[str, os.PathLike], *, compressed: "bool | None" = None
-) -> None:
-    """Persist both adjacency directions into an ``.npz``.
+def save_graph_npz(graph: Graph, path: Union[str, os.PathLike]) -> None:
+    """Persist both adjacency directions into an uncompressed ``.npz``.
 
-    ``compressed=None`` (default) compresses small graphs and stores
-    scale-tier graphs (payload above ``MMAP_SIZE_THRESHOLD``) raw, so
-    :func:`load_graph_npz` can rehydrate them with ``mmap_mode="r"`` —
-    shard workers then share one page cache instead of N heap copies.
+    Members are stored raw: loading skips inflation, and
+    :func:`load_graph_npz` can rehydrate any saved graph with
+    ``mmap_mode="r"`` — shard workers then share one page cache instead
+    of N heap copies.
     """
-    arrays = {
-        "out_offsets": graph.out_adj.offsets,
-        "out_targets": graph.out_adj.targets,
-        "in_offsets": graph.in_adj.offsets,
-        "in_targets": graph.in_adj.targets,
-        "name": np.asarray(graph.name),
-    }
-    if compressed is None:
-        payload_bytes = sum(
-            a.nbytes for k, a in arrays.items() if k != "name"
-        )
-        compressed = payload_bytes <= MMAP_SIZE_THRESHOLD
-    if compressed:
-        np.savez_compressed(path, **arrays)
-    else:
-        np.savez(path, **arrays)
+    np.savez(
+        path,
+        out_offsets=graph.out_adj.offsets,
+        out_targets=graph.out_adj.targets,
+        in_offsets=graph.in_adj.offsets,
+        in_targets=graph.in_adj.targets,
+        name=np.asarray(graph.name),
+    )
 
 
 def _npy_member_offset(
@@ -162,8 +150,8 @@ def mmap_npz_arrays(
     ``np.load(..., mmap_mode=...)`` refuses zip containers, so this
     resolves each member's absolute data offset (zip local header +
     ``.npy`` header) and hands it to :class:`numpy.memmap` directly.
-    Raises :class:`~repro.errors.GraphFormatError` for compressed
-    members — re-save with ``compressed=False`` to get a mappable file.
+    Raises :class:`~repro.errors.GraphFormatError` for deflated members
+    (a file not written by :func:`save_graph_npz`).
     """
     wanted = set(names)
     out: dict = {}
@@ -182,7 +170,7 @@ def mmap_npz_arrays(
                 if info.compress_type != zipfile.ZIP_STORED:
                     raise GraphFormatError(
                         f"npz member {name!r} is deflate-compressed and cannot "
-                        "be memory-mapped; re-save with compressed=False"
+                        "be memory-mapped; re-save it with save_graph_npz"
                     )
                 dtype, shape, fortran, data_start = _npy_member_offset(
                     handle, info.header_offset
@@ -219,14 +207,15 @@ def load_graph_npz(
                 f"only mmap_mode='r' is supported, got {mmap_mode!r}"
             )
         arrays = mmap_npz_arrays(path, _GRAPH_ARRAYS)
-        with np.load(path, allow_pickle=False) as data:
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
             name = str(data["name"]) if "name" in data.files else ""
         out_adj = Adjacency(
             arrays["out_offsets"], arrays["out_targets"], validate=False
         )
         in_adj = Adjacency(arrays["in_offsets"], arrays["in_targets"], validate=False)
         return Graph(out_adj, in_adj, name=name)
-    with np.load(path, allow_pickle=False) as data:
+    # Own the handle: np.load leaks the one it opens if the zip is corrupt.
+    with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
         required = set(_GRAPH_ARRAYS)
         missing = required - set(data.files)
         if missing:

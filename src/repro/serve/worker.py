@@ -22,7 +22,7 @@ ids only.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -56,41 +56,46 @@ _STAGE_CODE = ("repro.generate", "repro.graph", "repro.reorder", "repro.sim")
 # the service and vice versa).  Jobs that differ from the harness's
 # fixed simulation shape — a chosen policy/pressure, or a graph
 # submitted by fingerprint — get their own stages with those choices in
-# the key, because the workloads keys do not carry them.
+# the key, because the workloads keys do not carry them.  Upstream
+# inputs arrive as loaders that only a store miss calls.
 
 
 @cached_stage(
     "reordering",
     code=_STAGE_CODE,
-    key=lambda graph, graph_key, algorithm, params: {
+    key=lambda load_graph, graph_key, algorithm, params: {
         "graph_fingerprint": graph_key,
         "algorithm": algorithm,
         "params": params,
     },
 )
 def _stored_reordering_stage(
-    graph: Graph, graph_key: str, algorithm: str, params: Dict[str, Any]
+    load_graph: Callable[[], Graph],
+    graph_key: str,
+    algorithm: str,
+    params: Dict[str, Any],
 ) -> ReorderResult:
-    return get_algorithm(algorithm, **params)(graph)
+    return get_algorithm(algorithm, **params)(load_graph())
 
 
 @cached_stage(
     "reordered-graph",
     code=_STAGE_CODE,
-    key=lambda graph, result, graph_key, algorithm, params: {
+    key=lambda load_graph, load_result, graph_key, algorithm, params: {
         "graph_fingerprint": graph_key,
         "algorithm": algorithm,
         "params": params,
     },
 )
 def _stored_reordered_graph_stage(
-    graph: Graph,
-    result: ReorderResult,
+    load_graph: Callable[[], Graph],
+    load_result: Callable[[], ReorderResult],
     graph_key: str,
     algorithm: str,
     params: Dict[str, Any],
 ) -> Graph:
-    return result.apply(graph)
+    result: ReorderResult = load_result()
+    return result.apply(load_graph())
 
 
 @cached_stage(
@@ -121,6 +126,15 @@ def _stored_graph(workloads: Workloads, graph_key: str) -> Graph:
     return graph
 
 
+def _stored_reordering(
+    workloads: Workloads, graph_key: str, algorithm: str, params: Dict[str, Any]
+) -> ReorderResult:
+    return _stored_reordering_stage(
+        lambda: _stored_graph(workloads, graph_key), graph_key, algorithm, params,
+        **_stage_kwargs(workloads),
+    )
+
+
 def _reordered_graph(workloads: Workloads, job: Dict[str, Any]) -> Graph:
     dataset = job.get("dataset")
     algorithm = job["algorithm"]
@@ -128,14 +142,13 @@ def _reordered_graph(workloads: Workloads, job: Dict[str, Any]) -> Graph:
     if dataset is not None:
         return workloads.reordered_graph(dataset, algorithm, **params)
     graph_key: str = job["graph_fingerprint"]
-    graph = _stored_graph(workloads, graph_key)
     if algorithm == "identity":
-        return graph
-    result = _stored_reordering_stage(
-        graph, graph_key, algorithm, params, **_stage_kwargs(workloads)
-    )
+        return _stored_graph(workloads, graph_key)
     return _stored_reordered_graph_stage(
-        graph, result, graph_key, algorithm, params, **_stage_kwargs(workloads)
+        lambda: _stored_graph(workloads, graph_key),
+        lambda: _stored_reordering(workloads, graph_key, algorithm, params),
+        graph_key, algorithm, params,
+        **_stage_kwargs(workloads),
     )
 
 
@@ -199,17 +212,15 @@ def _reorder_response(workloads: Workloads, job: Dict[str, Any]) -> Dict[str, An
         result = workloads.reordering(dataset, algorithm, **params)
     else:
         graph_key: str = job["graph_fingerprint"]
-        graph = _stored_graph(workloads, graph_key)
         if algorithm == "identity":
+            graph = _stored_graph(workloads, graph_key)
             result = ReorderResult(
                 algorithm="identity",
                 relabeling=np.arange(graph.num_vertices, dtype=np.int64),
                 preprocessing_seconds=0.0,
             )
         else:
-            result = _stored_reordering_stage(
-                graph, graph_key, algorithm, params, **_stage_kwargs(workloads)
-            )
+            result = _stored_reordering(workloads, graph_key, algorithm, params)
     order = np.ascontiguousarray(result.relabeling)
     payload: Dict[str, Any] = {
         "algorithm": result.algorithm,

@@ -15,11 +15,12 @@ grows three reserved keyword arguments:
     per call (hit / computed / refreshed, with duration and key).
 
 The key is *not* derived from the raw call arguments — stages receive
-heavyweight objects (graphs) whose identity is already captured by
-upstream parameters — but from an explicit ``key`` callable mapping the
-call to a provenance dict.  ``encode``/``decode`` adapt results whose
-natural form needs call context to reconstruct (a stored simulation
-needs its graph and config back).
+heavyweight objects (graphs), or zero-argument loaders that only a miss
+calls, whose identity is already captured by upstream parameters — but
+from an explicit ``key`` callable mapping the call to a provenance dict.
+``encode``/``decode`` adapt results whose natural form needs call
+context to reconstruct (a stored simulation needs its graph and config
+back).
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ artifact types, each with a natural on-disk form:
 =================  ============================  =========
 kind               payload                       format
 =================  ============================  =========
-``graph``          :class:`~repro.graph.graph.Graph` (CSR+CSC)   ``.npz``
-``reordered-graph``  same, after an RA's relabeling              ``.npz``
-``reordering``     :class:`~repro.reorder.base.ReorderResult`    ``.npz``
-``simulation``     :class:`StoredSimulation` (O(V) counters)    ``.npz``
+``graph``          :class:`~repro.graph.graph.Graph` (CSR+CSC)   raw ``.npz``
+``reordered-graph``  same, after an RA's relabeling              raw ``.npz``
+``reordering``     :class:`~repro.reorder.base.ReorderResult`    deflated ``.npz``
+``simulation``     :class:`StoredSimulation` (O(V) counters)    deflated ``.npz``
 ``json``           JSON documents (report data, manifests)       ``.json``
 =================  ============================  =========
 
@@ -79,7 +79,7 @@ class Serializer:
 
     kind: str = ""
     extension: str = ""
-    #: Whether ``load`` accepts ``mmap_mode="r"`` (scale-tier rehydration).
+    #: Whether ``load`` accepts ``mmap_mode="r"`` (memory-mapped rehydration).
     supports_mmap: bool = False
 
     def save(self, obj: Any, path: Path) -> None:
@@ -90,12 +90,12 @@ class Serializer:
 
 
 class GraphSerializer(Serializer):
-    """CSR+CSC graphs as ``.npz`` (exact integer round-trip).
+    """CSR+CSC graphs as uncompressed ``.npz`` (exact integer round-trip).
 
-    Small graphs compress; scale-tier graphs are stored raw so
-    ``load(path, mmap_mode="r")`` can memory-map the CSR/CSC arrays
-    (one shared page-cached copy across shard workers) — see
-    :func:`repro.graph.io.save_graph_npz`.
+    Every graph is stored raw: a heap load reads the arrays without
+    inflating them, and ``load(path, mmap_mode="r")`` can memory-map the
+    CSR/CSC arrays of any graph (one shared page-cached copy across
+    shard workers) — see :func:`repro.graph.io.save_graph_npz`.
     """
 
     kind = "graph"
@@ -138,7 +138,7 @@ class ReorderingSerializer(Serializer):
             )
 
     def load(self, path: Path) -> ReorderResult:
-        with np.load(path, allow_pickle=False) as data:
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
             if "relabeling" not in data.files or "meta" not in data.files:
                 raise StoreError(f"reordering artifact missing arrays: {data.files}")
             relabeling = data["relabeling"]
@@ -280,7 +280,7 @@ class SimulationSerializer(Serializer):
             np.savez_compressed(handle, meta=np.asarray(json.dumps(meta)), **arrays)
 
     def load(self, path: Path) -> StoredSimulation:
-        with np.load(path, allow_pickle=False) as data:
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
             missing = set(self._ARRAYS) - set(data.files)
             if missing or "meta" not in data.files:
                 raise StoreError(

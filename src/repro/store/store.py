@@ -20,6 +20,8 @@ Durability rules:
   sidecar checksum.  A mismatch (or any deserialization failure) moves
   both files into ``quarantine/`` and reports a miss, so the pipeline
   recomputes instead of crashing on a corrupt cache.
+* **Raw graphs** — graph artifacts are uncompressed ``.npz``: a read
+  never inflates them and ``get(..., mmap_mode="r")`` maps any of them.
 * **Last access** — reads bump the payload mtime (``os.utime``), which
   is the LRU axis :mod:`repro.store.gc` evicts along.
 """
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Optional, Union
 
-from repro.errors import GraphFormatError, StoreError
+from repro.errors import StoreError
 from repro.lint.contracts import declares_effects
 from repro.obs import metrics as obs_metrics
 from repro.store.serializers import get_serializer
@@ -202,9 +204,9 @@ class ArtifactStore:
         miss so callers recompute rather than crash.
 
         ``mmap_mode="r"`` asks the serializer for a memory-mapped
-        rehydration (supported for graph kinds): integrity is still
-        checked — the full payload is hashed before mapping — but the
-        arrays stay on disk, shared page-cache across processes.
+        rehydration (every graph artifact supports it): integrity is
+        still checked — the full payload is hashed before mapping — but
+        the arrays stay on disk, shared page-cache across processes.
         """
         serializer = get_serializer(kind)
         if mmap_mode is not None and not serializer.supports_mmap:
@@ -224,13 +226,7 @@ class ArtifactStore:
             return None
         try:
             if mmap_mode is not None:
-                try:
-                    obj = serializer.load(payload, mmap_mode=mmap_mode)  # type: ignore[call-arg]
-                except GraphFormatError:
-                    # A compressed (sub-threshold) artifact cannot be
-                    # mapped; it is still perfectly valid — heap-load it
-                    # instead of quarantining.
-                    obj = serializer.load(payload)
+                obj = serializer.load(payload, mmap_mode=mmap_mode)  # type: ignore[call-arg]
             else:
                 obj = serializer.load(payload)
         except Exception:  # corrupted payload that still hashed clean

@@ -534,6 +534,38 @@ class TestGraphByFingerprint:
         assert "no stored graph artifact" in missing_body["error"]
 
 
+    def test_warm_reorder_reads_only_its_reordering(self, tmp_path, serving_env):
+        """A warm hit never loads the graph it was computed from."""
+
+        async def scenario():
+            service = _service(tmp_path)
+            host, port = await service.start()
+            try:
+                _s, seeded, _h = await request_once(
+                    host, port, "POST", "/reorder",
+                    {"dataset": "twtr-mini", "algorithm": "identity"},
+                )
+                jobs = (
+                    {"dataset": "twtr-mini", "algorithm": "degree"},
+                    {"graph_fingerprint": seeded["artifacts"]["graph"],
+                     "algorithm": "degree"},
+                )
+                pairs = []
+                for job in jobs:
+                    _s, cold, _h = await request_once(host, port, "POST", "/reorder", job)
+                    _s, warm, _h = await request_once(host, port, "POST", "/reorder", job)
+                    pairs.append((cold, warm))
+                return pairs
+            finally:
+                await service.stop()
+
+        for cold, warm in asyncio.run(scenario()):
+            assert cold["stages"]["computed"] == 1
+            assert warm["stages"] == {"hits": 1, "computed": 0}
+            assert set(warm["artifacts"]) == {"reordering"}
+            assert warm["result"] == cold["result"]
+
+
 # -- load generator ----------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -60,6 +61,21 @@ class TestRoundTrips:
         assert loaded.num_vertices == tiny_graph.num_vertices
         assert loaded.num_edges == tiny_graph.num_edges
         assert loaded == tiny_graph
+
+    @pytest.mark.parametrize("kind", ["graph", "reordered-graph"])
+    def test_graph_is_stored_raw_and_mappable(self, store, tiny_graph, kind):
+        info = store.put(_key(6), kind, tiny_graph)
+        with zipfile.ZipFile(info.path) as archive:
+            members = archive.infolist()
+        assert members
+        assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+        heap = store.get(_key(6), kind)
+        mapped = store.get(_key(6), kind, mmap_mode="r")
+        assert mapped == heap == tiny_graph
+        assert mapped.name == heap.name
+        for adj in (mapped.out_adj, mapped.in_adj):
+            for array in (adj.offsets, adj.targets):
+                assert isinstance(array.base, np.memmap)
 
     def test_reordering(self, store, two_hop_ring):
         result = get_algorithm("degree")(two_hop_ring)

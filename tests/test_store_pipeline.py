@@ -53,6 +53,20 @@ def producer_calls(monkeypatch) -> dict:
     return calls
 
 
+@pytest.fixture
+def store_reads(store, monkeypatch) -> list:
+    """Kinds of every artifact ``store`` reads, in order."""
+    reads: list = []
+    original = store.get
+
+    def recording(key, kind, **kwargs):
+        reads.append(kind)
+        return original(key, kind, **kwargs)
+
+    monkeypatch.setattr(store, "get", recording)
+    return reads
+
+
 def _normalize(value):
     """Recursive, NaN-stable form for exact data comparison."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -74,7 +88,9 @@ def _normalize(value):
 
 
 class TestWarmRunsAreCached:
-    def test_second_run_regenerates_nothing(self, store, producer_calls):
+    def test_second_run_regenerates_nothing(
+        self, store, producer_calls, store_reads
+    ):
         cold = Workloads(store=store)
         cold.simulation(_DATASET, "degree", with_scans=False)
         assert producer_calls["load_dataset"] > 0
@@ -85,6 +101,7 @@ class TestWarmRunsAreCached:
 
         for name in producer_calls:
             producer_calls[name] = 0
+        store_reads.clear()
         warm = Workloads(store=store)
         warm.simulation(_DATASET, "degree", with_scans=False)
         assert producer_calls == {
@@ -94,12 +111,26 @@ class TestWarmRunsAreCached:
         }
         assert warm.manifest.computed_count() == 0
         assert warm.manifest.hit_count() > 0
+        # The reordered-graph hit never loads its upstream graph or
+        # reordering: the warm run reads exactly the two artifacts it uses.
         assert warm.stats == {
-            "graph": {"hits": 1, "computed": 0},
-            "reordering": {"hits": 1, "computed": 0},
             "reordered-graph": {"hits": 1, "computed": 0},
             "simulation": {"hits": 1, "computed": 0},
         }
+        assert store_reads == ["reordered-graph", "simulation"]
+
+    def test_warm_reordering_reads_no_graph(self, store, producer_calls, store_reads):
+        cold = Workloads(store=store).reordering(_DATASET, "degree")
+        assert producer_calls["load_dataset"] > 0
+        producer_calls["load_dataset"] = 0
+        store_reads.clear()
+
+        warm_workloads = Workloads(store=store)
+        warm = warm_workloads.reordering(_DATASET, "degree")
+        assert store_reads == ["reordering"]
+        assert producer_calls["load_dataset"] == 0
+        assert warm_workloads.stats == {"reordering": {"hits": 1, "computed": 0}}
+        assert np.array_equal(warm.relabeling, cold.relabeling)
 
     def test_warm_experiment_data_is_bit_identical(self, store):
         cold = run_experiment("fig3", Workloads(store=store))
