@@ -35,7 +35,11 @@ def run(workloads: Workloads) -> ExperimentReport:
             dataset, "edr+rabbit", factory=edr_factory, lo=lo, hi=hi
         )
         restricted_sim = workloads.simulation(
-            dataset, "edr+rabbit", with_scans=False, factory=edr_factory, lo=lo, hi=hi
+            dataset,
+            "edr+rabbit",
+            with_scans=False,
+            factory=edr_factory,
+            params={"lo": lo, "hi": hi},
         )
 
         metrics[dataset] = {

@@ -1,23 +1,26 @@
-"""Shared workload definitions and caching for the experiment harness.
+"""Shared workload definitions and caching for the harness and the service.
 
-Every experiment draws its graphs, reorderings and simulations from
-here, so repeated benchmark invocations of the same (dataset, RA,
+Every experiment and every serve job draws its graphs, reorderings and
+simulations from here, so repeated requests for the same (graph, RA,
 config) combination are computed once per process.  When a
 :class:`~repro.store.store.ArtifactStore` is attached, each stage is
 additionally memoized *on disk* through :func:`repro.store.memo.cached_stage`:
 the expensive upstream stages (dataset build -> reorder -> rebuild ->
 cache simulation) are computed once ever per (parameters, code version)
 and every later run — in this process or the next — loads them back
-verified from the store.  Workload sizes scale with ``REPRO_SCALE``
-(see :mod:`repro.generate.datasets`), which participates in every
-content key.
+verified from the store.  A graph source is a registry dataset or the
+content key of a stored graph; every stage downstream of the graph is
+keyed by that graph's key, so the two routes share one artifact per
+result.  Workload sizes scale with ``REPRO_SCALE`` (see
+:mod:`repro.generate.datasets`), which the graph key carries.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import dataclasses
+from typing import Any, Callable, Optional
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ServeError
 from repro.generate.datasets import DATASETS, load_dataset, scale_factor
 from repro.obs import span
 from repro.graph.graph import Graph
@@ -61,11 +64,15 @@ def _params_key(params: dict) -> tuple:
 
 # -- store-backed pipeline stages -------------------------------------------
 #
-# Module-level functions so the `cached_stage` decorator key derivation
-# stays independent of any Workloads instance; the instance threads its
-# store/refresh/manifest through the reserved keyword arguments.
-# Upstream inputs arrive as zero-argument loaders that only the stage
-# body calls, so a store hit reads exactly the artifact it returns.
+# The one family of stored stages: the experiment harness and the
+# service both reach the store through these.  Module-level functions so
+# the `cached_stage` key derivation stays independent of any Workloads
+# instance; the instance threads its store/refresh/manifest through the
+# reserved keyword arguments.  Every stage downstream of the graph is
+# keyed by its source graph's content key, so a result reached from a
+# registry dataset or from a stored graph key is one artifact.  Upstream
+# inputs arrive as zero-argument loaders that only the stage body calls,
+# so a store hit reads exactly the artifact it returns.
 
 @cached_stage(
     "graph",
@@ -79,9 +86,8 @@ def _graph_stage(dataset: str) -> Graph:
 @cached_stage(
     "reordering",
     code=("repro.generate", "repro.graph", "repro.reorder"),
-    key=lambda load_graph, dataset, algorithm, track_memory, params, factory: {
-        "dataset": dataset,
-        "scale": scale_factor(),
+    key=lambda load_graph, graph_key, algorithm, track_memory, params, factory: {
+        "graph": graph_key,
         "algorithm": algorithm,
         "track_memory": track_memory,
         "params": params,
@@ -89,7 +95,7 @@ def _graph_stage(dataset: str) -> Graph:
 )
 def _reordering_stage(
     load_graph: Callable[[], Graph],
-    dataset: str,
+    graph_key: str,
     algorithm: str,
     track_memory: bool,
     params: dict,
@@ -102,9 +108,8 @@ def _reordering_stage(
 @cached_stage(
     "reordered-graph",
     code=("repro.generate", "repro.graph", "repro.reorder"),
-    key=lambda load_graph, load_result, dataset, algorithm, params: {
-        "dataset": dataset,
-        "scale": scale_factor(),
+    key=lambda load_graph, load_result, graph_key, algorithm, params: {
+        "graph": graph_key,
         "algorithm": algorithm,
         "params": params,
     },
@@ -112,7 +117,7 @@ def _reordering_stage(
 def _reordered_graph_stage(
     load_graph: Callable[[], Graph],
     load_result: Callable[[], ReorderResult],
-    dataset: str,
+    graph_key: str,
     algorithm: str,
     params: dict,
 ) -> Graph:
@@ -123,14 +128,12 @@ def _reordered_graph_stage(
 @cached_stage(
     "simulation",
     code=("repro.generate", "repro.graph", "repro.reorder", "repro.sim"),
-    key=lambda graph, config, dataset, algorithm, params, direction, with_scans, reverse: {
-        "dataset": dataset,
-        "scale": scale_factor(),
+    key=lambda graph, config, graph_key, algorithm, params, reverse: {
+        "graph": graph_key,
         "algorithm": algorithm,
         "params": params,
-        "direction": direction,
-        "with_scans": with_scans,
         "reverse": reverse,
+        "config": dataclasses.asdict(config),
     },
     encode=StoredSimulation.from_result,
     decode=lambda stored, graph, config, *rest: stored.to_result(graph, config),
@@ -138,29 +141,21 @@ def _reordered_graph_stage(
 def _simulation_stage(
     graph: Graph,
     config: SimulationConfig,
-    dataset: str,
+    graph_key: str,
     algorithm: str,
     params: dict,
-    direction: str,
-    with_scans: bool,
     reverse: bool,
 ) -> SimulationResult:
     return simulate_spmv(graph, config)
 
 
-def _scan_config(graph: Graph, direction: str) -> SimulationConfig:
-    """The ECS-sampling config the simulation-heavy experiments use."""
-    config = SimulationConfig.scaled_for(graph, direction=direction)
+def _scan_config(graph: Graph, **choices: Any) -> SimulationConfig:
+    """The graph-scaled config plus about 64 resident-set scans per
+    traversal, the samples the ECS metric reads."""
     approx_len = graph.num_edges + graph.num_vertices // 4
-    return SimulationConfig(
-        cache=config.cache,
-        tlb=config.tlb,
-        num_threads=config.num_threads,
-        interleave_interval=config.interleave_interval,
+    return dataclasses.replace(
+        SimulationConfig.scaled_for(graph, **choices),
         scan_interval=max(1, approx_len // 64),
-        direction=config.direction,
-        promote_sequential=config.promote_sequential,
-        timing=config.timing,
     )
 
 
@@ -205,29 +200,57 @@ class Workloads:
             "manifest": self.manifest,
         }
 
-    def graph(self, dataset: str) -> Graph:
-        """The named dataset analogue (generated once, store-backed)."""
-        if dataset not in DATASETS:
-            raise ExperimentError(
-                f"unknown dataset {dataset!r}; available: {sorted(DATASETS)}"
+    def _source(self, source: str) -> "tuple[str, Callable[[], Graph]]":
+        """Resolve a graph source to ``(graph key, graph loader)``.
+
+        A registry dataset resolves to its ``graph``-stage key, derived
+        without building anything; any other source names a stored graph
+        artifact by its content key.  The loader memoizes the graph in
+        memory; stages call it only on a store miss.
+        """
+        if source in DATASETS:
+            graph_key = _graph_stage.content_key(source)  # type: ignore[attr-defined]
+        else:
+            graph_key = source
+
+        def load() -> Graph:
+            if graph_key not in self._graphs:
+                with span("workload.graph", dataset=source):
+                    self._graphs[graph_key] = (
+                        _graph_stage(source, **self._stage_kwargs())
+                        if source in DATASETS
+                        else self._stored_graph(source)
+                    )
+            return self._graphs[graph_key]
+
+        return graph_key, load
+
+    def _stored_graph(self, graph_key: str) -> Graph:
+        if self._store is None:
+            raise ServeError(
+                f"unknown dataset {graph_key!r}; graph-by-fingerprint jobs "
+                "need a server-side artifact store"
             )
-        if dataset not in self._graphs:
-            with span("workload.graph", dataset=dataset):
-                self._graphs[dataset] = _graph_stage(
-                    dataset, **self._stage_kwargs()
-                )
-        return self._graphs[dataset]
+        graph = self._store.get(graph_key, "graph")
+        if graph is None:
+            raise ServeError(f"no stored graph artifact with key {graph_key!r}")
+        return graph
+
+    def graph(self, source: str) -> Graph:
+        """A registry dataset analogue (generated once, store-backed), or
+        a stored graph named by its content key."""
+        return self._source(source)[1]()
 
     def reordering(
         self,
-        dataset: str,
+        source: str,
         algorithm: str,
         *,
         track_memory: bool = False,
         factory: "Callable[[], object] | None" = None,
         **kwargs,
     ) -> ReorderResult:
-        """RA result on the dataset.
+        """RA result on the source graph (identity included).
 
         ``kwargs`` parameterize the algorithm and join the memo key, so
         variants (a custom SlashBurn ``k``, an EDR window) cache
@@ -239,12 +262,13 @@ class Workloads:
         magnitude slower), so only the Table II experiment requests it —
         and reads the preprocessing *time* from the untracked run.
         """
-        key = (dataset, algorithm, track_memory, _params_key(kwargs))
+        graph_key, load_graph = self._source(source)
+        key = (graph_key, algorithm, track_memory, _params_key(kwargs))
         if key not in self._reorderings:
-            with span("workload.reordering", dataset=dataset, algorithm=algorithm):
+            with span("workload.reordering", dataset=source, algorithm=algorithm):
                 self._reorderings[key] = _reordering_stage(
-                    lambda: self.graph(dataset),
-                    dataset,
+                    load_graph,
+                    graph_key,
                     algorithm,
                     track_memory,
                     dict(kwargs),
@@ -255,24 +279,25 @@ class Workloads:
 
     def reordered_graph(
         self,
-        dataset: str,
+        source: str,
         algorithm: str,
         *,
         factory: "Callable[[], object] | None" = None,
         **kwargs,
     ) -> Graph:
-        """The dataset rebuilt in the RA's new ID space."""
-        key = (dataset, algorithm, _params_key(kwargs))
+        """The source graph rebuilt in the RA's new ID space."""
+        graph_key, load_graph = self._source(source)
+        key = (graph_key, algorithm, _params_key(kwargs))
         if key not in self._reordered_graphs:
             if algorithm == "identity":
-                self._reordered_graphs[key] = self.graph(dataset)
+                self._reordered_graphs[key] = load_graph()
             else:
                 self._reordered_graphs[key] = _reordered_graph_stage(
-                    lambda: self.graph(dataset),
+                    load_graph,
                     lambda: self.reordering(
-                        dataset, algorithm, factory=factory, **kwargs
+                        source, algorithm, factory=factory, **kwargs
                     ),
-                    dataset,
+                    graph_key,
                     algorithm,
                     dict(kwargs),
                     **self._stage_kwargs(),
@@ -281,41 +306,53 @@ class Workloads:
 
     def simulation(
         self,
-        dataset: str,
+        source: str,
         algorithm: str = "identity",
         *,
         direction: str = "pull",
         with_scans: bool = True,
         reverse: bool = False,
+        policy: str = "drrip",
+        pressure: float = 0.08,
         factory: "Callable[[], object] | None" = None,
-        **kwargs,
+        params: "dict | None" = None,
     ) -> SimulationResult:
-        """Cached SpMV cache simulation of (dataset, RA, direction).
+        """Cached SpMV cache simulation of (source, RA, config).
 
         ``reverse=True`` simulates the reversed graph (a CSR read
         traversal — Table VI's comparison); ``with_scans`` adds the
-        periodic resident-set snapshots the ECS metric needs.
+        periodic resident-set snapshots the ECS metric needs; ``policy``
+        and ``pressure`` pick the cache (see
+        :meth:`SimulationConfig.scaled_for`).  ``params`` are the RA's
+        parameters, a dict because some share a name with these keywords
+        (the degree RAs' ``direction``).  The stored result is keyed by
+        the config the run used, not by these choices.
         """
-        key = (dataset, algorithm, direction, with_scans, reverse, _params_key(kwargs))
+        params = dict(params or {})
+        graph_key, _ = self._source(source)
+        key = (
+            graph_key, algorithm, _params_key(params), direction, with_scans,
+            reverse, policy, pressure,
+        )
         if key not in self._simulations:
             graph = self.reordered_graph(
-                dataset, algorithm, factory=factory, **kwargs
+                source, algorithm, factory=factory, **params
             )
             if reverse:
                 graph = graph.reversed()
-            if with_scans:
-                config = _scan_config(graph, direction)
-            else:
-                config = SimulationConfig.scaled_for(graph, direction=direction)
-            with span("workload.simulation", dataset=dataset, algorithm=algorithm):
+            choices = {"direction": direction, "policy": policy, "pressure": pressure}
+            config = (
+                _scan_config(graph, **choices)
+                if with_scans
+                else SimulationConfig.scaled_for(graph, **choices)
+            )
+            with span("workload.simulation", dataset=source, algorithm=algorithm):
                 self._simulations[key] = _simulation_stage(
                     graph,
                     config,
-                    dataset,
+                    graph_key,
                     algorithm,
-                    dict(kwargs),
-                    direction,
-                    with_scans,
+                    params,
                     reverse,
                     **self._stage_kwargs(),
                 )

@@ -33,7 +33,17 @@ __all__ = [
 #: misbehaving client from ballooning the server.
 MAX_BODY_BYTES = 16 << 20
 
+#: Longest request or header line (the stream reader's buffer limit);
+#: a longer one is a 400.
 _MAX_LINE_BYTES = 64 << 10
+
+#: Most header lines one request may carry.
+_MAX_HEADER_LINES = 100
+
+#: Longest time from a request's first byte to its last body byte.  An
+#: idle keep-alive connection waits for that first byte without bound;
+#: a client that starts a request and stalls gets a 400 after this.
+REQUEST_TIMEOUT_S = 10.0
 
 _REASONS = {
     200: "OK",
@@ -82,28 +92,48 @@ class HttpResponse:
     headers: Dict[str, str] = field(default_factory=dict)
 
 
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # the line outgrew the reader's limit
+        raise ServeError(f"line longer than {_MAX_LINE_BYTES} bytes") from exc
+    except ConnectionError as exc:
+        raise ServeError(f"broken request stream: {exc}") from exc
+
+
 async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
     """Parse one request off the stream; ``None`` on a clean EOF.
 
-    Malformed framing raises :class:`ServeError`; the connection loop
-    answers 400 and closes.
+    Malformed framing, and a request not complete within
+    :data:`REQUEST_TIMEOUT_S` of its first byte, raise
+    :class:`ServeError`; the connection loop answers 400 and closes.
     """
     try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError) as exc:
+        first = await reader.read(1)
+    except ConnectionError as exc:
         raise ServeError(f"broken request stream: {exc}") from exc
-    if not line:
+    if not first:
         return None
-    if len(line) > _MAX_LINE_BYTES:
-        raise ServeError("request line too long")
+    try:
+        return await asyncio.wait_for(
+            _read_rest(reader, first), timeout=REQUEST_TIMEOUT_S
+        )
+    except asyncio.TimeoutError as exc:
+        raise ServeError(
+            f"request not complete within {REQUEST_TIMEOUT_S:g} s"
+        ) from exc
+
+
+async def _read_rest(reader: asyncio.StreamReader, first: bytes) -> HttpRequest:
+    line = first + await _readline(reader)
     parts = line.decode("latin-1").strip().split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-        raise ServeError(f"malformed request line: {line!r}")
+        raise ServeError(f"malformed request line: {line[:200]!r}")
     method, target, _version = parts
     path = target.split("?", 1)[0]
     headers: Dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
+    for _ in range(_MAX_HEADER_LINES + 1):
+        raw = await _readline(reader)
         if not raw:
             raise ServeError("connection closed mid-headers")
         text = raw.decode("latin-1").strip()
@@ -111,21 +141,24 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
             break
         name, sep, value = text.partition(":")
         if not sep:
-            raise ServeError(f"malformed header line: {text!r}")
+            raise ServeError(f"malformed header line: {text[:200]!r}")
         headers[name.strip().lower()] = value.strip()
+    else:
+        raise ServeError(f"more than {_MAX_HEADER_LINES} header lines")
     body = b""
     length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError as exc:
-        raise ServeError(f"bad Content-Length: {length_text!r}") from exc
-    if length < 0 or length > MAX_BODY_BYTES:
+    if not (length_text.isascii() and length_text.isdigit()):
+        raise ServeError(f"bad Content-Length: {length_text[:40]!r}")
+    length = int(length_text)
+    if length > MAX_BODY_BYTES:
         raise ServeError(f"Content-Length {length} outside [0, {MAX_BODY_BYTES}]")
     if length:
         try:
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError as exc:
             raise ServeError("connection closed mid-body") from exc
+        except ConnectionError as exc:
+            raise ServeError(f"broken request stream: {exc}") from exc
     return HttpRequest(method=method.upper(), path=path, headers=headers, body=body)
 
 
@@ -200,7 +233,9 @@ async def start_http_server(
     ) -> None:
         await _serve_connection(handler, reader, writer)
 
-    server = await asyncio.start_server(connection, host=host, port=port)
+    server = await asyncio.start_server(
+        connection, host=host, port=port, limit=_MAX_LINE_BYTES
+    )
     if not server.sockets:
         raise ServeError(f"could not bind {host}:{port}")
     bound_host, bound_port = server.sockets[0].getsockname()[:2]

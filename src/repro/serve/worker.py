@@ -3,10 +3,15 @@
 :func:`execute_job` is what the service's bounded worker pool runs.  It
 mirrors ``run_experiments(executor="process")`` (the harness's process
 fan-out): each worker rebuilds a store-backed
-:class:`~repro.bench.workloads.Workloads` cache, and the
-content-addressed store is the sharing mechanism — identical jobs
-across workers, requests, or server restarts resolve to warm artifacts
-with zero recomputation.
+:class:`~repro.bench.workloads.Workloads` cache and runs the job
+through its stages — the same stages, under the same keys, the
+experiment harness uses.  A job names its graph by registry dataset or
+by a stored graph's content key; both resolve to that graph's key, and
+every downstream artifact is keyed by it, so the harness, dataset jobs
+and graph-key jobs warm each other.  The content-addressed store is the
+sharing mechanism: identical work across workers, requests, server
+restarts or harness runs resolves to warm artifacts with zero
+recomputation.
 
 The entry point is listed under ``effects-replay-safe`` in
 ``[tool.repro-lint]``, so RL007 audits it like the shard workers:
@@ -22,7 +27,7 @@ ids only.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -31,173 +36,28 @@ from repro.core.aid import aid_degree_distribution, aid_per_vertex
 from repro.core.ecs import ECSMeasurement, ecs_from_result
 from repro.core.missdist import miss_rate_degree_distribution
 from repro.errors import ServeError
-from repro.generate.datasets import scale_factor
-from repro.graph.graph import Graph
 from repro.lint.contracts import declares_effects
-from repro.reorder import ReorderResult, get_algorithm
 from repro.serve.jobs import JOB_KINDS
-from repro.sim.simulator import SimulationConfig, SimulationResult, simulate_spmv
-from repro.store.memo import cached_stage
-from repro.store.serializers import StoredSimulation
+from repro.sim.simulator import SimulationResult
 from repro.store.store import ArtifactStore
 
 __all__ = ["execute_job"]
 
-#: Code scope of the serve-owned stages below — the same modules the
-#: workloads stages version, so serve artifacts self-invalidate on the
-#: same edits.
-_STAGE_CODE = ("repro.generate", "repro.graph", "repro.reorder", "repro.sim")
 
-
-# -- serve-owned cached stages ----------------------------------------------
-#
-# Reorder jobs on registry datasets flow through the *workloads* stages
-# (shared with the experiment harness, so a benchmark's artifacts warm
-# the service and vice versa).  Jobs that differ from the harness's
-# fixed simulation shape — a chosen policy/pressure, or a graph
-# submitted by fingerprint — get their own stages with those choices in
-# the key, because the workloads keys do not carry them.  Upstream
-# inputs arrive as loaders that only a store miss calls.
-
-
-@cached_stage(
-    "reordering",
-    code=_STAGE_CODE,
-    key=lambda load_graph, graph_key, algorithm, params: {
-        "graph_fingerprint": graph_key,
-        "algorithm": algorithm,
-        "params": params,
-    },
-)
-def _stored_reordering_stage(
-    load_graph: Callable[[], Graph],
-    graph_key: str,
-    algorithm: str,
-    params: Dict[str, Any],
-) -> ReorderResult:
-    return get_algorithm(algorithm, **params)(load_graph())
-
-
-@cached_stage(
-    "reordered-graph",
-    code=_STAGE_CODE,
-    key=lambda load_graph, load_result, graph_key, algorithm, params: {
-        "graph_fingerprint": graph_key,
-        "algorithm": algorithm,
-        "params": params,
-    },
-)
-def _stored_reordered_graph_stage(
-    load_graph: Callable[[], Graph],
-    load_result: Callable[[], ReorderResult],
-    graph_key: str,
-    algorithm: str,
-    params: Dict[str, Any],
-) -> Graph:
-    result: ReorderResult = load_result()
-    return result.apply(load_graph())
-
-
-@cached_stage(
-    "simulation",
-    code=_STAGE_CODE,
-    key=lambda graph, config, identity: {**identity, "scale": scale_factor()},
-    encode=StoredSimulation.from_result,
-    decode=lambda stored, graph, config, identity: stored.to_result(graph, config),
-)
-def _serve_simulation_stage(
-    graph: Graph, config: SimulationConfig, identity: Dict[str, Any]
-) -> SimulationResult:
-    return simulate_spmv(graph, config)
-
-
-# -- graph resolution --------------------------------------------------------
-
-
-def _stored_graph(workloads: Workloads, graph_key: str) -> Graph:
-    store = workloads.store
-    if store is None:
-        raise ServeError(
-            "graph-by-fingerprint jobs need a server-side artifact store"
-        )
-    graph = store.get(graph_key, "graph")
-    if graph is None:
-        raise ServeError(f"no stored graph artifact with key {graph_key!r}")
-    return graph
-
-
-def _stored_reordering(
-    workloads: Workloads, graph_key: str, algorithm: str, params: Dict[str, Any]
-) -> ReorderResult:
-    return _stored_reordering_stage(
-        lambda: _stored_graph(workloads, graph_key), graph_key, algorithm, params,
-        **_stage_kwargs(workloads),
-    )
-
-
-def _reordered_graph(workloads: Workloads, job: Dict[str, Any]) -> Graph:
-    dataset = job.get("dataset")
-    algorithm = job["algorithm"]
-    params: Dict[str, Any] = job["params"]
-    if dataset is not None:
-        return workloads.reordered_graph(dataset, algorithm, **params)
-    graph_key: str = job["graph_fingerprint"]
-    if algorithm == "identity":
-        return _stored_graph(workloads, graph_key)
-    return _stored_reordered_graph_stage(
-        lambda: _stored_graph(workloads, graph_key),
-        lambda: _stored_reordering(workloads, graph_key, algorithm, params),
-        graph_key, algorithm, params,
-        **_stage_kwargs(workloads),
-    )
-
-
-def _stage_kwargs(workloads: Workloads) -> Dict[str, Any]:
-    return {
-        "store": workloads.store,
-        "refresh": False,
-        "manifest": workloads.manifest,
-    }
-
-
-def _scan_config(
-    graph: Graph, *, policy: str, direction: str, pressure: float
-) -> SimulationConfig:
-    """The job's cache geometry, with ECS scans enabled (DESIGN.md §13)."""
-    base = SimulationConfig.scaled_for(
-        graph, direction=direction, policy=policy, pressure=pressure
-    )
-    approx_len = graph.num_edges + graph.num_vertices // 4
-    return SimulationConfig(
-        cache=base.cache,
-        tlb=base.tlb,
-        num_threads=base.num_threads,
-        interleave_interval=base.interleave_interval,
-        scan_interval=max(1, approx_len // 64),
-        direction=base.direction,
-        promote_sequential=base.promote_sequential,
-        timing=base.timing,
-    )
+def _source(job: Dict[str, Any]) -> str:
+    """The job's graph source: a registry dataset or a stored graph key."""
+    source: str = job["dataset"] or job["graph_fingerprint"]
+    return source
 
 
 def _simulation(workloads: Workloads, job: Dict[str, Any]) -> SimulationResult:
-    graph = _reordered_graph(workloads, job)
-    config = _scan_config(
-        graph,
-        policy=job["policy"],
+    return workloads.simulation(
+        _source(job),
+        job["algorithm"],
         direction=job["direction"],
+        policy=job["policy"],
         pressure=job["pressure"],
-    )
-    identity = {
-        "graph": job.get("dataset") or job["graph_fingerprint"],
-        "algorithm": job["algorithm"],
-        "params": job["params"],
-        "policy": job["policy"],
-        "direction": job["direction"],
-        "pressure": job["pressure"],
-    }
-    return _serve_simulation_stage(
-        graph, config, identity, **_stage_kwargs(workloads)
+        params=job["params"],
     )
 
 
@@ -205,22 +65,7 @@ def _simulation(workloads: Workloads, job: Dict[str, Any]) -> SimulationResult:
 
 
 def _reorder_response(workloads: Workloads, job: Dict[str, Any]) -> Dict[str, Any]:
-    dataset = job.get("dataset")
-    algorithm = job["algorithm"]
-    params: Dict[str, Any] = job["params"]
-    if dataset is not None:
-        result = workloads.reordering(dataset, algorithm, **params)
-    else:
-        graph_key: str = job["graph_fingerprint"]
-        if algorithm == "identity":
-            graph = _stored_graph(workloads, graph_key)
-            result = ReorderResult(
-                algorithm="identity",
-                relabeling=np.arange(graph.num_vertices, dtype=np.int64),
-                preprocessing_seconds=0.0,
-            )
-        else:
-            result = _stored_reordering(workloads, graph_key, algorithm, params)
+    result = workloads.reordering(_source(job), job["algorithm"], **job["params"])
     order = np.ascontiguousarray(result.relabeling)
     payload: Dict[str, Any] = {
         "algorithm": result.algorithm,
@@ -259,7 +104,9 @@ def _simulate_response(workloads: Workloads, job: Dict[str, Any]) -> Dict[str, A
 
 
 def _analyze_response(workloads: Workloads, job: Dict[str, Any]) -> Dict[str, Any]:
-    graph = _reordered_graph(workloads, job)
+    graph = workloads.reordered_graph(
+        _source(job), job["algorithm"], **job["params"]
+    )
     aid_direction = "in" if job["direction"] == "pull" else "out"
     aid = aid_per_vertex(graph, direction=aid_direction)
     distribution = aid_degree_distribution(graph, direction=aid_direction)

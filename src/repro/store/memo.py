@@ -20,7 +20,9 @@ calls, whose identity is already captured by upstream parameters — but
 from an explicit ``key`` callable mapping the call to a provenance dict.
 ``encode``/``decode`` adapt results whose natural form needs call
 context to reconstruct (a stored simulation needs its graph and config
-back).
+back).  ``stage.content_key(*args)`` derives the key a call would use
+without running or loading anything, so a downstream stage can name its
+input by that key.
 """
 
 from __future__ import annotations
@@ -80,6 +82,11 @@ def cached_stage(
     """
 
     def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
+        def derive(*args: Any, **kwargs: Any) -> "tuple[dict, str, str]":
+            params = key(*args, **kwargs)
+            version = code_version(*code)
+            return params, version, fingerprint(kind, params, version)
+
         @functools.wraps(fn)
         def wrapper(
             *args: Any,
@@ -97,9 +104,7 @@ def cached_stage(
                         kind, "", "computed", _stage_clock() - start
                     )
                 return result
-            params = key(*args, **kwargs)
-            version = code_version(*code)
-            content_key = fingerprint(kind, params, version)
+            params, version, content_key = derive(*args, **kwargs)
             with span(f"store.{kind}") as stage_span, store.pin(content_key, kind):
                 if not refresh:
                     start = _stage_clock()
@@ -155,8 +160,10 @@ def cached_stage(
                     )
             return result
 
-        wrapper.__wrapped_stage__ = fn  # type: ignore[attr-defined]
-        wrapper.stage_kind = kind  # type: ignore[attr-defined]
+        def content_key(*args: Any, **kwargs: Any) -> str:
+            return derive(*args, **kwargs)[2]
+
+        wrapper.content_key = content_key  # type: ignore[attr-defined]
         return wrapper
 
     return decorate

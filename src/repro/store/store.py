@@ -147,14 +147,19 @@ class ArtifactStore:
     def put(
         self, key: str, kind: str, obj: Any, provenance: Optional[dict] = None
     ) -> ArtifactInfo:
-        """Serialize and commit one artifact atomically; returns its info."""
+        """Serialize and commit one artifact atomically; returns its info.
+
+        A failed write (a full disk, a read-only store) leaves no scratch
+        file behind and raises :class:`StoreError` naming the artifact
+        and the errno.
+        """
         serializer = get_serializer(kind)
         bucket = self._bucket(kind, key)
-        bucket.mkdir(parents=True, exist_ok=True)
         token = _tmp_token()
         payload_tmp = bucket / f"{token}{serializer.extension}"
         meta_tmp = bucket / f"{token}{_META_SUFFIX}"
         try:
+            bucket.mkdir(parents=True, exist_ok=True)
             serializer.save(obj, payload_tmp)
             checksum = _sha256_file(payload_tmp)
             created_at = _wallclock()
@@ -170,6 +175,11 @@ class ArtifactStore:
             meta_tmp.write_text(json.dumps(meta, indent=2), encoding="utf-8")
             os.replace(payload_tmp, self._payload_path(kind, key))
             os.replace(meta_tmp, self._meta_path(kind, key))
+        except OSError as exc:
+            raise StoreError(
+                f"cannot write {kind} artifact {key}: "
+                f"[errno {exc.errno}] {exc.strerror or exc}"
+            ) from exc
         finally:
             for leftover in (payload_tmp, meta_tmp):
                 with contextlib.suppress(OSError):

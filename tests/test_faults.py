@@ -1,4 +1,4 @@
-"""Fault injection at the store boundary: corrupt artifacts on purpose.
+"""Fault injection at the store and HTTP boundaries.
 
 A stored graph artifact is truncated or has one bit flipped on disk.
 Every read path must notice within a bounded time, quarantine the
@@ -6,25 +6,40 @@ artifact and report a miss: the store on its own (heap and
 ``mmap_mode="r"`` loads), the memoized pipeline (which then recomputes
 a bit-identical graph), and a warm service request (which still
 answers 200 with the result it gave before the fault).
+
+A store write hits a full disk: the store raises a typed
+:class:`StoreError`, leaves no scratch file, and the service answers a
+500 naming it.  An HTTP client sends broken framing — an over-long
+line, too many headers, a request it never finishes: the server
+answers 400 within a bound instead of dropping the connection or
+holding it forever, and the request parser raises nothing but
+:class:`ServeError` on any byte stream.
 """
 
 from __future__ import annotations
 
 import asyncio
+import errno
 import gc
 import hashlib
 import json
+import logging
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.workloads import Workloads
+from repro.errors import ServeError, StoreError
+from repro.serve import http
 from repro.serve.app import ReorderService
-from repro.serve.http import request_once
+from repro.serve.http import HttpRequest, HttpResponse, read_request, request_once
 from repro.store import ArtifactStore
+from repro.store.serializers import get_serializer
 
 _DATASET = "twtr-mini"
 _KEY = "ab" * 32
@@ -156,3 +171,180 @@ class TestWarmServe:
         assert warm["stages"]["computed"] == 1
         assert info.path.name in _quarantined(store, "reordered-graph")
         assert store.contains(info.key, "reordered-graph")
+
+
+# -- full disk on store writes ---------------------------------------------
+
+
+def _full_disk(*_args, **_kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _inject_enospc(monkeypatch, where: str, kind: str) -> None:
+    """Fail ``kind``'s payload save, or every sidecar write, with ENOSPC."""
+    if where == "payload":
+        monkeypatch.setattr(get_serializer(kind), "save", _full_disk)
+        return
+    write_text = Path.write_text
+
+    def sidecar_fails(path: Path, *args, **kwargs):
+        if path.name.startswith("tmp-") and path.name.endswith(".meta.json"):
+            _full_disk()
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", sidecar_fails)
+
+
+def _scratch_files(store: ArtifactStore) -> list:
+    return sorted(p.name for p in store.root.rglob("tmp-*"))
+
+
+@pytest.mark.parametrize("where", ["payload", "sidecar"])
+class TestFullDisk:
+    def test_put_raises_store_error(self, tmp_path, tiny_graph, monkeypatch, where):
+        store = ArtifactStore(tmp_path / "store")
+        _inject_enospc(monkeypatch, where, "graph")
+
+        start = time.perf_counter()
+        with pytest.raises(StoreError) as caught:
+            store.put(_KEY, "graph", tiny_graph)
+        assert time.perf_counter() - start < _BOUND_S
+        message = str(caught.value)
+        assert "graph" in message and _KEY in message
+        assert f"errno {errno.ENOSPC}" in message
+        assert isinstance(caught.value.__cause__, OSError)
+        assert _scratch_files(store) == []
+        assert not store.contains(_KEY, "graph")
+
+    def test_simulate_answers_500_naming_store_error(
+        self, tmp_path, tiny_scale, monkeypatch, where
+    ):
+        store = ArtifactStore(tmp_path / "store")
+        _inject_enospc(monkeypatch, where, "simulation")
+
+        async def scenario():
+            service = ReorderService(
+                store_root=str(store.root),
+                max_workers=1,
+                max_queue_depth=2,
+                executor="thread",
+            )
+            host, port = await service.start()
+            try:
+                return await asyncio.wait_for(
+                    request_once(
+                        host, port, "POST", "/simulate",
+                        {"dataset": _DATASET, "algorithm": "degree"},
+                    ),
+                    timeout=_BOUND_S,
+                )
+            finally:
+                await service.stop()
+
+        status, body, _headers = asyncio.run(scenario())
+        assert status == 500
+        assert body["error"].startswith("StoreError:")
+        assert f"errno {errno.ENOSPC}" in body["error"]
+        assert _scratch_files(store) == []
+        assert store.infos("simulation") == []
+
+
+# -- HTTP framing ------------------------------------------------------------
+
+
+async def _ok(_request: HttpRequest) -> HttpResponse:
+    return HttpResponse(200, {"ok": True})
+
+
+async def _exchange(chunks, *, pause_s: float = 0.0) -> "tuple[bytes, float]":
+    """Send ``chunks`` to a fresh server (pausing ``pause_s`` between
+    them), then read until the server closes; returns the bytes read and
+    the seconds from the last send to the close."""
+    server, host, port = await http.start_http_server(_ok, "127.0.0.1", 0)
+    try:
+        reader, writer = await asyncio.open_connection(host, port)
+        for index, chunk in enumerate(chunks):
+            if index and pause_s:
+                await asyncio.sleep(pause_s)
+            writer.write(chunk)
+            await writer.drain()
+        sent = time.perf_counter()
+        received = await asyncio.wait_for(reader.read(), timeout=_BOUND_S)
+        elapsed = time.perf_counter() - sent
+        writer.close()
+        await writer.wait_closed()
+        return received, elapsed
+    finally:
+        server.close()
+        await server.wait_closed()
+
+
+_REQUEST = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+_LONG = b"a" * (http._MAX_LINE_BYTES + 10)
+
+
+class TestHttpFraming:
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /" + _LONG + b" HTTP/1.1\r\n\r\n",
+            b"GET / HTTP/1.1\r\nX-Long: " + _LONG + b"\r\n\r\n",
+            b"GET / HTTP/1.1\r\n"
+            + b"X-H: 1\r\n" * (http._MAX_HEADER_LINES + 1)
+            + b"\r\n",
+        ],
+        ids=["request-line", "header-line", "header-count"],
+    )
+    def test_oversized_framing_is_a_400(self, request_bytes, caplog):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            received, elapsed = asyncio.run(_exchange([request_bytes]))
+        assert received.startswith(b"HTTP/1.1 400 ")
+        assert elapsed < _BOUND_S
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    def test_stalled_request_times_out(self, monkeypatch):
+        monkeypatch.setattr(http, "REQUEST_TIMEOUT_S", 0.3)
+        received, elapsed = asyncio.run(_exchange([b"GET / HTTP/1.1\r\n"]))
+        assert received.startswith(b"HTTP/1.1 400 ")
+        assert b"not complete within" in received
+        assert 0.2 < elapsed < 0.3 + _BOUND_S / 2
+
+    def test_idle_keep_alive_is_not_timed_out(self, monkeypatch):
+        monkeypatch.setattr(http, "REQUEST_TIMEOUT_S", 0.2)
+        received, _elapsed = asyncio.run(
+            _exchange(
+                [_REQUEST, _REQUEST.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n")],
+                pause_s=0.5,
+            )
+        )
+        assert received.count(b"HTTP/1.1 200 ") == 2
+
+
+_FRAGMENTS = st.sampled_from([
+    b"GET / HTTP/1.1\r\n", b"POST /simulate HTTP/1.0\r\n", b"\r\n", b"\n",
+    b"Content-Length: 5\r\n", b"Content-Length: -1\r\n",
+    b"Content-Length: 99999999999\r\n", b"content-length: \xb2\r\n",
+    b"Connection: close\r\n", b"X: y\r\n", b"no-colon\r\n", b"hello",
+    b"a" * 80,
+])
+
+
+async def _parse_all(data: bytes) -> None:
+    reader = asyncio.StreamReader(limit=64)
+    reader.feed_data(data)
+    reader.feed_eof()
+    while True:
+        request = await read_request(reader)
+        if request is None:
+            return
+        assert isinstance(request, HttpRequest)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=400), st.lists(_FRAGMENTS, max_size=12).map(b"".join)))
+def test_read_request_fuzz(data):
+    """Any byte stream parses to requests and a clean EOF, or ServeError."""
+    try:
+        asyncio.run(_parse_all(data))
+    except ServeError:
+        pass

@@ -16,11 +16,13 @@ import asyncio
 import json
 import threading
 import time
+from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
 
 from repro import obs
+from repro.bench.workloads import Workloads
 from repro.errors import ServeError
 from repro.obs import metrics
 from repro.serve import app as app_module
@@ -31,6 +33,7 @@ from repro.serve.http import HttpClient, request_once
 from repro.serve.jobs import canonical_job, job_fingerprint
 from repro.serve.loadgen import LoadSpec, run_load, zipf_requests
 from repro.serve.pool import WorkerPool
+from repro.store import ArtifactStore
 
 
 @pytest.fixture
@@ -559,11 +562,105 @@ class TestGraphByFingerprint:
             finally:
                 await service.stop()
 
-        for cold, warm in asyncio.run(scenario()):
-            assert cold["stages"]["computed"] == 1
+        pairs = asyncio.run(scenario())
+        # The dataset job computes the reordering; the graph-key job names
+        # the same graph, so its first request is already a hit.
+        assert pairs[0][0]["stages"]["computed"] == 1
+        assert pairs[1][0]["stages"] == {"hits": 1, "computed": 0}
+        for cold, warm in pairs:
             assert warm["stages"] == {"hits": 1, "computed": 0}
             assert set(warm["artifacts"]) == {"reordering"}
             assert warm["result"] == cold["result"]
+
+
+class TestOneStageFamily:
+    """The harness, dataset jobs and graph-key jobs share one artifact
+    per result: every stage downstream of the graph is keyed by the
+    source graph's content key."""
+
+    @staticmethod
+    def _run(kind: str, payload: Dict[str, Any], store_root: str) -> Dict[str, Any]:
+        return worker_module.execute_job(canonical_job(payload, kind=kind), store_root)
+
+    def test_graph_key_jobs_reuse_dataset_artifacts(self, tmp_path, serving_env):
+        root = str(tmp_path / "store")
+        by_dataset = {"dataset": "twtr-mini", "algorithm": "dbg"}
+        cold_reorder = self._run("reorder", by_dataset, root)
+        cold_simulate = self._run("simulate", by_dataset, root)
+        by_key = {
+            "graph_fingerprint": cold_reorder["artifacts"]["graph"],
+            "algorithm": "dbg",
+        }
+        reorder = self._run("reorder", by_key, root)
+        simulate = self._run("simulate", by_key, root)
+        assert reorder["stages"]["computed"] == 0
+        assert simulate["stages"]["computed"] == 0
+        assert reorder["result"] == cold_reorder["result"]
+        assert simulate["result"] == cold_simulate["result"]
+
+    def test_identity_reorder_is_one_rule_for_both_sources(
+        self, tmp_path, serving_env
+    ):
+        root = str(tmp_path / "store")
+        by_dataset = self._run(
+            "reorder", {"dataset": "twtr-mini", "algorithm": "identity"}, root
+        )
+        by_key = self._run(
+            "reorder",
+            {"graph_fingerprint": by_dataset["artifacts"]["graph"]},
+            root,
+        )
+        assert by_key["stages"] == {"hits": 1, "computed": 0}
+        assert by_key["artifacts"] == {
+            "reordering": by_dataset["artifacts"]["reordering"]
+        }
+        assert by_key["result"] == by_dataset["result"]
+
+    def test_harness_simulation_warms_the_service(self, tmp_path, serving_env):
+        store = ArtifactStore(tmp_path / "store")
+        harness = Workloads(store=store).simulation("twtr-mini", "dbg")
+        served = self._run(
+            "simulate", {"dataset": "twtr-mini", "algorithm": "dbg"}, str(store.root)
+        )
+        assert served["stages"]["computed"] == 0
+        assert served["result"]["l3_misses"] == harness.l3_misses
+
+    def test_one_artifact_per_result(self, tmp_path, serving_env):
+        store = ArtifactStore(tmp_path / "store")
+        harness = Workloads(store=store).simulation("twtr-mini", "dbg")
+        (graph,) = store.infos("graph")
+        by_key = {"graph_fingerprint": graph.key, "algorithm": "dbg"}
+        served = [
+            self._run("simulate", {"dataset": "twtr-mini", "algorithm": "dbg"},
+                      str(store.root)),
+            self._run("reorder", by_key, str(store.root)),
+            self._run("simulate", by_key, str(store.root)),
+        ]
+        assert [out["stages"]["computed"] for out in served] == [0, 0, 0]
+        assert served[0]["result"]["l3_misses"] == harness.l3_misses
+        assert served[2]["result"]["l3_misses"] == harness.l3_misses
+        kinds = Counter(info.kind for info in store.infos())
+        assert kinds == {
+            "graph": 1, "reordering": 1, "reordered-graph": 1, "simulation": 1,
+        }
+
+    def test_ra_param_named_like_a_simulation_option(self, tmp_path, serving_env):
+        # The degree RA's ``direction`` is an RA parameter, not the
+        # traversal direction of the simulation.
+        root = str(tmp_path / "store")
+        payload = {
+            "dataset": "twtr-mini",
+            "algorithm": "degree",
+            "params": {"direction": "in"},
+            "direction": "push",
+        }
+        out = self._run("simulate", payload, root)
+        store = ArtifactStore(root)
+        (reordering,) = store.infos("reordering")
+        (simulation,) = store.infos("simulation")
+        assert reordering.provenance["params"]["params"] == {"direction": "in"}
+        assert simulation.provenance["params"]["config"]["direction"] == "push"
+        assert out["result"]["num_accesses"] > 0
 
 
 # -- load generator ----------------------------------------------------------
