@@ -1,23 +1,17 @@
-"""Scale tier: streamed-pipeline memory and sharded-simulation speed.
+"""Scale tier: streamed-pipeline memory and wall-clock.
 
-Two measurements on one RM-family benchmark graph, each taken in a
-*child interpreter* so ``ru_maxrss`` is an honest per-mode peak rather
-than whatever this process touched earlier:
+Two runs of :func:`repro.sim.simulate_spmv` on one RM-family benchmark
+graph, each in a *child interpreter* so ``ru_maxrss`` is an honest
+per-mode peak rather than whatever this process touched earlier: one
+at the default ``chunk_accesses`` and one at a small chunk
+(``_SMALL_CHUNK``), which crosses many more chunk, batch and segment
+boundaries.
 
-1. **Peak RSS** — both children run :func:`repro.sim.simulate_spmv`,
-   which streams bounded chunks; the ceiling gate keeps the peak
-   O(graph + chunk), never O(trace).
-2. **Wall-clock, 4-way sharded vs single-process** — the sharded child
-   uses ``shard_mode="process"``.  The >= 1.3x gate applies only with
-   >= 4 cores *and* >= ``_SPEEDUP_GATE_MIN_EDGES`` edges (``applicable``
-   records the decision) — process sharding on one core is pure
-   overhead by design, and below acceptance size the serial
-   trace-generation share caps the speedup by Amdahl regardless of
-   cores.
-
-Every child also reports its headline counters, and the parent asserts
-all modes agree bit-exactly — the speed/memory numbers are only
-meaningful because the answers are identical.
+- **Bit-exactness** — each child reports its headline counters, and the
+  parent asserts both runs agree exactly: the memory and time numbers
+  are only meaningful because the answers are identical.
+- **Peak RSS** — the ceiling gate keeps each child's peak
+  O(graph + chunk), never O(trace).
 
 The payload additionally carries the ``scale_curve`` experiment's
 ladder (miss rate / mean AID / effective diameter vs. size), so
@@ -53,10 +47,6 @@ _OUTPUT = _REPO_ROOT / "BENCH_scale.json"
 #: lifts it to the 10^7–10^8 acceptance band.
 _DEFAULT_VERTICES = 1 << 17
 
-#: The shard speedup is gated only above this edge count: below it the
-#: serial trace generation dominates and caps any speedup.
-_SPEEDUP_GATE_MIN_EDGES = 4_000_000
-
 #: Absolute streamed-peak ceiling: fixed interpreter+graph allowance
 #: plus a per-edge budget.  The graph (CSR both directions + vertex
 #: data) is O(edges); the point of the ceiling is that the *trace* term
@@ -64,7 +54,11 @@ _SPEEDUP_GATE_MIN_EDGES = 4_000_000
 _RSS_CEILING_BASE = 400 << 20
 _RSS_CEILING_PER_EDGE = 120
 
-_MODES = ("serial", "sharded4")
+#: ``chunk_accesses`` of the small-chunk child (the other one runs the
+#: default of 2^20).
+_SMALL_CHUNK = 1 << 15
+
+_MODES = ("streamed", "small_chunks")
 
 
 def _child_main(mode: str, graph_path: str) -> None:
@@ -83,10 +77,10 @@ def _child_main(mode: str, graph_path: str) -> None:
     graph = load_graph_npz(Path(graph_path), mmap_mode="r")
     config = SimulationConfig.scaled_for(graph)
     t0 = time.perf_counter()
-    if mode == "serial":
+    if mode == "streamed":
         result = simulate_spmv(graph, config)
-    elif mode == "sharded4":
-        result = simulate_spmv(graph, config, num_shards=4, shard_mode="process")
+    elif mode == "small_chunks":
+        result = simulate_spmv(graph, config, chunk_accesses=_SMALL_CHUNK)
     else:
         raise ValueError(f"unknown child mode {mode!r}")
     seconds = time.perf_counter() - t0
@@ -139,23 +133,9 @@ def run_bench(num_vertices: int = _DEFAULT_VERTICES) -> dict:
         save_graph_npz(build_ladder_graph(num_vertices), graph_path)
         modes = {mode: _run_child(mode, graph_path) for mode in _MODES}
 
-    num_edges = modes["serial"]["num_edges"]
+    num_edges = modes["streamed"]["num_edges"]
     rss_ceiling = _RSS_CEILING_BASE + _RSS_CEILING_PER_EDGE * num_edges
-    speedup = modes["serial"]["seconds"] / modes["sharded4"]["seconds"]
-    cores = os.cpu_count() or 1
-    # Below ~4M edges the coordinator's serial share (trace gen +
-    # interleave, ~17% of the streamed wall at 10^6) caps the best
-    # 4-way speedup under the gate by Amdahl alone; the gate is only
-    # meaningful where replay dominates.  A waived gate must say so out
-    # loud: each inapplicable gate records an explicit ``waived`` reason
-    # so BENCH_scale.json (and the CI step summary) never silently
-    # passes on a box that could not exercise the gate.
-    speedup_applicable = cores >= 4 and num_edges >= _SPEEDUP_GATE_MIN_EDGES
-    speedup_waived = None
-    if cores < 4:
-        speedup_waived = f"{cores} core(s) < 4"
-    elif num_edges < _SPEEDUP_GATE_MIN_EDGES:
-        speedup_waived = f"{num_edges} edges < {_SPEEDUP_GATE_MIN_EDGES}"
+    peak_rss = max(modes[m]["peak_rss_bytes"] for m in _MODES)
 
     # Same pinned-geometry ladder as the scale_curve experiment: the
     # cache is sized once for the smallest rung so the curve walks the
@@ -174,44 +154,28 @@ def run_bench(num_vertices: int = _DEFAULT_VERTICES) -> dict:
     payload = {
         "bench": "scale_curve",
         "description": (
-            "scale-tier streamed/sharded simulation: per-mode child peak "
-            "RSS and wall-clock on one RM-family graph, plus the "
+            "scale-tier streamed simulation at two chunk sizes: per-mode "
+            "child peak RSS and wall-clock on one RM-family graph, plus the "
             "locality-vs-scale ladder (miss rate / AID / effective "
             "diameter vs. size)"
         ),
         "num_vertices": num_vertices,
         "num_edges": num_edges,
-        "cpu_count": cores,
+        "cpu_count": os.cpu_count() or 1,
         "modes": modes,
         "gates": {
             "bit_exact": {
                 "holds": all(
-                    modes[m]["num_accesses"] == modes["serial"]["num_accesses"]
-                    and modes[m]["l3_misses"] == modes["serial"]["l3_misses"]
-                    and modes[m]["tlb_misses"] == modes["serial"]["tlb_misses"]
+                    modes[m][counter] == modes["streamed"][counter]
                     for m in _MODES
+                    for counter in ("num_accesses", "l3_misses", "tlb_misses")
                 ),
-                "applicable": True,
             },
             "rss_ceiling": {
-                "value": modes["sharded4"]["peak_rss_bytes"],
+                "value": peak_rss,
                 "threshold": rss_ceiling,
-                "applicable": True,
-                "holds": modes["sharded4"]["peak_rss_bytes"] < rss_ceiling
-                and modes["serial"]["peak_rss_bytes"] < rss_ceiling,
-                "note": "coordinator peak stays O(graph + chunk), never O(trace)",
-            },
-            "shard_speedup": {
-                "value": speedup,
-                "threshold": 1.3,
-                "applicable": speedup_applicable,
-                "waived": speedup_waived,
-                "holds": speedup >= 1.3,
-                "note": (
-                    "single-process seconds / sharded4 process-mode "
-                    "seconds; gated only with >= 4 cores on a big-enough "
-                    "graph (replay must dominate the serial trace gen)"
-                ),
+                "holds": peak_rss < rss_ceiling,
+                "note": "each child's peak stays O(graph + chunk), never O(trace)",
             },
         },
         "curve": curve,
@@ -259,29 +223,18 @@ def _report(payload: dict) -> str:
     gate_lines = ["Gates:"]
     for name, gate in payload["gates"].items():
         status = "ok" if gate["holds"] else "MISS"
-        if not gate["applicable"]:
-            status = "WAIVED"
         value = gate.get("value")
         shown = f" value={value:.3g}" if isinstance(value, (int, float)) else ""
-        if gate.get("waived"):
-            shown += f" (waived: {gate['waived']})"
         gate_lines.append(f"  [{status}] {name}{shown}")
     sections.append("\n".join(gate_lines))
     return "\n\n".join(sections)
 
 
 def gate_summary_lines(payload: dict) -> "list[str]":
-    """One markdown line per gate, for the CI step summary.
-
-    Waived gates surface their reason (``[waived: 2 core(s) < 4]``)
-    instead of reading like passes.
-    """
+    """One markdown line per gate, for the CI step summary."""
     lines = []
     for name, gate in payload["gates"].items():
-        if gate["applicable"]:
-            status = "pass" if gate["holds"] else "**FAIL**"
-        else:
-            status = f"waived: {gate.get('waived') or 'not applicable'}"
+        status = "pass" if gate["holds"] else "**FAIL**"
         value = gate.get("value")
         shown = f" `{value:.3g}`" if isinstance(value, (int, float)) else ""
         lines.append(f"- `{name}`{shown} — {status}")
@@ -293,18 +246,10 @@ def write_json(payload: dict, path: Path = _OUTPUT) -> None:
 
 
 def _assert_gates(payload: dict) -> None:
-    """The CI contract for the scale tier.
-
-    Bit-exactness and the RSS ceiling always hold; the shard speedup
-    gate is enforced only where it is meaningful (big-enough graph,
-    enough cores) — its ``applicable`` flag records the decision so the
-    JSON shows *why* it was waived.
-    """
+    """The CI contract for the scale tier: bit-exactness and the RSS ceiling."""
     gates = payload["gates"]
     assert gates["bit_exact"]["holds"], payload["modes"]
     assert gates["rss_ceiling"]["holds"], gates["rss_ceiling"]
-    if gates["shard_speedup"]["applicable"]:
-        assert gates["shard_speedup"]["holds"], gates["shard_speedup"]
 
 
 def test_scale_tier_gates(benchmark):

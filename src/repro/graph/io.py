@@ -94,8 +94,8 @@ def save_graph_npz(graph: Graph, path: Union[str, os.PathLike]) -> None:
 
     Members are stored raw: loading skips inflation, and
     :func:`load_graph_npz` can rehydrate any saved graph with
-    ``mmap_mode="r"`` — shard workers then share one page cache instead
-    of N heap copies.
+    ``mmap_mode="r"`` — processes that open it then share one page cache
+    instead of N heap copies.
     """
     np.savez(
         path,
@@ -195,7 +195,7 @@ def load_graph_npz(
     """Load a graph previously written by :func:`save_graph_npz`.
 
     ``mmap_mode="r"`` memory-maps the CSR/CSC arrays instead of reading
-    them onto the heap: N shard workers opening the same artifact share
+    them onto the heap: N processes opening the same artifact share
     one page-cached copy, and untouched regions never materialize.
     Structural validation is skipped on this path (the arrays were
     validated at save time and the store checksums payloads); the only

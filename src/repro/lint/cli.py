@@ -5,7 +5,7 @@ configuration error.
 
 ``--effects`` adds the whole-program effect & determinism pass
 (:mod:`repro.lint.effects`) on top of the per-file rules: RL006
-nondeterministic cached stage, RL007 impure shard worker, RL008 stale
+nondeterministic cached stage, RL007 impure process worker, RL008 stale
 ``@declares_effects`` annotation — each printed with its call-graph
 explanation chain.  The effects package is imported lazily: production
 modules import :mod:`repro.lint.contracts` (which executes this

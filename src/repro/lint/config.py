@@ -50,11 +50,9 @@ _DEFAULT_ALLOWED_RAISES = (
 _DEFAULT_EFFECTS_DETERMINISTIC = (
     "src/repro/store/memo.py::cached_stage.decorate.wrapper",
 )
-#: RL007 roots: shard worker entry points (serial≡process bit-exactness).
-_DEFAULT_EFFECTS_REPLAY_SAFE = (
-    "src/repro/sim/shard.py::_worker_main",
-    "src/repro/sim/shard.py::_ShardWorker.process",
-)
+#: RL007 roots: process-worker entry points (re-running a job must be
+#: undetectable).
+_DEFAULT_EFFECTS_REPLAY_SAFE = ("src/repro/serve/worker.py::execute_job",)
 
 
 @dataclass(frozen=True)

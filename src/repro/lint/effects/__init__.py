@@ -7,7 +7,7 @@ project call graph (:mod:`repro.lint.effects.callgraph`), propagate
 effects to a fixed point (:mod:`repro.lint.effects.inference`) and
 evaluate the determinism contracts
 (:mod:`repro.lint.effects.contracts`): RL006 nondeterministic cached
-stage, RL007 impure shard worker, RL008 stale ``@declares_effects``
+stage, RL007 impure process worker, RL008 stale ``@declares_effects``
 annotation.
 
 This package is imported lazily by the CLI — never at

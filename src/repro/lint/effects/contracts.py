@@ -7,7 +7,7 @@ Contract roots come from two places:
   store assumes it is a pure function of its fingerprinted inputs;
 * ``[tool.repro-lint]`` lists additional roots by
   ``relpath::qualname`` — ``effects-deterministic`` for RL006 (the memo
-  wrapper itself) and ``effects-replay-safe`` for RL007 (shard worker
+  wrapper itself) and ``effects-replay-safe`` for RL007 (process-worker
   entry points, which additionally must not write shared state).
 
 A config entry naming a file outside the analyzed set is skipped (so
@@ -146,9 +146,10 @@ def evaluate_contracts(
                 "RL007",
                 fid,
                 effect,
-                f"shard worker {fid[1]!r} can reach effect '{effect}' — "
-                "workers must be replay-safe (serial≡process bit-exactness "
-                "leaves no channel for nondeterminism or shared writes)",
+                f"process worker {fid[1]!r} can reach effect '{effect}' — "
+                "process workers must be replay-safe (re-running a job "
+                "must be undetectable, so no nondeterminism or shared "
+                "writes)",
             )
 
     annotated = 0

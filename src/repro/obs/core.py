@@ -289,7 +289,7 @@ def span(name: str, **attrs: Any) -> "_LiveSpan | _NullSpan":
     the process-local trace buffer.  Neither observation can reach
     artifact content — tracing output is telemetry, keyed separately
     from every content-addressed key — so instrumented code stays
-    eligible for ``@cached_stage``/shard contracts.
+    eligible for ``@cached_stage``/process-worker contracts.
     """
     if not _STATE.enabled:
         return _NULL_SPAN

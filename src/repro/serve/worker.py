@@ -14,7 +14,7 @@ restarts or harness runs resolves to warm artifacts with zero
 recomputation.
 
 The entry point is listed under ``effects-replay-safe`` in
-``[tool.repro-lint]``, so RL007 audits it like the shard workers:
+``[tool.repro-lint]``, so RL007 audits it as a process worker:
 re-running a job must be undetectable.  The effects it reaches are
 declared on :func:`_run_pipeline` and are replay-safe by construction:
 store writes are content-addressed and atomic (a re-run rewrites
@@ -158,7 +158,7 @@ def _run_pipeline(workloads: Workloads, job: Dict[str, Any]) -> Dict[str, Any]:
     provenance clocks and scratch-file tokens; ``env-read`` is
     ``REPRO_SCALE``, fingerprinted into every key; the remaining bits
     are the simulator's internal bookkeeping, bit-exact by the
-    kernel-equivalence and shard property suites.
+    kernel-equivalence and replay property suites.
     """
     kind = job["kind"]
     if kind == "reorder":

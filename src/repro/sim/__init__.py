@@ -1,4 +1,9 @@
-"""Simulation substrate: address space, cache/TLB, traces, SpMV, scheduling."""
+"""Simulation substrate: address space, cache/TLB, traces, SpMV, scheduling.
+
+:func:`simulate_spmv` streams per-thread trace chunks through a
+round-robin interleave into one shared cache (:class:`Replay`), which
+also cuts the Effective Cache Size snapshots.
+"""
 
 from repro.sim._kernels import kernel_mode, kernel_supported
 from repro.sim.address_space import AddressSpace, Region
@@ -11,6 +16,7 @@ from repro.sim.analytics import (
 from repro.sim.cache import (
     CacheConfig,
     CacheSnapshot,
+    Replay,
     SetAssociativeCache,
     count_cold_misses,
 )
@@ -27,7 +33,6 @@ from repro.sim.parallel import (
     partition_edge_counts,
 )
 from repro.sim.scheduler import ScheduleResult, chunk_costs, simulate_work_stealing
-from repro.sim.shard import ShardedReplay, shard_set_ranges
 from repro.sim.simulator import (
     SimulationConfig,
     SimulationResult,
@@ -61,6 +66,7 @@ __all__ = [
     "sssp_distances",
     "CacheConfig",
     "CacheSnapshot",
+    "Replay",
     "SetAssociativeCache",
     "count_cold_misses",
     "IHTLSplit",
@@ -74,8 +80,6 @@ __all__ = [
     "ScheduleResult",
     "chunk_costs",
     "simulate_work_stealing",
-    "ShardedReplay",
-    "shard_set_ranges",
     "SimulationConfig",
     "SimulationResult",
     "simulate_spmv",

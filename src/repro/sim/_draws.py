@@ -54,7 +54,6 @@ __all__ = [
     "draw_words",
     "long_insert",
     "long_inserts",
-    "long_inserts_at",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -112,20 +111,3 @@ def long_inserts(key: int, start: int, n: int) -> np.ndarray:
     Bit-exact with ``n`` calls to :func:`long_insert`.
     """
     return draw_words(key, start, n) < np.uint64(LONG_THRESHOLD)
-
-
-def long_inserts_at(key: int, positions: np.ndarray) -> np.ndarray:
-    """Vectorized draws for an *arbitrary* array of lifetime positions.
-
-    This is the sharded-simulation entry point: a shard replays a masked
-    subsequence of the global access stream, so its positions are sparse
-    — but the draw for position ``p`` is the same pure function of
-    ``(seed, p)`` either way.  Bit-exact with per-element
-    :func:`long_insert` calls (and hence with :func:`long_inserts` on a
-    contiguous range).
-    """
-    pos = np.asarray(positions, dtype=np.int64).astype(np.uint64)
-    z = np.uint64(key) + pos * np.uint64(GAMMA & _MASK64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return (z ^ (z >> np.uint64(31))) < np.uint64(LONG_THRESHOLD)

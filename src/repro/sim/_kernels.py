@@ -902,22 +902,17 @@ def _replay_rrip(
 
 
 def kernel_simulate(
-    cache: SetAssociativeCache,
-    lines: np.ndarray,
-    positions: Optional[np.ndarray] = None,
+    cache: SetAssociativeCache, lines: np.ndarray
 ) -> Optional[np.ndarray]:
     """Kernel-path replacement for ``SetAssociativeCache.simulate``.
 
     Returns the hit bits and mutates the cache state exactly as the
     reference loop would, or ``None`` if the kernel declined (caller
     must then run the reference loop on the *unmodified* cache).
-    ``positions`` optionally overrides the lifetime access positions the
-    BRRIP/DRRIP draws are keyed on (sharded replay of a masked global
-    stream; see :meth:`SetAssociativeCache.simulate`).
     """
     policy = cache.config.policy
     with _obs_span("sim.kernel", policy=policy, accesses=lines.shape[0]) as sp:
-        hits = _kernel_simulate_inner(cache, lines, positions)
+        hits = _kernel_simulate_inner(cache, lines)
         if hits is None:
             sp.set(declined=True)
             _obs_metrics.registry.counter("cache.kernel_declined").inc()
@@ -925,9 +920,7 @@ def kernel_simulate(
 
 
 def _kernel_simulate_inner(
-    cache: SetAssociativeCache,
-    lines: np.ndarray,
-    positions: Optional[np.ndarray],
+    cache: SetAssociativeCache, lines: np.ndarray
 ) -> Optional[np.ndarray]:
     config = cache.config
     policy = config.policy
@@ -942,15 +935,14 @@ def _kernel_simulate_inner(
     if policy == "lru":
         hits, state_tags = _replay_lru(st, state_tags, ways)
     else:
-        if policy == "srrip":
-            long_all: Optional[np.ndarray] = None
-        elif positions is not None:
-            # Per-access bimodal draws, keyed by the cache's lifetime
-            # access position (bit-exact with the scalar and reference
-            # paths by construction — same hash, same keys).
-            long_all = _draws.long_inserts_at(cache._draw_key, positions)
-        else:
-            long_all = _draws.long_inserts(cache._draw_key, pos0, n)
+        # Per-access bimodal draws, keyed by the cache's lifetime access
+        # position (bit-exact with the scalar and reference paths by
+        # construction — same hash, same keys).  SRRIP never reads them.
+        long_all = (
+            None
+            if policy == "srrip"
+            else _draws.long_inserts(cache._draw_key, pos0, n)
+        )
         role_acc = (
             np.asarray(cache._role, dtype=np.int8)[lines % num_sets]
             if policy == "drrip"
@@ -966,9 +958,5 @@ def _kernel_simulate_inner(
     # Reference LRU never touches RRPV state; keep it bit-identical.
     _write_state(cache, state_tags, state_rrpv if policy != "lru" else None)
     cache._psel = psel
-    if positions is not None:
-        if n:
-            cache._access_pos = int(positions[-1]) + 1
-    else:
-        cache._access_pos = pos0 + n
+    cache._access_pos = pos0 + n
     return hits

@@ -9,8 +9,8 @@ LRU for comparison and testing.
 The simulator is functional (timing-less): it classifies every access of
 a pre-generated trace as hit or miss.  Its resident lines can be read
 between calls (:meth:`SetAssociativeCache.resident_lines`), which is how
-:class:`~repro.sim.shard.ShardedReplay` snapshots them for the Effective
-Cache Size metric (Section VI-F).
+:class:`Replay` — one cache fed a chunked access stream — snapshots them
+for the Effective Cache Size metric (Section VI-F).
 
 BRRIP's bimodal insertion decisions come from the per-access counter-hash
 stream in :mod:`repro.sim._draws`: the draw for the access at lifetime
@@ -32,7 +32,13 @@ from repro.obs import enabled as _obs_enabled
 from repro.obs import metrics as _obs_metrics
 from repro.sim import _draws, _kernels
 
-__all__ = ["CacheConfig", "CacheSnapshot", "SetAssociativeCache", "count_cold_misses"]
+__all__ = [
+    "CacheConfig",
+    "CacheSnapshot",
+    "Replay",
+    "SetAssociativeCache",
+    "count_cold_misses",
+]
 
 _POLICIES = ("lru", "srrip", "brrip", "drrip")
 _RRPV_MAX = 3  # 2-bit re-reference prediction values
@@ -131,6 +137,51 @@ class CacheSnapshot:
     resident_lines: np.ndarray = field(repr=False)
 
 
+def _segment_bounds(length: int, global_start: int, scan_interval: int) -> list[int]:
+    """Split points so every global ``scan_interval`` multiple ends a segment."""
+    if not scan_interval:
+        return [0, length]
+    first = scan_interval - (global_start % scan_interval)
+    cuts = [0]
+    cuts.extend(range(first, length, scan_interval))
+    if cuts[-1] != length:
+        cuts.append(length)
+    return cuts
+
+
+class Replay:
+    """Incremental replay of one access stream through one cache.
+
+    :meth:`feed` takes the stream's line chunks in program order and
+    returns each chunk's hit bits at once, so a caller can attribute
+    them and drop the chunk.  Resident-line snapshots accumulate in
+    :attr:`snapshots` at every global ``scan_interval`` multiple, so
+    they do not depend on how the stream is chunked.
+    """
+
+    def __init__(self, config: CacheConfig, *, scan_interval: int = 0) -> None:
+        self.cache = SetAssociativeCache(config)
+        self.snapshots: list[CacheSnapshot] = []
+        self._scan_interval = scan_interval
+        self._position = 0
+
+    def feed(self, chunk: np.ndarray) -> np.ndarray:
+        """Replay the next chunk of the stream; returns its hit bits."""
+        arr = np.asarray(chunk, dtype=np.int64)
+        if not arr.shape[0]:
+            return np.zeros(0, dtype=np.uint8)
+        scan = self._scan_interval
+        cuts = _segment_bounds(arr.shape[0], self._position, scan)
+        hits = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            hits.append(self.cache.simulate(arr[lo:hi]).hits)
+            end = self._position + hi
+            if scan and end % scan == 0:
+                self.snapshots.append(CacheSnapshot(end, self.cache.resident_lines()))
+        self._position += arr.shape[0]
+        return hits[0] if len(hits) == 1 else np.concatenate(hits)
+
+
 class SetAssociativeCache:
     """Stateful simulated cache; feed it line IDs, read back hit bits."""
 
@@ -214,26 +265,14 @@ class SetAssociativeCache:
         rr[victim] = insert
         return False
 
-    def resident_lines(self, set_range: "tuple[int, int] | None" = None) -> np.ndarray:
-        """IDs of currently resident lines (set-major order, no invalids).
-
-        ``set_range`` restricts the report to sets ``[lo, hi)`` — the
-        sharded simulation asks each worker for its *owned* range only,
-        so replicated leader sets never leak into merged snapshots.
-        """
-        sets = self._tags if set_range is None else self._tags[set_range[0] : set_range[1]]
-        flat = [t for ways in sets for t in ways if t >= 0]
+    def resident_lines(self) -> np.ndarray:
+        """IDs of currently resident lines (set-major order, no invalids)."""
+        flat = [t for ways in self._tags for t in ways if t >= 0]
         return np.asarray(flat, dtype=np.int64)
 
     # -- bulk simulation -------------------------------------------------------
 
-    def simulate(
-        self,
-        lines: np.ndarray,
-        *,
-        kernel: str = "auto",
-        positions: "np.ndarray | None" = None,
-    ) -> "SimulatedAccesses":
+    def simulate(self, lines: np.ndarray, *, kernel: str = "auto") -> "SimulatedAccesses":
         """Run the trace through the cache, mutating its state.
 
         Parameters
@@ -247,23 +286,8 @@ class SetAssociativeCache:
             ``"reference"`` forces the per-access loop.  The
             ``REPRO_SIM_KERNEL`` environment variable overrides this
             argument (escape hatch); both paths are bit-exact.
-        positions:
-            Explicit lifetime access positions (int64, one per line,
-            strictly increasing).  By default the cache numbers accesses
-            with its own lifetime counter; a sharded replay passes the
-            *global* stream positions of its masked subsequence so the
-            BRRIP/DRRIP draws match the single-process replay bit-exactly
-            (see :mod:`repro.sim.shard`).  After the call ``_access_pos``
-            advances to ``positions[-1] + 1``.
         """
         lines = np.asarray(lines, dtype=np.int64)
-        if positions is not None:
-            positions = np.asarray(positions, dtype=np.int64)
-            if positions.shape[0] != lines.shape[0]:
-                raise SimulationError(
-                    "positions must have one entry per access, got "
-                    f"{positions.shape[0]} for {lines.shape[0]} accesses"
-                )
         # One guarded per-batch increment; the per-access loops below
         # stay uninstrumented so the disabled path is untouched.
         if _obs_enabled():
@@ -271,7 +295,7 @@ class SetAssociativeCache:
         mode = _kernels.kernel_mode(kernel)
         if mode != "reference" and _kernels.kernel_possible(self.config, lines):
             if mode == "kernel" or _kernels.kernel_profitable(self.config, lines):
-                hits = _kernels.kernel_simulate(self, lines, positions=positions)
+                hits = _kernels.kernel_simulate(self, lines)
                 if hits is not None:
                     if _obs_enabled():
                         _obs_metrics.registry.counter("cache.kernel_batches").inc()
@@ -284,11 +308,9 @@ class SetAssociativeCache:
                 _warn_kernel_fallback(self.config.policy, mode)
         if _obs_enabled():
             _obs_metrics.registry.counter("cache.reference_batches").inc()
-        return self._simulate_reference(lines, positions)
+        return self._simulate_reference(lines)
 
-    def _simulate_reference(
-        self, lines: np.ndarray, positions: "np.ndarray | None" = None
-    ) -> "SimulatedAccesses":
+    def _simulate_reference(self, lines: np.ndarray) -> "SimulatedAccesses":
         """The original per-access loop — kept as the bit-exact oracle."""
         num_accesses = lines.shape[0]
         hits = np.zeros(num_accesses, dtype=np.uint8)
@@ -317,16 +339,13 @@ class SetAssociativeCache:
             # Per-access draws for this batch, precomputed with the same
             # vectorized hash the kernels use (bit-exact with the scalar
             # access() path by construction).  SRRIP never reads them.
-            if srrip_only:
-                long_ins: list[bool] = []
-            elif positions is not None:
-                long_ins = _draws.long_inserts_at(
-                    self._draw_key, positions
-                ).tolist()
-            else:
-                long_ins = _draws.long_inserts(
+            long_ins: list[bool] = (
+                []
+                if srrip_only
+                else _draws.long_inserts(
                     self._draw_key, self._access_pos, num_accesses
                 ).tolist()
+            )
             for i, line in enumerate(lines_list):
                 s = line % num_sets
                 ts = tags[s]
@@ -370,11 +389,7 @@ class SetAssociativeCache:
                     rr[victim] = insert
 
         self._psel = psel
-        if positions is not None:
-            if num_accesses:
-                self._access_pos = int(positions[-1]) + 1
-        else:
-            self._access_pos += num_accesses
+        self._access_pos += num_accesses
         return SimulatedAccesses(hits=hits)
 
 

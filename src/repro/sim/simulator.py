@@ -4,8 +4,8 @@
 simulation: (1) log memory accesses per thread partition, (2) interleave
 the per-thread logs round-robin per interval and replay them through a
 simulated shared L3 (and optionally a DTLB).  Both phases stream: trace
-chunks -> round-robin merge -> (optionally set-sharded) replay, each
-holding O(``chunk_accesses``) accesses at a time.  Everything the
+chunks -> round-robin merge -> one-cache replay, each holding
+O(``chunk_accesses``) accesses at a time.  Everything the
 paper's metrics read off the per-access outcome is folded in chunk by
 chunk, so the returned :class:`SimulationResult` is O(V + snapshots):
 per-region counters, per-vertex access and miss counts under both
@@ -27,14 +27,13 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import span
 
 from repro.sim.address_space import AddressSpace, Region
-from repro.sim.cache import CacheConfig, CacheSnapshot
+from repro.sim.cache import CacheConfig, CacheSnapshot, Replay
 from repro.sim.parallel import edge_balanced_partitions, interleave_stream
 from repro.sim.scheduler import (
     ScheduleResult,
     cost_balanced_chunks,
     simulate_work_stealing,
 )
-from repro.sim.shard import ShardedReplay
 from repro.sim.stats import (
     LocalityTypeClassifier,
     LocalityTypeCounts,
@@ -247,8 +246,6 @@ def simulate_spmv(
     graph: Graph,
     config: SimulationConfig | None = None,
     *,
-    num_shards: int = 1,
-    shard_mode: str = "serial",
     chunk_accesses: int = 1 << 20,
     classify_locality: bool = False,
     **scaled_kwargs: Any,
@@ -261,13 +258,12 @@ def simulate_spmv(
 
     The pipeline is trace chunks (:func:`spmv_trace_chunks`, one stream
     per thread partition) -> round-robin interleave
-    (:func:`interleave_stream`) -> set-sharded replay
-    (:class:`~repro.sim.shard.ShardedReplay`: ``num_shards`` workers,
-    in-process or in ``shard_mode="process"`` worker processes), with
-    the TLB replayed alongside.  Each merged chunk of ~``chunk_accesses``
-    accesses is attributed and dropped before the next one is built.
-    Results are bit-identical for every ``num_shards``, ``shard_mode``
-    and ``chunk_accesses`` (``tests/test_trace_stream.py``).
+    (:func:`interleave_stream`) -> one shared L3
+    (:class:`~repro.sim.cache.Replay`, which also cuts the ECS
+    snapshots), with the TLB replayed alongside.  Each merged chunk of
+    ~``chunk_accesses`` accesses is attributed and dropped before the
+    next one is built.  Results are bit-identical for every
+    ``chunk_accesses`` (``tests/test_trace_stream.py``).
 
     ``classify_locality=True`` also counts locality types I–V
     (:class:`~repro.sim.stats.LocalityTypeClassifier`), at the cost of
@@ -288,7 +284,6 @@ def simulate_spmv(
         edges=graph.num_edges,
         policy=config.cache.policy,
         threads=config.num_threads,
-        shards=num_shards,
     ):
         with span("sim.partition"):
             space = AddressSpace(
@@ -325,35 +320,29 @@ def simulate_spmv(
         )
         tlb = tlb_cache(config.tlb) if config.tlb is not None else None
         tlb_misses = 0
-        with ShardedReplay(
-            config.cache,
-            num_shards=num_shards,
-            scan_interval=config.scan_interval,
-            mode=shard_mode,
-        ) as replay:
-            for chunk, thread_ids in stream:
-                with span("sim.cache", accesses=len(chunk)):
-                    hits = replay.feed(chunk.lines)
-                if tlb is not None and config.tlb is not None:
-                    with span("sim.tlb"):
-                        pages = lines_to_pages(
-                            chunk.lines, config.cache.line_size, config.tlb.page_size
-                        )
-                        tlb_misses += tlb.simulate(pages).num_misses
-                with span("sim.attribute"):
-                    region_outcomes += np.bincount(
-                        chunk.kinds.astype(np.int64) * 2 + hits,
-                        minlength=2 * Region.COUNT,
-                    ).reshape(Region.COUNT, 2)
-                    for totals, by in ((by_read, "read"), (by_proc, "proc")):
-                        stats = attribute_random_accesses(
-                            chunk, hits, num_vertices, by=by, random_region=random_region
-                        )
-                        totals[0] += stats.accesses
-                        totals[1] += stats.misses
-                    if classifier is not None:
-                        classifier.add(chunk, thread_ids)
-            replay.finish()
+        replay = Replay(config.cache, scan_interval=config.scan_interval)
+        for chunk, thread_ids in stream:
+            with span("sim.cache", accesses=len(chunk)):
+                hits = replay.feed(chunk.lines)
+            if tlb is not None and config.tlb is not None:
+                with span("sim.tlb"):
+                    pages = lines_to_pages(
+                        chunk.lines, config.cache.line_size, config.tlb.page_size
+                    )
+                    tlb_misses += tlb.simulate(pages).num_misses
+            with span("sim.attribute"):
+                region_outcomes += np.bincount(
+                    chunk.kinds.astype(np.int64) * 2 + hits,
+                    minlength=2 * Region.COUNT,
+                ).reshape(Region.COUNT, 2)
+                for totals, by in ((by_read, "read"), (by_proc, "proc")):
+                    stats = attribute_random_accesses(
+                        chunk, hits, num_vertices, by=by, random_region=random_region
+                    )
+                    totals[0] += stats.accesses
+                    totals[1] += stats.misses
+                if classifier is not None:
+                    classifier.add(chunk, thread_ids)
 
         region_accesses = region_outcomes.sum(axis=1)
         region_hits = region_outcomes[:, 1].copy()
@@ -379,5 +368,25 @@ def simulate_spmv(
     )
 
 
-#: The scale tier's name for :func:`simulate_spmv`, which always streams.
-simulate_spmv_streamed = simulate_spmv
+def simulate_spmv_streamed(
+    graph: Graph,
+    config: SimulationConfig | None = None,
+    *,
+    num_shards: int = 1,
+    shard_mode: str = "serial",
+    **kwargs: Any,
+) -> SimulationResult:
+    """:func:`simulate_spmv` under its old name, with its old shard keywords.
+
+    Exists only for the call sites in ``perfbench/replay_4x.py`` and is
+    deleted when perfbench drops its shard cell (ROADMAP item 1).  The
+    replay was bit-identical for every shard count and mode, so after
+    checking the two keywords this is :func:`simulate_spmv` itself.
+    """
+    if num_shards < 1:
+        raise SimulationError(f"num_shards must be positive, got {num_shards}")
+    if shard_mode not in ("serial", "process"):
+        raise SimulationError(
+            f"shard_mode must be 'serial' or 'process', got {shard_mode!r}"
+        )
+    return simulate_spmv(graph, config, **kwargs)

@@ -95,7 +95,7 @@ class GraphSerializer(Serializer):
     Every graph is stored raw: a heap load reads the arrays without
     inflating them, and ``load(path, mmap_mode="r")`` can memory-map the
     CSR/CSC arrays of any graph (one shared page-cached copy across
-    shard workers) — see :func:`repro.graph.io.save_graph_npz`.
+    processes) — see :func:`repro.graph.io.save_graph_npz`.
     """
 
     kind = "graph"

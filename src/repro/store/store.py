@@ -320,10 +320,23 @@ class ArtifactStore:
 
     @contextlib.contextmanager
     def pin(self, key: str, kind: str) -> Iterator[None]:
-        """Mark an artifact in-flight; GC never evicts a pinned key."""
+        """Mark an artifact in-flight; GC never evicts a pinned key.
+
+        A failed marker write (a full disk, a read-only store) leaves no
+        marker behind and raises :class:`StoreError` naming the artifact
+        and the errno, as :meth:`put` does.
+        """
         pin_path = self._pin_path(kind, key)
-        pin_path.parent.mkdir(parents=True, exist_ok=True)
-        pin_path.write_text(str(os.getpid()), encoding="utf-8")
+        try:
+            pin_path.parent.mkdir(parents=True, exist_ok=True)
+            pin_path.write_text(str(os.getpid()), encoding="utf-8")
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                pin_path.unlink()
+            raise StoreError(
+                f"cannot pin {kind} artifact {key}: "
+                f"[errno {exc.errno}] {exc.strerror or exc}"
+            ) from exc
         try:
             yield
         finally:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import CacheConfig, SetAssociativeCache, ShardedReplay, count_cold_misses
+from repro.sim import CacheConfig, Replay, SetAssociativeCache, count_cold_misses
 
 traces = st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=400)
 
@@ -156,9 +156,8 @@ class TestRRIP:
 class TestSnapshots:
     @staticmethod
     def _snapshots(config, lines, scan_interval):
-        with ShardedReplay(config, scan_interval=scan_interval) as replay:
-            replay.feed(np.asarray(lines, dtype=np.int64))
-            replay.finish()
+        replay = Replay(config, scan_interval=scan_interval)
+        replay.feed(np.asarray(lines, dtype=np.int64))
         return replay.snapshots
 
     def test_scan_interval(self):

@@ -249,6 +249,73 @@ class TestFullDisk:
         assert store.infos("simulation") == []
 
 
+def _inject_pin_enospc(monkeypatch) -> None:
+    """Fail every pin-marker write with ENOSPC after creating the file,
+    the way a full disk leaves a truncated marker behind."""
+    write_text = Path.write_text
+
+    def marker_fails(path: Path, *args, **kwargs):
+        if path.name.endswith(".pin"):
+            path.write_bytes(b"")
+            _full_disk()
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", marker_fails)
+
+
+def _pin_markers(store: ArtifactStore) -> list:
+    return sorted(p.name for p in store.root.rglob("*.pin"))
+
+
+class TestPinFullDisk:
+    def test_pin_raises_store_error(self, tmp_path, monkeypatch):
+        store = ArtifactStore(tmp_path / "store")
+        _inject_pin_enospc(monkeypatch)
+
+        start = time.perf_counter()
+        with pytest.raises(StoreError) as caught:
+            with store.pin(_KEY, "graph"):
+                pytest.fail("the body must not run without a marker")
+        assert time.perf_counter() - start < _BOUND_S
+        message = str(caught.value)
+        assert "graph" in message and _KEY in message
+        assert f"errno {errno.ENOSPC}" in message
+        assert isinstance(caught.value.__cause__, OSError)
+        assert _pin_markers(store) == []
+        assert not store.is_pinned(_KEY, "graph")
+
+    def test_simulate_answers_500_naming_store_error(
+        self, tmp_path, tiny_scale, monkeypatch
+    ):
+        store = ArtifactStore(tmp_path / "store")
+        _inject_pin_enospc(monkeypatch)
+
+        async def scenario():
+            service = ReorderService(
+                store_root=str(store.root),
+                max_workers=1,
+                max_queue_depth=2,
+                executor="thread",
+            )
+            host, port = await service.start()
+            try:
+                return await asyncio.wait_for(
+                    request_once(
+                        host, port, "POST", "/simulate",
+                        {"dataset": _DATASET, "algorithm": "degree"},
+                    ),
+                    timeout=_BOUND_S,
+                )
+            finally:
+                await service.stop()
+
+        status, body, _headers = asyncio.run(scenario())
+        assert status == 500
+        assert body["error"].startswith("StoreError:")
+        assert f"errno {errno.ENOSPC}" in body["error"]
+        assert _pin_markers(store) == []
+
+
 # -- HTTP framing ------------------------------------------------------------
 
 

@@ -221,21 +221,21 @@ def test_bimodal_draws_golden(golden_rmat, update_golden):
 
 
 def test_scale_streamed_golden(golden_rmat, update_golden):
-    """Scale tier: streamed + sharded pipeline counters (PR 7).
+    """Scale tier: streamed pipeline counters.
 
     Replays the golden graph through the bounded-memory pipeline —
-    chunked traces -> streaming round-robin interleave -> 3-way
-    set-sharded replay — with a deliberately tiny ``chunk_accesses`` so
-    the run crosses many chunk, batch and segment boundaries.  Pins the
-    merged headline counters plus the per-shard routing/draw bookkeeping
-    of the same replay fed the same stream: any drift in the
-    chunk-boundary dedup carry, the round-robin batch cut, the set
-    routing or the position-keyed draw stream moves one of these
-    integers and fails here.
+    chunked traces -> streaming round-robin interleave -> one-cache
+    replay — with a deliberately tiny ``chunk_accesses`` so the run
+    crosses many chunk, batch and segment boundaries.  Pins the
+    headline counters plus the final DRRIP PSEL of the same replay fed
+    the same stream: any drift in the chunk-boundary dedup carry, the
+    round-robin batch cut, the scan-aligned segment cuts or the
+    position-keyed draw stream moves one of these integers and fails
+    here.
     """
     from repro.sim import (
         AddressSpace,
-        ShardedReplay,
+        Replay,
         edge_balanced_partitions,
         interleave_stream,
         spmv_trace_chunks,
@@ -245,7 +245,7 @@ def test_scale_streamed_golden(golden_rmat, update_golden):
     config = SimulationConfig.scaled_for(
         golden_rmat, scan_interval=max(1, approx_len // 64)
     )
-    result = simulate_spmv(golden_rmat, config, num_shards=3, chunk_accesses=512)
+    result = simulate_spmv(golden_rmat, config, chunk_accesses=512)
 
     space = AddressSpace(golden_rmat.num_vertices, golden_rmat.num_edges)
     bounds = edge_balanced_partitions(golden_rmat, config.num_threads)
@@ -259,14 +259,11 @@ def test_scale_streamed_golden(golden_rmat, update_golden):
         for t in range(config.num_threads)
     ]
     stream = interleave_stream(sources, config.interleave_interval, batch_accesses=512)
-    with ShardedReplay(
-        config.cache, num_shards=3, scan_interval=config.scan_interval
-    ) as replay:
-        misses = sum(
-            chunk.lines.shape[0] - int(replay.feed(chunk.lines).sum())
-            for chunk, _ in stream
-        )
-        shard = replay.finish()
+    replay = Replay(config.cache, scan_interval=config.scan_interval)
+    misses = sum(
+        chunk.lines.shape[0] - int(replay.feed(chunk.lines).sum())
+        for chunk, _ in stream
+    )
     assert misses == result.l3_misses
     computed = {
         "num_accesses": result.num_accesses,
@@ -279,9 +276,7 @@ def test_scale_streamed_golden(golden_rmat, update_golden):
             sum(int(s.resident_lines.sum()) for s in result.snapshots)
         ),
         "effective_cache_size_percent": result.effective_cache_size(),
-        "shard_accesses": shard.shard_accesses,
-        "shard_access_pos": shard.shard_access_pos,
-        "psel": shard.psel,
+        "psel": replay.cache._psel,
     }
     check_golden("scale_streamed", computed, update_golden)
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import LintError
 from repro.lint import Baseline, Severity, load_config
+from repro.lint.config import LintConfig
 from repro.lint.cli import EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
 from repro.lint.rules.base import Finding
 
@@ -224,3 +225,11 @@ class TestRepoGate:
             ["--root", str(repo_root), str(repo_root / "src")], stream=out
         )
         assert code == EXIT_OK, out.getvalue()
+
+    def test_effect_roots_match_builtin_defaults(self, repo_root):
+        # The contract roots must not depend on whether a TOML parser
+        # is available to read [tool.repro-lint].
+        committed = load_config(repo_root)
+        builtin = LintConfig()
+        assert committed.effects_replay_safe == builtin.effects_replay_safe
+        assert committed.effects_deterministic == builtin.effects_deterministic

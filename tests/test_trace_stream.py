@@ -6,7 +6,7 @@ per-thread streams round-robin, and :func:`simulate_spmv` replays and
 attributes each merged chunk before building the next.  Their contract
 is not "approximately the same": every array they produce must equal a
 materializing reference bit for bit, for any chunk size, thread count,
-interval and shard count.  The references here compute the same things
+interval and thread count.  The references here compute the same things
 the direct way — whole traces, one stable-sort merge, one replay, then
 attribution and a per-access locality-type loop over the retained
 trace.  The tests pin that equivalence across randomized RMAT graphs,
@@ -37,6 +37,7 @@ from repro.sim import (
     concatenate_traces,
     interleave_stream,
     simulate_spmv,
+    simulate_spmv_streamed,
     simulate_tlb,
     spmv_trace,
     spmv_trace_chunks,
@@ -309,25 +310,12 @@ class TestStreamedSimulator:
     def reference(self, graph, config):
         return materialized_simulation(graph, config)
 
-    @pytest.mark.parametrize(
-        "num_shards, mode, chunk_accesses",
-        [
-            (1, "serial", 1 << 20),
-            (1, "serial", 997),
-            (3, "serial", 1 << 12),
-            (4, "process", 1 << 13),
-        ],
-    )
+    @pytest.mark.parametrize("chunk_accesses", [1 << 20, 997, 1 << 12])
     def test_matches_materialized_simulation(
-        self, graph, config, reference, num_shards, mode, chunk_accesses
+        self, graph, config, reference, chunk_accesses
     ):
         streamed = simulate_spmv(
-            graph,
-            config,
-            num_shards=num_shards,
-            shard_mode=mode,
-            chunk_accesses=chunk_accesses,
-            classify_locality=True,
+            graph, config, chunk_accesses=chunk_accesses, classify_locality=True
         )
         self._assert_matches(streamed, reference)
 
@@ -336,7 +324,7 @@ class TestStreamedSimulator:
             graph, scan_interval=300, direction="push", policy="brrip"
         )
         streamed = simulate_spmv(
-            graph, config, num_shards=2, chunk_accesses=1500, classify_locality=True
+            graph, config, chunk_accesses=1500, classify_locality=True
         )
         self._assert_matches(streamed, materialized_simulation(graph, config))
 
@@ -365,6 +353,21 @@ class TestStreamedSimulator:
     def test_config_kwargs_are_exclusive(self, graph, config):
         with pytest.raises(SimulationError):
             simulate_spmv(graph, config, pressure=0.5)
+
+    def test_streamed_alias_checks_shard_keywords(self, graph, config, reference):
+        for num_shards, mode in ((1, "serial"), (2, "process")):
+            alias = simulate_spmv_streamed(
+                graph,
+                config,
+                num_shards=num_shards,
+                shard_mode=mode,
+                classify_locality=True,
+            )
+            self._assert_matches(alias, reference)
+        with pytest.raises(SimulationError, match="num_shards"):
+            simulate_spmv_streamed(graph, config, num_shards=0)
+        with pytest.raises(SimulationError, match="shard_mode"):
+            simulate_spmv_streamed(graph, config, shard_mode="remote")
 
 
 class TestLocalityTypeClassifier:
