@@ -9,10 +9,12 @@ to amortize; see ``_RRIP_MIN_DENSITY`` in ``repro.sim._kernels``).
 Results go to ``BENCH_cache_kernel.json`` at the repo root — the perf
 trajectory tracked across PRs.
 
-Each row records whether ``kernel="auto"`` actually dispatched to the
+The reference arm times ``SetAssociativeCache._simulate_reference``;
+the other arm times ``simulate``, whose one dispatch rule picks the
+path.  Each row records whether ``simulate`` actually dispatched to the
 kernel path (observed via the ``cache.kernel_batches`` counter, not
-predicted), so the JSON is an honest account of what the auto heuristic
-pays on every (workload, policy) cell.
+predicted), so the JSON is an honest account of what the dispatch
+heuristic pays on every (workload, policy) cell.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_cache_kernel.py``)
 or under pytest with the rest of the benchmark suite.
@@ -48,7 +50,7 @@ _WORKLOADS = (
 _POLICIES = ("lru", "srrip", "brrip", "drrip")
 
 
-def _time_simulate(config, lines, mode, repeats):
+def _time_simulate(config, lines, reference, repeats):
     """Best-of-N timing; also observes whether the kernel path ran."""
     best = np.inf
     misses = None
@@ -57,7 +59,8 @@ def _time_simulate(config, lines, mode, repeats):
         cache = SetAssociativeCache(config)
         with obs.recording(fresh=True):
             t0 = time.perf_counter()
-            result = cache.simulate(lines, kernel=mode)
+            run = cache._simulate_reference if reference else cache.simulate
+            result = run(lines)
             best = min(best, time.perf_counter() - t0)
             kernel_batches += obs_metrics.registry.counter(
                 "cache.kernel_batches"
@@ -85,10 +88,10 @@ def run_bench(shared_workloads=None, repeats: int = 3) -> dict:
                 num_sets=scaled.num_sets, ways=scaled.ways, policy=policy
             )
             ref_s, ref_misses, _ = _time_simulate(
-                config, lines, "reference", max(1, repeats - 1)
+                config, lines, True, max(1, repeats - 1)
             )
             ker_s, ker_misses, dispatched = _time_simulate(
-                config, lines, "auto", repeats
+                config, lines, False, repeats
             )
             assert ref_misses == ker_misses, (label, policy)
             n = int(lines.shape[0])

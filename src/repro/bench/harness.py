@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import importlib
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import ExperimentError
@@ -120,7 +120,7 @@ def run_experiment(
     return report
 
 
-_EXECUTORS = ("serial", "thread", "process")
+_EXECUTORS = ("serial", "process")
 
 
 def _run_in_worker(
@@ -154,14 +154,12 @@ def run_experiments(
     ids:
         Experiment IDs to run (defaults to all registered experiments).
     workloads:
-        Shared workload cache; only valid for ``serial``/``thread``
-        executors (process workers rebuild the default cache).
+        Shared workload cache; only valid for the ``serial`` executor
+        (process workers rebuild the default cache).
     executor:
-        ``"serial"`` (default) runs in-process; ``"thread"`` uses a
-        ``ThreadPoolExecutor`` (worthwhile only when several cores are
-        available — NumPy releases the GIL for large array ops);
-        ``"process"`` uses a ``ProcessPoolExecutor`` for full isolation
-        at the cost of re-deriving workloads per worker.
+        ``"serial"`` (default) runs in-process; ``"process"`` uses a
+        ``ProcessPoolExecutor`` for full isolation at the cost of
+        re-deriving workloads per worker.
     store:
         Attach an artifact store so every stage is memoized on disk.
         With the process executor the store *is* the sharing mechanism:
@@ -188,29 +186,17 @@ def run_experiments(
         raise ExperimentError(
             f"unknown experiments {unknown!r}; available: {experiment_ids()}"
         )
-    if executor in ("serial", "thread") and workloads is None and store is not None:
-        workloads = Workloads(store=store, refresh=refresh)
     if executor == "serial":
+        if workloads is None and store is not None:
+            workloads = Workloads(store=store, refresh=refresh)
         return {i: run_experiment(i, workloads) for i in ids}
-    if executor == "process":
-        if workloads is not None and store is None:
-            raise ExperimentError(
-                "a shared workloads cache cannot cross process boundaries; "
-                "use executor='serial' or 'thread' with custom workloads, "
-                "or pass a store for disk-level sharing"
-            )
-        store_root = str(store.root) if store is not None else None
-        results: "dict[str, ExperimentReport]" = {}
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = {
-                i: pool.submit(_run_in_worker, i, store_root, refresh) for i in ids
-            }
-            for i in ids:
-                results[i] = futures[i].result()
-        return results
-    results = {}
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        thread_futures = {i: pool.submit(run_experiment, i, workloads) for i in ids}
-        for i in ids:
-            results[i] = thread_futures[i].result()
-    return results
+    if workloads is not None:
+        raise ExperimentError(
+            "a shared workloads cache cannot cross process boundaries; "
+            "use executor='serial' with custom workloads, "
+            "or pass a store for disk-level sharing"
+        )
+    store_root = str(store.root) if store is not None else None
+    with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        futures = {i: pool.submit(_run_in_worker, i, store_root, refresh) for i in ids}
+        return {i: futures[i].result() for i in ids}

@@ -598,8 +598,8 @@ class ProjectIndex:
             if home is not None:
                 return self._find_method(home, cls_name, parts[1])
         # submodule hop: ``from repro.sim import _kernels`` then
-        # ``_kernels.kernel_mode(...)`` arrives as ("repro.sim",
-        # "_kernels.kernel_mode") — descend into the real module.
+        # ``_kernels.use_kernel(...)`` arrives as ("repro.sim",
+        # "_kernels.use_kernel") — descend into the real module.
         if target.dotted and len(parts) > 1:
             sub = self.by_dotted.get(f"{target.dotted}.{parts[0]}")
             if sub is not None:

@@ -5,7 +5,6 @@ round-robin interleave into one shared cache (:class:`Replay`), which
 also cuts the Effective Cache Size snapshots.
 """
 
-from repro.sim._kernels import kernel_mode, kernel_supported
 from repro.sim.address_space import AddressSpace, Region
 from repro.sim.analytics import (
     FrontierProfile,
@@ -56,8 +55,6 @@ from repro.sim.trace import (
 )
 
 __all__ = [
-    "kernel_mode",
-    "kernel_supported",
     "AddressSpace",
     "Region",
     "FrontierProfile",

@@ -37,9 +37,9 @@ where ``finalize`` is splitmix64's three-step mix::
     z ^= z >> 31
 
 Both entry points below compute the identical bit pattern: the scalar
-path (``long_insert``) serves :meth:`SetAssociativeCache.access`, the
-vectorized path (``long_inserts``) serves the reference batch loop and
-the kernels, so reference and kernel replay stay bit-exact by
+path (``long_insert``) transcribes the specification one position at a
+time, the vectorized path (``long_inserts``) serves the reference batch
+loop and the kernels, so reference and kernel replay stay bit-exact by
 construction.
 """
 

@@ -68,10 +68,11 @@ Architecture (see DESIGN.md for the long version):
     crossing, so the recompute is usually skipped entirely.  This
     locality is what makes the DRRIP fixed point converge where the old
     global miss-rank draw consumption kept it in a limit cycle (see
-    DESIGN.md §7 for the history).  Auto dispatch still declines
-    BRRIP/DRRIP on set-skewed traces (``_RRIP_MIN_DENSITY``): ripple
-    corrections travel one chunk per pass, so fixed-point cost tracks
-    the busiest set's access count while the reference loop tracks n.
+    DESIGN.md §7 for the history).  Dispatch (:func:`use_kernel`)
+    still declines BRRIP/DRRIP on set-skewed traces
+    (``_RRIP_MIN_DENSITY``): ripple corrections travel one chunk per
+    pass, so fixed-point cost tracks the busiest set's access count
+    while the reference loop tracks n.
 
 Everything here treats the cache's canonical list state as the interface:
 arrays in, arrays out, with conversion at the boundary, so kernel and
@@ -80,32 +81,23 @@ reference calls can interleave on the same cache object bit-exactly.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import SimulationError
-from repro.lint.contracts import declares_effects
 from repro.obs import metrics as _obs_metrics
 from repro.obs import span as _obs_span
 from repro.sim import _draws
+from repro.sim.cache import _PSEL_INIT, _PSEL_MAX, _RRPV_MAX
 
-if TYPE_CHECKING:  # pragma: no cover - cache.py imports this module
+if TYPE_CHECKING:  # pragma: no cover - defined after cache.py imports us
     from repro.sim.cache import CacheConfig, SetAssociativeCache
 
 __all__ = [
-    "kernel_mode",
-    "kernel_supported",
+    "kernel_possible",
     "kernel_simulate",
+    "use_kernel",
 ]
-
-_RRPV_MAX = 3
-_PSEL_MAX = 1023
-_PSEL_INIT = 512
-
-MODE_ENV = "REPRO_SIM_KERNEL"
-_MODES = ("auto", "kernel", "reference")
 
 # Dispatch heuristics: below these the reference loop's ~1 µs/access beats
 # the kernel's fixed grouping/padding overhead.
@@ -137,40 +129,24 @@ _RRIP_MAX_CHAIN = 24
 _RRIP_MIN_DENSITY = 80
 
 
-@declares_effects("env-read")
-def kernel_mode(explicit: str = "auto") -> str:
-    """Resolve the dispatch mode: the env var is the escape hatch.
-
-    Declared carve-out: the env var only selects *which* bit-exact
-    implementation runs — kernels and the reference loop are lockstep
-    twins, so the read can never change simulated state or artifacts.
-    """
-    env = os.environ.get(MODE_ENV, "").strip().lower()
-    if env in _MODES:
-        return env
-    if explicit in _MODES:
-        return explicit
-    raise SimulationError(
-        f"unknown kernel mode {explicit!r}; expected one of {_MODES}"
-    )
-
-
 def kernel_possible(config: CacheConfig, lines: np.ndarray) -> bool:
     """Hard requirements: can the kernel replay this call at all?"""
-    if config.policy not in ("lru", "srrip", "brrip", "drrip"):
-        return False
     if config.ways > _MIN_CHUNK:
         return False
-    n = lines.shape[0]
-    if n == 0:
+    if lines.shape[0] == 0:
         return False
-    if int(lines.min()) < 0:
-        return False
-    return True
+    return int(lines.min()) >= 0
 
 
-def kernel_profitable(config: CacheConfig, lines: np.ndarray) -> bool:
-    """Size heuristics: is the kernel path likely to beat the reference?"""
+def use_kernel(config: CacheConfig, lines: np.ndarray) -> bool:
+    """The one dispatch rule: does this batch go to the kernel?
+
+    The kernel must be able to replay the batch and, by the size
+    heuristics, likely beat the reference loop; everything else runs
+    the reference loop.
+    """
+    if not kernel_possible(config, lines):
+        return False
     if lines.shape[0] < _MIN_ACCESSES:
         return False
     if config.num_sets < _MIN_SETS:
@@ -183,11 +159,6 @@ def kernel_profitable(config: CacheConfig, lines: np.ndarray) -> bool:
         if lines.shape[0] < _RRIP_MIN_DENSITY * max_count:
             return False
     return True
-
-
-def kernel_supported(config: CacheConfig, lines: np.ndarray) -> bool:
-    """Is the kernel path worthwhile (and valid) for this simulate call?"""
-    return kernel_possible(config, lines) and kernel_profitable(config, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -908,8 +879,12 @@ def kernel_simulate(
 
     Returns the hit bits and mutates the cache state exactly as the
     reference loop would, or ``None`` if the kernel declined (caller
-    must then run the reference loop on the *unmodified* cache).
+    must then run the reference loop on the *unmodified* cache): a
+    batch it cannot replay (:func:`kernel_possible`) is declined up
+    front, a fixed point that exhausts its budget after the attempt.
     """
+    if not kernel_possible(cache.config, lines):
+        return None
     policy = cache.config.policy
     with _obs_span("sim.kernel", policy=policy, accesses=lines.shape[0]) as sp:
         hits = _kernel_simulate_inner(cache, lines)

@@ -30,7 +30,7 @@ from repro.errors import SimulationError
 from repro.lint.contracts import declares_effects
 from repro.obs import enabled as _obs_enabled
 from repro.obs import metrics as _obs_metrics
-from repro.sim import _draws, _kernels
+from repro.sim import _draws
 
 __all__ = [
     "CacheConfig",
@@ -42,10 +42,12 @@ __all__ = [
 
 _POLICIES = ("lru", "srrip", "brrip", "drrip")
 _RRPV_MAX = 3  # 2-bit re-reference prediction values
-_BRRIP_LONG_PROB = 1.0 / 32.0  # probability BRRIP inserts with rrpv=2
 _DUEL_PERIOD = 32  # one SRRIP leader and one BRRIP leader per 32 sets
 _PSEL_MAX = 1023
 _PSEL_INIT = 512
+
+# After the constants above: the kernels import them from this module.
+from repro.sim import _kernels  # noqa: E402
 
 #: One-shot latch for the kernel-fallback warning (process-wide: the
 #: point is to surface the *first* silent fallback, not to spam).
@@ -53,7 +55,7 @@ _FALLBACK_WARNED = False
 
 
 @declares_effects("global-mutate")
-def _warn_kernel_fallback(policy: str, mode: str) -> None:
+def _warn_kernel_fallback(policy: str) -> None:
     # Declared carve-out: the latch dedupes a process-local warning;
     # simulation results are already fixed when it flips.
     global _FALLBACK_WARNED
@@ -61,11 +63,10 @@ def _warn_kernel_fallback(policy: str, mode: str) -> None:
         return
     _FALLBACK_WARNED = True
     warnings.warn(
-        f"cache kernel (mode={mode!r}, policy={policy!r}) exhausted its "
-        "fixed-point budget and fell back to the reference loop; the "
-        "batch pays kernel overhead *plus* the ~1 us/access reference "
-        "cost. Counted in the 'sim.kernel_fallback' repro.obs metric; "
-        "set REPRO_SIM_KERNEL=reference to skip the attempt.",
+        f"cache kernel (policy={policy!r}) exhausted its fixed-point "
+        "budget and fell back to the reference loop; the batch pays "
+        "kernel overhead *plus* the ~1 us/access reference cost. "
+        "Counted in the 'sim.kernel_fallback' repro.obs metric.",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -208,63 +209,6 @@ class SetAssociativeCache:
             # Degenerate geometry: fall back to SRRIP behaviour.
             self._role = [1] * num_sets
 
-    # -- single-access reference API (tests, incremental use) ----------------
-
-    def access(self, line: int) -> bool:
-        """Access one cache line; returns True on hit.
-
-        Scalar fast path: operates on the list state directly instead of
-        routing a length-1 ndarray through :meth:`simulate`.
-        """
-        line = int(line)
-        pos = self._access_pos
-        self._access_pos = pos + 1
-        s = line % self.config.num_sets
-        ts = self._tags[s]
-        if self.config.policy == "lru":
-            if line in ts:
-                ts.remove(line)
-                ts.append(line)
-                return True
-            del ts[0]
-            ts.append(line)
-            return False
-        rr = self._rrpv[s]
-        if line in ts:
-            rr[ts.index(line)] = 0
-            return True
-        while True:
-            if _RRPV_MAX in rr:
-                victim = rr.index(_RRPV_MAX)
-                break
-            for w in range(len(rr)):
-                rr[w] += 1
-        policy = self.config.policy
-        if policy == "srrip":
-            use_brrip = False
-        elif policy == "brrip":
-            use_brrip = True
-        else:
-            r = self._role[s]
-            if r == 1:
-                use_brrip = False
-                if self._psel < _PSEL_MAX:
-                    self._psel += 1
-            elif r == 2:
-                use_brrip = True
-                if self._psel > 0:
-                    self._psel -= 1
-            else:
-                use_brrip = self._psel >= _PSEL_INIT
-        if use_brrip:
-            long = _draws.long_insert(self._draw_key, pos)
-            insert = _RRPV_MAX - 1 if long else _RRPV_MAX
-        else:
-            insert = _RRPV_MAX - 1
-        ts[victim] = line
-        rr[victim] = insert
-        return False
-
     def resident_lines(self) -> np.ndarray:
         """IDs of currently resident lines (set-major order, no invalids)."""
         flat = [t for ways in self._tags for t in ways if t >= 0]
@@ -272,40 +216,31 @@ class SetAssociativeCache:
 
     # -- bulk simulation -------------------------------------------------------
 
-    def simulate(self, lines: np.ndarray, *, kernel: str = "auto") -> "SimulatedAccesses":
+    def simulate(self, lines: np.ndarray) -> "SimulatedAccesses":
         """Run the trace through the cache, mutating its state.
 
-        Parameters
-        ----------
-        lines:
-            int64 array of line IDs in program order.
-        kernel:
-            Dispatch mode: ``"auto"`` (default) picks the vectorized
-            kernel path when it is applicable and likely faster,
-            ``"kernel"`` forces it whenever structurally possible, and
-            ``"reference"`` forces the per-access loop.  The
-            ``REPRO_SIM_KERNEL`` environment variable overrides this
-            argument (escape hatch); both paths are bit-exact.
+        ``lines`` are int64 line IDs in program order.  The batch alone
+        picks the implementation (:func:`repro.sim._kernels.use_kernel`):
+        the vectorized kernel when it is applicable and likely faster,
+        the per-access reference loop otherwise.  Both are bit-exact.
         """
         lines = np.asarray(lines, dtype=np.int64)
         # One guarded per-batch increment; the per-access loops below
         # stay uninstrumented so the disabled path is untouched.
         if _obs_enabled():
             _obs_metrics.registry.counter("cache.accesses").inc(lines.shape[0])
-        mode = _kernels.kernel_mode(kernel)
-        if mode != "reference" and _kernels.kernel_possible(self.config, lines):
-            if mode == "kernel" or _kernels.kernel_profitable(self.config, lines):
-                hits = _kernels.kernel_simulate(self, lines)
-                if hits is not None:
-                    if _obs_enabled():
-                        _obs_metrics.registry.counter("cache.kernel_batches").inc()
-                    return SimulatedAccesses(hits=hits)
-                # The kernel attempted the batch and gave up (fixed-point
-                # budget); the silent cost is kernel overhead plus the
-                # full reference replay below, so make it observable.
+        if _kernels.use_kernel(self.config, lines):
+            hits = _kernels.kernel_simulate(self, lines)
+            if hits is not None:
                 if _obs_enabled():
-                    _obs_metrics.registry.counter("sim.kernel_fallback").inc()
-                _warn_kernel_fallback(self.config.policy, mode)
+                    _obs_metrics.registry.counter("cache.kernel_batches").inc()
+                return SimulatedAccesses(hits=hits)
+            # The kernel attempted the batch and gave up (fixed-point
+            # budget); the silent cost is kernel overhead plus the full
+            # reference replay below, so make it observable.
+            if _obs_enabled():
+                _obs_metrics.registry.counter("sim.kernel_fallback").inc()
+            _warn_kernel_fallback(self.config.policy)
         if _obs_enabled():
             _obs_metrics.registry.counter("cache.reference_batches").inc()
         return self._simulate_reference(lines)
@@ -337,8 +272,7 @@ class SetAssociativeCache:
             srrip_only = policy == "srrip"
             brrip_only = policy == "brrip"
             # Per-access draws for this batch, precomputed with the same
-            # vectorized hash the kernels use (bit-exact with the scalar
-            # access() path by construction).  SRRIP never reads them.
+            # vectorized hash the kernels use.  SRRIP never reads them.
             long_ins: list[bool] = (
                 []
                 if srrip_only

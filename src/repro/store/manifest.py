@@ -42,14 +42,12 @@ def environment_snapshot() -> dict:
     from repro.generate.datasets import scale_factor
     from repro.obs import enabled as trace_enabled
     from repro.obs import peak_rss_bytes
-    from repro.sim._kernels import kernel_mode
 
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
         "repro_version": __version__,
-        "kernel_mode": kernel_mode(),
         "repro_scale": scale_factor(),
         "code_version": code_version("repro"),
         "trace_enabled": trace_enabled(),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -31,6 +32,28 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 def update_golden(request: pytest.FixtureRequest) -> bool:
     """True when ``--update-golden`` was passed (regenerate fixtures)."""
     return bool(request.config.getoption("--update-golden"))
+
+
+@pytest.fixture(scope="module", params=("kernel", "reference"))
+def replay_path(request: pytest.FixtureRequest) -> Iterator[str]:
+    """Force every cache batch down one replay path, module-wide.
+
+    Patches the one dispatch predicate: ``kernel`` sends every batch the
+    kernel can replay to it, ``reference`` sends none.  A module opts in
+    with ``pytestmark = pytest.mark.usefixtures("replay_path")`` and runs
+    once per path (see ``tests/test_replay_paths.py``); module-scoped
+    fixtures that replay a cache take ``replay_path`` as an argument so
+    they are rebuilt per path too.
+    """
+    from repro.sim import _kernels
+
+    if request.param == "kernel":
+        force = _kernels.kernel_possible
+    else:
+        force = lambda config, lines: False  # noqa: E731
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "use_kernel", force)
+        yield str(request.param)
 
 
 @pytest.fixture

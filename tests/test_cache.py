@@ -95,10 +95,10 @@ class TestLRU:
     @given(traces)
     @settings(max_examples=25, deadline=None)
     def test_bulk_equals_single_access(self, lines):
-        """The bulk loop and the single-access API must agree."""
+        """One bulk call and one-element calls must agree."""
         bulk = simulate(CacheConfig(num_sets=2, ways=2, policy="lru"), lines)
         cache = SetAssociativeCache(CacheConfig(num_sets=2, ways=2, policy="lru"))
-        single = [cache.access(line) for line in lines]
+        single = [bool(cache.simulate([line]).hits[0]) for line in lines]
         assert bulk.hits.astype(bool).tolist() == single
 
 
@@ -141,7 +141,7 @@ class TestRRIP:
         config = CacheConfig(num_sets=2, ways=2, policy="srrip")
         bulk = simulate(config, lines)
         cache = SetAssociativeCache(config)
-        single = [cache.access(line) for line in lines]
+        single = [bool(cache.simulate([line]).hits[0]) for line in lines]
         assert bulk.hits.astype(bool).tolist() == single
 
     @given(traces)
@@ -172,7 +172,7 @@ class TestSnapshots:
 
     def test_resident_lines_excludes_invalid(self):
         cache = SetAssociativeCache(CacheConfig(num_sets=2, ways=2, policy="lru"))
-        cache.access(3)
+        cache.simulate([3])
         assert cache.resident_lines().tolist() == [3]
 
     def test_state_persists_across_simulate_calls(self):

@@ -199,25 +199,35 @@ def test_bimodal_draws_golden(golden_rmat, update_golden):
     or the set-dueling wiring moves these integers and fails here.
     """
     from repro.sim import AddressSpace, CacheConfig, SetAssociativeCache
-    from repro.sim import spmv_trace
+    from repro.sim import _kernels, spmv_trace
 
     space = AddressSpace(golden_rmat.num_vertices, golden_rmat.num_edges)
     lines = spmv_trace(golden_rmat, space).lines
-    computed = {"num_accesses": int(lines.shape[0])}
-    for policy in ("brrip", "drrip"):
-        for seed in (0, 7):
-            cache = SetAssociativeCache(
-                CacheConfig(num_sets=4, ways=2, policy=policy, seed=seed)
-            )
-            result = cache.simulate(lines, kernel="reference")
-            computed[f"{policy}-seed{seed}"] = {
-                "misses": int(lines.shape[0] - int(result.hits.sum())),
-                "psel": int(cache._psel),
-                # Position-weighted hit checksum: moves if any single
-                # hit bit flips, not just the aggregate count.
-                "hit_checksum": int(np.flatnonzero(result.hits).sum()),
-            }
-    check_golden("bimodal_draws", computed, update_golden)
+
+    def replay(path):
+        computed = {"num_accesses": int(lines.shape[0])}
+        for policy in ("brrip", "drrip"):
+            for seed in (0, 7):
+                cache = SetAssociativeCache(
+                    CacheConfig(num_sets=4, ways=2, policy=policy, seed=seed)
+                )
+                if path == "kernel":
+                    hits = _kernels.kernel_simulate(cache, lines)
+                    assert hits is not None, (policy, seed)
+                else:
+                    hits = cache._simulate_reference(lines).hits
+                computed[f"{policy}-seed{seed}"] = {
+                    "misses": int(lines.shape[0] - int(hits.sum())),
+                    "psel": int(cache._psel),
+                    # Position-weighted hit checksum: moves if any single
+                    # hit bit flips, not just the aggregate count.
+                    "hit_checksum": int(np.flatnonzero(hits).sum()),
+                }
+        return computed
+
+    # Both replay paths must reproduce the one fixture.
+    check_golden("bimodal_draws", replay("reference"), update_golden)
+    check_golden("bimodal_draws", replay("kernel"), update_golden)
 
 
 def test_scale_streamed_golden(golden_rmat, update_golden):

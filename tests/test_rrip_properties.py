@@ -27,6 +27,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import _kernels
 from repro.sim.cache import (
     _DUEL_PERIOD,
     _PSEL_INIT,
@@ -173,7 +174,7 @@ class TestOracleEquivalence:
         oracle = RRIPOracle(num_sets, ways, policy, seed=seed % 11)
         # Degenerate DRRIP geometries collapse to SRRIP in the repo
         # implementation; mirror the collapse via the role layout only.
-        result = cache.simulate(lines, kernel="reference")
+        result = cache._simulate_reference(lines)
         oracle_hits = oracle.simulate(lines)
         assert np.array_equal(result.hits, oracle_hits)
         assert int(result.hits.sum()) == int(oracle_hits.sum())
@@ -204,11 +205,11 @@ class TestOracleEquivalence:
         ref = SetAssociativeCache(config)
         ker = SetAssociativeCache(config)
         oracle = RRIPOracle(num_sets, ways, policy, seed=seed % 11)
-        result = ref.simulate(lines, kernel="reference")
-        forced = ker.simulate(lines, kernel="kernel")
+        result = ref._simulate_reference(lines)
+        forced = _kernels.kernel_simulate(ker, lines)
         oracle_hits = oracle.simulate(lines)
         assert np.array_equal(result.hits, oracle_hits)
-        assert np.array_equal(forced.hits, oracle_hits)
+        assert np.array_equal(forced, oracle_hits)
         assert ref._psel == ker._psel == oracle.psel
         assert ref._access_pos == ker._access_pos == oracle.pos == n
 
@@ -219,13 +220,13 @@ class TestOracleEquivalence:
         n=st.integers(min_value=1, max_value=256),
     )
     def test_scalar_access_matches_oracle(self, policy, seed, n):
-        """The incremental ``access()`` path agrees access-by-access."""
+        """One-element ``simulate`` calls agree access-by-access."""
         rng = np.random.default_rng(seed)
         config = CacheConfig(num_sets=8, ways=2, policy=policy, seed=seed % 5)
         cache = SetAssociativeCache(config)
         oracle = RRIPOracle(8, 2, policy, seed=seed % 5)
         for line in _random_trace(rng, n, 64, skew=False).tolist():
-            assert cache.access(line) == oracle.access(line)
+            assert bool(cache.simulate([line]).hits[0]) == oracle.access(line)
             assert 0 <= cache._psel <= _PSEL_MAX
         assert cache._access_pos == oracle.pos == n
 
@@ -257,14 +258,14 @@ class TestOracleEquivalence:
         cold = (np.arange(32, dtype=np.int64) + 100) * 4  # one set, all miss
         a = SetAssociativeCache(config)
         b = SetAssociativeCache(config)
-        a.simulate(warm, kernel="reference")
-        b.simulate(cold, kernel="reference")
+        a._simulate_reference(warm)
+        b._simulate_reference(cold)
         assert a._access_pos == b._access_pos == 32
         # Restrict the tail to sets 1-3 so the divergent set-0 contents
         # cannot mask draw disagreements with tag-hit differences.
         tail = tail[tail % 4 != 0]
-        ra = a.simulate(tail, kernel="reference")
-        rb = b.simulate(tail, kernel="reference")
+        ra = a._simulate_reference(tail)
+        rb = b._simulate_reference(tail)
         assert np.array_equal(ra.hits, rb.hits)
         assert a._access_pos == b._access_pos
 
@@ -334,7 +335,7 @@ class TestDRRIPInvariants:
         sets = rng.choice(followers, size=n)
         lines = sets + num_sets * rng.integers(0, 32, size=n)
         oracle = RRIPOracle(num_sets, 2, "drrip", seed=1)
-        result = cache.simulate(lines, kernel="reference")
+        result = cache._simulate_reference(lines)
         oracle_hits = oracle.simulate(lines)
         assert np.array_equal(result.hits, oracle_hits)
         assert cache._psel == _PSEL_INIT
@@ -349,8 +350,7 @@ class TestDRRIPInvariants:
                 CacheConfig(num_sets=num_sets, ways=ways, policy="drrip", seed=0)
             )
             working = [leader_set + num_sets * i for i in range(4 * ways)]
-            cache.simulate(np.asarray(working * 50, dtype=np.int64),
-                           kernel="reference")
+            cache._simulate_reference(np.asarray(working * 50, dtype=np.int64))
             if cmp == "up":
                 assert cache._psel > _PSEL_INIT
             else:
@@ -375,7 +375,7 @@ class TestDRRIPInvariants:
         # every access misses under any RRIP variant.
         working = [leader + num_sets * i for i in range(4 * ways)]
         trace = np.asarray(working * 200, dtype=np.int64)
-        cache.simulate(trace, kernel="reference")
+        cache._simulate_reference(trace)
         assert cache._psel > _PSEL_INIT  # SRRIP leaders voted against SRRIP
         # A follower-set miss must now take the BRRIP insertion path:
         # at a position whose draw is short (the ~31/32 case) the line
@@ -383,8 +383,8 @@ class TestDRRIPInvariants:
         follower = 2  # role 0 by construction (0 -> SRRIP, 1 -> BRRIP)
         assert cache._role[follower] == 0
         while _draws.long_insert(cache._draw_key, cache._access_pos):
-            cache.access(follower + num_sets * 999)  # burn the rare long draw
+            cache.simulate([follower + num_sets * 999])  # burn the rare long draw
         fresh = follower + num_sets * 1000
-        assert not cache.access(fresh)
+        assert not cache.simulate([fresh]).hits[0]
         way = cache._tags[follower].index(fresh)
         assert cache._rrpv[follower][way] == _RRPV_MAX

@@ -245,3 +245,12 @@ class TestHarnessWiring:
         reports = run_experiments(["fig3"], store=store)
         assert reports["fig3"].experiment_id == "fig3"
         assert store.infos()  # stages were persisted
+
+    def test_process_executor_matches_serial(self, store, tmp_path):
+        serial = run_experiments(["table1"], store=ArtifactStore(tmp_path / "serial"))
+        fanned = run_experiments(
+            ["table1"], store=store, executor="process", max_workers=2
+        )
+        assert list(fanned) == ["table1"]
+        assert fanned["table1"].render() == serial["table1"].render()
+        assert fanned["table1"].shape_checks == serial["table1"].shape_checks

@@ -131,7 +131,7 @@ def materialized_simulation(graph, config) -> dict:
     hit_parts, snapshots = [], []
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        hit_parts.append(cache.simulate(merged.lines[lo:hi], kernel="reference").hits)
+        hit_parts.append(cache._simulate_reference(merged.lines[lo:hi]).hits)
         if scan and hi % scan == 0:
             snapshots.append(CacheSnapshot(hi, cache.resident_lines()))
     hits = np.concatenate(hit_parts)
