@@ -9,9 +9,13 @@ community's induced subgraph, and (3) emits the communities size-sorted
 "size-sorted merge" of GraphBrew.  Because the inner RA is any
 registered algorithm, this composes with every entry in the registry.
 
-Complexity: LPA rounds O(rounds * |E|), one edge bucketing pass
-O(|E| log |E|), plus the inner RA on each community (community sizes
-sum to |V|, so a linear inner RA keeps the whole thing near-linear).
+Complexity: each LPA round sorts the 2|E| votes once, so detection is
+O(rounds * |E| log |E|); one edge bucketing pass is O(|E| log |E|);
+then the inner RA runs on each community's induced subgraph.  Community
+sizes sum to |V| and internal edges to at most |E|, so the inner pass
+costs no more than one run of the inner RA on the whole graph (for the
+default Rabbit-Order, see :mod:`repro.reorder.rabbit`) plus a fixed
+per-community overhead.
 Locality prediction (paper's I-V taxonomy): packing communities
 contiguously converts inter-community pollution into type-IV/V spatial
 locality for LDV (like Rabbit-Order's DFS phase), while the inner RA

@@ -80,32 +80,36 @@ class GOrder(ReorderingAlgorithm):
 
     def compute(self, graph: Graph, details: dict) -> np.ndarray:
         n = graph.num_vertices
-        out_off = graph.out_adj.offsets
+        # Offsets as Python ints: the per-vertex slicing below is scalar.
+        out_off = graph.out_adj.offsets.tolist()
         out_tgt = graph.out_adj.targets
-        in_off = graph.in_adj.offsets
+        in_off = graph.in_adj.offsets.tolist()
         in_tgt = graph.in_adj.targets
-        out_deg = graph.out_degrees()
         threshold = self.huge_threshold
         if threshold is None:
             threshold = max(int(math.sqrt(graph.num_edges)), int(math.sqrt(n)))
+        expandable = (graph.out_degrees() <= threshold).tolist()
 
         # score[u] = S(u, window); placed vertices are masked at -inf.
         score = np.zeros(n, dtype=np.float64)
         placed = np.zeros(n, dtype=bool)
         order = np.empty(n, dtype=np.int64)
-        window: deque[int] = deque()
+        # Window members with their contributions, computed once on entry
+        # and subtracted again on exit.
+        window: deque[tuple[int, np.ndarray]] = deque()
 
         def contributions(v: int) -> np.ndarray:
             """Vertices whose score changes by 1 when v joins the window."""
+            in_neighbours = in_tgt[in_off[v] : in_off[v + 1]]
             parts = [
                 out_tgt[out_off[v] : out_off[v + 1]],  # S_n: v -> u
-                in_tgt[in_off[v] : in_off[v + 1]],  # S_n: u -> v
+                in_neighbours,  # S_n: u -> v
             ]
             # S_s: common in-neighbour x of u and v (skip huge x).
-            for x in in_tgt[in_off[v] : in_off[v + 1]].tolist():
-                if out_deg[x] <= threshold:
+            for x in in_neighbours.tolist():
+                if expandable[x]:
                     parts.append(out_tgt[out_off[x] : out_off[x + 1]])
-            return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+            return np.concatenate(parts)
 
         # Start from the maximum-degree vertex (paper, Section IV-C).
         total_deg = graph.total_degrees()
@@ -126,8 +130,9 @@ class GOrder(ReorderingAlgorithm):
                 if cursor == n:
                     break
 
-                window.append(current)
-                np.add.at(score, contributions(current), 1.0)
+                entering = contributions(current)
+                window.append((current, entering))
+                np.add.at(score, entering, 1.0)
                 if self.adaptive:
                     # Grow while placing LDV, shrink when a hub enters.
                     if total_deg[current] <= average_degree:
@@ -136,8 +141,8 @@ class GOrder(ReorderingAlgorithm):
                         window_size = max(self.window, window_size - 2)
                     max_window_seen = max(max_window_seen, window_size)
                 while len(window) > window_size:
-                    leaver = window.popleft()
-                    np.add.at(score, contributions(leaver), -1.0)
+                    leaver, leaving = window.popleft()
+                    np.add.at(score, leaving, -1.0)
                     score[leaver] = -np.inf  # keep placed vertices masked
 
                 best = int(np.argmax(score))

@@ -15,11 +15,18 @@ The reference implementation is non-deterministic across runs (the
 paper observed +-5 % variation); this implementation is deterministic
 for a given ``seed``, which perturbs the visiting order among
 equal-degree vertices.
+
+Cost: one stable sort of the 2|E| edge endpoints builds every vertex's
+neighbour list (O(|E| log |E|)).  The merge pass reads each vertex's
+list once, at its visit, through a path-compressing union-find, and a
+merge appends the merged vertex's per-community sums to its target's
+list.  An edge is therefore re-read once per merge its endpoint's
+community takes part in before the target's visit: O(|E| * h) for
+merge chains of height h, near-linear on the power-law minis.  The DFS
+is O(|V|).
 """
 
 from __future__ import annotations
-
-import sys
 
 import numpy as np
 
@@ -63,23 +70,18 @@ class RabbitOrder(ReorderingAlgorithm):
             return np.arange(n, dtype=np.int64)
 
         # Undirected weighted adjacency (directions merged, weight = edge
-        # multiplicity); self-loops contribute to the self weight.
+        # multiplicity).  A vertex's strength is its total degree: a
+        # self-loop counts twice, once as an out- and once as an in-edge.
         with span("reorder.rabbit.adjacency"):
-            adjacency, self_weight, strength = _undirected_adjacency(graph)
-        total_weight = float(graph.num_edges)  # m in the gain formula
-        two_m = 2.0 * total_weight
+            neighbours, weights = _undirected_adjacency(graph)
+        strength = graph.total_degrees().astype(np.float64).tolist()
+        two_m = 2.0 * float(graph.num_edges)  # 2m in the gain formula
+        two_m_squared = two_m * two_m
 
-        parent = np.arange(n, dtype=np.int64)
+        parent = list(range(n))
+        visited = [False] * n
         children: list[list[int]] = [[] for _ in range(n)]
         top_level: list[int] = []
-
-        def find(v: int) -> int:
-            root = v
-            while parent[root] != root:
-                root = parent[root]
-            while parent[v] != root:
-                parent[v], v = root, parent[v]
-            return root
 
         # Visit in increasing-degree order, seed-perturbed tie-breaks.
         rng = np.random.default_rng(self.seed)
@@ -90,49 +92,53 @@ class RabbitOrder(ReorderingAlgorithm):
         num_merges = 0
         with span("reorder.rabbit.merge") as merge_span:
             for v in visit_order.tolist():
-                if find(v) != v:
-                    continue  # already absorbed into another community
-                # Resolve v's adjacency through the union-find, folding edges
-                # that became internal into the self weight.
+                visited[v] = True
+                # Resolve v's neighbour list through the union-find (path
+                # compression inlined), summing weights per community root;
+                # entries that now resolve to v itself are internal edges
+                # and drop out.  Weights are integer edge counts, so the
+                # sums do not depend on entry order, and roots enter
+                # `resolved` in order of their first entry: the order the
+                # first-strictly-better tie-break below relies on.
                 resolved: dict[int, float] = {}
-                internal = 0.0
-                for u, w in adjacency[v].items():
-                    root = find(u)
-                    if root == v:
-                        internal += w
-                    else:
-                        resolved[root] = resolved.get(root, 0.0) + w
-                self_weight[v] += internal
-                adjacency[v] = resolved
+                for u, w in zip(neighbours[v], weights[v]):
+                    root = parent[u]
+                    if root != u:
+                        while parent[root] != root:
+                            root = parent[root]
+                        while parent[u] != root:
+                            parent[u], u = root, parent[u]
+                    if root in resolved:
+                        resolved[root] += w
+                    elif root != v:
+                        resolved[root] = w
 
                 best_gain = 0.0
-                best: int | None = None
+                best = -1
                 deg_v = strength[v]
                 for u, w in resolved.items():
                     if cap is not None and strength[u] + deg_v > cap:
                         continue
-                    gain = 2.0 * (w / two_m - (strength[u] * deg_v) / (two_m * two_m))
+                    gain = 2.0 * (w / two_m - (strength[u] * deg_v) / two_m_squared)
                     if gain > best_gain:
                         best_gain = gain
                         best = u
-                if best is None:
+                if best < 0:
                     top_level.append(v)
                     continue
 
-                # Merge v into best: the union-find makes edges pointing at v
-                # resolve to best lazily; adjacency dicts are combined here.
+                # Merge v into best: the union-find makes entries naming v
+                # (or best itself) resolve to best, and so drop out, at
+                # best's visit; v's resolved edges join best's lists for
+                # that visit.  A best visited already stayed top-level and
+                # never reads its lists again.
                 parent[v] = best
                 children[best].append(v)
                 num_merges += 1
-                target = adjacency[best]
-                for u, w in resolved.items():
-                    if u == best:
-                        self_weight[best] += self_weight[v] + 2.0 * w
-                    else:
-                        target[u] = target.get(u, 0.0) + w
-                target.pop(v, None)
-                strength[best] += strength[v]
-                adjacency[v] = {}
+                strength[best] += deg_v
+                if not visited[best]:
+                    neighbours[best].extend(resolved)
+                    weights[best].extend(resolved.values())
             merge_span.set(merges=num_merges)
 
         with span("reorder.rabbit.dfs"):
@@ -142,24 +148,27 @@ class RabbitOrder(ReorderingAlgorithm):
         return sort_order_to_relabeling(order)
 
 
-def _undirected_adjacency(
-    graph: Graph,
-) -> tuple[list[dict[int, float]], np.ndarray, np.ndarray]:
-    """Per-vertex weighted neighbour dicts over the undirected view."""
+def _undirected_adjacency(graph: Graph) -> tuple[list[list[int]], list[list[float]]]:
+    """Per-vertex neighbour and weight lists over the undirected view.
+
+    Each edge ``(u, v)`` with ``u != v`` lists ``v`` for ``u`` and ``u``
+    for ``v``, weight 1, in edge-list order; a repeated pair simply
+    repeats (self-loops only count toward strength).
+    """
     n = graph.num_vertices
     src, dst = graph.edges()
-    adjacency: list[dict[int, float]] = [dict() for _ in range(n)]
-    self_weight = np.zeros(n, dtype=np.float64)
-    for u, v in zip(src.tolist(), dst.tolist()):
-        if u == v:
-            self_weight[u] += 2.0  # a self-loop counts twice in strength
-            continue
-        adjacency[u][v] = adjacency[u].get(v, 0.0) + 1.0
-        adjacency[v][u] = adjacency[v].get(u, 0.0) + 1.0
-    strength = self_weight + np.asarray(
-        [sum(d.values()) for d in adjacency], dtype=np.float64
-    )
-    return adjacency, self_weight, strength
+    keep = src != dst
+    # Interleaved (u, v), (v, u) per edge so that a stable sort by owner
+    # keeps each vertex's entries in edge-list order.
+    owner = np.stack([src[keep], dst[keep]], axis=1).ravel()
+    other = np.stack([dst[keep], src[keep]], axis=1).ravel()
+    flat = other[np.argsort(owner, kind="stable")].tolist()
+    bounds = np.concatenate(
+        [np.zeros(1, dtype=np.int64), np.cumsum(np.bincount(owner, minlength=n))]
+    ).tolist()
+    neighbours = [flat[bounds[i] : bounds[i + 1]] for i in range(n)]
+    weights = [[1.0] * len(listed) for listed in neighbours]
+    return neighbours, weights
 
 
 def _dfs_order(n: int, children: list[list[int]], top_level: list[int]) -> np.ndarray:
@@ -167,7 +176,6 @@ def _dfs_order(n: int, children: list[list[int]], top_level: list[int]) -> np.nd
     order = np.empty(n, dtype=np.int64)
     cursor = 0
     visited = np.zeros(n, dtype=bool)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10_000))
     for root in top_level:
         if visited[root]:
             continue

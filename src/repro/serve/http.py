@@ -98,7 +98,44 @@ async def _readline(reader: asyncio.StreamReader) -> bytes:
     except ValueError as exc:  # the line outgrew the reader's limit
         raise ServeError(f"line longer than {_MAX_LINE_BYTES} bytes") from exc
     except ConnectionError as exc:
-        raise ServeError(f"broken request stream: {exc}") from exc
+        raise ServeError(f"broken stream: {exc}") from exc
+
+
+async def _read_headers(reader: asyncio.StreamReader) -> Dict[str, str]:
+    """Header lines up to the blank line, names lower-cased."""
+    headers: Dict[str, str] = {}
+    for _ in range(_MAX_HEADER_LINES + 1):
+        raw = await _readline(reader)
+        if not raw:
+            raise ServeError("connection closed mid-headers")
+        text = raw.decode("latin-1").strip()
+        if not text:
+            return headers
+        name, sep, value = text.partition(":")
+        if not sep:
+            raise ServeError(f"malformed header line: {text[:200]!r}")
+        headers[name.strip().lower()] = value.strip()
+    raise ServeError(f"more than {_MAX_HEADER_LINES} header lines")
+
+
+async def _read_body(
+    reader: asyncio.StreamReader, headers: Dict[str, str], limit: Optional[int]
+) -> bytes:
+    """The ``Content-Length`` body; ``limit`` caps its size when set."""
+    length_text = headers.get("content-length", "0")
+    if not (length_text.isascii() and length_text.isdigit()):
+        raise ServeError(f"bad Content-Length: {length_text[:40]!r}")
+    length = int(length_text)
+    if limit is not None and length > limit:
+        raise ServeError(f"Content-Length {length} outside [0, {limit}]")
+    if not length:
+        return b""
+    try:
+        return await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise ServeError("connection closed mid-body") from exc
+    except ConnectionError as exc:
+        raise ServeError(f"broken stream: {exc}") from exc
 
 
 async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
@@ -131,34 +168,8 @@ async def _read_rest(reader: asyncio.StreamReader, first: bytes) -> HttpRequest:
         raise ServeError(f"malformed request line: {line[:200]!r}")
     method, target, _version = parts
     path = target.split("?", 1)[0]
-    headers: Dict[str, str] = {}
-    for _ in range(_MAX_HEADER_LINES + 1):
-        raw = await _readline(reader)
-        if not raw:
-            raise ServeError("connection closed mid-headers")
-        text = raw.decode("latin-1").strip()
-        if not text:
-            break
-        name, sep, value = text.partition(":")
-        if not sep:
-            raise ServeError(f"malformed header line: {text[:200]!r}")
-        headers[name.strip().lower()] = value.strip()
-    else:
-        raise ServeError(f"more than {_MAX_HEADER_LINES} header lines")
-    body = b""
-    length_text = headers.get("content-length", "0")
-    if not (length_text.isascii() and length_text.isdigit()):
-        raise ServeError(f"bad Content-Length: {length_text[:40]!r}")
-    length = int(length_text)
-    if length > MAX_BODY_BYTES:
-        raise ServeError(f"Content-Length {length} outside [0, {MAX_BODY_BYTES}]")
-    if length:
-        try:
-            body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError as exc:
-            raise ServeError("connection closed mid-body") from exc
-        except ConnectionError as exc:
-            raise ServeError(f"broken request stream: {exc}") from exc
+    headers = await _read_headers(reader)
+    body = await _read_body(reader, headers, MAX_BODY_BYTES)
     return HttpRequest(method=method.upper(), path=path, headers=headers, body=body)
 
 
@@ -247,6 +258,9 @@ class HttpClient:
 
     Lazily connects on first use; :meth:`request` serializes the payload,
     reads the framed response and returns ``(status, payload, headers)``.
+    A response outside the server's own framing bounds (line length,
+    header count, a non-numeric ``Content-Length``, a body cut short)
+    raises :class:`ServeError` and drops the connection.
     """
 
     def __init__(self, host: str, port: int) -> None:
@@ -260,7 +274,7 @@ class HttpClient:
     ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
         if self._reader is None or self._writer is None:
             self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port
+                self.host, self.port, limit=_MAX_LINE_BYTES
             )
         return self._reader, self._writer
 
@@ -284,7 +298,12 @@ class HttpClient:
             lines.append("Connection: close")
         writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
         await writer.drain()
-        status, response_body, headers = await self._read_response(reader)
+        try:
+            status, response_body, headers = await self._read_response(reader)
+        except ServeError:
+            # The stream is out of step with the framing: never reuse it.
+            await self.close()
+            raise
         if close or headers.get("connection", "").lower() == "close":
             await self.close()
         if not response_body:
@@ -300,29 +319,19 @@ class HttpClient:
     async def _read_response(
         self, reader: asyncio.StreamReader
     ) -> Tuple[int, bytes, Dict[str, str]]:
-        line = await reader.readline()
+        line = await _readline(reader)
         if not line:
             raise ServeError("server closed the connection before responding")
         parts = line.decode("latin-1").strip().split(None, 2)
         if len(parts) < 2 or not parts[0].startswith("HTTP/"):
-            raise ServeError(f"malformed status line: {line!r}")
+            raise ServeError(f"malformed status line: {line[:200]!r}")
         try:
             status = int(parts[1])
         except ValueError as exc:
             raise ServeError(f"malformed status code: {parts[1]!r}") from exc
-        headers: Dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if not raw:
-                raise ServeError("connection closed mid-headers")
-            text = raw.decode("latin-1").strip()
-            if not text:
-                break
-            name, sep, value = text.partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
-        body = await reader.readexactly(length) if length else b""
+        headers = await _read_headers(reader)
+        # A response body is as large as the result it carries: no cap.
+        body = await _read_body(reader, headers, None)
         return status, body, headers
 
     async def close(self) -> None:

@@ -13,7 +13,10 @@ A store write hits a full disk: the store raises a typed
 line, too many headers, a request it never finishes: the server
 answers 400 within a bound instead of dropping the connection or
 holding it forever, and the request parser raises nothing but
-:class:`ServeError` on any byte stream.
+:class:`ServeError` on any byte stream.  A server that answers with
+broken framing gets the same treatment from :class:`HttpClient`: a
+:class:`ServeError` within a bound, never a raw ``ValueError`` or
+``IncompleteReadError``.
 """
 
 from __future__ import annotations
@@ -385,6 +388,62 @@ class TestHttpFraming:
             )
         )
         assert received.count(b"HTTP/1.1 200 ") == 2
+
+
+async def _client_error(response: bytes, *, close: bool) -> "tuple[ServeError, float]":
+    """Answer one :class:`HttpClient` request with ``response`` from a stub
+    server (closing right after when ``close``, else holding the
+    connection open); returns the client's error and the seconds it took."""
+
+    async def stub(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        await reader.readuntil(b"\r\n\r\n")
+        writer.write(response)
+        await writer.drain()
+        if not close:
+            await reader.read()  # until the client drops the connection
+        writer.close()
+
+    server = await asyncio.start_server(stub, "127.0.0.1", 0)
+    host, port = server.sockets[0].getsockname()[:2]
+    client = http.HttpClient(host, port)
+    started = time.perf_counter()
+    try:
+        with pytest.raises(ServeError) as info:
+            await asyncio.wait_for(client.request("GET", "/healthz"), timeout=_BOUND_S)
+        return info.value, time.perf_counter() - started
+    finally:
+        await client.close()
+        server.close()
+        await server.wait_closed()
+
+
+_STATUS = b"HTTP/1.1 200 OK\r\n"
+
+
+class TestHttpClientFraming:
+    @pytest.mark.parametrize(
+        "response, close, message",
+        [
+            (b"HTTP/1.1 200 " + _LONG + b"\r\n\r\n", False, "line longer than"),
+            (_STATUS + b"X-Long: " + _LONG + b"\r\n\r\n", False, "line longer than"),
+            (
+                _STATUS + b"X-H: 1\r\n" * (http._MAX_HEADER_LINES + 1) + b"\r\n",
+                False,
+                "header lines",
+            ),
+            (_STATUS + b"Content-Length: ten\r\n\r\n", False, "bad Content-Length"),
+            (_STATUS + b"Content-Length: -1\r\n\r\n", False, "bad Content-Length"),
+            (_STATUS + b'Content-Length: 100\r\n\r\n{"ok"', True, "closed mid-body"),
+        ],
+        ids=[
+            "status-line", "header-line", "header-count",
+            "length-not-a-number", "length-negative", "body-cut-short",
+        ],
+    )
+    def test_broken_response_is_a_serve_error(self, response, close, message):
+        error, elapsed = asyncio.run(_client_error(response, close=close))
+        assert message in str(error)
+        assert elapsed < _BOUND_S
 
 
 _FRAGMENTS = st.sampled_from([
