@@ -12,9 +12,9 @@ and records, per size: edge count, 90th-percentile effective diameter,
 mean AID and the random-region miss rate.
 
 The ladder doubles from ``base_vertices * REPRO_SCALE``; the default
-tier keeps the run inside the tier-1 budget, and ``REPRO_SCALE`` lifts
-the same curve into the 10⁷–10⁸-edge band (see ``SCALE_DATASETS`` and
-``benchmarks/bench_scale_curve.py``, which reuses this module).
+tier keeps the run inside the tier-1 budget, and ``REPRO_SCALE=2048``
+lifts the same curve into the 10⁷–10⁸-edge band (see
+``SCALE_DATASETS``).
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ def ladder_sizes(scale: "float | None" = None) -> list[int]:
 def build_ladder_graph(num_vertices: int) -> Graph:
     """The RM-family graph at one ladder rung (deterministic per size).
 
-    Shared with ``benchmarks/bench_scale_curve.py`` so the benchmark's
-    gated numbers and the experiment's curve come from the same graphs.
+    ``tests/test_trace_stream.py`` replays one rung to check that the
+    streamed simulation stays chunk-exact in bounded memory.
     """
     spec = SCALE_DATASETS["rmat-scale"]
     log_scale = int(round(math.log2(num_vertices)))

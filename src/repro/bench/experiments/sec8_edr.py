@@ -27,7 +27,7 @@ def run(workloads: Workloads) -> ExperimentReport:
     metrics: dict[str, dict[str, float]] = {}
     for dataset in _DATASETS:
         full = workloads.reordering(dataset, "rabbit")
-        full_sim = workloads.simulation(dataset, "rabbit", with_scans=False)
+        full_sim = workloads.simulation(dataset, "rabbit")
 
         lo, hi = _efficacy_range(workloads, dataset)
         edr_factory = lambda lo=lo, hi=hi: EDRRestricted(RabbitOrder(), lo, hi)  # noqa: E731
@@ -37,7 +37,6 @@ def run(workloads: Workloads) -> ExperimentReport:
         restricted_sim = workloads.simulation(
             dataset,
             "edr+rabbit",
-            with_scans=False,
             factory=edr_factory,
             params={"lo": lo, "hi": hi},
         )

@@ -30,7 +30,7 @@ def run(workloads: Workloads) -> ExperimentReport:
     for dataset in SIM_DATASETS:
         csc = workloads.simulation(dataset, "identity")
         # A CSR read traversal of G is a pull traversal of reversed(G).
-        csr = workloads.simulation(dataset, "identity", reverse=True, with_scans=False)
+        csr = workloads.simulation(dataset, "identity", reverse=True)
         misses[(dataset, "csc")] = csc.l3_misses
         misses[(dataset, "csr")] = csr.l3_misses
         rows.append(

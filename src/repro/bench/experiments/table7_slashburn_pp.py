@@ -22,7 +22,7 @@ def run(workloads: Workloads) -> ExperimentReport:
     for dataset in _DATASETS:
         for label, algorithm in (("sb", "slashburn"), ("sb++", "slashburn++")):
             result = workloads.reordering(dataset, algorithm)
-            sim = workloads.simulation(dataset, algorithm, with_scans=False)
+            sim = workloads.simulation(dataset, algorithm)
             metrics[(dataset, label)] = {
                 "prep": result.preprocessing_seconds,
                 "time": sim.traversal_time_ms(),

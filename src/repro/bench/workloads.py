@@ -18,8 +18,9 @@ result.  Workload sizes scale with ``REPRO_SCALE`` (see
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
+from repro.core.ecs import with_ecs_scans
 from repro.errors import ExperimentError, ServeError
 from repro.generate.datasets import DATASETS, load_dataset, scale_factor
 from repro.obs import span
@@ -147,16 +148,6 @@ def _simulation_stage(
     reverse: bool,
 ) -> SimulationResult:
     return simulate_spmv(graph, config)
-
-
-def _scan_config(graph: Graph, **choices: Any) -> SimulationConfig:
-    """The graph-scaled config plus about 64 resident-set scans per
-    traversal, the samples the ECS metric reads."""
-    approx_len = graph.num_edges + graph.num_vertices // 4
-    return dataclasses.replace(
-        SimulationConfig.scaled_for(graph, **choices),
-        scan_interval=max(1, approx_len // 64),
-    )
 
 
 class Workloads:
@@ -310,7 +301,6 @@ class Workloads:
         algorithm: str = "identity",
         *,
         direction: str = "pull",
-        with_scans: bool = True,
         reverse: bool = False,
         policy: str = "drrip",
         pressure: float = 0.08,
@@ -319,10 +309,10 @@ class Workloads:
     ) -> SimulationResult:
         """Cached SpMV cache simulation of (source, RA, config).
 
-        ``reverse=True`` simulates the reversed graph (a CSR read
-        traversal — Table VI's comparison); ``with_scans`` adds the
-        periodic resident-set snapshots the ECS metric needs; ``policy``
-        and ``pressure`` pick the cache (see
+        Every run takes the periodic resident-set snapshots the ECS
+        metric reads.  ``reverse=True`` simulates the reversed graph (a
+        CSR read traversal — Table VI's comparison); ``policy`` and
+        ``pressure`` pick the cache (see
         :meth:`SimulationConfig.scaled_for`).  ``params`` are the RA's
         parameters, a dict because some share a name with these keywords
         (the degree RAs' ``direction``).  The stored result is keyed by
@@ -331,8 +321,8 @@ class Workloads:
         params = dict(params or {})
         graph_key, _ = self._source(source)
         key = (
-            graph_key, algorithm, _params_key(params), direction, with_scans,
-            reverse, policy, pressure,
+            graph_key, algorithm, _params_key(params), direction, reverse,
+            policy, pressure,
         )
         if key not in self._simulations:
             graph = self.reordered_graph(
@@ -340,11 +330,11 @@ class Workloads:
             )
             if reverse:
                 graph = graph.reversed()
-            choices = {"direction": direction, "policy": policy, "pressure": pressure}
-            config = (
-                _scan_config(graph, **choices)
-                if with_scans
-                else SimulationConfig.scaled_for(graph, **choices)
+            config = with_ecs_scans(
+                graph,
+                SimulationConfig.scaled_for(
+                    graph, direction=direction, policy=policy, pressure=pressure
+                ),
             )
             with span("workload.simulation", dataset=source, algorithm=algorithm):
                 self._simulations[key] = _simulation_stage(

@@ -26,7 +26,7 @@ from repro.core.degree_range import (
     DegreeRangeDecomposition,
     degree_range_decomposition,
 )
-from repro.core.ecs import ECSMeasurement, ecs_from_result
+from repro.core.ecs import ECSMeasurement, ecs_from_result, with_ecs_scans
 from repro.core.gap import GapProfile, average_gap_profile
 from repro.core.hub_coverage import HubCoverage, hub_coverage
 from repro.core.hubs_misses import HubMissCount, hub_data_misses
@@ -113,17 +113,7 @@ class LocalityAnalyzer:
             if config is None:
                 config = SimulationConfig.scaled_for(self.graph)
             if config.scan_interval == 0:
-                approx_len = self.graph.num_edges + self.graph.num_vertices // 4
-                config = SimulationConfig(
-                    cache=config.cache,
-                    tlb=config.tlb,
-                    num_threads=config.num_threads,
-                    interleave_interval=config.interleave_interval,
-                    scan_interval=max(1, approx_len // 64),
-                    direction=config.direction,
-                    promote_sequential=config.promote_sequential,
-                    timing=config.timing,
-                )
+                config = with_ecs_scans(self.graph, config)
             self._result = simulate_spmv(self.graph, config, classify_locality=True)
         return self._result
 

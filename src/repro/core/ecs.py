@@ -13,6 +13,7 @@ locality usually has the lowest ECS.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from repro.errors import SimulationError
 from repro.graph.graph import Graph
 from repro.sim.simulator import SimulationConfig, SimulationResult, simulate_spmv
 
-__all__ = ["ECSMeasurement", "measure_ecs", "ecs_from_result"]
+__all__ = ["ECSMeasurement", "measure_ecs", "ecs_from_result", "with_ecs_scans"]
 
 _DEFAULT_NUM_SCANS = 64
 
@@ -55,6 +56,21 @@ def ecs_from_result(result: SimulationResult) -> ECSMeasurement:
     return ECSMeasurement(samples=samples, scan_interval=result.config.scan_interval)
 
 
+def with_ecs_scans(
+    graph: Graph, config: SimulationConfig, num_scans: int = _DEFAULT_NUM_SCANS
+) -> SimulationConfig:
+    """``config`` with about ``num_scans`` resident-set scans per traversal.
+
+    A traversal issues about ``E + V // 4`` accesses (m random reads
+    plus the sequential lines), so the scans are spaced that many
+    accesses over ``num_scans`` apart.
+    """
+    approx_len = graph.num_edges + graph.num_vertices // 4
+    return dataclasses.replace(
+        config, scan_interval=max(1, approx_len // max(1, num_scans))
+    )
+
+
 def measure_ecs(
     graph: Graph,
     config: SimulationConfig | None = None,
@@ -64,26 +80,14 @@ def measure_ecs(
 ) -> ECSMeasurement:
     """Run a traversal with periodic scans and return its ECS.
 
-    ``num_scans`` spaces the scans evenly over the (estimated) trace
-    length when the supplied config does not already request scanning.
+    Pass either ``config`` or the :meth:`SimulationConfig.scaled_for`
+    kwargs.  ``num_scans`` spaces the scans evenly over the (estimated)
+    trace length when the config does not already request scanning.
     """
-    if config is not None and config.scan_interval > 0:
-        return ecs_from_result(simulate_spmv(graph, config))
     if config is None:
         config = SimulationConfig.scaled_for(graph, **scaled_kwargs)
     elif scaled_kwargs:
         raise SimulationError("pass either a config or scaling kwargs, not both")
-    # Trace length is close to m random accesses plus sequential lines.
-    approx_len = graph.num_edges + graph.num_vertices // 4
-    interval = max(1, approx_len // max(1, num_scans))
-    config = SimulationConfig(
-        cache=config.cache,
-        tlb=config.tlb,
-        num_threads=config.num_threads,
-        interleave_interval=config.interleave_interval,
-        scan_interval=interval,
-        direction=config.direction,
-        promote_sequential=config.promote_sequential,
-        timing=config.timing,
-    )
+    if config.scan_interval == 0:
+        config = with_ecs_scans(graph, config, num_scans)
     return ecs_from_result(simulate_spmv(graph, config))

@@ -26,7 +26,6 @@ from repro.graph.graph import Graph
 from repro.graph.io import (
     load_edge_list,
     load_graph_npz,
-    mmap_npz_arrays,
     save_edge_list,
     save_graph_npz,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "effective_diameter",
     "load_edge_list",
     "load_graph_npz",
-    "mmap_npz_arrays",
     "save_edge_list",
     "save_graph_npz",
     "apply_to_edges",

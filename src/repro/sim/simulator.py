@@ -68,6 +68,10 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.num_threads <= 0:
             raise SimulationError("num_threads must be positive")
+        if self.interleave_interval <= 0:
+            raise SimulationError("interleave_interval must be positive")
+        if self.scan_interval < 0:
+            raise SimulationError("scan_interval must be >= 0 (0 takes no scans)")
         if self.direction not in ("pull", "push"):
             raise SimulationError(
                 f"direction must be 'pull' or 'push', got {self.direction!r}"

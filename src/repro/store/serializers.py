@@ -79,8 +79,6 @@ class Serializer:
 
     kind: str = ""
     extension: str = ""
-    #: Whether ``load`` accepts ``mmap_mode="r"`` (memory-mapped rehydration).
-    supports_mmap: bool = False
 
     def save(self, obj: Any, path: Path) -> None:
         raise NotImplementedError
@@ -92,23 +90,20 @@ class Serializer:
 class GraphSerializer(Serializer):
     """CSR+CSC graphs as uncompressed ``.npz`` (exact integer round-trip).
 
-    Every graph is stored raw: a heap load reads the arrays without
-    inflating them, and ``load(path, mmap_mode="r")`` can memory-map the
-    CSR/CSC arrays of any graph (one shared page-cached copy across
-    processes) — see :func:`repro.graph.io.save_graph_npz`.
+    Every graph is stored raw, so a load reads the arrays without
+    inflating them — see :func:`repro.graph.io.save_graph_npz`.
     """
 
     kind = "graph"
     extension = ".npz"
-    supports_mmap = True
 
     def save(self, obj: Any, path: Path) -> None:
         if not isinstance(obj, Graph):
             raise StoreError(f"graph serializer got {type(obj).__name__}")
         save_graph_npz(obj, path)
 
-    def load(self, path: Path, *, mmap_mode: "str | None" = None) -> Graph:
-        return load_graph_npz(path, mmap_mode=mmap_mode)
+    def load(self, path: Path) -> Graph:
+        return load_graph_npz(path)
 
 
 class ReorderedGraphSerializer(GraphSerializer):

@@ -21,7 +21,7 @@ Durability rules:
   both files into ``quarantine/`` and reports a miss, so the pipeline
   recomputes instead of crashing on a corrupt cache.
 * **Raw graphs** — graph artifacts are uncompressed ``.npz``: a read
-  never inflates them and ``get(..., mmap_mode="r")`` maps any of them.
+  never inflates them.
 * **Last access** — reads bump the payload mtime (``os.utime``), which
   is the LRU axis :mod:`repro.store.gc` evicts along.
 """
@@ -206,21 +206,14 @@ class ArtifactStore:
             and self._meta_path(kind, key).exists()
         )
 
-    def get(self, key: str, kind: str, *, mmap_mode: "str | None" = None) -> Any:
+    def get(self, key: str, kind: str) -> Any:
         """Load and verify one artifact; ``None`` on miss or quarantine.
 
         Corruption — checksum mismatch, unreadable sidecar, or a
         deserialization failure — quarantines the artifact and reports a
         miss so callers recompute rather than crash.
-
-        ``mmap_mode="r"`` asks the serializer for a memory-mapped
-        rehydration (every graph artifact supports it): integrity is
-        still checked — the full payload is hashed before mapping — but
-        the arrays stay on disk, shared page-cache across processes.
         """
         serializer = get_serializer(kind)
-        if mmap_mode is not None and not serializer.supports_mmap:
-            raise StoreError(f"artifact kind {kind!r} does not support mmap_mode")
         payload = self._payload_path(kind, key)
         meta_path = self._meta_path(kind, key)
         if not payload.exists() or not meta_path.exists():
@@ -235,10 +228,7 @@ class ArtifactStore:
             self.quarantine(key, kind, reason="checksum mismatch")
             return None
         try:
-            if mmap_mode is not None:
-                obj = serializer.load(payload, mmap_mode=mmap_mode)  # type: ignore[call-arg]
-            else:
-                obj = serializer.load(payload)
+            obj = serializer.load(payload)
         except Exception:  # corrupted payload that still hashed clean
             self.quarantine(key, kind, reason="deserialization failure")
             return None

@@ -2,10 +2,10 @@
 
 A stored graph artifact is truncated or has one bit flipped on disk.
 Every read path must notice within a bounded time, quarantine the
-artifact and report a miss: the store on its own (heap and
-``mmap_mode="r"`` loads), the memoized pipeline (which then recomputes
-a bit-identical graph), and a warm service request (which still
-answers 200 with the result it gave before the fault).
+artifact and report a miss: the store on its own, the memoized
+pipeline (which then recomputes a bit-identical graph), and a warm
+service request (which still answers 200 with the result it gave
+before the fault).
 
 A store write hits a full disk: the store raises a typed
 :class:`StoreError`, leaves no scratch file, and the service answers a
@@ -75,15 +75,14 @@ def tiny_scale(monkeypatch):
 
 
 class TestStoreGet:
-    @pytest.mark.parametrize("mmap_mode", [None, "r"])
     @pytest.mark.parametrize("fault", sorted(_FAULTS))
-    def test_corrupt_graph_is_quarantined(self, tmp_path, tiny_graph, fault, mmap_mode):
+    def test_corrupt_graph_is_quarantined(self, tmp_path, tiny_graph, fault):
         store = ArtifactStore(tmp_path / "store")
         info = store.put(_KEY, "graph", tiny_graph)
         _FAULTS[fault](info.path)
 
         start = time.perf_counter()
-        loaded = store.get(_KEY, "graph", mmap_mode=mmap_mode)
+        loaded = store.get(_KEY, "graph")
         assert time.perf_counter() - start < _BOUND_S
         assert loaded is None
         assert not store.contains(_KEY, "graph")
@@ -91,10 +90,7 @@ class TestStoreGet:
         reason = store.quarantine_dir / "graph" / f"{_KEY}.reason.txt"
         assert "checksum mismatch" in reason.read_text(encoding="utf-8")
 
-    @pytest.mark.parametrize("mmap_mode", [None, "r"])
-    def test_truncated_graph_with_matching_checksum(
-        self, tmp_path, tiny_graph, mmap_mode
-    ):
+    def test_truncated_graph_with_matching_checksum(self, tmp_path, tiny_graph):
         # A torn file whose sidecar hashes clean: only the loader can
         # tell, and it must quarantine rather than raise.
         store = ArtifactStore(tmp_path / "store")
@@ -107,7 +103,7 @@ class TestStoreGet:
         start = time.perf_counter()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
-            loaded = store.get(_KEY, "graph", mmap_mode=mmap_mode)
+            loaded = store.get(_KEY, "graph")
             gc.collect()
         assert time.perf_counter() - start < _BOUND_S
         assert loaded is None

@@ -70,11 +70,19 @@ class TestECS:
     def test_measure_ecs_auto_interval(self, small_web):
         ecs = measure_ecs(small_web, num_scans=16)
         assert 0 < ecs.average_percent < 100
+        approx_len = small_web.num_edges + small_web.num_vertices // 4
+        assert ecs.scan_interval == approx_len // 16
+        # A run that already asks for scans keeps its interval.
+        assert measure_ecs(small_web, scan_interval=777).scan_interval == 777
 
     def test_measure_ecs_rejects_mixed_args(self, small_web):
-        config = SimulationConfig.scaled_for(small_web)
-        with pytest.raises(SimulationError):
-            measure_ecs(small_web, config, pressure=0.1)
+        plain = SimulationConfig.scaled_for(small_web)
+        # A config that already scans must not drop the kwargs either.
+        scanning = SimulationConfig.scaled_for(small_web, scan_interval=2000)
+        cases = ((plain, {"pressure": 0.1}), (scanning, {"policy": "lru"}))
+        for config, kwargs in cases:
+            with pytest.raises(SimulationError, match="either a config or"):
+                measure_ecs(small_web, config, **kwargs)
 
 
 class TestHubMisses:

@@ -1,5 +1,7 @@
 """Integration-level tests for the end-to-end SpMV cache simulation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -106,12 +108,24 @@ class TestScheduleAndTiming:
 
 
 class TestConfiguration:
-    def test_config_validation(self):
+    def test_config_validation(self, small_web):
         cache = CacheConfig(num_sets=4, ways=2)
         with pytest.raises(SimulationError):
             SimulationConfig(cache=cache, num_threads=0)
         with pytest.raises(SimulationError):
             SimulationConfig(cache=cache, direction="both")
+        # Bad intervals fail at construction, not inside a later run.
+        for field, value in (
+            ("scan_interval", -1),
+            ("interleave_interval", 0),
+            ("interleave_interval", -64),
+        ):
+            with pytest.raises(SimulationError, match=field):
+                SimulationConfig(cache=cache, **{field: value})
+            with pytest.raises(SimulationError, match=field):
+                dataclasses.replace(SimulationConfig(cache=cache), **{field: value})
+        with pytest.raises(SimulationError, match="scan_interval"):
+            SimulationConfig.scaled_for(small_web, scan_interval=-5)
 
     def test_config_and_kwargs_exclusive(self, small_web):
         config = SimulationConfig.scaled_for(small_web)

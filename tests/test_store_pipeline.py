@@ -92,7 +92,7 @@ class TestWarmRunsAreCached:
         self, store, producer_calls, store_reads
     ):
         cold = Workloads(store=store)
-        cold.simulation(_DATASET, "degree", with_scans=False)
+        cold.simulation(_DATASET, "degree")
         assert producer_calls["load_dataset"] > 0
         assert producer_calls["get_algorithm"] > 0
         assert producer_calls["simulate_spmv"] > 0
@@ -103,7 +103,7 @@ class TestWarmRunsAreCached:
             producer_calls[name] = 0
         store_reads.clear()
         warm = Workloads(store=store)
-        warm.simulation(_DATASET, "degree", with_scans=False)
+        warm.simulation(_DATASET, "degree")
         assert producer_calls == {
             "load_dataset": 0,
             "get_algorithm": 0,
@@ -141,8 +141,8 @@ class TestWarmRunsAreCached:
         assert _normalize(warm.data) == _normalize(plain.data)
 
     def test_simulation_results_identical_cold_vs_warm(self, store):
-        cold = Workloads(store=store).simulation(_DATASET, "degree", with_scans=False)
-        warm = Workloads(store=store).simulation(_DATASET, "degree", with_scans=False)
+        cold = Workloads(store=store).simulation(_DATASET, "degree")
+        warm = Workloads(store=store).simulation(_DATASET, "degree")
         assert np.array_equal(warm.region_accesses, cold.region_accesses)
         assert np.array_equal(warm.region_hits, cold.region_hits)
         assert np.array_equal(warm.proc_stats.misses, cold.proc_stats.misses)

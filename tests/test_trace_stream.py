@@ -17,14 +17,19 @@ vertex's access burst, finished-early threads).
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.bench.experiments.scale_curve import build_ladder_graph
 from repro.errors import SimulationError
 from repro.generate.rmat import rmat_edges
 from repro.graph import Graph, build_graph
+from repro.obs import metrics as obs_metrics
 from repro.sim import (
     AddressSpace,
     CacheSnapshot,
@@ -46,6 +51,14 @@ from repro.sim.parallel import edge_balanced_partitions
 from repro.sim.trace import MemoryTrace
 
 _GRAPHS: dict = {}
+
+#: Heap budget of a streamed run: O(V) counters plus O(chunk) in-flight
+#: trace, interleave and attribution buffers.  A run that held the whole
+#: merged trace (``_TRACE_BYTES_PER_ACCESS``) cannot fit under it.
+_PEAK_BYTES_PER_VERTEX = 128
+_PEAK_BYTES_PER_CHUNK_ACCESS = 320
+#: One merged-trace access: int64 line + int8 region + two int64 vertices.
+_TRACE_BYTES_PER_ACCESS = 25
 
 
 def _rmat(seed: int, log_scale: int = 7, num_edges: int = 640) -> Graph:
@@ -327,6 +340,43 @@ class TestStreamedSimulator:
             graph, config, chunk_accesses=1500, classify_locality=True
         )
         self._assert_matches(streamed, materialized_simulation(graph, config))
+
+    @pytest.mark.slow
+    def test_ladder_graph_is_chunk_exact_in_bounded_memory(self):
+        """A 244k-edge run gives the same counters at chunks of 2^20 and
+        2^13 accesses, and the small-chunk run's heap peak stays
+        O(V + chunk), never O(trace)."""
+        graph = build_ladder_graph(1 << 15)
+        config = SimulationConfig.scaled_for(graph)
+        small_chunk = 1 << 13
+        with obs.recording():
+            large = simulate_spmv(graph, config, chunk_accesses=1 << 20)
+            tracemalloc.start()
+            try:
+                small = simulate_spmv(graph, config, chunk_accesses=small_chunk)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            kernel_batches = obs_metrics.registry.counter(
+                "cache.kernel_batches"
+            ).value
+        assert small.num_accesses == large.num_accesses
+        assert small.l3_misses == large.l3_misses
+        assert small.tlb_misses == large.tlb_misses
+        np.testing.assert_array_equal(small.region_accesses, large.region_accesses)
+        np.testing.assert_array_equal(small.region_hits, large.region_hits)
+        for by in ("read", "proc"):
+            np.testing.assert_array_equal(
+                small.random_stats(by).misses, large.random_stats(by).misses
+            )
+        assert kernel_batches > 0
+        bound = (
+            _PEAK_BYTES_PER_VERTEX * graph.num_vertices
+            + _PEAK_BYTES_PER_CHUNK_ACCESS * small_chunk
+        )
+        # The bound can fire: the merged trace alone would exceed it.
+        assert bound < _TRACE_BYTES_PER_ACCESS * small.num_accesses
+        assert peak < bound, (peak, bound)
 
     @staticmethod
     def _assert_matches(streamed, reference) -> None:
