@@ -4,7 +4,9 @@ The paper counts vertices *after removing zero-degree vertices* because
 of their destructive effect on reordering quality (Table I caption).
 :func:`build_graph` reproduces that pipeline: deduplicate edges, drop
 self-loops on request, compact away zero-degree vertices, and construct
-both adjacency directions.
+both adjacency directions.  Deduplication and both adjacency builds each
+take one ``np.sort`` of packed int64 edge keys (see
+:func:`repro.graph.csr._sort_edge_pairs`).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GraphFormatError
+from repro.graph.csr import _sort_edge_pairs
 from repro.graph.graph import Graph
 
 __all__ = ["BuildResult", "build_graph", "dedup_edges", "compact_vertices"]
@@ -45,14 +48,21 @@ class BuildResult:
 def dedup_edges(
     sources: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Remove duplicate directed edges, keeping one copy of each."""
+    """Remove duplicate directed edges, keeping one copy of each.
+
+    The survivors come back sorted by ``(source, target)``.  IDs may be
+    any int64 values, negative ones included, as long as the spread
+    ``max - min + 1`` of all endpoints squared stays below ``2**63``.
+    """
     sources = np.asarray(sources, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
+    if sources.shape != targets.shape or sources.ndim != 1:
+        raise GraphFormatError("edge arrays must be 1-D and equal length")
     if sources.size == 0:
         return sources.copy(), targets.copy()
-    pairs = np.stack([sources, targets], axis=1)
-    unique = np.unique(pairs, axis=0)
-    return unique[:, 0], unique[:, 1]
+    lo = min(int(sources.min()), int(targets.min()))
+    hi = max(int(sources.max()), int(targets.max()))
+    return _sort_edge_pairs(sources, targets, lo, hi - lo + 1, unique=True)
 
 
 def compact_vertices(

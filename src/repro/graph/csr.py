@@ -19,6 +19,10 @@ from repro.errors import GraphFormatError
 
 __all__ = ["Adjacency"]
 
+# Packed edge keys ``(source - base) * span + (target - base)`` must stay
+# below this bound to fit in int64.
+_KEY_LIMIT = 1 << 63
+
 
 class Adjacency:
     """Immutable compressed adjacency (one direction of a directed graph).
@@ -56,18 +60,14 @@ class Adjacency:
 
     @classmethod
     def from_edges(
-        cls,
-        num_vertices: int,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        *,
-        sort_neighbours: bool = True,
+        cls, num_vertices: int, sources: np.ndarray, targets: np.ndarray
     ) -> "Adjacency":
         """Build adjacency over ``sources[i] -> targets[i]`` edges.
 
         The result enumerates, for each source vertex, its target
-        neighbours.  To obtain the reverse direction, swap the two edge
-        arrays at the call site.
+        neighbours in ascending ID order; duplicate edges are kept.  To
+        obtain the reverse direction, swap the two edge arrays at the
+        call site.
         """
         if num_vertices < 0:
             raise GraphFormatError(f"negative vertex count: {num_vertices}")
@@ -86,16 +86,11 @@ class Adjacency:
                     f"edge endpoint out of range [0, {num_vertices}): "
                     f"saw IDs in [{lo}, {hi}]"
                 )
+        _, ordered_targets = _sort_edge_pairs(sources, targets, 0, num_vertices)
         degrees = np.bincount(sources, minlength=num_vertices).astype(np.int64)
         offsets = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(degrees, out=offsets[1:])
-        if sort_neighbours:
-            # Sorting by (source, target) groups each neighbour list and
-            # orders it ascending in one pass.
-            order = np.lexsort((targets, sources))
-        else:
-            order = np.argsort(sources, kind="stable")
-        return cls(offsets, targets[order], validate=False)
+        return cls(offsets, ordered_targets, validate=False)
 
     # -- basic shape ------------------------------------------------------
 
@@ -194,3 +189,45 @@ def _validate_structure(offsets: np.ndarray, targets: np.ndarray) -> None:
     n = offsets.shape[0] - 1
     if targets.size and (targets.min() < 0 or targets.max() >= n):
         raise GraphFormatError(f"target vertex IDs must lie in [0, {n})")
+
+
+def _sort_edge_pairs(
+    sources: np.ndarray,
+    targets: np.ndarray,
+    base: int,
+    span: int,
+    *,
+    unique: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edges sorted by ``(source, target)``, through one sort of int64 keys.
+
+    Every endpoint must lie in ``[base, base + span)``.  Each edge packs
+    into the key ``(source - base) * span + (target - base)``, whose
+    integer order is the lexicographic ``(source, target)`` order, so
+    one ``np.sort`` orders by both endpoints and equal keys are equal
+    pairs.  ``unique=True`` keeps one copy of each pair.  Raises
+    :class:`GraphFormatError` when ``span ** 2`` reaches ``2 ** 63``,
+    where the keys would wrap.
+    """
+    base, span = int(base), int(span)
+    if span * span >= _KEY_LIMIT:
+        raise GraphFormatError(
+            f"{span} vertex IDs are too many to pack an edge into int64 "
+            f"(needs span**2 < 2**63)"
+        )
+    keys = sources - base
+    keys *= span
+    keys += targets - base if base else targets
+    keys.sort()
+    if unique:
+        keep = np.ones(keys.shape[0], dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keys = keys[keep]
+    # Division by a scalar is much cheaper than ``%`` or ``np.divmod``,
+    # so the remainder comes from the quotient.
+    ordered_sources = keys // span
+    keys -= ordered_sources * span
+    if base:
+        ordered_sources += base
+        keys += base
+    return ordered_sources, keys

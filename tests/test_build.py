@@ -21,6 +21,26 @@ class TestDedup:
                                np.array([], dtype=np.int64))
         assert src.shape == (0,)
 
+    def test_negative_ids(self):
+        src, dst = dedup_edges(
+            np.array([5, -3, 0, -3, 5]), np.array([-1, 2, -3, 2, -1])
+        )
+        assert list(zip(src.tolist(), dst.tolist())) == [(-3, 2), (0, -3), (5, -1)]
+
+    def test_widest_packable_spread(self):
+        # max - min + 1 == 3037000499, the largest spread with spread**2 < 2**63.
+        hi = 3037000498
+        src, dst = dedup_edges(np.array([hi, 0, hi]), np.array([0, hi, 0]))
+        assert list(zip(src.tolist(), dst.tolist())) == [(0, hi), (hi, 0)]
+
+    def test_rejects_key_overflow(self):
+        with pytest.raises(GraphFormatError, match="2\\*\\*63"):
+            dedup_edges(np.array([0, 3037000499]), np.array([0, 0]))
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(GraphFormatError):
+            dedup_edges(np.array([0, 1]), np.array([1]))
+
 
 class TestCompact:
     def test_drops_isolated_vertices(self):

@@ -1,10 +1,42 @@
 """Unit tests for the compressed adjacency structure."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
 from repro.graph import Adjacency
+
+
+# The smallest vertex count whose packed edge keys ``src * n + dst``
+# could reach 2**63 (``n * n >= 2**63``).
+KEY_OVERFLOW_N = 3037000500
+
+
+@pytest.fixture
+def address_space_cap():
+    """Cap the address space at 1 GiB above its current size.
+
+    A vertex count that overflows the packed keys also asks for a
+    multi-GiB ``offsets`` array.  Under the cap, a build that misses the
+    overflow check fails with ``MemoryError`` instead of paging it in.
+    """
+    resource = pytest.importorskip("resource")
+    try:
+        with open("/proc/self/statm") as statm:
+            pages = int(statm.read().split()[0])
+    except OSError:
+        pytest.skip("needs /proc/self/statm to size the cap")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = pages * os.sysconf("SC_PAGE_SIZE") + (1 << 30)
+    if hard != resource.RLIM_INFINITY and hard < cap:
+        pytest.skip("hard address-space limit is below the cap")
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def make(n, edges):
@@ -22,15 +54,6 @@ class TestFromEdges:
     def test_neighbours_sorted(self):
         adj = make(3, [(0, 2), (0, 1), (0, 0)])
         assert adj.neighbours(0).tolist() == [0, 1, 2]
-
-    def test_unsorted_option_keeps_input_order(self):
-        adj = Adjacency.from_edges(
-            3,
-            np.array([0, 0], dtype=np.int64),
-            np.array([2, 1], dtype=np.int64),
-            sort_neighbours=False,
-        )
-        assert adj.neighbours(0).tolist() == [2, 1]
 
     def test_empty_graph(self):
         adj = make(5, [])
@@ -62,6 +85,14 @@ class TestFromEdges:
     def test_duplicate_edges_kept(self):
         adj = make(2, [(0, 1), (0, 1)])
         assert adj.degree(0) == 2
+
+    @pytest.mark.parametrize("n", [KEY_OVERFLOW_N, np.int64(KEY_OVERFLOW_N)])
+    @pytest.mark.usefixtures("address_space_cap")
+    def test_rejects_key_overflow(self, n):
+        with pytest.raises(GraphFormatError, match="2\\*\\*63"):
+            Adjacency.from_edges(
+                n, np.array([0], dtype=np.int64), np.array([1], dtype=np.int64)
+            )
 
 
 class TestAccessors:
