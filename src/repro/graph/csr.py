@@ -157,10 +157,7 @@ class Adjacency:
             self.targets, other.targets
         )
 
-    def __hash__(self) -> int:  # pragma: no cover - explicit unhashability
-        # TypeError is what the hashing protocol mandates for unhashable
-        # types, so this raise is exempt from the ReproError hierarchy.
-        raise TypeError("Adjacency is not hashable")  # repro-lint: disable=RL004
+    # Defining __eq__ without __hash__ sets __hash__ to None: unhashable.
 
     def __repr__(self) -> str:
         return f"Adjacency(n={self.num_vertices}, m={self.num_edges})"

@@ -154,10 +154,7 @@ class Graph:
             return NotImplemented
         return self.out_adj == other.out_adj and self.in_adj == other.in_adj
 
-    def __hash__(self) -> int:  # pragma: no cover - explicit unhashability
-        # TypeError is what the hashing protocol mandates for unhashable
-        # types, so this raise is exempt from the ReproError hierarchy.
-        raise TypeError("Graph is not hashable")  # repro-lint: disable=RL004
+    # Defining __eq__ without __hash__ sets __hash__ to None: unhashable.
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""

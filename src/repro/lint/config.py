@@ -45,14 +45,6 @@ _DEFAULT_ALLOWED_RAISES = (
     "KeyboardInterrupt",
     "StopIteration",
 )
-#: Extra RL006 roots beyond auto-detected ``@cached_stage`` functions:
-#: the memo wrapper is the choke point every stage execution flows through.
-_DEFAULT_EFFECTS_DETERMINISTIC = (
-    "src/repro/store/memo.py::cached_stage.decorate.wrapper",
-)
-#: RL007 roots: process-worker entry points (re-running a job must be
-#: undetectable).
-_DEFAULT_EFFECTS_REPLAY_SAFE = ("src/repro/serve/worker.py::execute_job",)
 
 
 @dataclass(frozen=True)
@@ -67,9 +59,6 @@ class LintConfig:
     allowed_raises: Tuple[str, ...] = _DEFAULT_ALLOWED_RAISES
     disabled_rules: Tuple[str, ...] = ()
     severity_overrides: Mapping[str, Severity] = field(default_factory=dict)
-    effects_deterministic: Tuple[str, ...] = _DEFAULT_EFFECTS_DETERMINISTIC
-    effects_replay_safe: Tuple[str, ...] = _DEFAULT_EFFECTS_REPLAY_SAFE
-    effects_cache: str = ".repro-lint-cache"
 
     def severity_for(self, code: str, default: Severity) -> Severity:
         return self.severity_overrides.get(code, default)
@@ -134,12 +123,6 @@ def _apply_table(
             updates["disabled_rules"] = _expect_str_list(key, value, source)
         elif key == "severity":
             updates["severity_overrides"] = _parse_severity(value, source)
-        elif key == "effects-deterministic":
-            updates["effects_deterministic"] = _expect_str_list(key, value, source)
-        elif key == "effects-replay-safe":
-            updates["effects_replay_safe"] = _expect_str_list(key, value, source)
-        elif key == "effects-cache":
-            updates["effects_cache"] = _expect_str(key, value, source)
         else:
             raise LintError(f"{source}: unknown [tool.{CONFIG_TABLE}] key {key!r}")
     return replace(config, **updates)

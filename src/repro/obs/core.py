@@ -29,8 +29,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, TypeVar
 
-from repro.lint.contracts import declares_effects
-
 __all__ = [
     "TRACE_ENV",
     "EPOCH_ANCHOR",
@@ -198,12 +196,11 @@ def debug_counters() -> Dict[str, int]:
         }
 
 
-@declares_effects("global-mutate")
 def _count_metric_update() -> None:
     # Called by the metrics registry under its own value lock; the
     # counter here is advisory (debug), so a plain int add suffices.
-    # Declared carve-out: process-local telemetry, invisible to any
-    # artifact content or replayed simulation state.
+    # Process-local telemetry, invisible to any artifact content or
+    # replayed simulation state.
     _STATE.metric_updates += 1
 
 
@@ -273,7 +270,6 @@ class _LiveSpan:
             state.spans.append(record)
 
 
-@declares_effects("time", "global-mutate")
 def span(name: str, **attrs: Any) -> "_LiveSpan | _NullSpan":
     """Open a (nestable, thread-safe) tracing span.
 
@@ -285,11 +281,11 @@ def span(name: str, **attrs: Any) -> "_LiveSpan | _NullSpan":
     While tracing is disabled this returns a shared no-op context
     manager — no allocation, no timestamp, no lock.
 
-    Declared effects: the live path timestamps the span and appends to
-    the process-local trace buffer.  Neither observation can reach
-    artifact content — tracing output is telemetry, keyed separately
-    from every content-addressed key — so instrumented code stays
-    eligible for ``@cached_stage``/process-worker contracts.
+    The live path timestamps the span and appends to the process-local
+    trace buffer.  Neither observation can reach artifact content —
+    tracing output is telemetry, keyed separately from every
+    content-addressed key — so instrumented code may run inside a
+    ``@cached_stage``.
     """
     if not _STATE.enabled:
         return _NULL_SPAN

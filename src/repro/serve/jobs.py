@@ -15,6 +15,7 @@ store uses for "the same artifact".
 
 from __future__ import annotations
 
+import re
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ReorderingError, ServeError
@@ -38,6 +39,9 @@ JOB_KINDS = ("reorder", "simulate", "analyze")
 POLICIES = ("lru", "srrip", "brrip", "drrip")
 
 DIRECTIONS = ("pull", "push")
+
+#: A store content key: a sha256 hex digest.
+_ARTIFACT_KEY = re.compile(r"[0-9a-f]{64}")
 
 #: Modules whose source text versions every serve response: bumping any
 #: of them changes all job fingerprints, so a redeployed server never
@@ -133,7 +137,11 @@ def canonical_job(payload: Dict[str, Any], *, kind: str) -> Dict[str, Any]:
         raise ServeError(
             f"unknown dataset {dataset!r}; available: {dataset_names(tier='all')}"
         )
-    if graph_fingerprint is not None and len(graph_fingerprint) != 64:
+    if graph_fingerprint is not None and not _ARTIFACT_KEY.fullmatch(
+        graph_fingerprint
+    ):
+        # The key becomes a path under the store root, so anything but
+        # lowercase hex (``../`` included) must stop here.
         raise ServeError(
             "'graph_fingerprint' must be a full 64-hex-digit artifact key"
         )

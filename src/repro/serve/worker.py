@@ -13,15 +13,14 @@ sharing mechanism: identical work across workers, requests, server
 restarts or harness runs resolves to warm artifacts with zero
 recomputation.
 
-The entry point is listed under ``effects-replay-safe`` in
-``[tool.repro-lint]``, so RL007 audits it as a process worker:
-re-running a job must be undetectable.  The effects it reaches are
-declared on :func:`_run_pipeline` and are replay-safe by construction:
-store writes are content-addressed and atomic (a re-run rewrites
-identical bytes), clock readings land only in provenance sidecars and
-manifests, the single environment read (``REPRO_SCALE``) participates
-in every content key, and the uuid draws name scratch files and run
-ids only.
+Re-running a job must be undetectable, and is by construction: store
+writes are content-addressed and atomic (a re-run rewrites identical
+bytes), clock readings land only in provenance sidecars, manifests and
+the reordering's measured fields, the single environment read
+(``REPRO_SCALE``) participates in every content key, and the uuid
+draws name scratch files and run ids only.  ``tests/test_determinism.py``
+checks this at run time: two processes with different clocks, hash
+seeds and environments must return the same job results.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.core.aid import aid_degree_distribution, aid_per_vertex
 from repro.core.ecs import ECSMeasurement, ecs_from_result
 from repro.core.missdist import miss_rate_degree_distribution
 from repro.errors import ServeError
-from repro.lint.contracts import declares_effects
 from repro.serve.jobs import JOB_KINDS
 from repro.sim.simulator import SimulationResult
 from repro.store.store import ArtifactStore
@@ -132,34 +130,8 @@ def _analyze_response(workloads: Workloads, job: Dict[str, Any]) -> Dict[str, An
 # -- entry point -------------------------------------------------------------
 
 
-@declares_effects("time", "rng-unseeded", "env-read", "dict-order-sensitive")
-def _workloads_for(store_root: Optional[str]) -> Workloads:
-    """Fresh worker-side workload cache over the shared store.
-
-    Declared carve-outs: the run manifest draws a wall-clock stamp and a
-    uuid for its *run id*, and the environment snapshot reads platform
-    facts — provenance metadata only, never content.  One cache per job
-    keeps workers stateless; artifact reuse lives entirely in the store.
-    """
-    store = ArtifactStore(store_root) if store_root is not None else None
-    return Workloads(store=store)
-
-
-@declares_effects(
-    "time", "rng-unseeded", "env-read", "fs-write", "global-mutate",
-    "thread-spawn", "dict-order-sensitive", "float-reduction-order",
-)
 def _run_pipeline(workloads: Workloads, job: Dict[str, Any]) -> Dict[str, Any]:
-    """Dispatch one canonical job through the store-backed stages.
-
-    Declared carve-outs, each replay-safe: ``fs-write`` is the
-    content-addressed store committing artifacts (atomic, idempotent —
-    a replay rewrites identical bytes); ``time``/``rng-unseeded`` are
-    provenance clocks and scratch-file tokens; ``env-read`` is
-    ``REPRO_SCALE``, fingerprinted into every key; the remaining bits
-    are the simulator's internal bookkeeping, bit-exact by the
-    kernel-equivalence and replay property suites.
-    """
+    """Dispatch one canonical job through the store-backed stages."""
     kind = job["kind"]
     if kind == "reorder":
         return _reorder_response(workloads, job)
@@ -178,7 +150,10 @@ def execute_job(job: Dict[str, Any], store_root: Optional[str]) -> Dict[str, Any
     touched, so clients can ``GET /artifacts/<key>`` or resubmit a
     graph by fingerprint.
     """
-    workloads = _workloads_for(store_root)
+    # One cache per job keeps workers stateless; artifact reuse lives
+    # entirely in the store.
+    store = ArtifactStore(store_root) if store_root is not None else None
+    workloads = Workloads(store=store)
     result = _run_pipeline(workloads, job)
     manifest = workloads.manifest
     artifacts: Dict[str, str] = {}

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.lint.contracts import declares_effects
 from repro.obs import enabled as _obs_enabled
 from repro.obs import metrics as _obs_metrics
 from repro.sim import _draws
@@ -54,9 +53,8 @@ from repro.sim import _kernels  # noqa: E402
 _FALLBACK_WARNED = False
 
 
-@declares_effects("global-mutate")
 def _warn_kernel_fallback(policy: str) -> None:
-    # Declared carve-out: the latch dedupes a process-local warning;
+    # The latch dedupes a process-local warning;
     # simulation results are already fixed when it flips.
     global _FALLBACK_WARNED
     if _FALLBACK_WARNED:

@@ -32,7 +32,6 @@ import time
 from typing import Any, Callable, Optional
 
 from repro.errors import StoreError
-from repro.lint.contracts import declares_effects
 from repro.obs import metrics as obs_metrics
 from repro.obs import span
 from repro.store.fingerprint import code_version, fingerprint
@@ -42,11 +41,10 @@ from repro.store.store import ArtifactStore
 __all__ = ["cached_stage"]
 
 
-@declares_effects("time")
 def _stage_clock() -> float:
     """Wall-clock source for the ``duration_s`` provenance field.
 
-    This is the one audited clock read inside the memoization wrapper:
+    This is the one clock read inside the memoization wrapper:
     the value feeds manifest records and stored provenance only — it
     never participates in a content key, so two runs that differ only
     in this reading still produce bit-identical artifacts.

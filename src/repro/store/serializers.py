@@ -111,7 +111,14 @@ class ReorderedGraphSerializer(GraphSerializer):
 
 
 class ReorderingSerializer(Serializer):
-    """Relabeling array plus the run's measured overheads and details."""
+    """Relabeling array plus the run's measured overheads and details.
+
+    ``preprocessing_seconds`` and ``peak_memory_bytes`` are measurements
+    of the run that computed the artifact, not content: they are the
+    only stored values two computations of one key may disagree on.
+    Everything else here is a pure function of the key, and
+    ``tests/test_determinism.py`` exempts exactly these two fields.
+    """
 
     kind = "reordering"
     extension = ".npz"

@@ -39,7 +39,6 @@ from pathlib import Path
 from typing import Any, Iterator, Optional, Union
 
 from repro.errors import StoreError
-from repro.lint.contracts import declares_effects
 from repro.obs import metrics as obs_metrics
 from repro.store.serializers import get_serializer
 
@@ -59,18 +58,16 @@ def default_store_dir() -> Path:
     return Path(override) if override else Path(".repro-store")
 
 
-@declares_effects("time")
 def _wallclock() -> float:
     """``created_at`` metadata clock — LRU/GC bookkeeping, never content.
 
     Artifact bytes are fully determined by the content key; this reading
-    lands only in the sidecar metadata, so it is an audited carve-out
-    rather than a determinism hazard.
+    lands only in the sidecar metadata, so it is not a determinism
+    hazard.
     """
     return time.time()
 
 
-@declares_effects("rng-unseeded")
 def _tmp_token() -> str:
     """Collision-proof temp-file token for atomic writes.
 

@@ -166,11 +166,9 @@ class TestDatasetRegistry:
     def test_scale_env_validation(self, monkeypatch):
         from repro.generate import scale_factor
 
-        monkeypatch.setenv("REPRO_SCALE", "abc")
-        with pytest.raises(ExperimentError):
-            scale_factor()
-        monkeypatch.setenv("REPRO_SCALE", "-1")
-        with pytest.raises(ExperimentError):
-            scale_factor()
+        for bad in ("abc", "-1", "nan", "inf", "-inf"):
+            monkeypatch.setenv("REPRO_SCALE", bad)
+            with pytest.raises(ExperimentError):
+                scale_factor()
         monkeypatch.setenv("REPRO_SCALE", "2.0")
         assert scale_factor() == 2.0

@@ -14,7 +14,6 @@ import pytest
 
 from repro.errors import LintError
 from repro.lint import Baseline, Severity, load_config
-from repro.lint.config import LintConfig
 from repro.lint.cli import EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
 from repro.lint.rules.base import Finding
 
@@ -89,9 +88,8 @@ class TestExitCodes:
     def test_list_rules(self, tmp_path):
         out = io.StringIO()
         assert main(["--list-rules"], stream=out) == EXIT_OK
-        listed = out.getvalue()
-        for code in ("RL001", "RL002", "RL003", "RL004", "RL005"):
-            assert code in listed
+        listed = [line.split()[0] for line in out.getvalue().splitlines()]
+        assert listed == ["RL001", "RL002", "RL003", "RL004", "RL005"]
 
 
 class TestBaseline:
@@ -122,6 +120,20 @@ class TestBaseline:
         module.write_text("# a new leading comment\n" + BAD_SIM_SOURCE)
         code, _ = run(tmp_path)
         assert code == EXIT_OK
+
+    def test_stale_entry_detected_after_file_removal(self, tmp_path):
+        make_project(tmp_path, BAD_SIM_SOURCE)
+        code, output = run(tmp_path, "--write-baseline")
+        assert code == EXIT_OK
+
+        code, output = run(tmp_path, "--check-baseline")
+        assert code == EXIT_OK
+        assert "no stale entries" in output
+
+        (tmp_path / "src" / "repro" / "sim" / "mod.py").unlink()
+        code, output = run(tmp_path, "--check-baseline")
+        assert code == EXIT_FINDINGS
+        assert "stale baseline entry" in output
 
     def test_no_baseline_flag_reports_everything(self, tmp_path):
         make_project(tmp_path, BAD_SIM_SOURCE)
@@ -226,10 +238,10 @@ class TestRepoGate:
         )
         assert code == EXIT_OK, out.getvalue()
 
-    def test_effect_roots_match_builtin_defaults(self, repo_root):
-        # The contract roots must not depend on whether a TOML parser
-        # is available to read [tool.repro-lint].
-        committed = load_config(repo_root)
-        builtin = LintConfig()
-        assert committed.effects_replay_safe == builtin.effects_replay_safe
-        assert committed.effects_deterministic == builtin.effects_deterministic
+    def test_repo_baseline_has_no_stale_entries(self, repo_root):
+        out = io.StringIO()
+        code = main(
+            ["--root", str(repo_root), str(repo_root / "src"), "--check-baseline"],
+            stream=out,
+        )
+        assert code == EXIT_OK, out.getvalue()

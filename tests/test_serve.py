@@ -106,6 +106,7 @@ class TestCanonicalJobs:
             {"dataset": "twtr-mini", "policy": "mru"},
             {"dataset": "twtr-mini", "direction": "sideways"},
             {"dataset": "twtr-mini", "params": {"nested": {"no": 1}}},
+            {"graph_fingerprint": "../../outside/" + "x" * 50},  # path escape
         ],
     )
     def test_invalid_payloads_raise(self, payload):
