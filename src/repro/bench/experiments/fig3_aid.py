@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.aid import aid_degree_distribution
 from repro.core.binning import log_bins
 from repro.core.report import format_series
 
@@ -26,14 +25,11 @@ def run(workloads: Workloads) -> ExperimentReport:
     shape_checks = {}
     data = {}
     for dataset in (SOCIAL_DATASETS[0], WEB_DATASETS[1]):
-        graph = workloads.graph(dataset)
-        reordered = workloads.reordered_graph(dataset, "rabbit")
-        bins = log_bins(max(1, int(graph.in_degrees().max(initial=1))))
-        initial = aid_degree_distribution(graph, bins=bins)
-        rabbit = aid_degree_distribution(reordered, bins=bins)
-        community = aid_degree_distribution(
-            workloads.reordered_graph(dataset, "community"), bins=bins
-        )
+        original = workloads.aid(dataset)
+        bins = log_bins(max(1, int(original.degrees.max(initial=1))))
+        initial = original.distribution(bins)
+        rabbit = workloads.aid(dataset, "rabbit").distribution(bins)
+        community = workloads.aid(dataset, "community").distribution(bins)
         data[dataset] = {
             "initial": initial,
             "rabbit": rabbit,
@@ -53,7 +49,7 @@ def run(workloads: Workloads) -> ExperimentReport:
             )
         )
 
-        avg = graph.average_degree
+        avg = int(original.degrees.sum()) / original.degrees.size  # |E| / |V|
         ldv = bins.lower[:-1] <= avg
         populated = (initial.vertex_counts > 0) & (rabbit.vertex_counts > 0)
         ldv_mask = ldv & populated

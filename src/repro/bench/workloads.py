@@ -5,8 +5,8 @@ simulations from here, so repeated requests for the same (graph, RA,
 config) combination are computed once per process.  When a
 :class:`~repro.store.store.ArtifactStore` is attached, each stage is
 additionally memoized *on disk* through :func:`repro.store.memo.cached_stage`:
-the expensive upstream stages (dataset build -> reorder -> rebuild ->
-cache simulation) are computed once ever per (parameters, code version)
+the expensive upstream stages (dataset build -> reorder -> AID / cache
+simulation) are computed once ever per (parameters, code version)
 and every later run — in this process or the next — loads them back
 verified from the store.  A graph source is a registry dataset or the
 content key of a stored graph; every stage downstream of the graph is
@@ -17,15 +17,16 @@ result.  Workload sizes scale with ``REPRO_SCALE`` (see
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Optional
 
+from repro.core.aid import VertexAID
 from repro.core.ecs import with_ecs_scans
 from repro.errors import ExperimentError, ServeError
 from repro.generate.datasets import DATASETS, load_dataset, scale_factor
 from repro.obs import span
 from repro.graph.graph import Graph
 from repro.reorder import ReorderResult, get_algorithm
+from repro.sim.address_space import AddressSpace
 from repro.sim.simulator import SimulationConfig, SimulationResult, simulate_spmv
 from repro.store.manifest import RunManifest
 from repro.store.memo import cached_stage
@@ -107,47 +108,68 @@ def _reordering_stage(
 
 
 @cached_stage(
-    "reordered-graph",
-    code=("repro.generate", "repro.graph", "repro.reorder"),
-    key=lambda load_graph, load_result, graph_key, algorithm, params: {
+    "aid",
+    code=("repro.generate", "repro.graph", "repro.reorder", "repro.core.aid"),
+    key=lambda load_graph, graph_key, algorithm, params, direction: {
         "graph": graph_key,
         "algorithm": algorithm,
         "params": params,
+        "direction": direction,
     },
 )
-def _reordered_graph_stage(
+def _aid_stage(
     load_graph: Callable[[], Graph],
-    load_result: Callable[[], ReorderResult],
     graph_key: str,
     algorithm: str,
     params: dict,
-) -> Graph:
-    result: ReorderResult = load_result()
-    return result.apply(load_graph())
+    direction: str,
+) -> VertexAID:
+    return VertexAID.of(load_graph(), direction=direction)
+
+
+def _simulation_config(
+    shape: "Graph | AddressSpace", direction: str, policy: str, pressure: float
+) -> SimulationConfig:
+    """The config the pipeline simulates a graph of ``shape``'s size under:
+    scaled to its vertex count, with ECS scans spaced over its edges."""
+    return with_ecs_scans(
+        shape,
+        SimulationConfig.scaled_for(
+            shape, direction=direction, policy=policy, pressure=pressure
+        ),
+    )
 
 
 @cached_stage(
     "simulation",
-    code=("repro.generate", "repro.graph", "repro.reorder", "repro.sim"),
-    key=lambda graph, config, graph_key, algorithm, params, reverse: {
+    code=(
+        "repro.generate", "repro.graph", "repro.reorder", "repro.sim", "repro.core.ecs",
+    ),
+    key=lambda load_graph, graph_key, algorithm, params, reverse, **cache: {
         "graph": graph_key,
         "algorithm": algorithm,
         "params": params,
         "reverse": reverse,
-        "config": dataclasses.asdict(config),
+        **cache,
     },
     encode=StoredSimulation.from_result,
-    decode=lambda stored, graph, config, *rest: stored.to_result(graph, config),
+    decode=lambda stored, *inputs, **cache: stored.to_result(
+        _simulation_config(stored.space, **cache)
+    ),
 )
 def _simulation_stage(
-    graph: Graph,
-    config: SimulationConfig,
+    load_graph: Callable[[], Graph],
     graph_key: str,
     algorithm: str,
     params: dict,
     reverse: bool,
+    *,
+    direction: str,
+    policy: str,
+    pressure: float,
 ) -> SimulationResult:
-    return simulate_spmv(graph, config)
+    graph = load_graph()
+    return simulate_spmv(graph, _simulation_config(graph, direction, policy, pressure))
 
 
 class Workloads:
@@ -173,6 +195,7 @@ class Workloads:
         self._graphs: dict[str, Graph] = {}
         self._reorderings: dict[tuple, ReorderResult] = {}
         self._reordered_graphs: dict[tuple, Graph] = {}
+        self._aids: dict[tuple, VertexAID] = {}
         self._simulations: dict[tuple, SimulationResult] = {}
 
     @property
@@ -276,24 +299,49 @@ class Workloads:
         factory: "Callable[[], object] | None" = None,
         **kwargs,
     ) -> Graph:
-        """The source graph rebuilt in the RA's new ID space."""
+        """The source graph rebuilt in the RA's new ID space.
+
+        Computed in memory and never stored: only a miss of the O(V)
+        ``aid`` and ``simulation`` stages (and the locality-type
+        classifier) needs the whole reordered graph.
+        """
         graph_key, load_graph = self._source(source)
         key = (graph_key, algorithm, _params_key(kwargs))
         if key not in self._reordered_graphs:
-            if algorithm == "identity":
-                self._reordered_graphs[key] = load_graph()
-            else:
-                self._reordered_graphs[key] = _reordered_graph_stage(
-                    load_graph,
-                    lambda: self.reordering(
-                        source, algorithm, factory=factory, **kwargs
-                    ),
+            graph = load_graph()
+            if algorithm != "identity":
+                result = self.reordering(source, algorithm, factory=factory, **kwargs)
+                graph = result.apply(graph)
+            self._reordered_graphs[key] = graph
+        return self._reordered_graphs[key]
+
+    def aid(
+        self,
+        source: str,
+        algorithm: str = "identity",
+        *,
+        direction: str = "in",
+        params: "dict | None" = None,
+    ) -> VertexAID:
+        """Cached per-vertex AID of (source, RA) in the RA's ID order.
+
+        ``direction`` picks in- or out-neighbours; ``params`` are the
+        RA's parameters, as in :meth:`simulation`.
+        """
+        params = dict(params or {})
+        graph_key, _ = self._source(source)
+        key = (graph_key, algorithm, _params_key(params), direction)
+        if key not in self._aids:
+            with span("workload.aid", dataset=source, algorithm=algorithm):
+                self._aids[key] = _aid_stage(
+                    lambda: self.reordered_graph(source, algorithm, **params),
                     graph_key,
                     algorithm,
-                    dict(kwargs),
+                    params,
+                    direction,
                     **self._stage_kwargs(),
                 )
-        return self._reordered_graphs[key]
+        return self._aids[key]
 
     def simulation(
         self,
@@ -316,7 +364,8 @@ class Workloads:
         :meth:`SimulationConfig.scaled_for`).  ``params`` are the RA's
         parameters, a dict because some share a name with these keywords
         (the degree RAs' ``direction``).  The stored result is keyed by
-        the config the run used, not by these choices.
+        these inputs, and a hit rebuilds its config from the stored
+        vertex and edge counts, so it reads no graph.
         """
         params = dict(params or {})
         graph_key, _ = self._source(source)
@@ -325,25 +374,23 @@ class Workloads:
             policy, pressure,
         )
         if key not in self._simulations:
-            graph = self.reordered_graph(
-                source, algorithm, factory=factory, **params
-            )
-            if reverse:
-                graph = graph.reversed()
-            config = with_ecs_scans(
-                graph,
-                SimulationConfig.scaled_for(
-                    graph, direction=direction, policy=policy, pressure=pressure
-                ),
-            )
+
+            def load_graph() -> Graph:
+                graph = self.reordered_graph(
+                    source, algorithm, factory=factory, **params
+                )
+                return graph.reversed() if reverse else graph
+
             with span("workload.simulation", dataset=source, algorithm=algorithm):
                 self._simulations[key] = _simulation_stage(
-                    graph,
-                    config,
+                    load_graph,
                     graph_key,
                     algorithm,
                     params,
                     reverse,
+                    direction=direction,
+                    policy=policy,
+                    pressure=pressure,
                     **self._stage_kwargs(),
                 )
         return self._simulations[key]
@@ -359,6 +406,7 @@ class Workloads:
         self._graphs.clear()
         self._reorderings.clear()
         self._reordered_graphs.clear()
+        self._aids.clear()
         self._simulations.clear()
 
 

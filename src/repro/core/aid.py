@@ -24,7 +24,7 @@ from repro.graph.graph import Graph
 
 from repro.core.binning import DegreeBins, log_bins
 
-__all__ = ["aid_per_vertex", "AIDDistribution", "aid_degree_distribution"]
+__all__ = ["aid_per_vertex", "AIDDistribution", "VertexAID", "aid_degree_distribution"]
 
 
 def aid_per_vertex(graph: Graph, *, direction: str = "in") -> np.ndarray:
@@ -75,22 +75,40 @@ class AIDDistribution:
         return self.bins.centers()[mask], self.mean_aid[mask]
 
 
+@dataclass(frozen=True)
+class VertexAID:
+    """Per-vertex AID and same-direction degree, in the graph's ID order.
+
+    The O(V) input of every AID figure: :meth:`distribution` bins it
+    without the graph, bit-identically to :func:`aid_degree_distribution`.
+    """
+
+    aid: np.ndarray
+    degrees: np.ndarray
+
+    @classmethod
+    def of(cls, graph: Graph, *, direction: str = "in") -> "VertexAID":
+        aid = aid_per_vertex(graph, direction=direction)
+        degrees = graph.in_degrees() if direction == "in" else graph.out_degrees()
+        return cls(aid=aid, degrees=degrees)
+
+    def distribution(self, bins: DegreeBins | None = None) -> AIDDistribution:
+        """Degree distribution of AID (Figure 3): the mean AID of the
+        vertices whose degree falls in each bin."""
+        aid, degrees = self.aid, self.degrees
+        if bins is None:
+            bins = log_bins(max(1, int(degrees.max()) if degrees.size else 1))
+        idx = bins.index_of(degrees)
+        valid = (idx >= 0) & ~np.isnan(aid)
+        counts = np.bincount(idx[valid], minlength=bins.num_bins).astype(np.int64)
+        sums = np.bincount(idx[valid], weights=aid[valid], minlength=bins.num_bins)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+        return AIDDistribution(bins=bins, mean_aid=mean, vertex_counts=counts)
+
+
 def aid_degree_distribution(
     graph: Graph, *, direction: str = "in", bins: DegreeBins | None = None
 ) -> AIDDistribution:
-    """Degree distribution of AID (Figure 3).
-
-    Each bin averages the AID of the vertices whose degree (in the same
-    direction) falls in the bin.
-    """
-    aid = aid_per_vertex(graph, direction=direction)
-    degrees = graph.in_degrees() if direction == "in" else graph.out_degrees()
-    if bins is None:
-        bins = log_bins(max(1, int(degrees.max()) if degrees.size else 1))
-    idx = bins.index_of(degrees)
-    valid = (idx >= 0) & ~np.isnan(aid)
-    counts = np.bincount(idx[valid], minlength=bins.num_bins).astype(np.int64)
-    sums = np.bincount(idx[valid], weights=aid[valid], minlength=bins.num_bins)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return AIDDistribution(bins=bins, mean_aid=mean, vertex_counts=counts)
+    """Degree distribution of AID (Figure 3) over ``graph``'s vertices."""
+    return VertexAID.of(graph, direction=direction).distribution(bins)

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.graph.graph import Graph
+from repro.sim.address_space import AddressSpace
 from repro.sim.simulator import SimulationConfig, SimulationResult, simulate_spmv
 
 __all__ = ["ECSMeasurement", "measure_ecs", "ecs_from_result", "with_ecs_scans"]
@@ -57,13 +58,16 @@ def ecs_from_result(result: SimulationResult) -> ECSMeasurement:
 
 
 def with_ecs_scans(
-    graph: Graph, config: SimulationConfig, num_scans: int = _DEFAULT_NUM_SCANS
+    graph: "Graph | AddressSpace",
+    config: SimulationConfig,
+    num_scans: int = _DEFAULT_NUM_SCANS,
 ) -> SimulationConfig:
     """``config`` with about ``num_scans`` resident-set scans per traversal.
 
     A traversal issues about ``E + V // 4`` accesses (m random reads
     plus the sequential lines), so the scans are spaced that many
-    accesses over ``num_scans`` apart.
+    accesses over ``num_scans`` apart.  Only the vertex and edge counts
+    are read, so the address space of a stored run rebuilds its config.
     """
     approx_len = graph.num_edges + graph.num_vertices // 4
     return dataclasses.replace(

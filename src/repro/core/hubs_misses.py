@@ -41,11 +41,10 @@ class HubMissCount:
 def hub_data_misses(result: SimulationResult, min_degree: int) -> HubMissCount:
     """Count misses to data of vertices with degree > ``min_degree``."""
     stats = result.random_stats(by="read")
-    graph = result.graph
     degrees = (
-        graph.out_degrees()
+        result.out_degrees
         if result.config.direction == "pull"
-        else graph.in_degrees()
+        else result.in_degrees
     )
     mask = degrees > min_degree
     return HubMissCount(

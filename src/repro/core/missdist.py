@@ -61,20 +61,19 @@ def miss_rate_degree_distribution(
     if by not in ("proc", "read"):
         raise ReproError(f"by must be 'proc' or 'read', got {by!r}")
     stats = result.random_stats(by=by)
-    graph = result.graph
     if by == "proc":
         # Processing degree: the traversal direction's own degree.
         degrees = (
-            graph.in_degrees()
+            result.in_degrees
             if result.config.direction == "pull"
-            else graph.out_degrees()
+            else result.out_degrees
         )
     else:
         # Access frequency of a vertex's data: the opposite degree.
         degrees = (
-            graph.out_degrees()
+            result.out_degrees
             if result.config.direction == "pull"
-            else graph.in_degrees()
+            else result.in_degrees
         )
     if bins is None:
         bins = log_bins(max(1, int(degrees.max()) if degrees.size else 1))

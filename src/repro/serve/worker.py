@@ -31,7 +31,6 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.bench.workloads import Workloads
-from repro.core.aid import aid_degree_distribution, aid_per_vertex
 from repro.core.ecs import ECSMeasurement, ecs_from_result
 from repro.core.missdist import miss_rate_degree_distribution
 from repro.errors import ServeError
@@ -102,18 +101,16 @@ def _simulate_response(workloads: Workloads, job: Dict[str, Any]) -> Dict[str, A
 
 
 def _analyze_response(workloads: Workloads, job: Dict[str, Any]) -> Dict[str, Any]:
-    graph = workloads.reordered_graph(
-        _source(job), job["algorithm"], **job["params"]
-    )
     aid_direction = "in" if job["direction"] == "pull" else "out"
-    aid = aid_per_vertex(graph, direction=aid_direction)
-    distribution = aid_degree_distribution(graph, direction=aid_direction)
-    centers, mean_aid = distribution.series()
+    vertex_aid = workloads.aid(
+        _source(job), job["algorithm"], direction=aid_direction, params=job["params"]
+    )
+    centers, mean_aid = vertex_aid.distribution().series()
     sim = _simulation(workloads, job)
-    finite = aid[np.isfinite(aid)]
+    finite = vertex_aid.aid[np.isfinite(vertex_aid.aid)]
     return {
-        "num_vertices": int(graph.num_vertices),
-        "num_edges": int(graph.num_edges),
+        "num_vertices": int(vertex_aid.degrees.size),
+        "num_edges": int(sim.num_edges),
         "aid": {
             "direction": aid_direction,
             "mean": float(finite.mean()) if finite.size else 0.0,

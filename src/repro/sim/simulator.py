@@ -80,7 +80,7 @@ class SimulationConfig:
     @classmethod
     def scaled_for(
         cls,
-        graph: Graph,
+        graph: "Graph | AddressSpace",
         *,
         pressure: float = 0.08,
         num_threads: int = 8,
@@ -89,7 +89,8 @@ class SimulationConfig:
         with_tlb: bool = True,
         policy: str = "drrip",
     ) -> "SimulationConfig":
-        """Config whose cache/TLB are scaled to the graph (DESIGN.md §2)."""
+        """Config whose cache/TLB are scaled to the graph's vertex count
+        (DESIGN.md §2), which a stored run's address space also gives."""
         cache = CacheConfig.scaled_for(
             graph.num_vertices, pressure=pressure, policy=policy
         )
@@ -108,6 +109,8 @@ class SimulationConfig:
 class SimulationResult:
     """Outcome of one simulated parallel SpMV traversal, O(V + snapshots).
 
+    ``in_degrees``/``out_degrees`` are the simulated graph's, the only
+    part of it the timing model and the per-degree metrics read.
     ``region_accesses``/``region_hits`` count accesses and hits per
     :class:`~repro.sim.address_space.Region`; ``read_stats`` and
     ``proc_stats`` attribute the random accesses and their misses per
@@ -115,7 +118,8 @@ class SimulationResult:
     the run classified reuses (``classify_locality=True``).
     """
 
-    graph: Graph
+    in_degrees: np.ndarray
+    out_degrees: np.ndarray
     config: SimulationConfig
     space: AddressSpace
     region_accesses: np.ndarray
@@ -128,6 +132,10 @@ class SimulationResult:
     locality_types: LocalityTypeCounts | None = None
 
     # -- headline counters --------------------------------------------------
+
+    @property
+    def num_edges(self) -> int:
+        return self.space.num_edges
 
     @property
     def num_accesses(self) -> int:
@@ -203,11 +211,7 @@ class SimulationResult:
     def per_vertex_cost(self) -> np.ndarray:
         """Simulated cycles each vertex's processing consumes."""
         timing = self.config.timing
-        degrees = (
-            self.graph.in_degrees()
-            if self.config.direction == "pull"
-            else self.graph.out_degrees()
-        )
+        degrees = self.in_degrees if self.config.direction == "pull" else self.out_degrees
         return (
             degrees.astype(np.float64) * timing.cycles_per_edge
             + self.proc_stats.misses.astype(np.float64) * timing.cycles_per_l3_miss
@@ -231,7 +235,7 @@ class SimulationResult:
         """Simulated traversal time (Table IV "Time" substitute)."""
         idle = self.schedule(chunks_per_thread=chunks_per_thread).idle_percent
         return self.config.timing.traversal_time_ms(
-            self.graph.num_edges, self.l3_misses, self.tlb_misses, idle
+            self.num_edges, self.l3_misses, self.tlb_misses, idle
         )
 
 
@@ -358,7 +362,8 @@ def simulate_spmv(
             obs_metrics.registry.counter("sim.tlb_misses").inc(tlb_misses)
 
     return SimulationResult(
-        graph=graph,
+        in_degrees=graph.in_degrees(),
+        out_degrees=graph.out_degrees(),
         config=config,
         space=space,
         region_accesses=region_accesses,
@@ -383,7 +388,7 @@ def simulate_spmv_streamed(
     """:func:`simulate_spmv` under its old name, with its old shard keywords.
 
     Exists only for the call sites in ``perfbench/replay_4x.py`` and is
-    deleted when perfbench drops its shard cell (ROADMAP item 1).  The
+    deleted when perfbench drops its shard cell (ROADMAP item 2).  The
     replay was bit-identical for every shard count and mode, so after
     checking the two keywords this is :func:`simulate_spmv` itself.
     """

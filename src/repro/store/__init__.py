@@ -6,7 +6,7 @@ The subsystem has four layers (DESIGN.md §9):
    artifact's full provenance (parameters, seeds, scale, and a source
    hash of the producing modules, so code changes self-invalidate).
 2. :mod:`repro.store.serializers` — typed, exact-round-trip formats for
-   the repo's artifact kinds (graphs, reorderings, simulations, JSON).
+   the repo's artifact kinds (graphs, reorderings, AID, simulations, JSON).
 3. :mod:`repro.store.store` / :mod:`repro.store.gc` — the on-disk
    store: atomic writes, verified reads with corruption quarantine,
    pinning, LRU garbage collection under a size bound.

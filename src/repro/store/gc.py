@@ -74,8 +74,14 @@ def _checksum_matches(info: ArtifactInfo) -> bool:
 
 
 def verify_store(store: ArtifactStore, *, quarantine: bool = False) -> VerifyReport:
-    """Checksum-verify every committed artifact in the store."""
+    """Checksum-verify every committed artifact in the store.
+
+    Each retired kind directory is one issue; :func:`collect_garbage`
+    evicts it.
+    """
     report = VerifyReport()
+    for kind in store.retired_kinds():
+        report.issues.append(VerifyIssue("*", kind, "retired artifact kind"))
     for info in store.infos():
         report.checked += 1
         problem = ""
@@ -98,14 +104,19 @@ def verify_store(store: ArtifactStore, *, quarantine: bool = False) -> VerifyRep
 def collect_garbage(store: ArtifactStore, max_bytes: int) -> GCReport:
     """Evict LRU artifacts until total payload size fits ``max_bytes``.
 
-    Most-recently-accessed artifacts are retained first; pinned keys are
+    Retired kind directories go first, whatever the budget.  Then the
+    most-recently-accessed artifacts are retained first; pinned keys are
     never evicted, even when keeping them leaves the store over budget.
     """
     if max_bytes < 0:
         raise StoreError(f"max_bytes must be non-negative, got {max_bytes}")
     with span("store.gc", max_bytes=max_bytes):
+        report = GCReport()
+        for kind in store.retired_kinds():
+            store.remove_retired_kind(kind)
+            report.evicted.append((kind, "*"))
         infos = store.infos()
-        report = GCReport(scanned=len(infos))
+        report.scanned = len(infos) + len(report.evicted)
         report.bytes_before = sum(info.size_bytes for info in infos)
         # Most recently used first: fill the budget, evict the LRU tail.
         by_recency = sorted(infos, key=lambda info: info.last_access_at, reverse=True)

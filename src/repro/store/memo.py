@@ -19,7 +19,7 @@ heavyweight objects (graphs), or zero-argument loaders that only a miss
 calls, whose identity is already captured by upstream parameters — but
 from an explicit ``key`` callable mapping the call to a provenance dict.
 ``encode``/``decode`` adapt results whose natural form needs call
-context to reconstruct (a stored simulation needs its graph and config
+context to reconstruct (a stored simulation needs its config
 back).  ``stage.content_key(*args)`` derives the key a call would use
 without running or loading anything, so a downstream stage can name its
 input by that key.

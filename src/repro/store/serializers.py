@@ -7,8 +7,8 @@ artifact types, each with a natural on-disk form:
 kind               payload                       format
 =================  ============================  =========
 ``graph``          :class:`~repro.graph.graph.Graph` (CSR+CSC)   raw ``.npz``
-``reordered-graph``  same, after an RA's relabeling              raw ``.npz``
 ``reordering``     :class:`~repro.reorder.base.ReorderResult`    deflated ``.npz``
+``aid``            :class:`~repro.core.aid.VertexAID` (O(V))     deflated ``.npz``
 ``simulation``     :class:`StoredSimulation` (O(V) counters)    deflated ``.npz``
 ``json``           JSON documents (report data, manifests)       ``.json``
 =================  ============================  =========
@@ -22,12 +22,13 @@ load failure here signals corruption and is quarantined by the caller.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from repro.core.aid import VertexAID
 from repro.errors import StoreError
 from repro.graph.graph import Graph
 from repro.graph.io import load_graph_npz, save_graph_npz
@@ -39,8 +40,10 @@ from repro.sim.stats import LocalityTypeCounts, VertexAccessStats
 
 __all__ = [
     "Serializer",
+    "DataclassSerializer",
     "GraphSerializer",
     "ReorderingSerializer",
+    "AIDSerializer",
     "SimulationSerializer",
     "JSONSerializer",
     "StoredSimulation",
@@ -106,11 +109,55 @@ class GraphSerializer(Serializer):
         return load_graph_npz(path)
 
 
-class ReorderedGraphSerializer(GraphSerializer):
-    kind = "reordered-graph"
+def _narrowed(array: np.ndarray) -> np.ndarray:
+    """An integer array in the smallest dtype that holds its values."""
+    if array.dtype.kind not in "iu" or array.size == 0:
+        return array
+    low, high = int(array.min()), int(array.max())
+    return array.astype(np.result_type(np.min_scalar_type(low), np.min_scalar_type(high)))
 
 
-class ReorderingSerializer(Serializer):
+def _widened(array: np.ndarray) -> np.ndarray:
+    """:func:`_narrowed` undone: integer arrays back to ``int64``."""
+    return array.astype(np.int64, copy=False) if array.dtype.kind in "iu" else array
+
+
+class DataclassSerializer(Serializer):
+    """A dataclass as one deflated ``.npz``: each array field a member,
+    every other field in a JSON ``meta`` member.
+
+    Integer arrays are deflated in the narrowest dtype that holds them,
+    a fraction of the work of deflating ``int64``, and load back as
+    ``int64``, the one integer dtype these payloads hold.
+    """
+
+    extension = ".npz"
+    payload: type = object
+
+    def save(self, obj: Any, path: Path) -> None:
+        if not isinstance(obj, self.payload):
+            raise StoreError(f"{self.kind} serializer got {type(obj).__name__}")
+        arrays: dict[str, np.ndarray] = {}
+        meta: dict[str, Any] = {}
+        for item in fields(obj):
+            value = getattr(obj, item.name)
+            if isinstance(value, np.ndarray):
+                arrays[item.name] = _narrowed(value)
+            else:
+                meta[item.name] = jsonify(value)
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, meta=np.asarray(json.dumps(meta)), **arrays)
+
+    def load(self, path: Path) -> Any:
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+            arrays = {
+                name: _widened(data[name]) for name in data.files if name != "meta"
+            }
+        return self.payload(**arrays, **meta)
+
+
+class ReorderingSerializer(DataclassSerializer):
     """Relabeling array plus the run's measured overheads and details.
 
     ``preprocessing_seconds`` and ``peak_memory_bytes`` are measurements
@@ -121,51 +168,31 @@ class ReorderingSerializer(Serializer):
     """
 
     kind = "reordering"
-    extension = ".npz"
+    payload = ReorderResult
 
-    def save(self, obj: Any, path: Path) -> None:
-        if not isinstance(obj, ReorderResult):
-            raise StoreError(f"reordering serializer got {type(obj).__name__}")
-        meta = {
-            "algorithm": obj.algorithm,
-            "preprocessing_seconds": obj.preprocessing_seconds,
-            "peak_memory_bytes": obj.peak_memory_bytes,
-            "details": jsonify(obj.details),
-        }
-        with open(path, "wb") as handle:
-            np.savez_compressed(
-                handle,
-                relabeling=obj.relabeling,
-                meta=np.asarray(json.dumps(meta)),
-            )
 
-    def load(self, path: Path) -> ReorderResult:
-        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
-            if "relabeling" not in data.files or "meta" not in data.files:
-                raise StoreError(f"reordering artifact missing arrays: {data.files}")
-            relabeling = data["relabeling"]
-            meta = json.loads(str(data["meta"]))
-        return ReorderResult(
-            algorithm=meta["algorithm"],
-            relabeling=relabeling,
-            preprocessing_seconds=meta["preprocessing_seconds"],
-            peak_memory_bytes=meta["peak_memory_bytes"],
-            details=meta["details"],
-        )
+class AIDSerializer(DataclassSerializer):
+    """Per-vertex AID and degree arrays, in the reordered ID order."""
+
+    kind = "aid"
+    payload = VertexAID
 
 
 @dataclass
 class StoredSimulation:
-    """A :class:`SimulationResult` minus its graph and config: O(V + snapshots).
+    """A :class:`SimulationResult` minus its config: O(V + snapshots).
 
-    The graph is itself a stored artifact and the config is re-derived
-    deterministically by the pipeline, so the simulation artifact keeps
-    only what the simulator produced: per-region access/hit counters,
-    per-vertex access/miss counts under both attributions, ECS snapshots
-    (flattened with lengths), partition boundaries, TLB misses and the
-    locality-type counts when the run classified them.
+    The config is re-derived deterministically from the stored vertex
+    and edge counts, so the simulation artifact keeps only the graph's
+    in/out degrees and what the simulator produced: per-region
+    access/hit counters, per-vertex access/miss counts under both
+    attributions, ECS snapshots (flattened with lengths), partition
+    boundaries, TLB misses and the locality-type counts when the run
+    classified them.
     """
 
+    in_degrees: np.ndarray
+    out_degrees: np.ndarray
     region_accesses: np.ndarray
     region_hits: np.ndarray
     read_accesses: np.ndarray
@@ -182,17 +209,10 @@ class StoredSimulation:
 
     @classmethod
     def from_result(cls, result: SimulationResult) -> "StoredSimulation":
-        space = result.space
         snapshots = result.snapshots
-        lengths = np.asarray(
-            [snap.resident_lines.shape[0] for snap in snapshots], dtype=np.int64
-        )
-        concat = (
-            np.concatenate([snap.resident_lines for snap in snapshots])
-            if snapshots
-            else np.zeros(0, dtype=np.int64)
-        )
         return cls(
+            in_degrees=result.in_degrees,
+            out_degrees=result.out_degrees,
             region_accesses=result.region_accesses,
             region_hits=result.region_hits,
             read_accesses=result.read_stats.accesses,
@@ -203,45 +223,41 @@ class StoredSimulation:
             snapshot_indices=np.asarray(
                 [snap.access_index for snap in snapshots], dtype=np.int64
             ),
-            snapshot_lines=concat,
-            snapshot_lengths=lengths,
+            snapshot_lines=np.concatenate(
+                [snap.resident_lines for snap in snapshots]
+                or [np.zeros(0, dtype=np.int64)]
+            ),
+            snapshot_lengths=np.asarray(
+                [snap.resident_lines.shape[0] for snap in snapshots], dtype=np.int64
+            ),
             tlb_misses=result.tlb_misses,
-            space_params={
-                "num_vertices": space.num_vertices,
-                "num_edges": space.num_edges,
-                "line_size": space.line_size,
-                "offsets_elem": space.offsets_elem,
-                "edges_elem": space.edges_elem,
-                "data_elem": space.data_elem,
-            },
+            space_params=asdict(result.space),
             locality_types=(
                 None if result.locality_types is None else asdict(result.locality_types)
             ),
         )
 
-    def to_result(self, graph: Graph, config: SimulationConfig) -> SimulationResult:
-        """Rebuild the full result in the context of its graph/config."""
-        snapshots = []
-        offset = 0
-        for index, length in zip(
-            self.snapshot_indices.tolist(), self.snapshot_lengths.tolist()
-        ):
-            snapshots.append(
-                CacheSnapshot(
-                    access_index=int(index),
-                    resident_lines=self.snapshot_lines[offset : offset + length],
-                )
-            )
-            offset += length
+    @property
+    def space(self) -> AddressSpace:
+        """The address space the run laid its graph out in."""
+        return AddressSpace(**self.space_params)
+
+    def to_result(self, config: SimulationConfig) -> SimulationResult:
+        """Rebuild the full result under the config the run used."""
+        lines = np.split(self.snapshot_lines, np.cumsum(self.snapshot_lengths)[:-1])
         return SimulationResult(
-            graph=graph,
+            in_degrees=self.in_degrees,
+            out_degrees=self.out_degrees,
             config=config,
-            space=AddressSpace(**self.space_params),
+            space=self.space,
             region_accesses=self.region_accesses,
             region_hits=self.region_hits,
             read_stats=VertexAccessStats(self.read_accesses, self.read_misses),
             proc_stats=VertexAccessStats(self.proc_accesses, self.proc_misses),
-            snapshots=snapshots,
+            snapshots=[
+                CacheSnapshot(access_index=index, resident_lines=resident)
+                for index, resident in zip(self.snapshot_indices.tolist(), lines)
+            ],
             tlb_misses=int(self.tlb_misses),
             partition_boundaries=self.partition_boundaries,
             locality_types=(
@@ -252,50 +268,9 @@ class StoredSimulation:
         )
 
 
-class SimulationSerializer(Serializer):
+class SimulationSerializer(DataclassSerializer):
     kind = "simulation"
-    extension = ".npz"
-
-    _ARRAYS = (
-        "region_accesses",
-        "region_hits",
-        "read_accesses",
-        "read_misses",
-        "proc_accesses",
-        "proc_misses",
-        "partition_boundaries",
-        "snapshot_indices",
-        "snapshot_lines",
-        "snapshot_lengths",
-    )
-
-    def save(self, obj: Any, path: Path) -> None:
-        if not isinstance(obj, StoredSimulation):
-            raise StoreError(f"simulation serializer got {type(obj).__name__}")
-        meta = {
-            "tlb_misses": int(obj.tlb_misses),
-            "space_params": jsonify(obj.space_params),
-            "locality_types": jsonify(obj.locality_types),
-        }
-        arrays = {name: getattr(obj, name) for name in self._ARRAYS}
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, meta=np.asarray(json.dumps(meta)), **arrays)
-
-    def load(self, path: Path) -> StoredSimulation:
-        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
-            missing = set(self._ARRAYS) - set(data.files)
-            if missing or "meta" not in data.files:
-                raise StoreError(
-                    f"simulation artifact missing arrays: {sorted(missing)}"
-                )
-            arrays = {name: data[name] for name in self._ARRAYS}
-            meta = json.loads(str(data["meta"]))
-        return StoredSimulation(
-            tlb_misses=int(meta["tlb_misses"]),
-            space_params=meta["space_params"],
-            locality_types=meta.get("locality_types"),
-            **arrays,
-        )
+    payload = StoredSimulation
 
 
 class JSONSerializer(Serializer):
@@ -318,8 +293,8 @@ SERIALIZERS: dict = {
     serializer.kind: serializer
     for serializer in (
         GraphSerializer(),
-        ReorderedGraphSerializer(),
         ReorderingSerializer(),
+        AIDSerializer(),
         SimulationSerializer(),
         JSONSerializer(),
     )

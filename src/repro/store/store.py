@@ -32,6 +32,7 @@ import contextlib
 import hashlib
 import json
 import os
+import shutil
 import time
 import uuid
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from typing import Any, Iterator, Optional, Union
 
 from repro.errors import StoreError
 from repro.obs import metrics as obs_metrics
-from repro.store.serializers import get_serializer
+from repro.store.serializers import SERIALIZERS, get_serializer
 
 __all__ = ["STORE_DIR_ENV", "default_store_dir", "ArtifactInfo", "ArtifactStore"]
 
@@ -260,12 +261,17 @@ class ArtifactStore:
         )
 
     def infos(self, kind: Optional[str] = None) -> list:
-        """All committed artifacts, optionally filtered to one kind."""
+        """All committed artifacts, optionally filtered to one kind.
+
+        Directories of :meth:`retired_kinds` are skipped.
+        """
         results = []
         if not self.objects_dir.exists():
             return results
         kinds = [kind] if kind is not None else sorted(
-            p.name for p in self.objects_dir.iterdir() if p.is_dir()
+            p.name
+            for p in self.objects_dir.iterdir()
+            if p.is_dir() and p.name in SERIALIZERS
         )
         for each_kind in kinds:
             kind_dir = self.objects_dir / each_kind
@@ -280,6 +286,23 @@ class ArtifactStore:
                 if info is not None:
                     results.append(info)
         return results
+
+    def retired_kinds(self) -> list:
+        """Kind directories under ``objects/`` that no serializer reads,
+        left behind by an older version of the pipeline."""
+        if not self.objects_dir.exists():
+            return []
+        return sorted(
+            p.name
+            for p in self.objects_dir.iterdir()
+            if p.is_dir() and p.name not in SERIALIZERS
+        )
+
+    def remove_retired_kind(self, kind: str) -> None:
+        """Delete the directory of one of :meth:`retired_kinds`."""
+        if kind in SERIALIZERS:
+            raise StoreError(f"artifact kind {kind!r} is not retired")
+        shutil.rmtree(self.objects_dir / kind)
 
     def find(self, key_prefix: str) -> list:
         """Artifacts whose key starts with ``key_prefix`` (any kind)."""

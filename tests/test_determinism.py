@@ -17,7 +17,7 @@ those inputs, and requires the same answers from both:
   ``repro.*`` module reads.
 
 Each process fills its own store with the ``graph``, ``reordering``,
-``reordered-graph`` and ``simulation`` stages of ``twtr-mini`` under
+``aid`` and ``simulation`` stages of ``twtr-mini`` under
 every registered RA, then runs one serve job of each kind.  The parent
 compares the decoded content of every artifact, the job results and
 the environment reads.  The only exempt values are the reordering's two
@@ -150,6 +150,7 @@ def _child(out_path, store_root, base_ns):
     workloads = Workloads(store=store)
     for algorithm in algorithm_names():
         workloads.reordering(DATASET, algorithm)
+        workloads.aid(DATASET, algorithm)
         workloads.simulation(DATASET, algorithm)
     jobs = {
         kind: execute_job(

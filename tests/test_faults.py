@@ -3,9 +3,9 @@
 A stored graph artifact is truncated or has one bit flipped on disk.
 Every read path must notice within a bounded time, quarantine the
 artifact and report a miss: the store on its own, the memoized
-pipeline (which then recomputes a bit-identical graph), and a warm
-service request (which still answers 200 with the result it gave
-before the fault).
+pipeline (which then recomputes a bit-identical graph).  A warm
+``/analyze`` whose ``aid`` or ``simulation`` artifact is corrupted the
+same way still answers 200 with the result it gave before the fault.
 
 A store write hits a full disk: the store raises a typed
 :class:`StoreError`, leaves no scratch file, and the service answers a
@@ -139,7 +139,7 @@ class TestPipelineRecomputes:
 
 
 class TestWarmServe:
-    def test_simulate_survives_corrupt_reordered_graph(self, tmp_path, tiny_scale):
+    def test_analyze_survives_corrupt_aid_and_simulation(self, tmp_path, tiny_scale):
         payload = {"dataset": _DATASET, "algorithm": "degree"}
         store = ArtifactStore(tmp_path / "store")
 
@@ -152,24 +152,32 @@ class TestWarmServe:
             )
             host, port = await service.start()
             try:
-                first = await request_once(host, port, "POST", "/simulate", payload)
-                (info,) = store.infos("reordered-graph")
-                _flip_bit(info.path)
-                second = await asyncio.wait_for(
-                    request_once(host, port, "POST", "/simulate", payload),
-                    timeout=_BOUND_S,
-                )
-                return first, second, info
+                answers = [await request_once(host, port, "POST", "/analyze", payload)]
+                infos = []
+                for kind in ("aid", "simulation"):
+                    (info,) = store.infos(kind)
+                    _flip_bit(info.path)
+                    answers.append(
+                        await asyncio.wait_for(
+                            request_once(host, port, "POST", "/analyze", payload),
+                            timeout=_BOUND_S,
+                        )
+                    )
+                    infos.append(info)
+                return answers, infos
             finally:
                 await service.stop()
 
-        (s1, cold, _h1), (s2, warm, _h2), info = asyncio.run(scenario())
-        assert (s1, s2) == (200, 200)
-        assert warm["result"] == cold["result"]
-        # Only the corrupt stage reran; its upstream and the simulation hit.
-        assert warm["stages"]["computed"] == 1
-        assert info.path.name in _quarantined(store, "reordered-graph")
-        assert store.contains(info.key, "reordered-graph")
+        answers, infos = asyncio.run(scenario())
+        assert [status for status, _body, _headers in answers] == [200, 200, 200]
+        cold = answers[0][1]
+        for (_status, warm, _headers), info in zip(answers[1:], infos):
+            assert warm["result"] == cold["result"]
+            # Only the corrupt stage reran; its upstream and the other
+            # O(V) stage hit.
+            assert warm["stages"] == {"hits": 3, "computed": 1}
+            assert info.path.name in _quarantined(store, info.kind)
+            assert store.contains(info.key, info.kind)
 
 
 # -- full disk on store writes ---------------------------------------------

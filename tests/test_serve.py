@@ -641,9 +641,7 @@ class TestOneStageFamily:
         assert served[0]["result"]["l3_misses"] == harness.l3_misses
         assert served[2]["result"]["l3_misses"] == harness.l3_misses
         kinds = Counter(info.kind for info in store.infos())
-        assert kinds == {
-            "graph": 1, "reordering": 1, "reordered-graph": 1, "simulation": 1,
-        }
+        assert kinds == {"graph": 1, "reordering": 1, "simulation": 1}
 
     def test_ra_param_named_like_a_simulation_option(self, tmp_path, serving_env):
         # The degree RA's ``direction`` is an RA parameter, not the
@@ -660,7 +658,7 @@ class TestOneStageFamily:
         (reordering,) = store.infos("reordering")
         (simulation,) = store.infos("simulation")
         assert reordering.provenance["params"]["params"] == {"direction": "in"}
-        assert simulation.provenance["params"]["config"]["direction"] == "push"
+        assert simulation.provenance["params"]["direction"] == "push"
         assert out["result"]["num_accesses"] > 0
 
 

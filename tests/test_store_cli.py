@@ -104,6 +104,35 @@ class TestGC:
         assert "error:" in capsys.readouterr().out
 
 
+class TestRetiredKind:
+    """A kind directory no serializer reads, as an older pipeline left it."""
+
+    @pytest.fixture
+    def retired(self, store):
+        bucket = store.objects_dir / "retired-kind" / "cc"
+        bucket.mkdir(parents=True)
+        (bucket / f"{_key(0xCC)}.npz").write_bytes(b"x" * 1000)
+        (bucket / f"{_key(0xCC)}.meta.json").write_text("{}")
+        return store
+
+    def test_ls_skips_it(self, retired, capsys):
+        assert _run(retired, "ls") == 0
+        out = capsys.readouterr().out
+        assert "2 artifact(s)" in out
+        assert [info.kind for info in retired.infos()] == ["json", "json"]
+
+    def test_verify_reports_it(self, retired, capsys):
+        assert _run(retired, "verify") == 1
+        assert "[retired artifact kind] retired-kind/*" in capsys.readouterr().out
+
+    def test_gc_evicts_it(self, retired, capsys):
+        assert _run(retired, "gc", "--max-mb", "10") == 0
+        assert "evicted retired-kind/*" in capsys.readouterr().out
+        assert not (retired.objects_dir / "retired-kind").exists()
+        assert len(retired.infos()) == 2
+        assert _run(retired, "verify") == 0
+
+
 class TestEntryPoint:
     def test_module_is_executable(self, tmp_path, repo_root):
         import subprocess

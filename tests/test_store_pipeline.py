@@ -1,7 +1,7 @@
 """Memoized pipeline: warm runs reuse stored stages, bit-identically.
 
 Runs under a tiny ``REPRO_SCALE`` so each store round-trip covers the
-full stage graph (generate -> reorder -> rebuild -> simulate) in
+full stage graph (generate -> reorder -> AID / simulate) in
 seconds.  Stage *regeneration* is observed two ways: through the run
 manifest (hit/computed records) and by counting calls into the
 underlying producers (``load_dataset`` / ``get_algorithm`` /
@@ -23,6 +23,8 @@ workloads_module = importlib.import_module("repro.bench.workloads")
 from repro.bench.harness import run_experiment, run_experiments
 from repro.bench.workloads import Workloads
 from repro.errors import ExperimentError
+from repro.serve.jobs import canonical_job
+from repro.serve.worker import execute_job
 from repro.store import ArtifactStore, environment_snapshot
 
 _DATASET = "twtr-mini"
@@ -55,15 +57,16 @@ def producer_calls(monkeypatch) -> dict:
 
 @pytest.fixture
 def store_reads(store, monkeypatch) -> list:
-    """Kinds of every artifact ``store`` reads, in order."""
+    """Kinds of every artifact read from ``store``'s root, in order."""
     reads: list = []
-    original = store.get
+    original = ArtifactStore.get
 
-    def recording(key, kind, **kwargs):
+    def recording(self, key, kind, **kwargs):
         reads.append(kind)
-        return original(key, kind, **kwargs)
+        return original(self, key, kind, **kwargs)
 
-    monkeypatch.setattr(store, "get", recording)
+    # On the class, so the stores a served job opens record too.
+    monkeypatch.setattr(ArtifactStore, "get", recording)
     return reads
 
 
@@ -111,13 +114,19 @@ class TestWarmRunsAreCached:
         }
         assert warm.manifest.computed_count() == 0
         assert warm.manifest.hit_count() > 0
-        # The reordered-graph hit never loads its upstream graph or
-        # reordering: the warm run reads exactly the two artifacts it uses.
-        assert warm.stats == {
-            "reordered-graph": {"hits": 1, "computed": 0},
-            "simulation": {"hits": 1, "computed": 0},
-        }
-        assert store_reads == ["reordered-graph", "simulation"]
+        # The simulation hit rebuilds its config from its own artifact:
+        # the warm run reads no graph, no reordering, nothing but it.
+        assert warm.stats == {"simulation": {"hits": 1, "computed": 0}}
+        assert store_reads == ["simulation"]
+
+    def test_warm_analyze_reads_only_aid_and_simulation(self, store, store_reads):
+        job = canonical_job({"dataset": _DATASET, "algorithm": "degree"}, kind="analyze")
+        cold = execute_job(job, str(store.root))
+        store_reads.clear()
+        warm = execute_job(job, str(store.root))
+        assert warm["stages"] == {"hits": 2, "computed": 0}
+        assert sorted(store_reads) == ["aid", "simulation"]
+        assert warm["result"] == cold["result"]
 
     def test_warm_reordering_reads_no_graph(self, store, producer_calls, store_reads):
         cold = Workloads(store=store).reordering(_DATASET, "degree")
