@@ -1,9 +1,10 @@
 """Throughput of the vectorized cache kernels vs the reference loop.
 
-Measures accesses/second on the validation-simulator workloads (the
-SpMV traces of ``bench_validation_simulator.py``) for each replacement
-policy, at the native scaled cache geometry and at 4x scale — the
-geometry regime where the BRRIP/DRRIP skew guard admits the bimodal
+Measures accesses/second on the simulator-validation workloads (the
+SpMV traces of twtr-mini and sk-mini, as in
+``tests/test_paper_claims.py::test_simulator_validation``) for each
+replacement policy, at the native scaled cache geometry and at 4x
+scale — the geometry regime where the BRRIP/DRRIP skew guard admits the bimodal
 policies to the kernel path (enough sets for the lockstep fixed point
 to amortize; see ``_RRIP_MIN_DENSITY`` in ``repro.sim._kernels``).
 Results go to ``BENCH_cache_kernel.json`` at the repo root — the perf
@@ -16,8 +17,7 @@ kernel path (observed via the ``cache.kernel_batches`` counter, not
 predicted), so the JSON is an honest account of what the dispatch
 heuristic pays on every (workload, policy) cell.
 
-Run standalone (``PYTHONPATH=src python benchmarks/bench_cache_kernel.py``)
-or under pytest with the rest of the benchmark suite.
+Run it as a script: ``PYTHONPATH=src python benchmarks/bench_cache_kernel.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.bench import workloads as default_workloads
+from repro.bench import workloads
 from repro.core import format_table
 from repro.generate import load_dataset
 from repro.obs import metrics as obs_metrics
@@ -69,13 +69,12 @@ def _time_simulate(config, lines, reference, repeats):
     return best, misses, kernel_batches > 0
 
 
-def run_bench(shared_workloads=None, repeats: int = 3) -> dict:
+def run_bench(repeats: int = 3) -> dict:
     """Measure all (workload, policy) cells and return the JSON payload."""
-    wl = shared_workloads if shared_workloads is not None else default_workloads
     rows = []
     for name, scale in _WORKLOADS:
         if scale is None:
-            graph = wl.graph(name)
+            graph = workloads.graph(name)
             label = name
         else:
             graph = load_dataset(name, scale=scale)
@@ -207,17 +206,6 @@ def _assert_gates(payload: dict) -> None:
     ), "no workload dispatches all four policies"
     assert payload["summary"]["bimodal_best_speedup"] > 1.2, payload["summary"]
     assert payload["summary"]["best_speedup"] > 2.0
-
-
-def test_cache_kernel_throughput(benchmark, shared_workloads):
-    payload = benchmark.pedantic(
-        run_bench, args=(shared_workloads,), kwargs={"repeats": 2}, rounds=1,
-        iterations=1,
-    )
-    write_json(payload)
-    print()
-    print(_report(payload))
-    _assert_gates(payload)
 
 
 if __name__ == "__main__":

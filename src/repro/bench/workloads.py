@@ -88,10 +88,9 @@ def _graph_stage(dataset: str) -> Graph:
 @cached_stage(
     "reordering",
     code=("repro.generate", "repro.graph", "repro.reorder"),
-    key=lambda load_graph, graph_key, algorithm, track_memory, params, factory: {
+    key=lambda load_graph, graph_key, algorithm, params, factory: {
         "graph": graph_key,
         "algorithm": algorithm,
-        "track_memory": track_memory,
         "params": params,
     },
 )
@@ -99,12 +98,11 @@ def _reordering_stage(
     load_graph: Callable[[], Graph],
     graph_key: str,
     algorithm: str,
-    track_memory: bool,
     params: dict,
     factory: "Optional[Callable[[], object]]",
 ) -> ReorderResult:
     instance = factory() if factory is not None else get_algorithm(algorithm, **params)
-    return instance(load_graph(), track_memory=track_memory)  # type: ignore[operator]
+    return instance(load_graph())  # type: ignore[operator]
 
 
 @cached_stage(
@@ -260,7 +258,6 @@ class Workloads:
         source: str,
         algorithm: str,
         *,
-        track_memory: bool = False,
         factory: "Callable[[], object] | None" = None,
         **kwargs,
     ) -> ReorderResult:
@@ -271,20 +268,15 @@ class Workloads:
         independently.  ``factory`` builds a non-registry algorithm
         instance; the ``algorithm`` name + kwargs still form the key, so
         callers must give variant factories distinct names.
-
-        ``track_memory=True`` wraps the run in tracemalloc (an order of
-        magnitude slower), so only the Table II experiment requests it —
-        and reads the preprocessing *time* from the untracked run.
         """
         graph_key, load_graph = self._source(source)
-        key = (graph_key, algorithm, track_memory, _params_key(kwargs))
+        key = (graph_key, algorithm, _params_key(kwargs))
         if key not in self._reorderings:
             with span("workload.reordering", dataset=source, algorithm=algorithm):
                 self._reorderings[key] = _reordering_stage(
                     load_graph,
                     graph_key,
                     algorithm,
-                    track_memory,
                     dict(kwargs),
                     factory,
                     **self._stage_kwargs(),

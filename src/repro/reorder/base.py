@@ -3,14 +3,14 @@
 A reordering (relabeling) algorithm consumes a graph and produces a
 relabeling array ``new_id = relabeling[old_id]`` (Section II-E of the
 paper).  :class:`ReorderingAlgorithm` standardizes that contract and
-measures the preprocessing overheads Table II reports: wall-clock time
-and peak memory of the computation.
+measures the wall-clock preprocessing time Table II reports (its
+peak-memory column is measured around a whole child process; see
+:mod:`repro.bench.experiments.table2_preprocessing`).
 """
 
 from __future__ import annotations
 
 import time
-import tracemalloc
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -26,12 +26,11 @@ __all__ = ["ReorderResult", "ReorderingAlgorithm"]
 
 @dataclass(frozen=True)
 class ReorderResult:
-    """A validated relabeling plus its preprocessing overheads."""
+    """A validated relabeling plus its preprocessing time."""
 
     algorithm: str
     relabeling: np.ndarray
     preprocessing_seconds: float
-    peak_memory_bytes: int = 0
     details: dict = field(default_factory=dict)
 
     def apply(self, graph: Graph) -> Graph:
@@ -43,19 +42,17 @@ class ReorderingAlgorithm(ABC):
     """Base class for all relabeling algorithms.
 
     Subclasses implement :meth:`compute`, returning the relabeling
-    array.  Calling the instance wraps the computation with timing,
-    optional peak-memory tracking, and permutation validation.
+    array.  Calling the instance wraps the computation with timing and
+    permutation validation.
     """
 
     #: Short name used by registries, tables and reports.
     name: str = "base"
 
-    def __call__(self, graph: Graph, *, track_memory: bool = False) -> ReorderResult:
+    def __call__(self, graph: Graph) -> ReorderResult:
         if graph.num_vertices == 0:
             raise ReorderingError("cannot reorder an empty graph")
         details: dict = {}
-        if track_memory:
-            tracemalloc.start()
         start = time.perf_counter()
         with span(
             f"reorder.{self.name}",
@@ -64,16 +61,11 @@ class ReorderingAlgorithm(ABC):
         ):
             relabeling = self.compute(graph, details)
         elapsed = time.perf_counter() - start
-        peak = 0
-        if track_memory:
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
         relabeling = check_permutation(relabeling, graph.num_vertices)
         return ReorderResult(
             algorithm=self.name,
             relabeling=relabeling,
             preprocessing_seconds=elapsed,
-            peak_memory_bytes=peak,
             details=details,
         )
 

@@ -158,13 +158,13 @@ class DataclassSerializer(Serializer):
 
 
 class ReorderingSerializer(DataclassSerializer):
-    """Relabeling array plus the run's measured overheads and details.
+    """Relabeling array plus the run's measured time and details.
 
-    ``preprocessing_seconds`` and ``peak_memory_bytes`` are measurements
-    of the run that computed the artifact, not content: they are the
-    only stored values two computations of one key may disagree on.
-    Everything else here is a pure function of the key, and
-    ``tests/test_determinism.py`` exempts exactly these two fields.
+    ``preprocessing_seconds`` is a measurement of the run that computed
+    the artifact, not content: it is the only stored value two
+    computations of one key may disagree on.  Everything else here is a
+    pure function of the key, and ``tests/test_determinism.py`` exempts
+    exactly this field.
     """
 
     kind = "reordering"

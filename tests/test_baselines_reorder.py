@@ -1,9 +1,14 @@
 """Unit tests for the reordering interface and baseline orderings."""
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.errors import PermutationError, ReorderingError
+from repro.bench.experiments import table2_preprocessing
+from repro.bench.experiments.table2_preprocessing import reorder_in_child
+from repro.errors import ExperimentError, PermutationError, ReorderingError
+from repro.generate import load_dataset
 from repro.graph import Graph, invert_permutation, is_permutation, validate_graph
 from repro.reorder import (
     BFSOrder,
@@ -16,6 +21,11 @@ from repro.reorder import (
 )
 
 
+class _ExitOnUnpickle:
+    def __reduce__(self):
+        return (os._exit, (3,))
+
+
 class TestInterface:
     def test_result_fields(self, tiny_graph):
         result = Identity()(tiny_graph)
@@ -23,9 +33,27 @@ class TestInterface:
         assert result.preprocessing_seconds >= 0
         assert is_permutation(result.relabeling, 6)
 
-    def test_memory_tracking(self, tiny_graph):
-        result = RandomOrder()(tiny_graph, track_memory=True)
-        assert result.peak_memory_bytes > 0
+    @pytest.mark.slow
+    def test_table2_child_matches_in_process_run(self):
+        graph = load_dataset("twtr-mini", scale=0.25)
+        result, peak_bytes = reorder_in_child(graph, "twtr-mini", "rabbit")
+        in_process = get_algorithm("rabbit")(graph)
+        assert np.array_equal(result.relabeling, in_process.relabeling)
+        assert result.preprocessing_seconds > 0
+        assert peak_bytes > 0
+
+    def test_table2_child_failures_are_typed(self, monkeypatch, tiny_graph):
+        empty = Graph.from_edges(0, np.array([], dtype=np.int64),
+                                 np.array([], dtype=np.int64))
+        with pytest.raises(ExperimentError, match="identity on empty") as raised:
+            reorder_in_child(empty, "empty", "identity")
+        assert isinstance(raised.value.__cause__, ReorderingError)
+        # A child that dies while unpickling its arguments.
+        with pytest.raises(ExperimentError, match="identity on killed"):
+            reorder_in_child(_ExitOnUnpickle(), "killed", "identity")
+        monkeypatch.setattr(table2_preprocessing, "_STATUS", "/nonexistent/status")
+        with pytest.raises(ExperimentError, match="peak RSS"):
+            table2_preprocessing._reorder_measured(tiny_graph, "identity")
 
     def test_apply(self, tiny_graph):
         result = RandomOrder(seed=3)(tiny_graph)

@@ -1,7 +1,7 @@
 """Unit tests for the experiment harness (registry and report plumbing).
 
-The experiments themselves run as benchmarks; here only the cheap
-structural ones are executed end-to-end, on the shared workload cache.
+The experiments themselves, and their paper shape checks, run in
+``tests/test_paper_claims.py``.
 """
 
 import pytest
@@ -67,16 +67,3 @@ class TestWorkloadCache:
         w.clear()
         assert not w._graphs
 
-
-@pytest.mark.slow
-class TestCheapExperimentsEndToEnd:
-    @pytest.fixture(scope="class")
-    def workloads(self):
-        return Workloads()
-
-    @pytest.mark.parametrize("experiment_id", ["fig4", "fig5", "fig6"])
-    def test_structural_experiments_hold(self, workloads, experiment_id):
-        report = run_experiment(experiment_id, workloads)
-        assert isinstance(report, ExperimentReport)
-        assert report.all_shapes_hold, report.shape_checks
-        assert report.text

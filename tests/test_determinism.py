@@ -20,8 +20,8 @@ Each process fills its own store with the ``graph``, ``reordering``,
 ``aid`` and ``simulation`` stages of ``twtr-mini`` under
 every registered RA, then runs one serve job of each kind.  The parent
 compares the decoded content of every artifact, the job results and
-the environment reads.  The only exempt values are the reordering's two
-measurements, ``preprocessing_seconds`` and ``peak_memory_bytes``.
+the environment reads.  The only exempt value is the reordering's one
+measurement, ``preprocessing_seconds``.
 
 The file doubles as the child program: ``python test_determinism.py
 OUT STORE BASE_NS`` runs one side and writes its JSON summary to OUT.
@@ -40,9 +40,9 @@ from pathlib import Path
 DATASET = "twtr-mini"
 JOB_ALGORITHM = "slashburn"
 
-#: Measured, not computed: the only stored values two computations of
+#: Measured, not computed: the only stored value two computations of
 #: one key may disagree on (see ``ReorderingSerializer``).
-MEASURED_FIELDS = ("preprocessing_seconds", "peak_memory_bytes")
+MEASURED_FIELDS = ("preprocessing_seconds",)
 
 #: Environment keys repro may read; both are part of what a run means.
 ALLOWED_ENV_KEYS = {"REPRO_SCALE", "REPRO_TRACE"}
