@@ -87,7 +87,7 @@ def _graph_stage(dataset: str) -> Graph:
 
 @cached_stage(
     "reordering",
-    code=("repro.generate", "repro.graph", "repro.reorder"),
+    code=("repro.generate", "repro.graph", "repro.reorder", "repro.store.serializers"),
     key=lambda load_graph, graph_key, algorithm, params, factory: {
         "graph": graph_key,
         "algorithm": algorithm,
@@ -107,7 +107,13 @@ def _reordering_stage(
 
 @cached_stage(
     "aid",
-    code=("repro.generate", "repro.graph", "repro.reorder", "repro.core.aid"),
+    code=(
+        "repro.generate",
+        "repro.graph",
+        "repro.reorder",
+        "repro.core.aid",
+        "repro.store.serializers",
+    ),
     key=lambda load_graph, graph_key, algorithm, params, direction: {
         "graph": graph_key,
         "algorithm": algorithm,
@@ -141,7 +147,12 @@ def _simulation_config(
 @cached_stage(
     "simulation",
     code=(
-        "repro.generate", "repro.graph", "repro.reorder", "repro.sim", "repro.core.ecs",
+        "repro.generate",
+        "repro.graph",
+        "repro.reorder",
+        "repro.sim",
+        "repro.core.ecs",
+        "repro.store.serializers",
     ),
     key=lambda load_graph, graph_key, algorithm, params, reverse, **cache: {
         "graph": graph_key,

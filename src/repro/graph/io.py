@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import os
-from typing import TextIO, Union
+from typing import BinaryIO, TextIO, Union
 
 import numpy as np
 
@@ -104,10 +104,14 @@ def save_graph_npz(graph: Graph, path: Union[str, os.PathLike]) -> None:
 _GRAPH_ARRAYS = ("out_offsets", "out_targets", "in_offsets", "in_targets")
 
 
-def load_graph_npz(path: Union[str, os.PathLike]) -> Graph:
-    """Load a graph previously written by :func:`save_graph_npz`."""
-    # Own the handle: np.load leaks the one it opens if the zip is corrupt.
-    with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
+def load_graph_npz(source: Union[str, os.PathLike, BinaryIO]) -> Graph:
+    """Load a graph previously written by :func:`save_graph_npz` from a
+    path or a binary file object."""
+    if isinstance(source, (str, os.PathLike)):
+        # Own the handle: np.load leaks the one it opens if the zip is corrupt.
+        with open(source, "rb") as handle:
+            return load_graph_npz(handle)
+    with np.load(source, allow_pickle=False) as data:
         required = set(_GRAPH_ARRAYS)
         missing = required - set(data.files)
         if missing:

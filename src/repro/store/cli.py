@@ -4,7 +4,7 @@ Subcommands::
 
     ls      [--kind KIND]          list artifacts (kind, key, size, age)
     info    KEY_PREFIX             full metadata + provenance of one artifact
-    verify  [--quarantine]         checksum-verify every artifact
+    verify  [--quarantine]         checksum-verify and decode every artifact
     gc      --max-mb N | --max-bytes N   LRU-evict down to a size bound
 
 The store root is ``--store DIR`` if given, else ``$REPRO_STORE_DIR``,
@@ -45,7 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
     info = sub.add_parser("info", help="show one artifact's metadata")
     info.add_argument("key_prefix", help="content key (or unique prefix)")
 
-    verify = sub.add_parser("verify", help="checksum-verify every artifact")
+    verify = sub.add_parser(
+        "verify", help="checksum-verify and decode every artifact"
+    )
     verify.add_argument(
         "--quarantine",
         action="store_true",

@@ -1,10 +1,11 @@
 """Store maintenance: integrity verification and size-bounded LRU GC.
 
 ``verify_store`` re-hashes every committed payload against its sidecar
-checksum (optionally quarantining failures); ``collect_garbage`` evicts
-least-recently-used artifacts until the store fits a byte budget,
-skipping pinned (in-flight) keys and stray temporary files — a partial
-write in progress is never mistaken for garbage.
+checksum and decodes it (optionally quarantining failures);
+``collect_garbage`` evicts least-recently-used artifacts until the
+store fits a byte budget, skipping pinned (in-flight) keys and stray
+temporary files — a partial write in progress is never mistaken for
+garbage.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 from repro.errors import StoreError
 from repro.obs import metrics as obs_metrics
 from repro.obs import span
-from repro.store.store import ArtifactInfo, ArtifactStore
+from repro.store.serializers import get_serializer
+from repro.store.store import ArtifactStore
 
 __all__ = ["VerifyIssue", "VerifyReport", "GCReport", "verify_store", "collect_garbage"]
 
@@ -65,19 +67,13 @@ class GCReport:
         )
 
 
-def _checksum_matches(info: ArtifactInfo) -> bool:
-    digest = hashlib.sha256()
-    with open(info.path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest() == info.checksum
-
-
 def verify_store(store: ArtifactStore, *, quarantine: bool = False) -> VerifyReport:
-    """Checksum-verify every committed artifact in the store.
+    """Checksum-verify and decode every committed artifact in the store.
 
-    Each retired kind directory is one issue; :func:`collect_garbage`
-    evicts it.
+    A payload that hashes clean but does not decode (a torn write whose
+    sidecar was regenerated) is an ``undecodable payload``.  Each
+    retired kind directory is one issue; :func:`collect_garbage` evicts
+    it.
     """
     report = VerifyReport()
     for kind in store.retired_kinds():
@@ -89,8 +85,12 @@ def verify_store(store: ArtifactStore, *, quarantine: bool = False) -> VerifyRep
             meta = json.loads(info.meta_path.read_text(encoding="utf-8"))
             if meta.get("key") != info.key or meta.get("kind") != info.kind:
                 problem = "sidecar identity mismatch"
-            elif not _checksum_matches(info):
-                problem = "checksum mismatch"
+            else:
+                data = info.path.read_bytes()
+                if hashlib.sha256(data).hexdigest() != info.checksum:
+                    problem = "checksum mismatch"
+                elif not _decodes(info.kind, data):
+                    problem = "undecodable payload"
         except (OSError, ValueError):
             problem = "unreadable artifact"
         if problem:
@@ -99,6 +99,14 @@ def verify_store(store: ArtifactStore, *, quarantine: bool = False) -> VerifyRep
                 store.quarantine(info.key, info.kind, reason=problem)
                 report.quarantined += 1
     return report
+
+
+def _decodes(kind: str, data: bytes) -> bool:
+    try:
+        get_serializer(kind).loads(data)
+    except Exception:  # any decode failure is the finding, as in ArtifactStore.get
+        return False
+    return True
 
 
 def collect_garbage(store: ArtifactStore, max_bytes: int) -> GCReport:

@@ -7,21 +7,25 @@ artifact types, each with a natural on-disk form:
 kind               payload                       format
 =================  ============================  =========
 ``graph``          :class:`~repro.graph.graph.Graph` (CSR+CSC)   raw ``.npz``
-``reordering``     :class:`~repro.reorder.base.ReorderResult`    deflated ``.npz``
-``aid``            :class:`~repro.core.aid.VertexAID` (O(V))     deflated ``.npz``
-``simulation``     :class:`StoredSimulation` (O(V) counters)    deflated ``.npz``
+``reordering``     :class:`~repro.reorder.base.ReorderResult`    raw arrays ``.bin``
+``aid``            :class:`~repro.core.aid.VertexAID` (O(V))     raw arrays ``.bin``
+``simulation``     :class:`StoredSimulation` (O(V) counters)    raw arrays ``.bin``
 ``json``           JSON documents (report data, manifests)       ``.json``
 =================  ============================  =========
 
+No array artifact is compressed, so a read never inflates anything.
 Serializers never write the destination path directly — the store hands
 them a temporary file that is atomically renamed into place — and they
-only read files whose checksum the store has already verified, so a
-load failure here signals corruption and is quarantined by the caller.
+decode only bytes whose checksum the store has already verified
+(:meth:`Serializer.loads`), so a decode failure here signals corruption
+and is quarantined by the caller.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -78,7 +82,7 @@ def jsonify(value: Any) -> Any:
 
 
 class Serializer:
-    """Save/load one artifact kind; subclasses set ``kind``/``extension``."""
+    """Save/decode one artifact kind; subclasses set ``kind``/``extension``."""
 
     kind: str = ""
     extension: str = ""
@@ -86,7 +90,8 @@ class Serializer:
     def save(self, obj: Any, path: Path) -> None:
         raise NotImplementedError
 
-    def load(self, path: Path) -> Any:
+    def loads(self, data: bytes) -> Any:
+        """Decode a whole payload; raise on any defect."""
         raise NotImplementedError
 
 
@@ -105,8 +110,10 @@ class GraphSerializer(Serializer):
             raise StoreError(f"graph serializer got {type(obj).__name__}")
         save_graph_npz(obj, path)
 
-    def load(self, path: Path) -> Graph:
-        return load_graph_npz(path)
+    def loads(self, data: bytes) -> Graph:
+        # BytesIO shares an immutable buffer instead of copying it, so a
+        # read holds the payload once beside the arrays it decodes.
+        return load_graph_npz(io.BytesIO(data))
 
 
 def _narrowed(array: np.ndarray) -> np.ndarray:
@@ -118,20 +125,45 @@ def _narrowed(array: np.ndarray) -> np.ndarray:
 
 
 def _widened(array: np.ndarray) -> np.ndarray:
-    """:func:`_narrowed` undone: integer arrays back to ``int64``."""
-    return array.astype(np.int64, copy=False) if array.dtype.kind in "iu" else array
+    """A writable copy of a decoded array, :func:`_narrowed` undone:
+    integer arrays back to ``int64``."""
+    return array.astype(np.int64 if array.dtype.kind in "iu" else array.dtype)
+
+
+#: First line of every dataclass payload.
+_MAGIC = b"repro-arrays 1\n"
+#: Width of the little-endian header length that follows the magic line.
+_LENGTH_BYTES = 8
+#: Array dtype kinds a payload may hold: bool, int, uint, float.  No
+#: object, string or structured dtype is ever decoded.
+_ARRAY_KINDS = "biuf"
+
+
+def _extent(value: Any) -> int:
+    """A header size or offset: a non-negative JSON integer."""
+    if type(value) is not int or value < 0:
+        raise StoreError(f"bad extent {value!r} in payload header")
+    return int(value)
 
 
 class DataclassSerializer(Serializer):
-    """A dataclass as one deflated ``.npz``: each array field a member,
-    every other field in a JSON ``meta`` member.
+    """A dataclass as one flat container of raw arrays.
 
-    Integer arrays are deflated in the narrowest dtype that holds them,
-    a fraction of the work of deflating ``int64``, and load back as
-    ``int64``, the one integer dtype these payloads hold.
+    The file is the :data:`_MAGIC` line, the header length as 8
+    little-endian bytes, a JSON header ``{"meta": {...}, "arrays":
+    [[name, dtype, shape, offset], ...]}``, then every array field's
+    bytes, uncompressed and back to back (``offset`` counts from the
+    end of the header).  Every other field is in ``meta``.  Integer
+    arrays are stored in the narrowest dtype that holds them and load
+    back as ``int64``, the one integer dtype these payloads hold.
+
+    The reader is strict: it takes only bool/int/uint/float dtypes and
+    exactly the payload's field names, bounds-checks every extent and
+    rejects trailing bytes.  Any violation raises, and the store
+    quarantines the artifact.  Decoded arrays are writable.
     """
 
-    extension = ".npz"
+    extension = ".bin"
     payload: type = object
 
     def save(self, obj: Any, path: Path) -> None:
@@ -142,18 +174,56 @@ class DataclassSerializer(Serializer):
         for item in fields(obj):
             value = getattr(obj, item.name)
             if isinstance(value, np.ndarray):
-                arrays[item.name] = _narrowed(value)
+                arrays[item.name] = np.ascontiguousarray(_narrowed(value))
             else:
                 meta[item.name] = jsonify(value)
+        entries: list = []
+        offset = 0
+        for name, array in arrays.items():
+            entries.append([name, array.dtype.str, list(array.shape), offset])
+            offset += array.nbytes
+        header = json.dumps({"meta": meta, "arrays": entries}).encode("utf-8")
         with open(path, "wb") as handle:
-            np.savez_compressed(handle, meta=np.asarray(json.dumps(meta)), **arrays)
+            handle.write(_MAGIC)
+            handle.write(len(header).to_bytes(_LENGTH_BYTES, "little"))
+            handle.write(header)
+            for array in arrays.values():
+                handle.write(array.data)
 
-    def load(self, path: Path) -> Any:
-        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            arrays = {
-                name: _widened(data[name]) for name in data.files if name != "meta"
-            }
+    def loads(self, data: bytes) -> Any:
+        if not data.startswith(_MAGIC):
+            raise StoreError(f"{self.kind} payload has no {_MAGIC!r} line")
+        start = len(_MAGIC) + _LENGTH_BYTES
+        body = start + int.from_bytes(data[len(_MAGIC) : start], "little")
+        if body > len(data):
+            raise StoreError(f"{self.kind} payload header runs past the end")
+        header = json.loads(data[start:body].decode("utf-8"))
+        meta, entries = header["meta"], header["arrays"]
+        arrays: dict[str, np.ndarray] = {}
+        cursor = body
+        for name, dtype_str, shape, offset in entries:
+            dtype = np.dtype(dtype_str)
+            if dtype.kind not in _ARRAY_KINDS:
+                raise StoreError(f"{self.kind} array {name!r} has dtype {dtype}")
+            shape = tuple(_extent(size) for size in shape)
+            count = math.prod(shape)
+            if body + _extent(offset) != cursor or name in arrays:
+                raise StoreError(f"{self.kind} array {name!r} is misplaced or repeated")
+            cursor += count * dtype.itemsize
+            if cursor > len(data):
+                raise StoreError(f"{self.kind} array {name!r} runs past the end")
+            array = np.frombuffer(data, dtype=dtype, count=count, offset=body + offset)
+            arrays[name] = _widened(array.reshape(shape))
+        if cursor != len(data):
+            trailing = len(data) - cursor
+            raise StoreError(f"{self.kind} payload has {trailing} trailing bytes")
+        names = [*arrays, *meta]
+        expected = {item.name for item in fields(self.payload)}
+        if len(names) != len(set(names)) or set(names) != expected:
+            raise StoreError(
+                f"{self.kind} payload fields do not match {self.payload.__name__}: "
+                f"{sorted(set(names) ^ expected) or 'duplicates'}"
+            )
         return self.payload(**arrays, **meta)
 
 
@@ -284,8 +354,8 @@ class JSONSerializer(Serializer):
             json.dumps(jsonify(obj), indent=2, sort_keys=False), encoding="utf-8"
         )
 
-    def load(self, path: Path) -> Any:
-        return json.loads(path.read_text(encoding="utf-8"))
+    def loads(self, data: bytes) -> Any:
+        return json.loads(data.decode("utf-8"))
 
 
 #: Artifact kind -> serializer instance.

@@ -20,8 +20,9 @@ Durability rules:
   sidecar checksum.  A mismatch (or any deserialization failure) moves
   both files into ``quarantine/`` and reports a miss, so the pipeline
   recomputes instead of crashing on a corrupt cache.
-* **Raw graphs** — graph artifacts are uncompressed ``.npz``: a read
-  never inflates them.
+* **Raw arrays, read once** — no artifact is compressed, so a read
+  never inflates anything, and :meth:`ArtifactStore.get` reads each
+  payload once: the buffer it hashes is the buffer it decodes.
 * **Last access** — reads bump the payload mtime (``os.utime``), which
   is the LRU axis :mod:`repro.store.gc` evicts along.
 """
@@ -207,34 +208,37 @@ class ArtifactStore:
     def get(self, key: str, kind: str) -> Any:
         """Load and verify one artifact; ``None`` on miss or quarantine.
 
-        Corruption — checksum mismatch, unreadable sidecar, or a
-        deserialization failure — quarantines the artifact and reports a
-        miss so callers recompute rather than crash.
+        The payload is read once: the bytes hashed against the sidecar
+        checksum are the bytes decoded.  Corruption — checksum mismatch,
+        unreadable sidecar, or a deserialization failure — quarantines
+        the artifact and reports a miss so callers recompute rather than
+        crash.
         """
         serializer = get_serializer(kind)
         payload = self._payload_path(kind, key)
-        meta_path = self._meta_path(kind, key)
-        if not payload.exists() or not meta_path.exists():
-            return None
         try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            meta = json.loads(self._meta_path(kind, key).read_text(encoding="utf-8"))
             expected = meta["checksum"]
-        except (OSError, ValueError, KeyError):
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError, KeyError, TypeError):
             self.quarantine(key, kind, reason="unreadable sidecar")
             return None
-        if _sha256_file(payload) != expected:
+        try:
+            data = payload.read_bytes()
+        except FileNotFoundError:
+            return None
+        if hashlib.sha256(data).hexdigest() != expected:
             self.quarantine(key, kind, reason="checksum mismatch")
             return None
         try:
-            obj = serializer.load(payload)
+            obj = serializer.loads(data)
         except Exception:  # corrupted payload that still hashed clean
             self.quarantine(key, kind, reason="deserialization failure")
             return None
         with contextlib.suppress(OSError):
             os.utime(payload)
-        obs_metrics.registry.counter("store.get_bytes").inc(
-            payload.stat().st_size if payload.exists() else 0
-        )
+        obs_metrics.registry.counter("store.get_bytes").inc(len(data))
         return obj
 
     def info(self, key: str, kind: str) -> Optional[ArtifactInfo]:

@@ -6,6 +6,10 @@ artifact and report a miss: the store on its own, the memoized
 pipeline (which then recomputes a bit-identical graph).  A warm
 ``/analyze`` whose ``aid`` or ``simulation`` artifact is corrupted the
 same way still answers 200 with the result it gave before the fault.
+A ``simulation`` payload torn or malformed in each way the flat
+reader checks, resealed with a matching checksum, is quarantined as a
+deserialization failure, and the next warm ``/analyze`` recomputes
+the same result.
 
 A store write hits a full disk: the store raises a typed
 :class:`StoreError`, leaves no scratch file, and the service answers a
@@ -27,6 +31,7 @@ import gc
 import hashlib
 import json
 import logging
+import math
 import time
 import warnings
 from pathlib import Path
@@ -111,6 +116,112 @@ class TestStoreGet:
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
         reason = store.quarantine_dir / "graph" / f"{_KEY}.reason.txt"
         assert "deserialization failure" in reason.read_text(encoding="utf-8")
+
+
+def _split(data: bytes) -> "tuple[bytes, dict, bytes]":
+    """A dataclass payload as (magic line, JSON header, array bytes)."""
+    magic = data[: data.index(b"\n") + 1]
+    start = len(magic) + 8
+    end = start + int.from_bytes(data[len(magic) : start], "little")
+    return magic, json.loads(data[start:end]), data[end:]
+
+
+def _join(magic: bytes, header: dict, body: bytes, length=None) -> bytes:
+    raw = json.dumps(header).encode("utf-8")
+    size = len(raw) if length is None else length
+    return magic + size.to_bytes(8, "little") + raw + body
+
+
+def _with_array(data: bytes, edit) -> bytes:
+    magic, header, body = _split(data)
+    edit(header["arrays"])
+    return _join(magic, header, body)
+
+
+def _object_dtype(arrays):
+    arrays[0][1] = "|O"
+
+
+def _unicode_dtype(arrays):
+    # Same extent as the array it replaces, so only the dtype check bites.
+    for entry in arrays:
+        nbytes = np.dtype(entry[1]).itemsize * math.prod(entry[2])
+        if nbytes and nbytes % 4 == 0:
+            entry[1], entry[2] = "<U1", [nbytes // 4]
+            return
+    raise AssertionError("no array spans a whole number of <U1 characters")
+
+
+def _grow_last_extent(arrays):
+    arrays[-1][2][0] += 1
+
+
+def _rename_array(arrays):
+    arrays[0][0] = "bogus"
+
+
+def _drop_meta_field(data: bytes) -> bytes:
+    magic, header, body = _split(data)
+    del header["meta"]["tlb_misses"]
+    return _join(magic, header, body)
+
+
+def _header_past_end(data: bytes) -> bytes:
+    magic, header, body = _split(data)
+    return _join(magic, header, body, length=len(data))
+
+
+#: Torn or malformed flat payloads, each resealed with a matching
+#: checksum so only the reader can tell.
+_MALFORMED = {
+    "truncated": lambda data: data[: len(data) // 2],
+    "header-length-past-end": _header_past_end,
+    "extent-past-end": lambda data: _with_array(data, _grow_last_extent),
+    "trailing-bytes": lambda data: data + b"\0" * 8,
+    "object-dtype": lambda data: _with_array(data, _object_dtype),
+    "unicode-dtype": lambda data: _with_array(data, _unicode_dtype),
+    "unknown-field": lambda data: _with_array(data, _rename_array),
+    "missing-field": _drop_meta_field,
+    "wrong-magic": lambda data: b"repro-arrays 0" + data[data.index(b"\n") :],
+}
+
+
+class TestFlatReader:
+    @pytest.mark.parametrize("fault", sorted(_MALFORMED))
+    def test_malformed_payload_is_quarantined_and_recomputed(
+        self, tmp_path, tiny_scale, fault
+    ):
+        from repro.serve.jobs import canonical_job
+        from repro.serve.worker import execute_job
+
+        store = ArtifactStore(tmp_path / "store")
+        job = canonical_job(
+            {"dataset": _DATASET, "algorithm": "degree"}, kind="analyze"
+        )
+        cold = execute_job(job, str(store.root))
+        (info,) = store.infos("simulation")
+        data = _MALFORMED[fault](info.path.read_bytes())
+        info.path.write_bytes(data)
+        meta = json.loads(info.meta_path.read_text(encoding="utf-8"))
+        meta["checksum"] = hashlib.sha256(data).hexdigest()
+        info.meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+        start = time.perf_counter()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            loaded = store.get(info.key, "simulation")
+            gc.collect()
+        assert time.perf_counter() - start < _BOUND_S
+        assert loaded is None
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert info.path.name in _quarantined(store, "simulation")
+        reason = store.quarantine_dir / "simulation" / f"{info.key}.reason.txt"
+        assert "deserialization failure" in reason.read_text(encoding="utf-8")
+
+        warm = execute_job(job, str(store.root))
+        assert warm["result"] == cold["result"]
+        assert warm["stages"]["computed"] == 1
+        assert store.get(info.key, "simulation") is not None
 
 
 class TestPipelineRecomputes:

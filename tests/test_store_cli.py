@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from repro.core.aid import VertexAID
 from repro.store import ArtifactStore
 from repro.store.cli import main
 
@@ -81,6 +84,36 @@ class TestVerify:
         assert _run(store, "verify", "--quarantine") == 1
         assert not store.contains(_key(0xBB), "json")
         assert _run(store, "verify") == 0
+
+
+class TestVerifyDecodes:
+    """A torn write whose sidecar was regenerated hashes clean; only a
+    decode can tell."""
+
+    @pytest.fixture
+    def torn(self, store):
+        aid = VertexAID(aid=np.linspace(0.0, 1.0, 64), degrees=np.arange(64))
+        info = store.put(_key(0xCC), "aid", aid)
+        data = info.path.read_bytes()[:-8]
+        info.path.write_bytes(data)
+        meta = json.loads(info.meta_path.read_text(encoding="utf-8"))
+        meta["checksum"] = hashlib.sha256(data).hexdigest()
+        info.meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        return store
+
+    def test_reports_undecodable_payload(self, torn, capsys):
+        assert _run(torn, "verify") == 1
+        out = capsys.readouterr().out
+        assert f"[undecodable payload] aid/{_key(0xCC)}" in out
+        assert "checksum mismatch" not in out
+        assert torn.contains(_key(0xCC), "aid")
+
+    def test_quarantine_flag_moves_it(self, torn, capsys):
+        assert _run(torn, "verify", "--quarantine") == 1
+        assert not torn.contains(_key(0xCC), "aid")
+        reason = torn.quarantine_dir / "aid" / f"{_key(0xCC)}.reason.txt"
+        assert "undecodable payload" in reason.read_text(encoding="utf-8")
+        assert _run(torn, "verify") == 0
 
 
 class TestGC:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import json
 import os
 import zipfile
@@ -13,6 +15,7 @@ import pytest
 from repro.core.aid import VertexAID, aid_degree_distribution
 from repro.errors import StoreError
 from repro.reorder import get_algorithm
+from repro.reorder.base import ReorderResult
 from repro.sim import SimulationConfig, simulate_spmv
 from repro.store import (
     STORE_DIR_ENV,
@@ -132,6 +135,83 @@ class TestRoundTrips:
         with pytest.raises(StoreError):
             store.put(_key(5), "graph", {"not": "a graph"})
         assert not store.contains(_key(5), "graph")
+
+
+def _assert_bit_exact(loaded, original) -> None:
+    assert type(loaded) is type(original)
+    for item in dataclasses.fields(original):
+        got, want = getattr(loaded, item.name), getattr(original, item.name)
+        if not isinstance(want, np.ndarray):
+            assert got == want, item.name
+            continue
+        assert got.flags.writeable, item.name
+        assert got.shape == want.shape, item.name
+        if want.dtype.kind in "iu":
+            assert got.dtype == np.int64, item.name
+            assert np.array_equal(got, want), item.name
+        else:
+            assert got.dtype == want.dtype, item.name
+            assert got.tobytes() == want.tobytes(), item.name
+
+
+def _stored_simulation(graph, *, scan_interval: int, classify: bool):
+    config = SimulationConfig.scaled_for(graph, scan_interval=scan_interval)
+    return StoredSimulation.from_result(
+        simulate_spmv(graph, config, classify_locality=classify)
+    )
+
+
+#: Every dataclass kind, with empty arrays, non-finite AID values and
+#: ``locality_types`` both unset and set.
+_DATACLASS_CASES = {
+    "reordering": lambda g: ("reordering", get_algorithm("degree")(g)),
+    "reordering-empty": lambda g: (
+        "reordering",
+        ReorderResult("identity", np.zeros(0, dtype=np.int64), 0.0, {}),
+    ),
+    "aid-non-finite": lambda g: (
+        "aid",
+        VertexAID(
+            aid=np.array([0.5, np.inf, np.nan, -np.inf, 0.0, 5e-324]),
+            degrees=np.array([1, 0, 3, 2, 7, 2**40], dtype=np.int64),
+        ),
+    ),
+    "aid-empty": lambda g: (
+        "aid",
+        VertexAID(aid=np.zeros(0), degrees=np.zeros(0, dtype=np.int64)),
+    ),
+    "simulation-classified": lambda g: (
+        "simulation",
+        _stored_simulation(g, scan_interval=16, classify=True),
+    ),
+    "simulation-unclassified-no-snapshots": lambda g: (
+        "simulation",
+        _stored_simulation(g, scan_interval=0, classify=False),
+    ),
+}
+
+
+class TestFlatRoundTrip:
+    @pytest.mark.parametrize("case", sorted(_DATACLASS_CASES))
+    def test_bit_exact(self, store, two_hop_ring, case):
+        kind, original = _DATACLASS_CASES[case](two_hop_ring)
+        store.put(_key(14), kind, original)
+        _assert_bit_exact(store.get(_key(14), kind), original)
+
+    def test_get_opens_the_payload_once(self, store, two_hop_ring, monkeypatch):
+        kind, original = _DATACLASS_CASES["simulation-classified"](two_hop_ring)
+        info = store.put(_key(15), kind, original)
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        assert store.get(_key(15), kind) is not None
+        assert opened.count(str(info.path)) == 1
 
 
 class TestDurability:

@@ -20,6 +20,7 @@ import pytest
 # The package re-exports a ``workloads`` *instance*, which shadows the
 # submodule as an attribute — resolve the real module for monkeypatching.
 workloads_module = importlib.import_module("repro.bench.workloads")
+fingerprint_module = importlib.import_module("repro.store.fingerprint")
 from repro.bench.harness import run_experiment, run_experiments
 from repro.bench.workloads import Workloads
 from repro.errors import ExperimentError
@@ -197,6 +198,33 @@ class TestInvalidationAndRecovery:
         bumped.graph(_DATASET)
         assert producer_calls["load_dataset"] > 0
         assert bumped.manifest.computed_count("graph") == 1
+
+    def test_serializer_edit_rotates_array_artifact_keys(self, store, monkeypatch):
+        def stage_keys() -> dict:
+            graph_key = workloads_module._graph_stage.content_key(_DATASET)
+            args = (None, graph_key, "degree", {})
+            return {
+                "graph": graph_key,
+                "reordering": workloads_module._reordering_stage.content_key(
+                    *args, None
+                ),
+                "aid": workloads_module._aid_stage.content_key(*args, "in"),
+                "simulation": workloads_module._simulation_stage.content_key(
+                    *args, False, direction="in", policy="drrip", pressure=1.0
+                ),
+            }
+
+        before = stage_keys()
+        real_digest = fingerprint_module._module_digest
+
+        def edited(name: str) -> str:
+            return "0" * 64 if name == "repro.store.serializers" else real_digest(name)
+
+        monkeypatch.setattr(fingerprint_module, "_module_digest", edited)
+        after = stage_keys()
+        assert after["graph"] == before["graph"]
+        for kind in ("reordering", "aid", "simulation"):
+            assert after[kind] != before[kind], kind
 
     def test_refresh_recomputes_and_overwrites(self, store, producer_calls):
         Workloads(store=store).graph(_DATASET)
