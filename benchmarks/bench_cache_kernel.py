@@ -3,10 +3,11 @@
 Measures accesses/second on the simulator-validation workloads (the
 SpMV traces of twtr-mini and sk-mini, as in
 ``tests/test_paper_claims.py::test_simulator_validation``) for each
-replacement policy, at the native scaled cache geometry and at 4x
-scale — the geometry regime where the BRRIP/DRRIP skew guard admits the bimodal
-policies to the kernel path (enough sets for the lockstep fixed point
-to amortize; see ``_RRIP_MIN_DENSITY`` in ``repro.sim._kernels``).
+replacement policy, at the native scaled cache geometry (32 sets) and
+at 4x scale (128 sets).  The RRIP policies replay one column per cache
+set, so they dispatch only where the trace spreads across enough sets
+(``n >= _RRIP_MIN_DENSITY * max_set_count`` in ``repro.sim._kernels``):
+all 4x cells do, and the native ones only where a trace is that even.
 Results go to ``BENCH_cache_kernel.json`` at the repo root — the perf
 trajectory tracked across PRs.
 
@@ -138,10 +139,11 @@ def run_bench(repeats: int = 3) -> dict:
                 (r["speedup"] for r in bimodal_rows), default=0.0
             ),
             "note": (
-                "brrip/drrip dispatch is gated on set-count/skew "
-                "(_RRIP_MIN_DENSITY): the 32-set native workloads decline "
-                "to the reference loop, the 128-set 4x workloads run all "
-                "four policies through the kernel (see DESIGN.md section 7)"
+                "srrip/brrip/drrip replay one column per cache set and "
+                "dispatch only when n >= _RRIP_MIN_DENSITY * max_set_count: "
+                "the 128-set 4x workloads run all four policies through "
+                "the kernel, the 32-set native ones only where the trace "
+                "is that even (see DESIGN.md section 7)"
             ),
         },
     }

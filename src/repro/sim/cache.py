@@ -21,7 +21,6 @@ kernels in :mod:`repro.sim._kernels` can replay every policy bit-exactly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,27 +46,6 @@ _PSEL_INIT = 512
 
 # After the constants above: the kernels import them from this module.
 from repro.sim import _kernels  # noqa: E402
-
-#: One-shot latch for the kernel-fallback warning (process-wide: the
-#: point is to surface the *first* silent fallback, not to spam).
-_FALLBACK_WARNED = False
-
-
-def _warn_kernel_fallback(policy: str) -> None:
-    # The latch dedupes a process-local warning;
-    # simulation results are already fixed when it flips.
-    global _FALLBACK_WARNED
-    if _FALLBACK_WARNED:
-        return
-    _FALLBACK_WARNED = True
-    warnings.warn(
-        f"cache kernel (policy={policy!r}) exhausted its fixed-point "
-        "budget and fell back to the reference loop; the batch pays "
-        "kernel overhead *plus* the ~1 us/access reference cost. "
-        "Counted in the 'sim.kernel_fallback' repro.obs metric.",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -227,18 +205,11 @@ class SetAssociativeCache:
         # stay uninstrumented so the disabled path is untouched.
         if _obs_enabled():
             _obs_metrics.registry.counter("cache.accesses").inc(lines.shape[0])
-        if _kernels.use_kernel(self.config, lines):
-            hits = _kernels.kernel_simulate(self, lines)
-            if hits is not None:
-                if _obs_enabled():
-                    _obs_metrics.registry.counter("cache.kernel_batches").inc()
-                return SimulatedAccesses(hits=hits)
-            # The kernel attempted the batch and gave up (fixed-point
-            # budget); the silent cost is kernel overhead plus the full
-            # reference replay below, so make it observable.
+        sets = _kernels.set_ids(lines, self.config.num_sets)
+        if _kernels.use_kernel(self.config, lines, sets):
             if _obs_enabled():
-                _obs_metrics.registry.counter("sim.kernel_fallback").inc()
-            _warn_kernel_fallback(self.config.policy)
+                _obs_metrics.registry.counter("cache.kernel_batches").inc()
+            return SimulatedAccesses(hits=_kernels.kernel_replay(self, lines, sets))
         if _obs_enabled():
             _obs_metrics.registry.counter("cache.reference_batches").inc()
         return self._simulate_reference(lines)

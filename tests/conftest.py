@@ -45,12 +45,13 @@ def replay_path(request: pytest.FixtureRequest) -> Iterator[str]:
     fixtures that replay a cache take ``replay_path`` as an argument so
     they are rebuilt per path too.
     """
-    from repro.sim import _kernels
+    from repro.sim import CacheConfig, _kernels
 
-    if request.param == "kernel":
-        force = _kernels.kernel_possible
-    else:
-        force = lambda config, lines: False  # noqa: E731
+    def force(
+        config: CacheConfig, lines: np.ndarray, sets: np.ndarray | None = None
+    ) -> bool:
+        return request.param == "kernel" and _kernels.kernel_possible(config, lines)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernels, "use_kernel", force)
         yield str(request.param)

@@ -8,7 +8,8 @@ across chained calls.  These tests drive both paths directly
 (``SetAssociativeCache._simulate_reference`` and
 ``_kernels.kernel_simulate``) over random geometries, policies and
 traces and compare everything; ``TestDispatch`` pins the one rule
-(``_kernels.use_kernel``) that picks between them.
+(``_kernels.use_kernel``) that picks between them, and
+``TestNoFallback`` that the kernel replays whatever it is given.
 """
 
 import numpy as np
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.obs import metrics as obs_metrics
 from repro.sim import CacheConfig, SetAssociativeCache, _kernels
-from repro.sim import cache as cache_mod
 
 POLICIES = ("lru", "srrip", "brrip", "drrip")
 
@@ -30,13 +30,10 @@ geometries = st.tuples(
 
 
 def _kernel_hits(cache, lines):
-    """Kernel replay of one batch, finished as ``simulate`` finishes it.
-
-    A batch whose fixed point exhausts its budget comes back ``None``
-    with the cache untouched, and runs the reference loop instead.
-    """
+    """Forced kernel replay of one batch; it never declines a real batch."""
     hits = _kernels.kernel_simulate(cache, lines)
-    return cache._simulate_reference(lines).hits if hits is None else hits
+    assert hits is not None
+    return hits
 
 
 def _both(config, lines, chain=1, cuts=None):
@@ -76,24 +73,25 @@ class TestDispatch:
         tiny_sets = CacheConfig(num_sets=2, ways=8, policy="lru")
         assert not _kernels.use_kernel(tiny_sets, big)
 
-    def test_bimodal_policies_gated_on_set_skew(self):
-        # BRRIP/DRRIP fixed-point cost tracks the busiest set's access
-        # count; dispatch sends them to the kernel only when the trace spreads
-        # across enough sets (see _RRIP_MIN_DENSITY in _kernels).  A
-        # balanced trace has n/max_count ~ num_sets, so even perfect
-        # balance is declined below ~80 sets — small geometries lack the
-        # cross-set parallelism the lockstep replay amortizes against.
+    def test_rrip_policies_gated_on_set_density(self):
+        # RRIP replay steps one row per access of the busiest set, so all
+        # three RRIP policies go to the kernel only when n >=
+        # _RRIP_MIN_DENSITY * max_count.  A balanced trace has n/max_count
+        # = num_sets, so 32 sets pass and 16 do not; LRU's chunked
+        # streams are not gated on skew.
         wide = np.arange(40_000, dtype=np.int64)  # perfectly balanced
         skewed = np.zeros(40_000, dtype=np.int64)  # one set takes all
-        for policy in ("brrip", "drrip"):
+        assert 16 < _kernels._RRIP_MIN_DENSITY <= 32
+        for policy in ("srrip", "brrip", "drrip"):
+            for num_sets, spread in ((128, True), (32, True), (16, False)):
+                config = CacheConfig(num_sets=num_sets, ways=8, policy=policy)
+                assert _kernels.use_kernel(config, wide) is spread
+                sets = _kernels.set_ids(wide, num_sets)
+                assert _kernels.use_kernel(config, wide, sets) is spread
             big = CacheConfig(num_sets=128, ways=8, policy=policy)
-            small = CacheConfig(num_sets=32, ways=8, policy=policy)
-            assert _kernels.use_kernel(big, wide)
             assert not _kernels.use_kernel(big, skewed)
-            assert not _kernels.use_kernel(small, wide)
-        # SRRIP is exempt from the skew guard: aging forgets state fast.
-        srrip = CacheConfig(num_sets=32, ways=8, policy="srrip")
-        assert _kernels.use_kernel(srrip, skewed)
+        lru = CacheConfig(num_sets=32, ways=8, policy="lru")
+        assert _kernels.use_kernel(lru, skewed)
 
     def test_auto_equals_reference_for_small_traces(self):
         config = CacheConfig(num_sets=4, ways=2, policy="lru")
@@ -232,10 +230,10 @@ class TestKernelEquivalence:
         _assert_same_state(ref, flipped, policy)
 
     def test_large_trace_exercises_kernel_dispatch(self):
-        # Above every profitability threshold (including the BRRIP/DRRIP
-        # skew guard, which needs the near-balanced load to spread over
-        # >= ~80 sets): simulate must take the kernel path for all four
-        # policies and still agree with the reference.
+        # Above every profitability threshold (including the RRIP
+        # density rule, which a near-balanced load over 128 sets clears):
+        # simulate must take the kernel path for all four policies and
+        # still agree with the reference.
         rng = np.random.default_rng(3)
         lines = rng.integers(0, 8192, size=40_000)
         for policy in POLICIES:
@@ -254,50 +252,61 @@ class TestKernelEquivalence:
             _assert_same_state(ref, ker, policy)
 
 
-class TestKernelFallbackObservability:
-    def _declined(self, monkeypatch):
-        # Simulate the kernel giving up (fixed-point budget exhausted)
-        # without needing a pathological trace: the dispatch layer only
-        # sees the None return.
-        monkeypatch.setattr(
-            _kernels,
-            "kernel_simulate",
-            lambda cache, lines: None,
-        )
-
-    def test_fallback_counts_and_warns_once(self, monkeypatch):
-        self._declined(monkeypatch)
-        monkeypatch.setattr(cache_mod, "_FALLBACK_WARNED", False)
-        # 128 sets spread this trace wide enough for DRRIP dispatch.
-        config = CacheConfig(num_sets=128, ways=8, policy="drrip")
-        lines = np.arange(20_000, dtype=np.int64)
-        assert _kernels.use_kernel(config, lines)
-        ref = SetAssociativeCache(config)._simulate_reference(lines)
+class TestNoFallback:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_forced_kernel_replays_one_set_trace(self, policy):
+        # Every access in one set is the kernel's worst case: one column,
+        # one row per access.  It still replays exactly, never declines.
+        rng = np.random.default_rng(7)
+        lines = rng.integers(0, 24, size=20_000) * 64
+        config = CacheConfig(num_sets=64, ways=8, policy=policy, seed=1)
+        ref = SetAssociativeCache(config)
+        ker = SetAssociativeCache(config)
+        r = ref._simulate_reference(lines).hits
+        k = _kernels.kernel_simulate(ker, lines)
+        assert k is not None
+        assert np.array_equal(r, k)
+        _assert_same_state(ref, ker, policy)
+        # Left to dispatch, the RRIP policies send it to the reference
+        # loop, and the counters perfbench reads say so.
         with obs.recording(fresh=True):
-            cache = SetAssociativeCache(config)
-            with pytest.warns(RuntimeWarning, match="fixed-point budget"):
-                got = cache.simulate(lines)
+            auto = SetAssociativeCache(config).simulate(lines).hits
             counters = obs_metrics.registry.snapshot()
-        # The batch still produced correct (reference) results ...
-        assert np.array_equal(got.hits, ref.hits)
-        # ... and the silent-fallback path became observable.
-        assert counters["sim.kernel_fallback"]["value"] == 1
-        assert counters["cache.reference_batches"]["value"] == 1
-        # The warning is a one-shot latch: a second fallback only counts.
-        with obs.recording(fresh=True):
-            import warnings as _warnings
+        path = "kernel" if policy == "lru" else "reference"
+        assert counters[f"cache.{path}_batches"]["value"] == 1
+        assert np.array_equal(auto, r)
 
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("error")
-                SetAssociativeCache(config).simulate(lines)
-            again = obs_metrics.registry.snapshot()
-        assert again["sim.kernel_fallback"]["value"] == 1
 
-    def test_no_fallback_metric_on_clean_dispatch(self):
-        config = CacheConfig(num_sets=32, ways=8, policy="srrip")
-        lines = np.arange(20_000, dtype=np.int64)
-        with obs.recording(fresh=True):
-            SetAssociativeCache(config).simulate(lines)
-            counters = obs_metrics.registry.snapshot()
-        assert "sim.kernel_fallback" not in counters
-        assert counters["cache.kernel_batches"]["value"] == 1
+class TestWideTags:
+    """Compressed tags (``line // num_sets``) must never alias.
+
+    The kernel narrows tags to the smallest integer type that holds
+    them; two lines whose tags differ by a multiple of 2**16 or 2**32
+    would look equal after a too-narrow cast.
+    """
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_tags_past_int32_range(self, policy):
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, 128 * 64, size=10_000)
+        lines = np.empty(20_000, dtype=np.int64)
+        lines[0::2] = x
+        lines[1::2] = x + 2**32 * 128
+        config = CacheConfig(num_sets=128, ways=8, policy=policy)
+        ref, ker, outs = _both(config, lines)
+        for r, k, _, _ in outs:
+            assert np.array_equal(r, k)
+        _assert_same_state(ref, ker, policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_wide_state_tags_meet_narrow_batch(self, policy):
+        # The first batch leaves tags past int16 in the cache; the second
+        # batch alone would fit int16, and its tags equal the first's
+        # modulo 2**16.
+        small = np.arange(20_000, dtype=np.int64) % 512
+        lines = np.concatenate((small[:2000] + 2**16 * 128, small))
+        config = CacheConfig(num_sets=128, ways=8, policy=policy)
+        ref, ker, outs = _both(config, lines, cuts=[0, 2000, 22_000])
+        for r, k, _, _ in outs:
+            assert np.array_equal(r, k)
+        _assert_same_state(ref, ker, policy)

@@ -24,6 +24,7 @@ never touch it, and the SRRIP/BRRIP leader sets are disjoint.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -388,3 +389,114 @@ class TestDRRIPInvariants:
         assert not cache.simulate([fresh]).hits[0]
         way = cache._tags[follower].index(fresh)
         assert cache._rrpv[follower][way] == _RRPV_MAX
+
+def _oracle_state(oracle: RRIPOracle) -> tuple:
+    """Oracle sets as the cache's (tags, rrpv) lists, way for way."""
+    tags = [[entry[0] for entry in ways] for ways in oracle.sets]
+    rrpv = [[entry[1] for entry in ways] for ways in oracle.sets]
+    return tags, rrpv
+
+
+def _replay_against_oracle(config, batches, paths=None):
+    """Feed ``batches`` to one cache and the oracle; compare every batch.
+
+    ``paths`` picks the replay per batch ("kernel" forces
+    ``kernel_simulate``, "reference" the reference loop); default is all
+    kernel.  Hit bits, PSEL, access position and every set's (tag,
+    RRPV) ways must agree after each batch.  Returns the oracle.
+    """
+    cache = SetAssociativeCache(config)
+    oracle = RRIPOracle(config.num_sets, config.ways, config.policy, config.seed)
+    for i, lines in enumerate(batches):
+        lines = np.asarray(lines, dtype=np.int64)
+        path = paths[i] if paths else "kernel"
+        if path == "kernel":
+            got = _kernels.kernel_simulate(cache, lines)
+            assert got is not None
+        else:
+            got = cache._simulate_reference(lines).hits
+        assert np.array_equal(got, oracle.simulate(lines)), (i, path)
+        assert cache._psel == oracle.psel, (i, path)
+        assert cache._access_pos == oracle.pos, (i, path)
+        assert (cache._tags, cache._rrpv) == _oracle_state(oracle), (i, path)
+    return oracle
+
+
+class TestKernelAgainstOracle:
+    """The forced kernel's per-set replay, checked against the oracle."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        policy=st.sampled_from(["srrip", "brrip", "drrip"]),
+        hot_set=st.sampled_from([0, 1, 2, 5]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_one_set_takes_most_of_the_batch(self, policy, hot_set, seed):
+        # 90%+ of the accesses land in one set (a leader or a follower),
+        # so one column runs far past every other.
+        num_sets, ways = 8, 4
+        rng = np.random.default_rng(seed)
+        n = 1500
+        lines = rng.integers(0, num_sets * ways * 4, size=n)
+        hot = rng.random(n) < 0.92
+        lines[hot] = hot_set + num_sets * rng.integers(0, 3 * ways, size=hot.sum())
+        assert np.mean(lines % num_sets == hot_set) >= 0.9
+        config = CacheConfig(num_sets=num_sets, ways=ways, policy=policy, seed=seed % 5)
+        _replay_against_oracle(config, [lines[:700], lines[700:]])
+
+    def test_drrip_psel_pinned_at_each_rail_across_batches(self):
+        # Thrashing one leader set drives PSEL to a rail within the first
+        # batch; the second batch keeps voting into the clamp while
+        # followers read the pinned counter.
+        num_sets, ways = 64, 2
+        rng = np.random.default_rng(4)
+        for leader, rail in ((1, 0), (0, _PSEL_MAX)):
+            thrash = leader + num_sets * np.arange(4 * ways)
+            batches = []
+            for _ in range(2):
+                lines = np.tile(thrash, 200)
+                follow = rng.random(lines.shape[0]) < 0.3
+                lines[follow] = 2 + rng.integers(0, 300, size=follow.sum())
+                batches.append(lines)
+            config = CacheConfig(num_sets=num_sets, ways=ways, policy="drrip", seed=2)
+            oracle = _replay_against_oracle(config, batches)
+            assert oracle.psel == rail
+            assert oracle.psel_seen.count(rail) > 100
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        num_sets=st.sampled_from([2, 3]),
+        ways=st.sampled_from([1, 2, 4]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_drrip_leaders_only_and_one_follower(self, num_sets, ways, seed):
+        # Two sets are both leaders (no follower pass); three sets leave
+        # one follower behind them.
+        rng = np.random.default_rng(seed)
+        lines = rng.integers(0, num_sets * ways * 4, size=1200)
+        config = CacheConfig(num_sets=num_sets, ways=ways, policy="drrip", seed=seed % 3)
+        _replay_against_oracle(config, [lines[:400], lines[400:]])
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        policy=st.sampled_from(["srrip", "brrip", "drrip"]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_chained_batches_alternate_paths(self, policy, seed):
+        rng = np.random.default_rng(seed)
+        lines = rng.integers(0, 400, size=2400)
+        batches = np.array_split(lines, 6)
+        paths = ["kernel", "reference"] * 3
+        config = CacheConfig(num_sets=33, ways=3, policy=policy, seed=seed % 7)
+        _replay_against_oracle(config, batches, paths)
+
+    @pytest.mark.parametrize("policy", ["srrip", "brrip", "drrip"])
+    def test_batch_of_one_run_per_set(self, policy):
+        # After a warm-up batch, every set's stream in the next batch is
+        # one line repeated: one deduped access per column.
+        num_sets, ways = 8, 2
+        rng = np.random.default_rng(9)
+        warm = rng.integers(0, 200, size=600)
+        runs = np.tile(np.arange(num_sets) + num_sets * rng.integers(0, 25, size=num_sets), 40)
+        config = CacheConfig(num_sets=num_sets, ways=ways, policy=policy, seed=1)
+        _replay_against_oracle(config, [warm, runs, warm])
