@@ -38,9 +38,10 @@ where ``finalize`` is splitmix64's three-step mix::
 
 Both entry points below compute the identical bit pattern: the scalar
 path (``long_insert``) transcribes the specification one position at a
-time, the vectorized path (``long_inserts``) serves the reference batch
-loop and the kernels, so reference and kernel replay stay bit-exact by
-construction.
+time, the vectorized path (``long_inserts_at``) serves the reference
+batch loop, which draws a contiguous run of positions, and the kernels,
+which draw only at the positions of run heads; so reference and kernel
+replay stay bit-exact by construction.
 """
 
 from __future__ import annotations
@@ -52,8 +53,10 @@ __all__ = [
     "LONG_THRESHOLD",
     "draw_key",
     "draw_words",
+    "draw_words_at",
     "long_insert",
     "long_inserts",
+    "long_inserts_at",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -65,6 +68,9 @@ _MIX2 = 0x94D049BB133111EB
 
 #: ``word < LONG_THRESHOLD`` selects the 1/32 long-insertion draws.
 LONG_THRESHOLD = 1 << 59  # == 2**64 * (1/32)
+
+# Positions hashed at a time by long_inserts_at.
+_BLOCK = 1 << 16
 
 
 def _finalize(z: int) -> int:
@@ -96,10 +102,18 @@ def draw_words(key: int, start: int, n: int) -> np.ndarray:
     Exposed (rather than only the thresholded booleans) so tests can pin
     the no-recycling property of the stream itself.
     """
-    pos = np.arange(n, dtype=np.uint64)
-    z = np.uint64((key + (start & _MASK64) * GAMMA) & _MASK64) + pos * np.uint64(
-        GAMMA & _MASK64
-    )
+    return draw_words_at(key, start, np.arange(n, dtype=np.uint64))
+
+
+def draw_words_at(key: int, start: int, offsets: np.ndarray) -> np.ndarray:
+    """Raw 64-bit draw words for positions ``start + offsets[i]``.
+
+    ``offsets`` are non-negative integers in any order; the word at a
+    position does not depend on which other positions are drawn.
+    """
+    z = np.uint64((key + (start & _MASK64) * GAMMA) & _MASK64) + np.asarray(
+        offsets
+    ).astype(np.uint64) * np.uint64(GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
@@ -110,4 +124,21 @@ def long_inserts(key: int, start: int, n: int) -> np.ndarray:
 
     Bit-exact with ``n`` calls to :func:`long_insert`.
     """
-    return draw_words(key, start, n) < np.uint64(LONG_THRESHOLD)
+    return long_inserts_at(key, start, np.arange(n, dtype=np.uint64))
+
+
+def long_inserts_at(key: int, start: int, offsets: np.ndarray) -> np.ndarray:
+    """Draws for positions ``start + offsets[i]`` (bool array).
+
+    Hashed in blocks, so the 64-bit words never take more than
+    ``_BLOCK`` positions' worth of memory.
+    """
+    n = offsets.shape[0]
+    out = np.empty(n, dtype=bool)
+    for lo in range(0, n, _BLOCK):
+        np.less(
+            draw_words_at(key, start, offsets[lo : lo + _BLOCK]),
+            np.uint64(LONG_THRESHOLD),
+            out=out[lo : lo + _BLOCK],
+        )
+    return out

@@ -23,7 +23,10 @@ Architecture (see DESIGN.md for the long version):
     RRPV 0, equivalent to inserting the head of the run with RRPV 0.
     The kernel therefore simulates only run heads and force-fills hits
     for the tail — exact, and 25–60 % fewer simulated accesses on real
-    SpMV traces.
+    SpMV traces.  A batch is kept only as its run heads (program
+    position, tag, run length >= 2), and every batch-length temporary
+    is narrow (int32 positions and gather indices, bool masks) and freed
+    after its last use, so a replay peaks at ~20 B per access.
 
 3.  **Ragged lockstep replay.**  Each access stream is one column; one
     Python-level loop over rows then steps every column at once with
@@ -61,7 +64,8 @@ Architecture (see DESIGN.md for the long version):
     (key, p)`` — a pure function of the seed and ``p``, never of the
     hit/miss history (:mod:`repro.sim._draws`).  So SRRIP and BRRIP
     insertion RRPVs are known before replay, and so are DRRIP's leader
-    insertions; only DRRIP followers wait for the leader pass.
+    insertions; only DRRIP followers wait for the leader pass.  Only run
+    heads insert, so only their positions are hashed.
 
 Everything here treats the cache's canonical list state as the interface:
 arrays in, arrays out, with conversion at the boundary, so kernel and
@@ -121,13 +125,16 @@ def set_ids(lines: np.ndarray, num_sets: int) -> np.ndarray:
     """Set index of every line, as int16 (int32 beyond 32768 sets).
 
     Power-of-two geometries (the common case) take a mask; an int64
-    ``%`` over a large batch costs about ten times as much.
+    ``%`` over a large batch costs about ten times as much.  Either is
+    computed in int64 and written straight into the narrow result.
     """
+    dtype = np.int16 if num_sets <= (1 << 15) else np.int32
+    sets = np.empty(lines.shape[0], dtype=dtype)
     if num_sets & (num_sets - 1) == 0:
-        sets = lines & (num_sets - 1)
+        np.bitwise_and(lines, num_sets - 1, out=sets, casting="unsafe")
     else:
-        sets = lines % num_sets
-    return sets.astype(np.int16 if num_sets <= (1 << 15) else np.int32)
+        np.remainder(lines, num_sets, out=sets, casting="unsafe")
+    return sets
 
 
 def kernel_possible(config: CacheConfig, lines: np.ndarray) -> bool:
@@ -201,22 +208,23 @@ def _write_state(
 
 
 class _Streams:
-    """One batch grouped by set and run-deduplicated (set-major order)."""
+    """One batch grouped by set and run-deduplicated (set-major order).
+
+    Only run heads are kept: every other access is a hit, so
+    ``head_prog`` (each head's program position) is all the replay
+    needs to scatter hit bits back.
+    """
 
     __slots__ = (
-        "n", "nd", "order", "keep", "didx", "run2", "head_prog",
-        "ded_tags", "ded_sets", "counts_d", "set_start", "tag_dtype",
+        "n", "nd", "head_prog", "run2", "ded_tags", "counts_d", "set_start",
+        "tag_dtype",
     )
 
     n: int
     nd: int
-    order: np.ndarray
-    keep: np.ndarray
-    didx: np.ndarray
-    run2: np.ndarray
     head_prog: np.ndarray
+    run2: np.ndarray
     ded_tags: np.ndarray
-    ded_sets: np.ndarray
     counts_d: np.ndarray
     set_start: np.ndarray
     tag_dtype: type
@@ -231,26 +239,41 @@ def _tag_dtype(max_tag: int) -> type:
     return np.int64
 
 
+def _index_dtype(n: int) -> type:
+    """Positions and gather indices of an ``n``-access batch."""
+    return np.int32 if n < (1 << 31) else np.int64
+
+
 def _build_streams(
     lines: np.ndarray, sets: np.ndarray, num_sets: int, state_max_tag: int
 ) -> _Streams:
+    """Group a batch by set and dedup its runs, in O(batch) memory.
+
+    Batch-length temporaries are narrow (int16/int32 tags and set ids,
+    int32 positions, bool masks) and freed after their last use.  Only
+    ``argsort``'s result and the head indices come as int64; the sort
+    order is narrowed at once, the head indices die with the gathers.
+    """
     st = _Streams()
     n = lines.shape[0]
     st.n = n
 
-    if num_sets & (num_sets - 1) == 0:
-        tags_full = lines >> (num_sets.bit_length() - 1)
-    else:
-        tags_full = lines // num_sets
     # The state's tags share the dtype, so it must hold theirs too.
-    tag_dtype = _tag_dtype(max(int(tags_full.max()), state_max_tag))
-    st.tag_dtype = tag_dtype
-    tags_of = tags_full.astype(tag_dtype)
+    pow2 = num_sets & (num_sets - 1) == 0
+    shift = num_sets.bit_length() - 1
+    max_tag = int(lines.max()) >> shift if pow2 else int(lines.max()) // num_sets
+    st.tag_dtype = _tag_dtype(max(max_tag, state_max_tag))
+    tags = np.empty(n, dtype=st.tag_dtype)
+    if pow2:
+        np.right_shift(lines, shift, out=tags, casting="unsafe")
+    else:
+        np.floor_divide(lines, num_sets, out=tags, casting="unsafe")
 
     # Stable sort on narrow keys selects NumPy's radix sort.
     order = np.argsort(sets, kind="stable")
-    st.order = order
-    sorted_tags = tags_of[order]
+    sorted_tags = tags[order]
+    del tags
+    order = order.astype(_index_dtype(n))
     sorted_sets = sets[order]
 
     # Run dedup: equal lines are always in the same set, so adjacent equal
@@ -258,22 +281,28 @@ def _build_streams(
     # accesses of one set stream.
     keep = np.empty(n, dtype=bool)
     keep[0] = True
-    np.logical_or(
-        sorted_tags[1:] != sorted_tags[:-1],
-        sorted_sets[1:] != sorted_sets[:-1],
-        out=keep[1:],
-    )
-    st.keep = keep
-    st.didx = np.cumsum(keep, dtype=np.int64) - 1
+    np.not_equal(sorted_tags[1:], sorted_tags[:-1], out=keep[1:])
+    keep[1:] |= sorted_sets[1:] != sorted_sets[:-1]
+    # Gathers by index beat boolean-mask selection several times over.
     heads = np.flatnonzero(keep)
     st.nd = heads.shape[0]
-    st.run2 = np.diff(np.append(heads, n)) >= 2
-    st.head_prog = order[heads]
     st.ded_tags = sorted_tags[heads]
-    st.ded_sets = sorted_sets[heads]
-    counts_d = np.bincount(st.ded_sets, minlength=num_sets)
-    st.counts_d = counts_d
-    st.set_start = np.concatenate(([0], np.cumsum(counts_d)))
+    del sorted_tags
+    ded_sets = sorted_sets[heads]
+    del sorted_sets
+    st.head_prog = order[heads]
+    del order
+    # A head whose next access is no head starts a run of length >= 2.
+    keep[:-1] = keep[1:]
+    keep[-1] = True
+    st.run2 = keep[heads]
+    np.logical_not(st.run2, out=st.run2)
+    del keep, heads
+
+    st.set_start = np.append(
+        np.searchsorted(ded_sets, np.arange(num_sets, dtype=ded_sets.dtype)), st.nd
+    )
+    st.counts_d = np.diff(st.set_start)
     return st
 
 
@@ -294,10 +323,11 @@ def _layout(
     steps = np.searchsorted(
         -lens_desc, -np.arange(1, rows + 1, dtype=np.int64), side="right"
     )
-    row = np.repeat(np.arange(rows, dtype=np.int64), steps)
-    src = np.arange(row.shape[0], dtype=np.int64)
-    src -= np.concatenate(([0], np.cumsum(steps)))[row]  # column of the slot
-    src = starts[colperm][src]
+    idx = _index_dtype(int(lens_desc.sum()))
+    row = np.repeat(np.arange(rows, dtype=idx), steps)
+    src = np.arange(row.shape[0], dtype=idx)
+    src -= np.concatenate(([0], np.cumsum(steps[:-1]))).astype(idx)[row]  # column
+    src = starts[colperm].astype(idx)[src]
     src += row
     return colperm, steps.tolist(), src
 
@@ -555,11 +585,10 @@ def _saturating_walk(p0: int, deltas: np.ndarray) -> np.ndarray:
 
 
 def _hits_program_order(st: _Streams, hit_ded: np.ndarray) -> np.ndarray:
-    """Scatter deduped hit bits back to program order (uint8)."""
-    hit_sorted = hit_ded[st.didx]
-    np.logical_or(hit_sorted, ~st.keep, out=hit_sorted)
-    hits = np.empty(st.n, dtype=np.uint8)
-    hits[st.order] = hit_sorted
+    """Scatter run heads' hit bits back to program order (uint8); every
+    other access repeats its run head's line, so it hits."""
+    hits = np.ones(st.n, dtype=np.uint8)
+    hits[st.head_prog] = hit_ded
     return hits
 
 
@@ -637,21 +666,23 @@ def _replay_rrip(
     tags: np.ndarray,
     rrpv: np.ndarray,
     psel: int,
-    long_ins: Optional[np.ndarray],
+    draw: Tuple[int, int],
     roles: np.ndarray,
 ) -> Tuple[np.ndarray, int]:
     """Exact replay of one batch for srrip/brrip/drrip.
 
-    ``tags``/``rrpv`` (num_sets, ways) are updated in place.
-    ``long_ins`` carries the batch's per-access bimodal draws (None for
-    SRRIP, which never reads them) and ``roles`` DRRIP's per-set
-    dueling roles.  Returns ``(hits, psel)``.
+    ``tags``/``rrpv`` (num_sets, ways) are updated in place.  ``draw``
+    is the cache's ``(draw key, batch start position)``, which BRRIP and
+    DRRIP hash at their run heads' positions (SRRIP never draws), and
+    ``roles`` DRRIP's per-set dueling roles.  Returns ``(hits, psel)``.
     """
     ins = np.full(st.nd, _RRPV_MAX - 1, dtype=np.int8)
-    if long_ins is not None:
+    if policy != "srrip":
         bimodal = np.where(
-            long_ins[st.head_prog], _RRPV_MAX - 1, _RRPV_MAX
-        ).astype(np.int8)
+            _draws.long_inserts_at(draw[0], draw[1], st.head_prog),
+            np.int8(_RRPV_MAX - 1),
+            np.int8(_RRPV_MAX),
+        )
         if policy == "brrip":
             ins = bimodal
     hit_ded = np.empty(st.nd, dtype=bool)
@@ -663,27 +694,28 @@ def _replay_rrip(
         return _hits_program_order(st, hit_ded), psel
 
     # Leaders first: their insertions are fixed by role.
-    role_d = roles[st.ded_sets]
+    role_d = np.repeat(roles, st.counts_d)
     np.copyto(ins, bimodal, where=role_d == 2)
     ins[st.run2] = 0
     leaders = np.flatnonzero(present & (roles != 0))
     if leaders.shape[0]:
         _replay_sets(st, leaders, ins, tags, rrpv, hit_ded)
-    # Leader-head misses vote on PSEL in program order, and a head at
-    # program position p reads PSEL after every vote before p.
-    vote = np.zeros(st.n, dtype=np.int8)
-    lead_miss = (role_d != 0) & ~hit_ded
-    vote[st.head_prog[lead_miss]] = np.where(role_d[lead_miss] == 1, 1, -1)
-    voted = vote != 0
-    traj = np.concatenate(
-        ([psel], _saturating_walk(psel, vote[voted].astype(np.int64)))
-    )
+    # Leader-head misses vote on PSEL in program order.
+    lead_miss = np.flatnonzero((role_d != 0) & ~hit_ded)
+    vote_pos = st.head_prog[lead_miss]
+    by_pos = np.argsort(vote_pos)
+    vote_pos = vote_pos[by_pos]
+    votes = np.where(role_d[lead_miss[by_pos]] == 1, 1, -1)
+    traj = np.concatenate(([psel], _saturating_walk(psel, votes)))
     followers = np.flatnonzero(present & (roles == 0))
     if followers.shape[0]:
-        # Followers never vote, so counting the votes up to and including
-        # their own position counts the votes before it.
-        seen = np.cumsum(voted, dtype=np.int64)[st.head_prog]
-        use_b = (role_d == 0) & ~st.run2 & (traj[seen] >= _PSEL_INIT)
+        # A head at program position p reads PSEL after every vote before
+        # p: traj[j] holds from just after vote j-1 through vote j's own
+        # position, which is never a follower's.
+        span_len = np.diff(np.concatenate(([0], vote_pos + 1, [st.n])))
+        use_b = np.repeat(traj >= _PSEL_INIT, span_len)[st.head_prog]
+        use_b &= role_d == 0
+        use_b &= ~st.run2
         np.copyto(ins, bimodal, where=use_b)
         _replay_sets(st, followers, ins, tags, rrpv, hit_ded)
     return _hits_program_order(st, hit_ded), int(traj[-1])
@@ -724,16 +756,11 @@ def kernel_replay(
         if policy == "lru":
             hits = _replay_lru(st, tags, config.ways)
         else:
-            # Per-access bimodal draws, keyed by the cache's lifetime
-            # access position (bit-exact with the reference by
-            # construction — same hash, same keys).  SRRIP never reads them.
-            long_ins = (
-                None
-                if policy == "srrip"
-                else _draws.long_inserts(cache._draw_key, pos0, n)
-            )
+            # Bimodal draws are keyed by the cache's lifetime access
+            # position (bit-exact with the reference by construction —
+            # same hash, same keys).
             hits, cache._psel = _replay_rrip(
-                st, policy, tags, rrpv, cache._psel, long_ins,
+                st, policy, tags, rrpv, cache._psel, (cache._draw_key, pos0),
                 np.asarray(cache._role, dtype=np.int8),
             )
         # Reference LRU never touches RRPV state; keep it bit-identical.

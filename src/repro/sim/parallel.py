@@ -19,6 +19,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.graph.graph import Graph
 from repro.obs import span
+from repro.sim.address_space import AddressSpace
 from repro.sim.trace import MemoryTrace
 
 __all__ = [
@@ -71,7 +72,8 @@ def interleave_stream(
     :func:`repro.sim.trace.spmv_trace_chunks` over one thread partition).
     Yields ``(merged_chunk, thread_ids)`` pairs whose concatenation is
     the merge of the fully materialized per-thread traces, while only
-    ever buffering ~``batch_accesses`` accesses.
+    ever buffering ~``batch_accesses`` accesses.  Thread ids are the
+    narrowest signed dtype that holds every id and ``-1``.
 
     Correctness hinges on emitting only *complete rounds*: a batch
     contains every access with round index below ``r_safe`` — the
@@ -79,9 +81,8 @@ def interleave_stream(
     stream may still produce more accesses.  Threads that finished early
     also emit at most up to ``r_safe`` rounds, because their remaining
     accesses belong to later rounds that slower threads must fill first.
-    Within a batch the merge key (``round * num_threads + thread``,
-    stable sort, thread-order concatenation) matches the reference
-    exactly, so each batch is a contiguous slice of the reference output.
+    Within a batch the order is (round, thread, program order), so each
+    batch is a contiguous slice of the reference output.
     """
     if not sources:
         raise SimulationError("need at least one trace stream to interleave")
@@ -93,9 +94,7 @@ def interleave_stream(
     streams = [iter(s) for s in sources]
     alive = [True] * num_threads
     # Per-thread buffer of (lines, kinds, read_vertex, proc_vertex) blocks.
-    bufs: list[list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]] = [
-        [] for _ in range(num_threads)
-    ]
+    bufs: list[list[tuple[np.ndarray, ...]]] = [[] for _ in range(num_threads)]
     buffered = [0] * num_threads
     consumed = [0] * num_threads
     space = None
@@ -113,8 +112,8 @@ def interleave_stream(
             bufs[t].append((chunk.lines, chunk.kinds, chunk.read_vertex, chunk.proc_vertex))
             buffered[t] += len(chunk)
 
-    def _take(t: int, want: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        taken: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    def _take(t: int, want: int) -> list[tuple[np.ndarray, ...]]:
+        taken: list[tuple[np.ndarray, ...]] = []
         left = want
         while left > 0:
             block = bufs[t][0]
@@ -123,8 +122,8 @@ def interleave_stream(
                 taken.append(bufs[t].pop(0))
                 left -= size
             else:
-                taken.append(tuple(arr[:left] for arr in block))  # type: ignore[arg-type]
-                bufs[t][0] = tuple(arr[left:] for arr in block)  # type: ignore[assignment]
+                taken.append(tuple(arr[:left] for arr in block))
+                bufs[t][0] = tuple(arr[left:] for arr in block)
                 left = 0
         buffered[t] -= want
         return taken
@@ -149,40 +148,79 @@ def interleave_stream(
             ]
         else:
             counts = list(buffered)
-        total = sum(counts)
-        if total == 0:
+        if sum(counts) == 0:
             if not any(alive):
                 return
             continue
 
-        with span("sim.interleave"):
-            part_arrays: list[list[np.ndarray]] = [[], [], [], []]
-            rounds_parts: list[np.ndarray] = []
-            threads_parts: list[np.ndarray] = []
-            for t in range(num_threads):
-                k = counts[t]
-                if not k:
-                    continue
-                local = consumed[t] + np.arange(k, dtype=np.int64)
-                rounds_parts.append(local // interval)
-                threads_parts.append(np.full(k, t, dtype=np.int64))
-                for blk in _take(t, k):
-                    for slot, arr in zip(part_arrays, blk):
-                        slot.append(arr)
-                consumed[t] += k
-            rounds = np.concatenate(rounds_parts)
-            threads = np.concatenate(threads_parts)
-            # Sort key (round, thread); the stable sort keeps each
-            # thread's program order within a round.
-            order = np.argsort(rounds * num_threads + threads, kind="stable")
-            assert space is not None
-            merged = MemoryTrace(
-                lines=np.concatenate(part_arrays[0])[order],
-                kinds=np.concatenate(part_arrays[1])[order],
-                read_vertex=np.concatenate(part_arrays[2])[order],
-                proc_vertex=np.concatenate(part_arrays[3])[order],
-                space=space,
-            )
-        yield merged, threads[order]
+        assert space is not None
+        firsts = list(consumed)
+        for t in range(num_threads):
+            consumed[t] += counts[t]
+        # Built and yielded in one expression, so this frame holds no
+        # reference to a batch while the consumer works on it.
+        yield _merge_rounds(
+            [_take(t, counts[t]) for t in range(num_threads)],
+            firsts,
+            interval,
+            space,
+        )
         if not any(alive) and not any(buffered):
             return
+
+
+def _merge_rounds(
+    blocks: list[list[tuple[np.ndarray, ...]]],
+    firsts: list[int],
+    interval: int,
+    space: AddressSpace,
+) -> tuple[MemoryTrace, np.ndarray]:
+    """Scatter each thread's accesses to their round-robin slots.
+
+    ``blocks[t]`` are thread ``t``'s next accesses in program order, the
+    first of them at thread-local index ``firsts[t]``.  The output is
+    ordered by (round, thread, program order), so each (round, thread)
+    cell is one contiguous run; its offset comes from a prefix sum over
+    the small rounds x threads table of cell sizes.  No sort and no
+    per-access round or thread key is needed.
+    """
+    with span("sim.interleave"):
+        num_threads = len(blocks)
+        first = np.array(firsts, dtype=np.int64)
+        count = np.array(
+            [sum(block[0].shape[0] for block in taken) for taken in blocks],
+            dtype=np.int64,
+        )
+        busy = count > 0
+        r_lo = int((first[busy] // interval).min())
+        r_hi = int(((first + count - 1)[busy] // interval).max()) + 1
+        round_start = np.arange(r_lo, r_hi, dtype=np.int64)[:, None] * interval
+        lo = np.maximum(round_start, first)
+        size = np.minimum(round_start + interval, first + count) - lo
+        np.maximum(size, 0, out=size)
+        # Output offset of each (round, thread) cell, round-major.
+        offset = (np.cumsum(size, axis=None) - size.ravel()).reshape(size.shape)
+        # Slot of thread-local index g in round r: offset[r, t] + g - lo[r, t].
+        shift = offset - lo
+
+        dtypes = [
+            np.result_type(*{arr.dtype for arr in field})
+            for field in zip(*(block for taken in blocks for block in taken))
+        ]
+        total = int(count.sum())
+        out = [np.empty(total, dtype=dtype) for dtype in dtypes]
+        thread_ids = np.empty(total, dtype=np.min_scalar_type(-num_threads))
+        for t, taken in enumerate(blocks):
+            if not count[t]:
+                continue
+            slots = np.repeat(shift[:, t], size[:, t])
+            slots += np.arange(first[t], first[t] + count[t], dtype=np.int64)
+            thread_ids[slots] = t
+            done = 0
+            for block in taken:
+                where = slots[done : done + block[0].shape[0]]
+                for dst, src in zip(out, block):
+                    dst[where] = src
+                done += where.shape[0]
+            taken.clear()
+        return MemoryTrace(*out, space=space), thread_ids

@@ -38,7 +38,7 @@ from repro.sim.stats import (
     LocalityTypeClassifier,
     LocalityTypeCounts,
     VertexAccessStats,
-    attribute_random_accesses,
+    vertex_counts,
 )
 from repro.sim.timing import TimingModel
 from repro.sim.tlb import TLBConfig, lines_to_pages, tlb_cache
@@ -250,6 +250,31 @@ def _in_spans(name: str, chunks: Iterable[MemoryTrace]) -> Iterator[MemoryTrace]
         yield chunk
 
 
+def _attribute(
+    chunk: MemoryTrace,
+    hits: np.ndarray,
+    random_region: int,
+    region_outcomes: np.ndarray,
+    by_read: np.ndarray,
+    by_proc: np.ndarray,
+) -> None:
+    """Add one batch's outcomes to the per-region and per-vertex counters.
+
+    Both attributions share one random-region mask and one miss array.
+    """
+    outcome = chunk.kinds * np.uint8(2)
+    outcome += hits
+    region_outcomes += np.bincount(outcome, minlength=2 * Region.COUNT).reshape(
+        Region.COUNT, 2
+    )
+    mask = chunk.kinds == random_region
+    missed = hits[mask] == 0
+    for totals, field in ((by_read, chunk.read_vertex), (by_proc, chunk.proc_vertex)):
+        accesses, misses = vertex_counts(field[mask], missed, totals.shape[1])
+        totals[0] += accesses
+        totals[1] += misses
+
+
 def simulate_spmv(
     graph: Graph,
     config: SimulationConfig | None = None,
@@ -334,23 +359,17 @@ def simulate_spmv(
                 hits = replay.feed(chunk.lines)
             if tlb is not None and config.tlb is not None:
                 with span("sim.tlb"):
-                    pages = lines_to_pages(
-                        chunk.lines, config.cache.line_size, config.tlb.page_size
-                    )
-                    tlb_misses += tlb.simulate(pages).num_misses
+                    tlb_misses += tlb.simulate(
+                        lines_to_pages(
+                            chunk.lines, config.cache.line_size, config.tlb.page_size
+                        )
+                    ).num_misses
             with span("sim.attribute"):
-                region_outcomes += np.bincount(
-                    chunk.kinds.astype(np.int64) * 2 + hits,
-                    minlength=2 * Region.COUNT,
-                ).reshape(Region.COUNT, 2)
-                for totals, by in ((by_read, "read"), (by_proc, "proc")):
-                    stats = attribute_random_accesses(
-                        chunk, hits, num_vertices, by=by, random_region=random_region
-                    )
-                    totals[0] += stats.accesses
-                    totals[1] += stats.misses
+                _attribute(chunk, hits, random_region, region_outcomes, by_read, by_proc)
                 if classifier is not None:
                     classifier.add(chunk, thread_ids)
+            # Drop this batch before the stream builds the next one.
+            del chunk, thread_ids, hits
 
         region_accesses = region_outcomes.sum(axis=1)
         region_hits = region_outcomes[:, 1].copy()

@@ -80,21 +80,32 @@ def attribute_random_accesses(
     hits = np.asarray(hits)
     if hits.shape[0] != len(trace):
         raise SimulationError("hits array length must match the trace")
-    mask = trace.kinds == random_region
     if by == "read":
-        vertices = trace.read_vertex[mask]
+        field = trace.read_vertex
     elif by == "proc":
-        vertices = trace.proc_vertex[mask]
+        field = trace.proc_vertex
     else:
         raise SimulationError(f"attribution must be 'read' or 'proc', got {by!r}")
+    mask = trace.kinds == random_region
+    accesses, misses = vertex_counts(field[mask], hits[mask] == 0, num_vertices)
+    return VertexAccessStats(accesses=accesses, misses=misses)
+
+
+def vertex_counts(
+    vertices: np.ndarray, missed: np.ndarray, num_vertices: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex ``(accesses, misses)`` of random accesses to ``vertices``.
+
+    ``missed`` flags the accesses that missed.  One integer bincount over
+    (vertex, missed) keys yields both counts.
+    """
     if vertices.size and vertices.min() < 0:
         raise SimulationError("random access without vertex attribution")
-    # One integer bincount over (vertex, missed) keys yields both counts.
-    keys = vertices * 2 + (hits[mask] == 0)
+    keys = vertices.astype(np.intp)
+    keys *= 2
+    keys += missed
     counts = np.bincount(keys, minlength=2 * num_vertices).reshape(-1, 2)
-    return VertexAccessStats(
-        accesses=counts.sum(axis=1, dtype=np.int64), misses=counts[:, 1].astype(np.int64)
-    )
+    return counts.sum(axis=1, dtype=np.int64), counts[:, 1].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -158,8 +169,9 @@ class LocalityTypeClassifier:
         self._first_line = bases[random_region] // space.line_size
         num_lines = bases[random_region + 1] // space.line_size - self._first_line
         self._random_region = random_region
-        # Thread -1 marks a line no access has touched yet.
-        self._thread = np.full(num_lines, -1, dtype=np.int64)
+        # Thread -1 marks a line no access has touched yet.  The carry
+        # takes the thread-id dtype, widening only if a chunk needs it.
+        self._thread = np.full(num_lines, -1, dtype=np.int8)
         self._proc = np.zeros(num_lines, dtype=np.int64)
         self._read = np.zeros(num_lines, dtype=np.int64)
         # I, II, III, IV, V, cold.
@@ -176,13 +188,17 @@ class LocalityTypeClassifier:
         proc = trace.proc_vertex[mask][order]
         read = trace.read_vertex[mask][order]
         if thread_ids is None:
-            thread = np.zeros(lines.shape[0], dtype=np.int64)
+            thread = np.zeros(lines.shape[0], dtype=np.int8)
         else:
-            thread = np.asarray(thread_ids, dtype=np.int64)[mask][order]
+            thread = np.asarray(thread_ids)[mask][order]
+        if not np.can_cast(thread.dtype, self._thread.dtype):
+            self._thread = self._thread.astype(
+                np.promote_types(thread.dtype, self._thread.dtype)
+            )
 
         first = np.ones(lines.shape[0], dtype=bool)
         first[1:] = lines[1:] != lines[:-1]
-        prev_thread = np.empty_like(thread)
+        prev_thread = np.empty(lines.shape[0], dtype=self._thread.dtype)
         prev_proc = np.empty_like(proc)
         prev_read = np.empty_like(read)
         prev_thread[1:], prev_proc[1:], prev_read[1:] = thread[:-1], proc[:-1], read[:-1]

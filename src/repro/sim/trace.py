@@ -36,6 +36,11 @@ from repro.sim.address_space import AddressSpace, Region
 __all__ = ["MemoryTrace", "spmv_trace", "spmv_trace_chunks", "concatenate_traces"]
 
 
+def _vertex_dtype(num_vertices: int) -> type:
+    """Narrowest dtype of a trace's vertex fields: every ID and ``-1``."""
+    return np.int32 if num_vertices <= np.iinfo(np.int32).max else np.int64
+
+
 @dataclass
 class MemoryTrace:
     """A flat access stream plus per-access attribution.
@@ -51,6 +56,8 @@ class MemoryTrace:
         touched (``u`` in Algorithm 1); ``-1`` elsewhere.
     proc_vertex:
         The vertex being processed (``v``) when the access was issued.
+        Generated traces store both vertex fields as int32 (int64 past
+        2**31 - 1 vertices).
     space:
         The address space the line IDs refer to.
     """
@@ -123,12 +130,14 @@ def _range_parts(
     """
     adj, random_region = _resolve_direction(graph, direction)
     offsets = adj.offsets
+    vdtype = _vertex_dtype(graph.num_vertices)
     vertices = np.arange(start, end, dtype=np.int64)
+    vertex_ids = vertices.astype(vdtype)
     edge_lo, edge_hi = int(offsets[start]), int(offsets[end])
     edge_indices = np.arange(edge_lo, edge_hi, dtype=np.int64)
     neighbour = adj.targets[edge_lo:edge_hi]
     degrees = np.diff(offsets[start : end + 1])
-    processed = np.repeat(vertices, degrees)
+    processed = np.repeat(vertex_ids, degrees)
 
     parts_lines: list[np.ndarray] = []
     parts_kinds: list[np.ndarray] = []
@@ -149,7 +158,7 @@ def _range_parts(
         parts_proc.append(proc_v)
         parts_pos.append(pos)
 
-    minus_one = lambda k: np.full(k, -1, dtype=np.int64)  # noqa: E731
+    minus_one = lambda k: np.full(k, -1, dtype=vdtype)  # noqa: E731
 
     # Offsets reads: one access per newly-entered offsets line, ordered
     # just before the vertex's first edge.
@@ -161,7 +170,7 @@ def _range_parts(
         carry.off_line = int(off_lines[-1])
         pos = offsets[vertices] * 10
         _add(off_lines[keep], Region.OFFSETS, minus_one(int(keep.sum())),
-             vertices[keep], pos[keep])
+             vertex_ids[keep], pos[keep])
 
     # Edge-array stream: emit on line transitions (+ optional promotion).
     if edge_indices.size:
@@ -184,7 +193,7 @@ def _range_parts(
             d_lines = space.data_lines(neighbour)
         else:
             d_lines = space.out_lines(neighbour)
-        _add(d_lines, random_region, neighbour.astype(np.int64), processed,
+        _add(d_lines, random_region, neighbour.astype(vdtype), processed,
              edge_indices * 10 + 5)
 
     # Own-vertex data access: the Di+1[v] write in pull, the Di[v] read
@@ -203,7 +212,7 @@ def _range_parts(
         carry.own_line = int(own_lines[-1])
         pos = offsets[vertices + 1] * 10 + 9
         _add(own_lines[keep], own_region, minus_one(int(keep.sum())),
-             vertices[keep], pos[keep])
+             vertex_ids[keep], pos[keep])
 
     return parts_lines, parts_kinds, parts_read, parts_proc, parts_pos
 
@@ -220,10 +229,10 @@ def _resolve_range(
     return start, end
 
 
-def _empty_trace(space: AddressSpace) -> MemoryTrace:
-    empty64 = np.zeros(0, dtype=np.int64)
-    return MemoryTrace(empty64, np.zeros(0, dtype=np.uint8), empty64.copy(),
-                       empty64.copy(), space)
+def _empty_trace(space: AddressSpace, num_vertices: int) -> MemoryTrace:
+    empty = np.zeros(0, dtype=_vertex_dtype(num_vertices))
+    return MemoryTrace(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8),
+                       empty, empty.copy(), space)
 
 
 def spmv_trace(
@@ -262,7 +271,9 @@ def spmv_trace(
             max_accesses=3 * (graph.num_edges + graph.num_vertices) + 3,
         )
     )
-    return concatenate_traces(chunks) if chunks else _empty_trace(space)
+    if not chunks:
+        return _empty_trace(space, graph.num_vertices)
+    return concatenate_traces(chunks)
 
 
 def spmv_trace_chunks(
@@ -312,11 +323,15 @@ def spmv_trace_chunks(
     vertex_budget = max(1, max_accesses // 2)
 
     carry = _DedupCarry()
-    pend_lines = np.zeros(0, dtype=np.int64)
-    pend_kinds = np.zeros(0, dtype=np.uint8)
-    pend_read = np.zeros(0, dtype=np.int64)
-    pend_proc = np.zeros(0, dtype=np.int64)
-    pend_pos = np.zeros(0, dtype=np.int64)
+    vdtype = _vertex_dtype(graph.num_vertices)
+    # Held-back accesses as (lines, kinds, read, proc, positions).
+    pending: tuple[np.ndarray, ...] = (
+        np.zeros(0, dtype=np.int64),
+        np.zeros(0, dtype=np.uint8),
+        np.zeros(0, dtype=vdtype),
+        np.zeros(0, dtype=vdtype),
+        np.zeros(0, dtype=np.int64),
+    )
 
     a = start
     while a < end:
@@ -324,53 +339,55 @@ def spmv_trace_chunks(
             np.searchsorted(offsets, int(offsets[a]) + edge_budget, side="right")
         ) - 1
         b = min(max(b, a + 1), end, a + vertex_budget)
-
-        parts = _range_parts(
-            graph, space, direction, a, b, promote_sequential, carry
+        # Hold back the sorted suffix at positions >= the next chunk's
+        # first possible position.
+        cut = int(offsets[b]) * 10 if b < end else None
+        chunk, pending = _sorted_chunk(
+            _range_parts(graph, space, direction, a, b, promote_sequential, carry),
+            pending,
+            cut,
+            space,
         )
-        parts_lines, parts_kinds, parts_read, parts_proc, parts_pos = parts
-        # The pending part goes *first* so the stable sort puts held-back
-        # accesses ahead of this chunk's on position ties (lower indices).
-        parts_lines.insert(0, pend_lines)
-        parts_kinds.insert(0, pend_kinds)
-        parts_read.insert(0, pend_read)
-        parts_proc.insert(0, pend_proc)
-        parts_pos.insert(0, pend_pos)
-
-        lines = np.concatenate(parts_lines)
-        kinds = np.concatenate(parts_kinds)
-        read_vertex = np.concatenate(parts_read)
-        proc_vertex = np.concatenate(parts_proc)
-        positions = np.concatenate(parts_pos)
-        order = np.argsort(positions, kind="stable")
-        lines = lines[order]
-        kinds = kinds[order]
-        read_vertex = read_vertex[order]
-        proc_vertex = proc_vertex[order]
-        positions = positions[order]
-
-        if b < end:
-            # Hold back the sorted suffix at positions >= the next
-            # chunk's first possible position.
-            cut = int(offsets[b]) * 10
-            emit = int(np.searchsorted(positions, cut, side="left"))
-        else:
-            emit = lines.shape[0]
-        pend_lines = lines[emit:]
-        pend_kinds = kinds[emit:]
-        pend_read = read_vertex[emit:]
-        pend_proc = proc_vertex[emit:]
-        pend_pos = positions[emit:]
-
-        if emit:
-            yield MemoryTrace(
-                lines=lines[:emit],
-                kinds=kinds[:emit],
-                read_vertex=read_vertex[:emit],
-                proc_vertex=proc_vertex[:emit],
-                space=space,
-            )
         a = b
+        if chunk is not None:
+            yield chunk
+
+
+def _sorted_chunk(
+    parts: tuple[list[np.ndarray], ...],
+    pending: tuple[np.ndarray, ...],
+    cut: int | None,
+    space: AddressSpace,
+) -> tuple[MemoryTrace | None, tuple[np.ndarray, ...]]:
+    """Sort one chunk's parts by position; split off the new pending tail.
+
+    ``parts`` are :func:`_range_parts`'s five lists, ``pending`` the
+    previous chunk's held-back accesses.  Returns the accesses before
+    ``cut`` (all of them when ``cut`` is None; None if there are none)
+    and the held-back rest.  The parts, the sort order and the sorted
+    positions die with this call, and the rest is copied, so a
+    suspended generator pins nothing but the chunk it yielded.
+    """
+    # The pending part goes *first* so the stable sort puts held-back
+    # accesses ahead of this chunk's on position ties (lower indices).
+    for field, held in zip(parts, pending):
+        field.insert(0, held)
+    positions = np.concatenate(parts[4])
+    parts[4].clear()
+    order = np.argsort(positions, kind="stable")
+    positions = positions[order]
+    emit = positions.shape[0]
+    if cut is not None:
+        emit = int(np.searchsorted(positions, cut, side="left"))
+    fields: list[np.ndarray] = []
+    for field in parts[:4]:
+        fields.append(np.concatenate(field)[order])
+        field.clear()
+    fields.append(positions)
+    tail = tuple(arr[emit:].copy() for arr in fields)
+    if not emit:
+        return None, tail
+    return MemoryTrace(*(arr[:emit] for arr in fields[:4]), space=space), tail
 
 
 def concatenate_traces(traces: "Iterable[MemoryTrace]") -> MemoryTrace:

@@ -9,8 +9,11 @@ across chained calls.  These tests drive both paths directly
 ``_kernels.kernel_simulate``) over random geometries, policies and
 traces and compare everything; ``TestDispatch`` pins the one rule
 (``_kernels.use_kernel``) that picks between them, and
-``TestNoFallback`` that the kernel replays whatever it is given.
+``TestNoFallback`` that the kernel replays whatever it is given, and
+``TestBatchMemory`` that it does so in memory proportional to the batch.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,3 +313,38 @@ class TestWideTags:
         for r, k, _, _ in outs:
             assert np.array_equal(r, k)
         _assert_same_state(ref, ker, policy)
+
+
+class TestBatchMemory:
+    """One replay's heap peak stays a small constant per access.
+
+    Every n-length temporary of the grouping, dedup and ragged passes is
+    narrow (int16/int32 tags and positions, bool masks) and freed after
+    its last use; the int64 sort order is narrowed right after the sort.
+    The bound catches int64 copies per access: keeping the sort order,
+    a dedup index, run lengths and draw words as int64 takes 50-54
+    B/access on this batch.
+    """
+
+    #: Heap peak per access of one ``kernel_replay``, its hit bits included.
+    PEAK_BYTES_PER_ACCESS = 30
+
+    @pytest.mark.parametrize("policy", ["lru", "srrip", "drrip"])
+    def test_replay_peak_per_access(self, policy):
+        rng = np.random.default_rng(7)
+        n = 500_000
+        # Random lines over 128 sets with short same-line runs, as in an
+        # interleaved SpMV trace: nearly every run head is its own line.
+        heads = rng.integers(0, 1 << 20, n)
+        lines = np.repeat(heads, rng.integers(1, 3, n))[:n]
+        config = CacheConfig(num_sets=128, ways=8, policy=policy)
+        sets = _kernels.set_ids(lines, config.num_sets)
+        assert _kernels.use_kernel(config, lines, sets)
+        cache = SetAssociativeCache(config)
+        tracemalloc.start()
+        try:
+            _kernels.kernel_replay(cache, lines, sets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_BYTES_PER_ACCESS * n, peak / n

@@ -75,6 +75,22 @@ class TestDrawStream:
         else:
             assert _draws.draw_key(a) != _draws.draw_key(b)
 
+    def test_words_at_positions_match_the_contiguous_stream(self):
+        """Draws at arbitrary positions, in any order and across the
+        hashing blocks, are the contiguous stream's words there."""
+        key = _draws.draw_key(11)
+        start = 2**40 + 17
+        n = 3 * _draws._BLOCK + 5
+        offsets = np.random.default_rng(1).permutation(n)[: n - 7].astype(np.int32)
+        words = _draws.draw_words(key, start, n)
+        np.testing.assert_array_equal(
+            _draws.draw_words_at(key, start, offsets), words[offsets]
+        )
+        np.testing.assert_array_equal(
+            _draws.long_inserts_at(key, start, offsets),
+            _draws.long_inserts(key, start, n)[offsets],
+        )
+
     def test_position_keying_is_stateless(self):
         """Draws are pure in (key, position): order of evaluation is moot."""
         key = _draws.draw_key(3)

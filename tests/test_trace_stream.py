@@ -53,12 +53,15 @@ from repro.sim.trace import MemoryTrace
 _GRAPHS: dict = {}
 
 #: Heap budget of a streamed run: O(V) counters plus O(chunk) in-flight
-#: trace, interleave and attribution buffers.  A run that held the whole
-#: merged trace (``_TRACE_BYTES_PER_ACCESS``) cannot fit under it.
+#: trace, interleave, replay and attribution buffers.  A run that held
+#: the whole merged trace (``_TRACE_BYTES_PER_ACCESS``) cannot fit under
+#: it.  Holding a batch three times over (a generator's sorted arrays,
+#: the interleave's sort keys and int64 replay temporaries kept alive)
+#: takes ~160 B per access of a 2^20 chunk, and fails it.
 _PEAK_BYTES_PER_VERTEX = 128
-_PEAK_BYTES_PER_CHUNK_ACCESS = 320
-#: One merged-trace access: int64 line + int8 region + two int64 vertices.
-_TRACE_BYTES_PER_ACCESS = 25
+_PEAK_BYTES_PER_CHUNK_ACCESS = 85
+#: One merged-trace access: int64 line + uint8 region + two int32 vertices.
+_TRACE_BYTES_PER_ACCESS = 17
 
 
 def _rmat(seed: int, log_scale: int = 7, num_edges: int = 640) -> Graph:
@@ -69,6 +72,17 @@ def _rmat(seed: int, log_scale: int = 7, num_edges: int = 640) -> Graph:
             1 << log_scale, src, dst, name=f"rm{seed}"
         ).graph
     return _GRAPHS[key]
+
+
+def _traced_peak(run):
+    """``run()``'s result and its ``tracemalloc`` heap peak."""
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def interleave_traces(traces: list, interval: int):
@@ -344,19 +358,18 @@ class TestStreamedSimulator:
     @pytest.mark.slow
     def test_ladder_graph_is_chunk_exact_in_bounded_memory(self):
         """A 244k-edge run gives the same counters at chunks of 2^20 and
-        2^13 accesses, and the small-chunk run's heap peak stays
-        O(V + chunk), never O(trace)."""
+        2^13 accesses, and each run's heap peak stays O(V + chunk), never
+        O(trace)."""
         graph = build_ladder_graph(1 << 15)
         config = SimulationConfig.scaled_for(graph)
         small_chunk = 1 << 13
         with obs.recording():
-            large = simulate_spmv(graph, config, chunk_accesses=1 << 20)
-            tracemalloc.start()
-            try:
-                small = simulate_spmv(graph, config, chunk_accesses=small_chunk)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            large, large_peak = _traced_peak(
+                lambda: simulate_spmv(graph, config, chunk_accesses=1 << 20)
+            )
+            small, small_peak = _traced_peak(
+                lambda: simulate_spmv(graph, config, chunk_accesses=small_chunk)
+            )
             kernel_batches = obs_metrics.registry.counter(
                 "cache.kernel_batches"
             ).value
@@ -370,13 +383,18 @@ class TestStreamedSimulator:
                 small.random_stats(by).misses, large.random_stats(by).misses
             )
         assert kernel_batches > 0
-        bound = (
-            _PEAK_BYTES_PER_VERTEX * graph.num_vertices
-            + _PEAK_BYTES_PER_CHUNK_ACCESS * small_chunk
-        )
+
+        def bound(chunk: int) -> int:
+            return (
+                _PEAK_BYTES_PER_VERTEX * graph.num_vertices
+                + _PEAK_BYTES_PER_CHUNK_ACCESS * min(chunk, large.num_accesses)
+            )
+
         # The bound can fire: the merged trace alone would exceed it.
-        assert bound < _TRACE_BYTES_PER_ACCESS * small.num_accesses
-        assert peak < bound, (peak, bound)
+        assert bound(small_chunk) < _TRACE_BYTES_PER_ACCESS * small.num_accesses
+        assert small_peak < bound(small_chunk), (small_peak, bound(small_chunk))
+        # The 2^20 chunk holds the whole trace: one batch in flight.
+        assert large_peak < bound(1 << 20), (large_peak, bound(1 << 20))
 
     @staticmethod
     def _assert_matches(streamed, reference) -> None:
