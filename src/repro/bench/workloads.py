@@ -78,7 +78,7 @@ def _params_key(params: dict) -> tuple:
 
 @cached_stage(
     "graph",
-    code=("repro.generate", "repro.graph"),
+    code=("repro.generate", "repro.graph", "repro.store.serializers"),
     key=lambda dataset: {"dataset": dataset, "scale": scale_factor()},
 )
 def _graph_stage(dataset: str) -> Graph:

@@ -1,4 +1,4 @@
-"""Graph substrate: adjacency structures, cleaning, components, I/O."""
+"""Graph substrate: adjacency structures, cleaning, components."""
 
 from repro.graph.build import BuildResult, build_graph, compact_vertices, dedup_edges
 from repro.graph.communities import (
@@ -23,12 +23,6 @@ from repro.graph.degrees import (
 )
 from repro.graph.diameter import bfs_level_histogram, effective_diameter
 from repro.graph.graph import Graph
-from repro.graph.io import (
-    load_edge_list,
-    load_graph_npz,
-    save_edge_list,
-    save_graph_npz,
-)
 from repro.graph.permute import (
     apply_to_edges,
     apply_to_vertex_data,
@@ -64,10 +58,6 @@ __all__ = [
     "power_law_tail_exponent",
     "bfs_level_histogram",
     "effective_diameter",
-    "load_edge_list",
-    "load_graph_npz",
-    "save_edge_list",
-    "save_graph_npz",
     "apply_to_edges",
     "apply_to_vertex_data",
     "check_permutation",

@@ -72,12 +72,14 @@ def verify_store(store: ArtifactStore, *, quarantine: bool = False) -> VerifyRep
 
     A payload that hashes clean but does not decode (a torn write whose
     sidecar was regenerated) is an ``undecodable payload``.  Each
-    retired kind directory is one issue; :func:`collect_garbage` evicts
-    it.
+    retired kind directory and each payload in a retired format is one
+    issue; :func:`collect_garbage` evicts them.
     """
     report = VerifyReport()
     for kind in store.retired_kinds():
         report.issues.append(VerifyIssue("*", kind, "retired artifact kind"))
+    for kind, key, _path in store.retired_formats():
+        report.issues.append(VerifyIssue(key, kind, "retired artifact format"))
     for info in store.infos():
         report.checked += 1
         problem = ""
@@ -112,7 +114,8 @@ def _decodes(kind: str, data: bytes) -> bool:
 def collect_garbage(store: ArtifactStore, max_bytes: int) -> GCReport:
     """Evict LRU artifacts until total payload size fits ``max_bytes``.
 
-    Retired kind directories go first, whatever the budget.  Then the
+    Retired kind directories and payloads in a retired format go
+    first, whatever the budget.  Then the
     most-recently-accessed artifacts are retained first; pinned keys are
     never evicted, even when keeping them leaves the store over budget.
     """
@@ -123,6 +126,9 @@ def collect_garbage(store: ArtifactStore, max_bytes: int) -> GCReport:
         for kind in store.retired_kinds():
             store.remove_retired_kind(kind)
             report.evicted.append((kind, "*"))
+        for kind, key, path in store.retired_formats():
+            store.remove_retired_format(kind, key, path)
+            report.evicted.append((kind, key))
         infos = store.infos()
         report.scanned = len(infos) + len(report.evicted)
         report.bytes_before = sum(info.size_bytes for info in infos)

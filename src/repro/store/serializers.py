@@ -6,14 +6,16 @@ artifact types, each with a natural on-disk form:
 =================  ============================  =========
 kind               payload                       format
 =================  ============================  =========
-``graph``          :class:`~repro.graph.graph.Graph` (CSR+CSC)   raw ``.npz``
+``graph``          :class:`~repro.graph.graph.Graph` (CSR+CSC)   raw arrays ``.bin``
 ``reordering``     :class:`~repro.reorder.base.ReorderResult`    raw arrays ``.bin``
 ``aid``            :class:`~repro.core.aid.VertexAID` (O(V))     raw arrays ``.bin``
 ``simulation``     :class:`StoredSimulation` (O(V) counters)    raw arrays ``.bin``
 ``json``           JSON documents (report data, manifests)       ``.json``
 =================  ============================  =========
 
-No array artifact is compressed, so a read never inflates anything.
+Every array artifact is one flat container (:func:`_write_arrays`,
+:func:`_read_arrays`) and none is compressed, so a read never inflates
+anything; a graph decodes as read-only views of the bytes read.
 Serializers never write the destination path directly — the store hands
 them a temporary file that is atomically renamed into place — and they
 decode only bytes whose checksum the store has already verified
@@ -23,7 +25,6 @@ and is quarantined by the caller.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -34,8 +35,8 @@ import numpy as np
 
 from repro.core.aid import VertexAID
 from repro.errors import StoreError
+from repro.graph.csr import Adjacency
 from repro.graph.graph import Graph
-from repro.graph.io import load_graph_npz, save_graph_npz
 from repro.reorder.base import ReorderResult
 from repro.sim.address_space import AddressSpace
 from repro.sim.cache import CacheSnapshot
@@ -95,25 +96,139 @@ class Serializer:
         raise NotImplementedError
 
 
-class GraphSerializer(Serializer):
-    """CSR+CSC graphs as uncompressed ``.npz`` (exact integer round-trip).
+#: First line of every array payload.
+_MAGIC = b"repro-arrays 1\n"
+#: Width of the little-endian header length that follows the magic line.
+_LENGTH_BYTES = 8
+#: The first array starts at a multiple of this many bytes, so every
+#: ``int64`` view of a read buffer is aligned.
+_ALIGNMENT = 64
+#: Array dtype kinds a payload may hold: bool, int, uint, float.  No
+#: object, string or structured dtype is ever decoded.
+_ARRAY_KINDS = "biuf"
 
-    Every graph is stored raw, so a load reads the arrays without
-    inflating them — see :func:`repro.graph.io.save_graph_npz`.
+
+def _extent(value: Any) -> int:
+    """A header size or offset: a non-negative JSON integer."""
+    if type(value) is not int or value < 0:
+        raise StoreError(f"bad extent {value!r} in payload header")
+    return int(value)
+
+
+def _write_arrays(path: Path, meta: dict, arrays: "dict[str, np.ndarray]") -> None:
+    """Write one flat container of C-contiguous arrays.
+
+    The file is the :data:`_MAGIC` line, the header length as 8
+    little-endian bytes, a JSON header ``{"meta": {...}, "arrays":
+    [[name, dtype, shape, offset], ...]}`` padded with spaces to a
+    multiple of :data:`_ALIGNMENT` bytes from the start of the file,
+    then every array's bytes, uncompressed and back to back (``offset``
+    counts from the end of the header).
+    """
+    entries: list = []
+    offset = 0
+    for name, array in arrays.items():
+        entries.append([name, array.dtype.str, list(array.shape), offset])
+        offset += array.nbytes
+    header = json.dumps({"meta": meta, "arrays": entries}).encode("utf-8")
+    header += b" " * (-(len(_MAGIC) + _LENGTH_BYTES + len(header)) % _ALIGNMENT)
+    with open(path, "wb") as handle:
+        handle.write(_MAGIC)
+        handle.write(len(header).to_bytes(_LENGTH_BYTES, "little"))
+        handle.write(header)
+        for array in arrays.values():
+            handle.write(array.data)
+
+
+def _read_arrays(
+    kind: str, data: bytes, names: "set[str]"
+) -> "tuple[dict, dict[str, np.ndarray]]":
+    """Decode a :func:`_write_arrays` container into ``(meta, arrays)``.
+
+    The arrays are read-only :func:`np.frombuffer` views of ``data``.
+    The reader is strict: it takes only bool/int/uint/float dtypes and
+    exactly the field ``names`` (meta and arrays together, each once),
+    bounds-checks every extent and rejects trailing bytes.  Any
+    violation raises :class:`~repro.errors.StoreError` (or a JSON
+    error), and the store quarantines the artifact.
+    """
+    if not data.startswith(_MAGIC):
+        raise StoreError(f"{kind} payload has no {_MAGIC!r} line")
+    start = len(_MAGIC) + _LENGTH_BYTES
+    body = start + int.from_bytes(data[len(_MAGIC) : start], "little")
+    if body > len(data):
+        raise StoreError(f"{kind} payload header runs past the end")
+    header = json.loads(data[start:body].decode("utf-8"))
+    meta, entries = header["meta"], header["arrays"]
+    arrays: dict[str, np.ndarray] = {}
+    cursor = body
+    for name, dtype_str, shape, offset in entries:
+        dtype = np.dtype(dtype_str)
+        if dtype.kind not in _ARRAY_KINDS:
+            raise StoreError(f"{kind} array {name!r} has dtype {dtype}")
+        shape = tuple(_extent(size) for size in shape)
+        count = math.prod(shape)
+        if body + _extent(offset) != cursor or name in arrays:
+            raise StoreError(f"{kind} array {name!r} is misplaced or repeated")
+        cursor += count * dtype.itemsize
+        if cursor > len(data):
+            raise StoreError(f"{kind} array {name!r} runs past the end")
+        array = np.frombuffer(data, dtype=dtype, count=count, offset=body + offset)
+        arrays[name] = array.reshape(shape)
+    if cursor != len(data):
+        raise StoreError(f"{kind} payload has {len(data) - cursor} trailing bytes")
+    found = [*arrays, *meta]
+    if len(found) != len(set(found)) or set(found) != names:
+        raise StoreError(
+            f"{kind} payload fields do not match: "
+            f"{sorted(set(found) ^ names) or 'duplicates'}"
+        )
+    return meta, arrays
+
+
+#: The arrays of a graph payload; its only other field is ``name``.
+_ADJACENCY_ARRAYS = ("out_offsets", "out_targets", "in_offsets", "in_targets")
+_INT64 = np.dtype("<i8")
+
+
+class GraphSerializer(Serializer):
+    """CSR+CSC graphs as one flat container, decoded as views.
+
+    The four adjacency arrays are stored as ``<i8``, their in-memory
+    dtype, and the graph's ``name`` is the header meta.  The writer
+    aligns the first array to 64 bytes, so a load hands
+    :class:`~repro.graph.csr.Adjacency` aligned, read-only views of the
+    bytes the store hashed: one read and no copy.  ``Adjacency``
+    validates both directions, and any other dtype, shape or field
+    raises, so the store quarantines the artifact.
     """
 
     kind = "graph"
-    extension = ".npz"
+    extension = ".bin"
 
     def save(self, obj: Any, path: Path) -> None:
         if not isinstance(obj, Graph):
             raise StoreError(f"graph serializer got {type(obj).__name__}")
-        save_graph_npz(obj, path)
+        adjacency = (obj.out_adj.offsets, obj.out_adj.targets,
+                     obj.in_adj.offsets, obj.in_adj.targets)
+        _write_arrays(path, {"name": obj.name}, {
+            name: np.ascontiguousarray(array, dtype=_INT64)
+            for name, array in zip(_ADJACENCY_ARRAYS, adjacency)
+        })
 
     def loads(self, data: bytes) -> Graph:
-        # BytesIO shares an immutable buffer instead of copying it, so a
-        # read holds the payload once beside the arrays it decodes.
-        return load_graph_npz(io.BytesIO(data))
+        meta, arrays = _read_arrays(self.kind, data, {*_ADJACENCY_ARRAYS, "name"})
+        for name in _ADJACENCY_ARRAYS:
+            array = arrays.get(name)
+            if array is None or array.dtype != _INT64 or array.ndim != 1:
+                raise StoreError(f"graph payload {name!r} is not a 1-D <i8 array")
+        if not isinstance(meta.get("name"), str):
+            raise StoreError("graph payload name is not a string")
+        return Graph(
+            Adjacency(arrays["out_offsets"], arrays["out_targets"]),
+            Adjacency(arrays["in_offsets"], arrays["in_targets"]),
+            name=meta["name"],
+        )
 
 
 def _narrowed(array: np.ndarray) -> np.ndarray:
@@ -130,37 +245,17 @@ def _widened(array: np.ndarray) -> np.ndarray:
     return array.astype(np.int64 if array.dtype.kind in "iu" else array.dtype)
 
 
-#: First line of every dataclass payload.
-_MAGIC = b"repro-arrays 1\n"
-#: Width of the little-endian header length that follows the magic line.
-_LENGTH_BYTES = 8
-#: Array dtype kinds a payload may hold: bool, int, uint, float.  No
-#: object, string or structured dtype is ever decoded.
-_ARRAY_KINDS = "biuf"
-
-
-def _extent(value: Any) -> int:
-    """A header size or offset: a non-negative JSON integer."""
-    if type(value) is not int or value < 0:
-        raise StoreError(f"bad extent {value!r} in payload header")
-    return int(value)
-
-
 class DataclassSerializer(Serializer):
     """A dataclass as one flat container of raw arrays.
 
-    The file is the :data:`_MAGIC` line, the header length as 8
-    little-endian bytes, a JSON header ``{"meta": {...}, "arrays":
-    [[name, dtype, shape, offset], ...]}``, then every array field's
-    bytes, uncompressed and back to back (``offset`` counts from the
-    end of the header).  Every other field is in ``meta``.  Integer
-    arrays are stored in the narrowest dtype that holds them and load
-    back as ``int64``, the one integer dtype these payloads hold.
-
-    The reader is strict: it takes only bool/int/uint/float dtypes and
-    exactly the payload's field names, bounds-checks every extent and
-    rejects trailing bytes.  Any violation raises, and the store
-    quarantines the artifact.  Decoded arrays are writable.
+    Every array field is one :func:`_write_arrays` array and every other
+    field is in the header meta.  Integer arrays are stored in the
+    narrowest dtype that holds them and load back as ``int64``, the one
+    integer dtype these payloads hold.  Unlike graphs, which decode as
+    views, decoded arrays are writable copies (O(V) at most), so the
+    read buffer is freed with the call.  :func:`_read_arrays` takes
+    exactly the payload's field names; any defect raises, and the store
+    quarantines the artifact.
     """
 
     extension = ".bin"
@@ -177,54 +272,14 @@ class DataclassSerializer(Serializer):
                 arrays[item.name] = np.ascontiguousarray(_narrowed(value))
             else:
                 meta[item.name] = jsonify(value)
-        entries: list = []
-        offset = 0
-        for name, array in arrays.items():
-            entries.append([name, array.dtype.str, list(array.shape), offset])
-            offset += array.nbytes
-        header = json.dumps({"meta": meta, "arrays": entries}).encode("utf-8")
-        with open(path, "wb") as handle:
-            handle.write(_MAGIC)
-            handle.write(len(header).to_bytes(_LENGTH_BYTES, "little"))
-            handle.write(header)
-            for array in arrays.values():
-                handle.write(array.data)
+        _write_arrays(path, meta, arrays)
 
     def loads(self, data: bytes) -> Any:
-        if not data.startswith(_MAGIC):
-            raise StoreError(f"{self.kind} payload has no {_MAGIC!r} line")
-        start = len(_MAGIC) + _LENGTH_BYTES
-        body = start + int.from_bytes(data[len(_MAGIC) : start], "little")
-        if body > len(data):
-            raise StoreError(f"{self.kind} payload header runs past the end")
-        header = json.loads(data[start:body].decode("utf-8"))
-        meta, entries = header["meta"], header["arrays"]
-        arrays: dict[str, np.ndarray] = {}
-        cursor = body
-        for name, dtype_str, shape, offset in entries:
-            dtype = np.dtype(dtype_str)
-            if dtype.kind not in _ARRAY_KINDS:
-                raise StoreError(f"{self.kind} array {name!r} has dtype {dtype}")
-            shape = tuple(_extent(size) for size in shape)
-            count = math.prod(shape)
-            if body + _extent(offset) != cursor or name in arrays:
-                raise StoreError(f"{self.kind} array {name!r} is misplaced or repeated")
-            cursor += count * dtype.itemsize
-            if cursor > len(data):
-                raise StoreError(f"{self.kind} array {name!r} runs past the end")
-            array = np.frombuffer(data, dtype=dtype, count=count, offset=body + offset)
-            arrays[name] = _widened(array.reshape(shape))
-        if cursor != len(data):
-            trailing = len(data) - cursor
-            raise StoreError(f"{self.kind} payload has {trailing} trailing bytes")
-        names = [*arrays, *meta]
-        expected = {item.name for item in fields(self.payload)}
-        if len(names) != len(set(names)) or set(names) != expected:
-            raise StoreError(
-                f"{self.kind} payload fields do not match {self.payload.__name__}: "
-                f"{sorted(set(names) ^ expected) or 'duplicates'}"
-            )
-        return self.payload(**arrays, **meta)
+        names = {item.name for item in fields(self.payload)}
+        meta, arrays = _read_arrays(self.kind, data, names)
+        return self.payload(
+            **{name: _widened(array) for name, array in arrays.items()}, **meta
+        )
 
 
 class ReorderingSerializer(DataclassSerializer):

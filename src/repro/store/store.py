@@ -267,17 +267,11 @@ class ArtifactStore:
     def infos(self, kind: Optional[str] = None) -> list:
         """All committed artifacts, optionally filtered to one kind.
 
-        Directories of :meth:`retired_kinds` are skipped.
+        Directories of :meth:`retired_kinds` and payloads of
+        :meth:`retired_formats` are skipped.
         """
         results = []
-        if not self.objects_dir.exists():
-            return results
-        kinds = [kind] if kind is not None else sorted(
-            p.name
-            for p in self.objects_dir.iterdir()
-            if p.is_dir() and p.name in SERIALIZERS
-        )
-        for each_kind in kinds:
+        for each_kind in [kind] if kind is not None else self._live_kinds():
             kind_dir = self.objects_dir / each_kind
             if not kind_dir.exists():
                 continue
@@ -290,6 +284,16 @@ class ArtifactStore:
                 if info is not None:
                     results.append(info)
         return results
+
+    def _live_kinds(self) -> list:
+        """Kind directories under ``objects/`` that a serializer reads."""
+        if not self.objects_dir.exists():
+            return []
+        return sorted(
+            p.name
+            for p in self.objects_dir.iterdir()
+            if p.is_dir() and p.name in SERIALIZERS
+        )
 
     def retired_kinds(self) -> list:
         """Kind directories under ``objects/`` that no serializer reads,
@@ -307,6 +311,29 @@ class ArtifactStore:
         if kind in SERIALIZERS:
             raise StoreError(f"artifact kind {kind!r} is not retired")
         shutil.rmtree(self.objects_dir / kind)
+
+    def retired_formats(self) -> list:
+        """Payloads of live kinds in an extension their serializer no
+        longer writes, left behind by an older format, as ``(kind, key,
+        path)``.  :meth:`infos` cannot see them; sidecars, pin markers
+        and in-flight ``tmp-*`` files are not payloads."""
+        found = []
+        for kind in self._live_kinds():
+            extension = SERIALIZERS[kind].extension
+            for path in sorted((self.objects_dir / kind).rglob("*")):
+                if path.is_file() and not (
+                    path.name.startswith(_TMP_PREFIX)
+                    or path.name.endswith((extension, _META_SUFFIX, _PIN_SUFFIX))
+                ):
+                    found.append((kind, path.name.split(".", 1)[0], path))
+        return found
+
+    def remove_retired_format(self, kind: str, key: str, path: Path) -> None:
+        """Delete one of :meth:`retired_formats`, and its sidecar unless
+        the key also has a current payload."""
+        path.unlink(missing_ok=True)
+        if not self._payload_path(kind, key).exists():
+            self._meta_path(kind, key).unlink(missing_ok=True)
 
     def find(self, key_prefix: str) -> list:
         """Artifacts whose key starts with ``key_prefix`` (any kind)."""

@@ -1,6 +1,4 @@
-"""Unit tests for degree helpers, graph I/O, and validation."""
-
-import io
+"""Unit tests for degree helpers and validation."""
 
 import numpy as np
 import pytest
@@ -13,12 +11,8 @@ from repro.graph import (
     degree_class_labels,
     degree_histogram,
     degree_summary,
-    load_edge_list,
-    load_graph_npz,
     normalized_degree_frequency,
     power_law_tail_exponent,
-    save_edge_list,
-    save_graph_npz,
     validate_graph,
 )
 
@@ -73,57 +67,6 @@ class TestDegreeHelpers:
         assert summary.num_hubs == 1
         assert summary.maximum == 19
         assert summary.num_ldv + summary.num_hdv == 20
-
-
-class TestEdgeListIO:
-    def test_round_trip(self, tiny_graph, tmp_path):
-        path = tmp_path / "edges.txt"
-        save_edge_list(tiny_graph, path)
-        n, src, dst = load_edge_list(path)
-        rebuilt = Graph.from_edges(n, src, dst)
-        assert rebuilt == tiny_graph
-
-    def test_comments_and_blanks_ignored(self):
-        text = io.StringIO("# comment\n\n% other\n0 1\n1 2\n")
-        n, src, dst = load_edge_list(text)
-        assert n == 3
-        assert src.tolist() == [0, 1]
-
-    def test_extra_columns_tolerated(self):
-        n, src, dst = load_edge_list(io.StringIO("0 1 42\n"))
-        assert (src.tolist(), dst.tolist()) == ([0], [1])
-
-    def test_malformed_line(self):
-        with pytest.raises(GraphFormatError):
-            load_edge_list(io.StringIO("0\n"))
-
-    def test_non_integer(self):
-        with pytest.raises(GraphFormatError):
-            load_edge_list(io.StringIO("a b\n"))
-
-    def test_negative_id(self):
-        with pytest.raises(GraphFormatError):
-            load_edge_list(io.StringIO("-1 0\n"))
-
-    def test_empty_file(self):
-        n, src, dst = load_edge_list(io.StringIO(""))
-        assert n == 0
-        assert src.shape == (0,)
-
-
-class TestNpzIO:
-    def test_round_trip(self, tiny_graph, tmp_path):
-        path = tmp_path / "graph.npz"
-        save_graph_npz(tiny_graph, path)
-        loaded = load_graph_npz(path)
-        assert loaded == tiny_graph
-        assert loaded.name == "tiny"
-
-    def test_missing_arrays(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez_compressed(path, out_offsets=np.array([0]))
-        with pytest.raises(GraphFormatError):
-            load_graph_npz(path)
 
 
 class TestValidate:

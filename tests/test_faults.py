@@ -6,9 +6,10 @@ artifact and report a miss: the store on its own, the memoized
 pipeline (which then recomputes a bit-identical graph).  A warm
 ``/analyze`` whose ``aid`` or ``simulation`` artifact is corrupted the
 same way still answers 200 with the result it gave before the fault.
-A ``simulation`` payload torn or malformed in each way the flat
-reader checks, resealed with a matching checksum, is quarantined as a
-deserialization failure, and the next warm ``/analyze`` recomputes
+A ``graph`` or ``simulation`` payload torn or malformed in each way
+the flat reader checks (for a graph, also one the container accepts
+but ``Adjacency`` rejects), resealed with a matching checksum, is
+quarantined as a deserialization failure, and the next run recomputes
 the same result.
 
 A store write hits a full disk: the store raises a typed
@@ -162,7 +163,7 @@ def _rename_array(arrays):
 
 def _drop_meta_field(data: bytes) -> bytes:
     magic, header, body = _split(data)
-    del header["meta"]["tlb_misses"]
+    del header["meta"][next(iter(header["meta"]))]
     return _join(magic, header, body)
 
 
@@ -186,21 +187,65 @@ _MALFORMED = {
 }
 
 
-class TestFlatReader:
-    @pytest.mark.parametrize("fault", sorted(_MALFORMED))
-    def test_malformed_payload_is_quarantined_and_recomputed(
-        self, tmp_path, tiny_scale, fault
-    ):
-        from repro.serve.jobs import canonical_job
-        from repro.serve.worker import execute_job
+def _non_monotone_offsets(data: bytes) -> bytes:
+    """A graph whose container is sound but whose ``out_offsets`` fall
+    back after their first step, so only ``Adjacency`` can tell."""
+    _magic, header, body = _split(data)
+    name, dtype, shape, offset = header["arrays"][0]
+    assert (name, dtype) == ("out_offsets", "<i8") and shape[0] >= 3
+    offsets = np.frombuffer(body, dtype="<i8", count=shape[0], offset=offset)
+    at = len(data) - len(body) + offset + 8
+    return data[:at] + (int(offsets[-1]) + 1).to_bytes(8, "little") + data[at + 8 :]
 
+
+#: Per kind, its malformed payloads.
+_MALFORMED_BY_KIND = {
+    "simulation": _MALFORMED,
+    "graph": {**_MALFORMED, "non-monotone-offsets": _non_monotone_offsets},
+}
+
+
+def _analyze(store: ArtifactStore) -> "tuple[object, int]":
+    """A warm-able ``/analyze`` job: its result and the stages it computed."""
+    from repro.serve.jobs import canonical_job
+    from repro.serve.worker import execute_job
+
+    job = canonical_job({"dataset": _DATASET, "algorithm": "degree"}, kind="analyze")
+    answer = execute_job(job, str(store.root))
+    return answer["result"], answer["stages"]["computed"]
+
+
+def _graph(store: ArtifactStore) -> "tuple[object, int]":
+    """The dataset's graph, as its name and array bytes, and the stages
+    computed for it."""
+    workloads = Workloads(store=store)
+    graph = workloads.graph(_DATASET)
+    arrays = (graph.out_adj.offsets, graph.out_adj.targets,
+              graph.in_adj.offsets, graph.in_adj.targets)
+    return (graph.name, [a.tobytes() for a in arrays]), workloads.stats["graph"]["computed"]
+
+
+#: Per kind, a run that reads the artifact when it is stored.
+_RUNS = {"simulation": _analyze, "graph": _graph}
+
+
+class TestFlatReader:
+    # Simulation cases keep their bare fault ids.
+    @pytest.mark.parametrize(
+        "kind, fault",
+        [
+            pytest.param(kind, fault, id=fault if kind == "simulation" else f"{kind}-{fault}")
+            for kind, cases in _MALFORMED_BY_KIND.items()
+            for fault in sorted(cases)
+        ],
+    )
+    def test_malformed_payload_is_quarantined_and_recomputed(
+        self, tmp_path, tiny_scale, kind, fault
+    ):
         store = ArtifactStore(tmp_path / "store")
-        job = canonical_job(
-            {"dataset": _DATASET, "algorithm": "degree"}, kind="analyze"
-        )
-        cold = execute_job(job, str(store.root))
-        (info,) = store.infos("simulation")
-        data = _MALFORMED[fault](info.path.read_bytes())
+        cold, _ = _RUNS[kind](store)
+        (info,) = store.infos(kind)
+        data = _MALFORMED_BY_KIND[kind][fault](info.path.read_bytes())
         info.path.write_bytes(data)
         meta = json.loads(info.meta_path.read_text(encoding="utf-8"))
         meta["checksum"] = hashlib.sha256(data).hexdigest()
@@ -209,19 +254,19 @@ class TestFlatReader:
         start = time.perf_counter()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
-            loaded = store.get(info.key, "simulation")
+            loaded = store.get(info.key, kind)
             gc.collect()
         assert time.perf_counter() - start < _BOUND_S
         assert loaded is None
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
-        assert info.path.name in _quarantined(store, "simulation")
-        reason = store.quarantine_dir / "simulation" / f"{info.key}.reason.txt"
+        assert info.path.name in _quarantined(store, kind)
+        reason = store.quarantine_dir / kind / f"{info.key}.reason.txt"
         assert "deserialization failure" in reason.read_text(encoding="utf-8")
 
-        warm = execute_job(job, str(store.root))
-        assert warm["result"] == cold["result"]
-        assert warm["stages"]["computed"] == 1
-        assert store.get(info.key, "simulation") is not None
+        warm, computed = _RUNS[kind](store)
+        assert warm == cold
+        assert computed == 1
+        assert store.get(info.key, kind) is not None
 
 
 class TestPipelineRecomputes:

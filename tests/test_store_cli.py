@@ -166,6 +166,41 @@ class TestRetiredKind:
         assert _run(retired, "verify") == 0
 
 
+class TestRetiredFormat:
+    """A payload in an extension its kind's serializer no longer writes,
+    next to its sidecar, as an older format left it."""
+
+    @pytest.fixture
+    def retired(self, store):
+        bucket = store.objects_dir / "reordering" / "cc"
+        bucket.mkdir(parents=True)
+        (bucket / f"{_key(0xCC)}.npz").write_bytes(b"x" * 1000)
+        (bucket / f"{_key(0xCC)}.meta.json").write_text("{}")
+        # An in-flight write is not a leftover.
+        (bucket / "tmp-1-abc.npz").write_bytes(b"y")
+        return store
+
+    def test_ls_skips_it(self, retired, capsys):
+        assert _run(retired, "ls") == 0
+        assert "2 artifact(s)" in capsys.readouterr().out
+        assert [info.kind for info in retired.infos()] == ["json", "json"]
+
+    def test_verify_reports_it(self, retired, capsys):
+        assert _run(retired, "verify") == 1
+        out = capsys.readouterr().out
+        assert f"[retired artifact format] reordering/{_key(0xCC)}" in out
+        assert "tmp-1-abc" not in out
+
+    def test_gc_evicts_it(self, retired, capsys):
+        bucket = retired.objects_dir / "reordering" / "cc"
+        assert _run(retired, "gc", "--max-bytes", "0") == 0
+        out = capsys.readouterr().out
+        assert "evicted 3/3" in out
+        assert f"evicted reordering/{_key(0xCC)[:12]}" in out
+        assert sorted(p.name for p in bucket.iterdir()) == ["tmp-1-abc.npz"]
+        assert _run(retired, "verify") == 0
+
+
 class TestEntryPoint:
     def test_module_is_executable(self, tmp_path, repo_root):
         import subprocess

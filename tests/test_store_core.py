@@ -6,7 +6,7 @@ import dataclasses
 import io
 import json
 import os
-import zipfile
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,6 +14,8 @@ import pytest
 
 from repro.core.aid import VertexAID, aid_degree_distribution
 from repro.errors import StoreError
+from repro.generate import social_network
+from repro.graph import Graph
 from repro.reorder import get_algorithm
 from repro.reorder.base import ReorderResult
 from repro.sim import SimulationConfig, simulate_spmv
@@ -68,13 +70,14 @@ class TestRoundTrips:
 
     @pytest.mark.parametrize("kind", ["graph"])
     def test_graph_is_stored_raw_and_mappable(self, store, tiny_graph, kind):
-        # Raw (ZIP_STORED) members sit uninflated at fixed offsets in the
-        # file, so a warm read never pays for decompression.
+        # The adjacency arrays sit uncompressed, back to back, from a
+        # 64-byte boundary of the file, so a warm read never inflates
+        # anything and could map them in place.
         info = store.put(_key(6), kind, tiny_graph)
-        with zipfile.ZipFile(info.path) as archive:
-            members = archive.infolist()
-        assert members
-        assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+        data = info.path.read_bytes()
+        body = b"".join(a.astype("<i8").tobytes() for a in _adjacency_arrays(tiny_graph))
+        assert data.endswith(body)
+        assert (len(data) - len(body)) % 64 == 0
         loaded = store.get(_key(6), kind)
         assert loaded == tiny_graph
         assert loaded.name == tiny_graph.name
@@ -191,6 +194,47 @@ _DATACLASS_CASES = {
 }
 
 
+def _adjacency_arrays(graph) -> list:
+    return [
+        graph.out_adj.offsets, graph.out_adj.targets,
+        graph.in_adj.offsets, graph.in_adj.targets,
+    ]
+
+
+def _buffer_owner(array: np.ndarray) -> object:
+    """The object at the end of an array's ``base`` chain."""
+    while isinstance(array, np.ndarray) and array.base is not None:
+        array = array.base
+    return array
+
+
+#: Graphs with edges, with none, and with a non-ASCII name.
+_GRAPH_CASES = {
+    "ring": lambda g: g,
+    "no-edges": lambda g: Graph.from_edges(
+        5, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), name="empty"
+    ),
+    "no-vertices": lambda g: Graph.from_edges(
+        0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    ),
+    "non-ascii-name": lambda g: Graph(g.out_adj, g.in_adj, name="Zürich-図-\u00e9"),
+}
+
+
+def _count_opens(monkeypatch, store, key, kind, path) -> int:
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    assert store.get(key, kind) is not None
+    return opened.count(str(path))
+
+
 class TestFlatRoundTrip:
     @pytest.mark.parametrize("case", sorted(_DATACLASS_CASES))
     def test_bit_exact(self, store, two_hop_ring, case):
@@ -201,17 +245,56 @@ class TestFlatRoundTrip:
     def test_get_opens_the_payload_once(self, store, two_hop_ring, monkeypatch):
         kind, original = _DATACLASS_CASES["simulation-classified"](two_hop_ring)
         info = store.put(_key(15), kind, original)
-        opened = []
-        real_open = io.open
+        assert _count_opens(monkeypatch, store, _key(15), kind, info.path) == 1
 
-        def counting_open(file, *args, **kwargs):
-            opened.append(str(file))
-            return real_open(file, *args, **kwargs)
+    @pytest.mark.parametrize("case", sorted(_GRAPH_CASES))
+    def test_graph_bit_exact(self, store, two_hop_ring, case):
+        original = _GRAPH_CASES[case](two_hop_ring)
+        store.put(_key(16), "graph", original)
+        loaded = store.get(_key(16), "graph")
+        assert type(loaded) is Graph
+        assert loaded.name == original.name
+        for got, want in zip(_adjacency_arrays(loaded), _adjacency_arrays(original)):
+            assert got.dtype == np.int64
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
-        monkeypatch.setattr("builtins.open", counting_open)
-        monkeypatch.setattr(io, "open", counting_open)
-        assert store.get(_key(15), kind) is not None
-        assert opened.count(str(info.path)) == 1
+    def test_graph_arrays_are_aligned_read_only_views_of_one_buffer(
+        self, store, two_hop_ring
+    ):
+        store.put(_key(17), "graph", two_hop_ring)
+        arrays = _adjacency_arrays(store.get(_key(17), "graph"))
+        for array in arrays:
+            assert array.flags.aligned
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+        owners = [_buffer_owner(array) for array in arrays]
+        assert isinstance(owners[0], bytes)
+        assert all(owner is owners[0] for owner in owners)
+
+    def test_graph_get_opens_the_payload_once(self, store, two_hop_ring, monkeypatch):
+        info = store.put(_key(18), "graph", two_hop_ring)
+        assert _count_opens(monkeypatch, store, _key(18), "graph", info.path) == 1
+
+
+def test_graph_read_peaks_at_the_graph_size(store):
+    """A warm graph read holds the payload bytes and nothing else of
+    O(E): the adjacency arrays are views of them."""
+    graph = social_network(14, average_degree=16, seed=1)
+    graph_bytes = sum(array.nbytes for array in _adjacency_arrays(graph))
+    assert graph_bytes > 3_000_000
+    store.put(_key(19), "graph", graph)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loaded = store.get(_key(19), "graph")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert loaded == graph
+    assert peak <= 1.1 * graph_bytes, f"peak {peak / graph_bytes:.2f}x the graph"
 
 
 class TestDurability:
@@ -277,11 +360,11 @@ class TestQuarantine:
         # Bytes that hash clean against a rewritten sidecar but cannot
         # deserialize: the load failure itself must quarantine.
         info = store.put(_key(10), "graph", tiny_graph)
-        info.path.write_bytes(b"not an npz file")
+        info.path.write_bytes(b"not a payload")
         meta = json.loads(info.meta_path.read_text(encoding="utf-8"))
         import hashlib
 
-        meta["checksum"] = hashlib.sha256(b"not an npz file").hexdigest()
+        meta["checksum"] = hashlib.sha256(b"not a payload").hexdigest()
         info.meta_path.write_text(json.dumps(meta), encoding="utf-8")
         assert store.get(_key(10), "graph") is None
         reason = (
