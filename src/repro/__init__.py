@@ -27,7 +27,6 @@ from repro.core import (
     ecs_from_result,
     hub_coverage,
     hub_data_misses,
-    measure_ecs,
     miss_rate_degree_distribution,
 )
 from repro.errors import (
@@ -57,13 +56,9 @@ from repro.sim import (
     SimulationConfig,
     SimulationResult,
     TLBConfig,
-    bfs_levels,
     pagerank,
     simulate_ihtl,
     simulate_spmv,
-    spmv_pull,
-    spmv_push,
-    sssp_distances,
 )
 
 __version__ = "1.0.0"
@@ -78,7 +73,6 @@ __all__ = [
     "ecs_from_result",
     "hub_coverage",
     "hub_data_misses",
-    "measure_ecs",
     "miss_rate_degree_distribution",
     "ExperimentError",
     "GraphFormatError",
@@ -102,11 +96,7 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "TLBConfig",
-    "bfs_levels",
     "pagerank",
     "simulate_ihtl",
     "simulate_spmv",
-    "spmv_pull",
-    "spmv_push",
-    "sssp_distances",
 ]

@@ -13,11 +13,10 @@ from repro.core.degree_range import (
     DegreeRangeDecomposition,
     degree_range_decomposition,
 )
-from repro.core.ecs import ECSMeasurement, ecs_from_result, measure_ecs
+from repro.core.ecs import ECSMeasurement, ecs_from_result
 from repro.core.gap import GapProfile, average_gap_profile
 from repro.core.hub_coverage import HubCoverage, coverage_at, hub_coverage
 from repro.core.hubs_misses import HubMissCount, hub_data_misses
-from repro.core.locality_types import LocalityTypeCounts, classify_locality_types
 from repro.core.missdist import MissRateDistribution, miss_rate_degree_distribution
 from repro.core.report import format_matrix, format_series, format_table, format_value
 from repro.core.reuse import ReuseProfile, reuse_distance_histogram, reuse_distances
@@ -39,7 +38,6 @@ __all__ = [
     "degree_range_decomposition",
     "ECSMeasurement",
     "ecs_from_result",
-    "measure_ecs",
     "GapProfile",
     "average_gap_profile",
     "HubCoverage",
@@ -47,8 +45,6 @@ __all__ = [
     "hub_coverage",
     "HubMissCount",
     "hub_data_misses",
-    "LocalityTypeCounts",
-    "classify_locality_types",
     "MissRateDistribution",
     "miss_rate_degree_distribution",
     "format_matrix",

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.sim.simulator import SimulationConfig, SimulationResult, simulate_spmv
+from repro.sim.stats import LocalityTypeCounts
 
 from repro.core.aid import AIDDistribution, aid_degree_distribution, aid_per_vertex
 from repro.core.asymmetricity import (
@@ -30,7 +31,6 @@ from repro.core.ecs import ECSMeasurement, ecs_from_result, with_ecs_scans
 from repro.core.gap import GapProfile, average_gap_profile
 from repro.core.hub_coverage import HubCoverage, hub_coverage
 from repro.core.hubs_misses import HubMissCount, hub_data_misses
-from repro.core.locality_types import LocalityTypeCounts
 from repro.core.missdist import MissRateDistribution, miss_rate_degree_distribution
 
 __all__ = ["GraphSummary", "LocalityAnalyzer"]

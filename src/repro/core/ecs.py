@@ -21,9 +21,9 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.graph.graph import Graph
 from repro.sim.address_space import AddressSpace
-from repro.sim.simulator import SimulationConfig, SimulationResult, simulate_spmv
+from repro.sim.simulator import SimulationConfig, SimulationResult
 
-__all__ = ["ECSMeasurement", "measure_ecs", "ecs_from_result", "with_ecs_scans"]
+__all__ = ["ECSMeasurement", "ecs_from_result", "with_ecs_scans"]
 
 _DEFAULT_NUM_SCANS = 64
 
@@ -73,25 +73,3 @@ def with_ecs_scans(
     return dataclasses.replace(
         config, scan_interval=max(1, approx_len // max(1, num_scans))
     )
-
-
-def measure_ecs(
-    graph: Graph,
-    config: SimulationConfig | None = None,
-    *,
-    num_scans: int = _DEFAULT_NUM_SCANS,
-    **scaled_kwargs,
-) -> ECSMeasurement:
-    """Run a traversal with periodic scans and return its ECS.
-
-    Pass either ``config`` or the :meth:`SimulationConfig.scaled_for`
-    kwargs.  ``num_scans`` spaces the scans evenly over the (estimated)
-    trace length when the config does not already request scanning.
-    """
-    if config is None:
-        config = SimulationConfig.scaled_for(graph, **scaled_kwargs)
-    elif scaled_kwargs:
-        raise SimulationError("pass either a config or scaling kwargs, not both")
-    if config.scan_interval == 0:
-        config = with_ecs_scans(graph, config, num_scans)
-    return ecs_from_result(simulate_spmv(graph, config))

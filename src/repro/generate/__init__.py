@@ -7,12 +7,6 @@ from repro.generate.datasets import (
     load_dataset,
     scale_factor,
 )
-from repro.generate.random_graphs import (
-    chung_lu_edges,
-    erdos_renyi_edges,
-    planted_partition_edges,
-    ring_edges,
-)
 from repro.generate.rmat import rmat_edges
 from repro.generate.social import social_network
 from repro.generate.webgraph import host_sizes, web_graph
@@ -23,10 +17,6 @@ __all__ = [
     "dataset_names",
     "load_dataset",
     "scale_factor",
-    "chung_lu_edges",
-    "erdos_renyi_edges",
-    "planted_partition_edges",
-    "ring_edges",
     "rmat_edges",
     "social_network",
     "host_sizes",

@@ -19,7 +19,7 @@ from repro.errors import GraphFormatError
 from repro.graph.csr import _sort_edge_pairs
 from repro.graph.graph import Graph
 
-__all__ = ["BuildResult", "build_graph", "dedup_edges", "compact_vertices"]
+__all__ = ["BuildResult", "build_graph", "dedup_edges"]
 
 
 @dataclass(frozen=True)
@@ -65,24 +65,6 @@ def dedup_edges(
     return _sort_edge_pairs(sources, targets, lo, hi - lo + 1, unique=True)
 
 
-def compact_vertices(
-    num_vertices: int, sources: np.ndarray, targets: np.ndarray
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Renumber vertices so only those with degree > 0 remain.
-
-    Relative order of surviving vertices is preserved.  Returns
-    ``(new_n, new_sources, new_targets, old_to_new)`` where ``old_to_new``
-    maps removed vertices to ``-1``.
-    """
-    used = np.zeros(num_vertices, dtype=bool)
-    used[sources] = True
-    used[targets] = True
-    old_to_new = np.full(num_vertices, -1, dtype=np.int64)
-    survivors = np.flatnonzero(used)
-    old_to_new[survivors] = np.arange(survivors.shape[0], dtype=np.int64)
-    return survivors.shape[0], old_to_new[sources], old_to_new[targets], old_to_new
-
-
 def build_graph(
     num_vertices: int,
     sources: np.ndarray,
@@ -118,9 +100,15 @@ def build_graph(
     removed_edges = original_edge_count - sources.shape[0]
 
     if drop_zero_degree:
-        new_n, sources, targets, old_to_new = compact_vertices(
-            num_vertices, sources, targets
-        )
+        # Renumber the vertices with degree > 0, keeping their order.
+        used = np.zeros(num_vertices, dtype=bool)
+        used[sources] = True
+        used[targets] = True
+        survivors = np.flatnonzero(used)
+        new_n = survivors.shape[0]
+        old_to_new = np.full(num_vertices, -1, dtype=np.int64)
+        old_to_new[survivors] = np.arange(new_n, dtype=np.int64)
+        sources, targets = old_to_new[sources], old_to_new[targets]
     else:
         new_n = num_vertices
         old_to_new = np.arange(num_vertices, dtype=np.int64)

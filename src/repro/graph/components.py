@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 
-__all__ = ["ComponentResult", "connected_components", "giant_component"]
+__all__ = ["ComponentResult", "connected_components"]
 
 
 @dataclass(frozen=True)
@@ -119,19 +119,3 @@ def connected_components(
     else:
         edge_counts = np.zeros(roots.shape[0], dtype=np.int64)
     return ComponentResult(labels=final, sizes=sizes, edge_counts=edge_counts)
-
-
-def giant_component(
-    num_vertices: int,
-    sources: np.ndarray,
-    targets: np.ndarray,
-    *,
-    active: np.ndarray | None = None,
-    by: str = "edges",
-) -> tuple[np.ndarray, ComponentResult]:
-    """Boolean membership mask of the GCC plus the full component result."""
-    result = connected_components(num_vertices, sources, targets, active=active)
-    if result.num_components == 0:
-        return np.zeros(num_vertices, dtype=bool), result
-    gcc = result.giant_component_id(by=by)
-    return result.labels == gcc, result

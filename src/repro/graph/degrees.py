@@ -1,84 +1,19 @@
-"""Degree statistics and vertex classification helpers.
+"""Degree classes and the power-law tail exponent.
 
-Centralizes the degree-based vocabulary of the paper: LDV/HDV split at
-the average degree, hubs at ``sqrt(n)``, degree histograms used for
-Figure 2, and the decade-based degree classes ("1-10", "10-100", ...)
-used by the degree range decomposition (Figure 5).
+The decade-based degree classes ("1-10", "10-100", ...) are used by the
+degree range decomposition (Figure 5); the tail exponent by the
+Figure 2 analysis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.errors import GraphFormatError
-from repro.graph.graph import Graph
-
 __all__ = [
-    "DegreeSummary",
-    "degree_summary",
-    "degree_histogram",
-    "normalized_degree_frequency",
     "degree_class_edges",
     "degree_class_labels",
     "power_law_tail_exponent",
 ]
-
-
-@dataclass(frozen=True)
-class DegreeSummary:
-    """Aggregate degree statistics of one direction of a graph."""
-
-    num_vertices: int
-    num_edges: int
-    average: float
-    maximum: int
-    hub_threshold: float
-    num_hubs: int
-    num_hdv: int
-    num_ldv: int
-
-
-def degree_summary(graph: Graph, direction: str = "in") -> DegreeSummary:
-    """Summarize the degree distribution of ``graph`` in one direction."""
-    degrees = graph._degrees(direction)
-    average = graph.average_degree
-    hub_threshold = graph.hub_threshold
-    return DegreeSummary(
-        num_vertices=graph.num_vertices,
-        num_edges=graph.num_edges,
-        average=average,
-        maximum=int(degrees.max()) if degrees.size else 0,
-        hub_threshold=hub_threshold,
-        num_hubs=int((degrees > hub_threshold).sum()),
-        num_hdv=int((degrees > average).sum()),
-        num_ldv=int((degrees <= average).sum()),
-    )
-
-
-def degree_histogram(degrees: np.ndarray, max_degree: int | None = None) -> np.ndarray:
-    """Frequency of every integer degree, ``hist[d] = #vertices of degree d``."""
-    degrees = np.asarray(degrees, dtype=np.int64)
-    if degrees.size and degrees.min() < 0:
-        raise GraphFormatError("degrees must be non-negative")
-    length = (int(degrees.max()) if degrees.size else 0) + 1
-    if max_degree is not None:
-        length = max(length, max_degree + 1)
-    return np.bincount(degrees, minlength=length).astype(np.int64)
-
-
-def normalized_degree_frequency(degrees: np.ndarray) -> np.ndarray:
-    """Frequency normalized to the peak, as plotted in Figure 2.
-
-    ``result[d] = frequency(d) / max_frequency``; zero where no vertex has
-    degree ``d``.
-    """
-    hist = degree_histogram(degrees)
-    peak = hist.max()
-    if peak == 0:
-        return hist.astype(np.float64)
-    return hist / peak
 
 
 def degree_class_labels(num_classes: int) -> list[str]:

@@ -3,7 +3,7 @@
 A reordering algorithm produces a *relabeling array* of ``n`` elements,
 indexed by the old vertex ID and holding the new vertex ID
 (Section II-E of the paper).  This module provides validation,
-inversion, composition and application of such arrays.
+inversion, and application of such arrays to edge lists.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ __all__ = [
     "is_permutation",
     "check_permutation",
     "invert_permutation",
-    "compose_permutations",
     "apply_to_edges",
-    "apply_to_vertex_data",
     "sort_order_to_relabeling",
 ]
 
@@ -78,16 +76,6 @@ def invert_permutation(relabeling: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def compose_permutations(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Relabeling equivalent to applying ``first`` then ``second``.
-
-    ``composed[old] = second[first[old]]``.
-    """
-    first = check_permutation(first)
-    second = check_permutation(second, first.shape[0])
-    return second[first]
-
-
 def apply_to_edges(
     relabeling: np.ndarray, sources: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -98,20 +86,6 @@ def apply_to_edges(
     return relabeling[sources], relabeling[targets]
 
 
-def apply_to_vertex_data(relabeling: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Move per-vertex data so ``result[new_id] == data[old_id]``."""
-    relabeling = check_permutation(relabeling)
-    data = np.asarray(data)
-    if data.shape[0] != relabeling.shape[0]:
-        raise PermutationError(
-            f"data length {data.shape[0]} does not match relabeling length "
-            f"{relabeling.shape[0]}"
-        )
-    result = np.empty_like(data)
-    result[relabeling] = data
-    return result
-
-
 def sort_order_to_relabeling(order: np.ndarray) -> np.ndarray:
     """Convert a processing order into a relabeling array.
 
@@ -119,5 +93,4 @@ def sort_order_to_relabeling(order: np.ndarray) -> np.ndarray:
     IDs (``order[k]`` becomes vertex ``k``); the result is the relabeling
     array indexed by old ID, as produced by the RAs in this library.
     """
-    order = check_permutation(order)
     return invert_permutation(order)

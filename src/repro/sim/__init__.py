@@ -6,18 +6,11 @@ also cuts the Effective Cache Size snapshots.
 """
 
 from repro.sim.address_space import AddressSpace, Region
-from repro.sim.analytics import (
-    FrontierProfile,
-    bfs_levels,
-    frontier_profile,
-    sssp_distances,
-)
 from repro.sim.cache import (
     CacheConfig,
     CacheSnapshot,
     Replay,
     SetAssociativeCache,
-    count_cold_misses,
 )
 from repro.sim.ihtl import (
     IHTLSplit,
@@ -26,19 +19,15 @@ from repro.sim.ihtl import (
     simulate_ihtl,
     split_by_in_hubs,
 )
-from repro.sim.parallel import (
-    edge_balanced_partitions,
-    interleave_stream,
-    partition_edge_counts,
-)
-from repro.sim.scheduler import ScheduleResult, chunk_costs, simulate_work_stealing
+from repro.sim.parallel import edge_balanced_partitions, interleave_stream
+from repro.sim.scheduler import ScheduleResult, simulate_work_stealing
 from repro.sim.simulator import (
     SimulationConfig,
     SimulationResult,
     simulate_spmv,
     simulate_spmv_streamed,
 )
-from repro.sim.spmv import pagerank, spmv_iterations, spmv_pull, spmv_push
+from repro.sim.spmv import pagerank
 from repro.sim.stats import (
     LocalityTypeClassifier,
     LocalityTypeCounts,
@@ -57,15 +46,10 @@ from repro.sim.trace import (
 __all__ = [
     "AddressSpace",
     "Region",
-    "FrontierProfile",
-    "bfs_levels",
-    "frontier_profile",
-    "sssp_distances",
     "CacheConfig",
     "CacheSnapshot",
     "Replay",
     "SetAssociativeCache",
-    "count_cold_misses",
     "IHTLSplit",
     "hubs_for_cache",
     "ihtl_trace",
@@ -73,18 +57,13 @@ __all__ = [
     "split_by_in_hubs",
     "edge_balanced_partitions",
     "interleave_stream",
-    "partition_edge_counts",
     "ScheduleResult",
-    "chunk_costs",
     "simulate_work_stealing",
     "SimulationConfig",
     "SimulationResult",
     "simulate_spmv",
     "simulate_spmv_streamed",
     "pagerank",
-    "spmv_iterations",
-    "spmv_pull",
-    "spmv_push",
     "LocalityTypeClassifier",
     "LocalityTypeCounts",
     "VertexAccessStats",

@@ -35,7 +35,6 @@ __all__ = [
     "CacheSnapshot",
     "Replay",
     "SetAssociativeCache",
-    "count_cold_misses",
 ]
 
 _POLICIES = ("lru", "srrip", "brrip", "drrip")
@@ -319,9 +318,3 @@ class SimulatedAccesses:
         if self.num_accesses == 0:
             return 0.0
         return self.num_misses / self.num_accesses
-
-
-def count_cold_misses(lines: np.ndarray) -> int:
-    """Number of distinct lines — the miss count of an infinite cache."""
-    lines = np.asarray(lines, dtype=np.int64)
-    return int(np.unique(lines).shape[0])

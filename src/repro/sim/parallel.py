@@ -22,11 +22,7 @@ from repro.obs import span
 from repro.sim.address_space import AddressSpace
 from repro.sim.trace import MemoryTrace
 
-__all__ = [
-    "edge_balanced_partitions",
-    "interleave_stream",
-    "partition_edge_counts",
-]
+__all__ = ["edge_balanced_partitions", "interleave_stream"]
 
 
 def edge_balanced_partitions(graph: Graph, num_parts: int, *, direction: str = "pull") -> np.ndarray:
@@ -49,12 +45,6 @@ def edge_balanced_partitions(graph: Graph, num_parts: int, *, direction: str = "
     boundaries[1:-1] = np.minimum(cuts, graph.num_vertices)
     boundaries[-1] = graph.num_vertices
     return np.maximum.accumulate(boundaries)
-
-
-def partition_edge_counts(graph: Graph, boundaries: np.ndarray, *, direction: str = "pull") -> np.ndarray:
-    """Edges per partition for the given boundaries."""
-    adj = graph.in_adj if direction == "pull" else graph.out_adj
-    return np.diff(adj.offsets[boundaries])
 
 
 def interleave_stream(

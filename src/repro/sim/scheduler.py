@@ -21,7 +21,6 @@ from repro.errors import SimulationError
 __all__ = [
     "ScheduleResult",
     "simulate_work_stealing",
-    "chunk_costs",
     "cost_balanced_chunks",
 ]
 
@@ -46,33 +45,6 @@ class ScheduleResult:
             return 0.0
         idle = (self.makespan - self.busy_time) / self.makespan
         return float(idle.mean() * 100.0)
-
-
-def chunk_costs(
-    per_vertex_cost: np.ndarray, boundaries: np.ndarray, chunk_size: int
-) -> list[np.ndarray]:
-    """Aggregate per-vertex costs into per-thread chunk cost arrays.
-
-    ``boundaries`` are the partition limits from
-    :func:`repro.sim.parallel.edge_balanced_partitions`; each partition
-    is cut into chunks of ``chunk_size`` consecutive vertices (the work
-    units threads execute and steal).
-    """
-    if chunk_size <= 0:
-        raise SimulationError(f"chunk_size must be positive, got {chunk_size}")
-    per_vertex_cost = np.asarray(per_vertex_cost, dtype=np.float64)
-    costs: list[np.ndarray] = []
-    for p in range(boundaries.shape[0] - 1):
-        lo, hi = int(boundaries[p]), int(boundaries[p + 1])
-        part = per_vertex_cost[lo:hi]
-        if part.size == 0:
-            costs.append(np.zeros(0, dtype=np.float64))
-            continue
-        num_chunks = (part.size + chunk_size - 1) // chunk_size
-        padded = np.zeros(num_chunks * chunk_size, dtype=np.float64)
-        padded[: part.size] = part
-        costs.append(padded.reshape(num_chunks, chunk_size).sum(axis=1))
-    return costs
 
 
 def cost_balanced_chunks(

@@ -1,55 +1,18 @@
-"""Functional SpMV engine (Algorithm 1 of the paper).
+"""PageRank on the functional pull SpMV (Algorithm 1 of the paper).
 
 This is the *semantic* side of the traversal: it computes the actual
-vector values, independent of the memory simulation.  Its key role in
-the reproduction is as a correctness oracle — the SpMV result must be
-invariant under any valid relabeling, which property-tests validate for
-every reordering algorithm.
+vector values, independent of the memory simulation.  The ranks are
+invariant under any valid relabeling, which
+``examples/pagerank_locality.py`` asserts after Rabbit-Order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SimulationError
 from repro.graph.graph import Graph
 
-__all__ = ["spmv_pull", "spmv_push", "spmv_iterations", "pagerank"]
-
-
-def spmv_pull(graph: Graph, data: np.ndarray) -> np.ndarray:
-    """One pull iteration: ``out[v] = sum of data[u] over in-neighbours u``."""
-    data = _check_data(graph, data)
-    sources = graph.in_adj.targets  # CSC enumerates in-neighbours
-    owners = graph.in_adj.edge_sources()
-    return np.bincount(owners, weights=data[sources], minlength=graph.num_vertices)
-
-
-def spmv_push(graph: Graph, data: np.ndarray) -> np.ndarray:
-    """One push iteration: every vertex adds its data to its out-neighbours.
-
-    Numerically identical to :func:`spmv_pull`; the difference is purely
-    in the memory access pattern, which :mod:`repro.sim.trace` models.
-    """
-    data = _check_data(graph, data)
-    owners = graph.out_adj.edge_sources()
-    targets = graph.out_adj.targets
-    return np.bincount(targets, weights=data[owners], minlength=graph.num_vertices)
-
-
-def spmv_iterations(
-    graph: Graph, data: np.ndarray, iterations: int, *, direction: str = "pull"
-) -> np.ndarray:
-    """Run several SpMV iterations, returning the final vector."""
-    if iterations < 0:
-        raise SimulationError(f"negative iteration count: {iterations}")
-    step = spmv_pull if direction == "pull" else spmv_push
-    if direction not in ("pull", "push"):
-        raise SimulationError(f"direction must be 'pull' or 'push', got {direction!r}")
-    current = np.asarray(data, dtype=np.float64)
-    for _ in range(iterations):
-        current = step(graph, current)
-    return current
+__all__ = ["pagerank"]
 
 
 def pagerank(
@@ -62,11 +25,15 @@ def pagerank(
     """Power-iteration PageRank built on the pull SpMV kernel.
 
     One of the SpMV-underpinned analytics the paper lists (Section II-B);
-    used by the examples as a realistic workload.
+    used by the examples as a realistic workload.  Each iteration pulls
+    ``incoming[v] = sum of contrib[u] over in-neighbours u`` through the
+    CSC.
     """
     n = graph.num_vertices
     if n == 0:
         return np.zeros(0, dtype=np.float64)
+    in_neighbours = graph.in_adj.targets
+    owners = graph.in_adj.edge_sources()
     out_deg = graph.out_degrees().astype(np.float64)
     dangling = out_deg == 0
     safe_deg = np.where(dangling, 1.0, out_deg)
@@ -74,19 +41,10 @@ def pagerank(
     for _ in range(iterations):
         contrib = rank / safe_deg
         contrib[dangling] = 0.0
-        incoming = spmv_pull(graph, contrib)
+        incoming = np.bincount(owners, weights=contrib[in_neighbours], minlength=n)
         dangling_mass = rank[dangling].sum() / n
         new_rank = (1.0 - damping) / n + damping * (incoming + dangling_mass)
         if np.abs(new_rank - rank).sum() < tolerance:
             return new_rank
         rank = new_rank
     return rank
-
-
-def _check_data(graph: Graph, data: np.ndarray) -> np.ndarray:
-    data = np.asarray(data, dtype=np.float64)
-    if data.shape != (graph.num_vertices,):
-        raise SimulationError(
-            f"vertex data must have shape ({graph.num_vertices},), got {data.shape}"
-        )
-    return data

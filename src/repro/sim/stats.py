@@ -140,8 +140,21 @@ class LocalityTypeCounts:
 class LocalityTypeClassifier:
     """Streaming classifier of random-access reuses into types I–V.
 
-    Every random access to a line touched before is a reuse, classified
-    against the most recent access to the same line:
+    Section IV-D of the paper identifies five patterns of vertex-data
+    reuse in a parallel SpMV traversal:
+
+    * **Type I** — spatial reuse *within* one vertex's neighbour list:
+      consecutive neighbours of ``v`` share a cache line.
+    * **Type II** — temporal reuse across processed vertices: ``v`` and
+      a subsequently processed vertex share a neighbour ``u``.
+    * **Type III** — spatio-temporal: distinct neighbours of
+      subsequently processed vertices land on the same cache line.
+    * **Type IV** — like II but across *threads* through the shared cache.
+    * **Type V** — like III but across threads.
+
+    RAs target types I-III; IV and V depend on partitioning and
+    scheduling.  Every random access to a line touched before is a
+    reuse, classified against the most recent access to the same line:
 
     * another thread — **IV** if it read the same vertex, else **V**;
     * the same processed vertex — **I** (spatial reuse in one list);

@@ -8,14 +8,10 @@ from typing import Iterator
 import numpy as np
 import pytest
 
-from repro.generate import (
-    planted_partition_edges,
-    ring_edges,
-    social_network,
-    web_graph,
-)
+from repro.generate import social_network, web_graph
 from repro.generate.rmat import rmat_edges
 from repro.graph import Graph, build_graph
+from tests.fixture_graphs import planted_partition_edges, ring_edges
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph import build_graph, compact_vertices, dedup_edges, validate_graph
+from repro.graph import build_graph, dedup_edges, validate_graph
 
 
 class TestDedup:
@@ -43,27 +43,27 @@ class TestDedup:
 
 
 class TestCompact:
+    """``build_graph`` drops zero-degree vertices by default."""
+
     def test_drops_isolated_vertices(self):
-        n, src, dst, old_to_new = compact_vertices(
-            5, np.array([0, 4]), np.array([4, 0])
-        )
-        assert n == 2
-        assert old_to_new.tolist() == [0, -1, -1, -1, 1]
-        assert src.tolist() == [0, 1]
-        assert dst.tolist() == [1, 0]
+        result = build_graph(5, np.array([0, 4]), np.array([4, 0]))
+        assert result.graph.num_vertices == 2
+        assert result.num_removed_vertices == 3
+        assert result.old_to_new.tolist() == [0, -1, -1, -1, 1]
+        src, dst = result.graph.edges()
+        assert sorted(zip(src.tolist(), dst.tolist())) == [(0, 1), (1, 0)]
 
     def test_preserves_relative_order(self):
-        n, _, _, old_to_new = compact_vertices(
-            6, np.array([1, 3]), np.array([3, 5])
-        )
-        survivors = [v for v in old_to_new.tolist() if v >= 0]
+        result = build_graph(6, np.array([1, 3]), np.array([3, 5]))
+        survivors = [v for v in result.old_to_new.tolist() if v >= 0]
         assert survivors == sorted(survivors)
-        assert n == 3
+        assert result.graph.num_vertices == 3
 
     def test_no_removal_when_all_used(self):
-        n, _, _, old_to_new = compact_vertices(2, np.array([0]), np.array([1]))
-        assert n == 2
-        assert old_to_new.tolist() == [0, 1]
+        result = build_graph(2, np.array([0]), np.array([1]))
+        assert result.graph.num_vertices == 2
+        assert result.num_removed_vertices == 0
+        assert result.old_to_new.tolist() == [0, 1]
 
 
 class TestBuildGraph:

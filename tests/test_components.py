@@ -1,11 +1,11 @@
-"""Unit tests for connected components and GCC extraction."""
+"""Unit tests for connected components and the GCC choice."""
 
 import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.generate import ring_edges
-from repro.graph import connected_components, giant_component
+from repro.graph import connected_components
+from tests.fixture_graphs import ring_edges
 
 
 def cc(n, edges, **kwargs):
@@ -74,13 +74,9 @@ class TestGiantComponent:
         assert result.sizes[gcc] == 4
 
     def test_gcc_by_vertices(self):
-        mask, result = giant_component(
-            5,
-            np.array([0, 0, 3]),
-            np.array([1, 2, 4]),
-            by="vertices",
-        )
-        assert mask.tolist() == [True, True, True, False, False]
+        result = cc(5, [(0, 1), (0, 2), (3, 4)])
+        gcc = result.giant_component_id(by="vertices")
+        assert (result.labels == gcc).tolist() == [True, True, True, False, False]
 
     def test_gcc_unknown_criterion(self):
         result = cc(2, [(0, 1)])

@@ -9,36 +9,12 @@ from repro.graph import (
     Graph,
     degree_class_edges,
     degree_class_labels,
-    degree_histogram,
-    degree_summary,
-    normalized_degree_frequency,
     power_law_tail_exponent,
     validate_graph,
 )
 
 
 class TestDegreeHelpers:
-    def test_histogram(self):
-        hist = degree_histogram(np.array([0, 1, 1, 3]))
-        assert hist.tolist() == [1, 2, 0, 1]
-
-    def test_histogram_min_length(self):
-        hist = degree_histogram(np.array([1]), max_degree=4)
-        assert hist.shape[0] == 5
-
-    def test_histogram_rejects_negative(self):
-        with pytest.raises(GraphFormatError):
-            degree_histogram(np.array([-1]))
-
-    def test_normalized_frequency_peak_is_one(self):
-        norm = normalized_degree_frequency(np.array([1, 1, 1, 2]))
-        assert norm.max() == 1.0
-        assert norm[1] == 1.0
-
-    def test_normalized_frequency_empty(self):
-        norm = normalized_degree_frequency(np.array([], dtype=np.int64))
-        assert norm.sum() == 0
-
     def test_degree_classes(self):
         classes = degree_class_edges(np.array([0, 1, 9, 10, 99, 100, 1000]))
         assert classes.tolist() == [0, 0, 0, 1, 1, 2, 3]
@@ -61,12 +37,6 @@ class TestDegreeHelpers:
 
     def test_power_law_exponent_insufficient_tail(self):
         assert np.isnan(power_law_tail_exponent(np.array([1, 2, 3]), d_min=10))
-
-    def test_degree_summary(self, star_graph):
-        summary = degree_summary(star_graph, "in")
-        assert summary.num_hubs == 1
-        assert summary.maximum == 19
-        assert summary.num_ldv + summary.num_hdv == 20
 
 
 class TestValidate:

@@ -7,17 +7,14 @@ from repro.errors import ExperimentError, GraphFormatError
 from repro.core import reciprocity
 from repro.generate import (
     DATASETS,
-    chung_lu_edges,
     dataset_names,
-    erdos_renyi_edges,
     host_sizes,
     load_dataset,
-    planted_partition_edges,
-    ring_edges,
     rmat_edges,
     social_network,
     web_graph,
 )
+from tests.fixture_graphs import planted_partition_edges, ring_edges
 from repro.graph import validate_graph
 
 
@@ -51,29 +48,6 @@ class TestRmat:
 
 
 class TestRandomGraphs:
-    def test_erdos_renyi_range(self):
-        src, dst = erdos_renyi_edges(100, 500, seed=1)
-        assert src.max() < 100 and dst.max() < 100
-
-    def test_erdos_renyi_empty_vertex_set(self):
-        with pytest.raises(GraphFormatError):
-            erdos_renyi_edges(0, 5)
-
-    def test_chung_lu_expected_degrees(self):
-        out_w = np.array([10.0, 1.0, 1.0, 1.0])
-        in_w = np.ones(4)
-        src, _ = chung_lu_edges(out_w, in_w, 13_000, seed=2)
-        counts = np.bincount(src, minlength=4)
-        assert counts[0] > 3 * counts[1:].max()
-
-    def test_chung_lu_rejects_zero_weights(self):
-        with pytest.raises(GraphFormatError):
-            chung_lu_edges(np.zeros(3), np.ones(3), 10)
-
-    def test_chung_lu_rejects_negative(self):
-        with pytest.raises(GraphFormatError):
-            chung_lu_edges(np.array([-1.0, 1.0]), np.ones(2), 10)
-
     def test_ring_degrees(self):
         src, dst = ring_edges(10, hops=3)
         out_deg = np.bincount(src, minlength=10)

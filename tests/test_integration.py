@@ -16,8 +16,7 @@ from repro import (
     simulate_spmv,
 )
 from repro.core import miss_rate_degree_distribution
-from repro.graph import apply_to_vertex_data, validate_graph
-from repro.sim import spmv_pull
+from repro.graph import validate_graph
 
 
 @pytest.mark.parametrize("name", sorted(set(algorithm_names())))
@@ -38,19 +37,23 @@ class TestEveryAlgorithmEndToEnd:
         assert dist.accesses.sum() == small_web.num_edges
 
     def test_spmv_semantics_preserved(self, small_web, name):
-        """The oracle: relabeling must never change SpMV results."""
+        """The oracle: relabeling must never change SpMV results.
+
+        Old vertex ``v`` is new vertex ``relabeling[v]``: it must pull the
+        same sum from the reordered graph as from the original.
+        """
         algorithm = get_algorithm(name)
         result = algorithm(small_web)
         reordered = result.apply(small_web)
 
-        rng = np.random.default_rng(1)
-        data = rng.random(small_web.num_vertices)
-        moved = apply_to_vertex_data(result.relabeling, data)
+        def pull(graph, data):
+            adj = graph.in_adj
+            return np.bincount(adj.edge_sources(), weights=data[adj.targets],
+                               minlength=graph.num_vertices)
 
-        expected = apply_to_vertex_data(
-            result.relabeling, spmv_pull(small_web, data)
-        )
-        actual = spmv_pull(reordered, moved)
+        moved = np.random.default_rng(1).random(small_web.num_vertices)
+        expected = pull(small_web, moved[result.relabeling])
+        actual = pull(reordered, moved)[result.relabeling]
         assert np.allclose(expected, actual)
 
 

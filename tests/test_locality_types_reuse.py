@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    classify_locality_types,
-    reuse_distance_histogram,
-    reuse_distances,
-)
-from repro.sim import AddressSpace, MemoryTrace, Region
+from repro.core import reuse_distance_histogram, reuse_distances
+from repro.sim import AddressSpace, LocalityTypeClassifier, MemoryTrace, Region
 from repro.sim.cache import CacheConfig, SetAssociativeCache
 
 
@@ -28,54 +24,61 @@ def trace_from(records, num_vertices=64, num_edges=64):
     )
 
 
+def classify(trace, thread_ids=None):
+    """Locality-type counts of one whole trace fed as a single chunk."""
+    classifier = LocalityTypeClassifier(trace.space)
+    classifier.add(trace, thread_ids)
+    return classifier.counts()
+
+
 class TestLocalityTypes:
     def test_type_i_same_processed_vertex(self):
         # two neighbours of vertex 7 on the same line
         trace = trace_from([(0, 1, 7), (0, 2, 7)])
-        counts = classify_locality_types(trace)
+        counts = classify(trace)
         assert counts.type_i == 1
         assert counts.cold == 1
 
     def test_type_ii_common_neighbour(self):
         # vertex 1's data reused while processing 7 then 8
         trace = trace_from([(0, 1, 7), (0, 1, 8)])
-        counts = classify_locality_types(trace)
+        counts = classify(trace)
         assert counts.type_ii == 1
 
     def test_type_iii_distinct_neighbours_same_line(self):
         trace = trace_from([(0, 1, 7), (0, 2, 8)])
-        counts = classify_locality_types(trace)
+        counts = classify(trace)
         assert counts.type_iii == 1
 
     def test_types_iv_v_need_threads(self):
         trace = trace_from([(0, 1, 7), (0, 1, 8), (0, 2, 9)])
         threads = np.array([0, 1, 1])
-        counts = classify_locality_types(trace, threads)
+        counts = classify(trace, threads)
         assert counts.type_iv == 1  # same u across threads
         assert counts.type_iii == 1  # different u, same thread
 
     def test_type_v(self):
         trace = trace_from([(0, 1, 7), (0, 2, 8)])
-        counts = classify_locality_types(trace, np.array([0, 1]))
+        counts = classify(trace, np.array([0, 1]))
         assert counts.type_v == 1
 
     def test_single_thread_never_iv_v(self, small_web):
         from repro.sim import spmv_trace
 
         trace = spmv_trace(small_web)
-        counts = classify_locality_types(trace)
+        counts = classify(trace)
         assert counts.type_iv == 0
         assert counts.type_v == 0
         assert counts.total_reuses + counts.cold == trace.num_random_accesses
 
     def test_fractions_sum_to_one(self):
         trace = trace_from([(0, 1, 7), (0, 1, 8), (0, 2, 8), (0, 3, 8)])
-        fractions = classify_locality_types(trace).fractions()
+        fractions = classify(trace).fractions()
         assert sum(fractions.values()) == pytest.approx(1.0)
 
     def test_fractions_empty(self):
         trace = trace_from([(0, 1, 7)])
-        fractions = classify_locality_types(trace).fractions()
+        fractions = classify(trace).fractions()
         assert all(value == 0.0 for value in fractions.values())
 
 

@@ -8,9 +8,9 @@ from repro.core import (
     ecs_from_result,
     hub_data_misses,
     log_bins,
-    measure_ecs,
     miss_rate_degree_distribution,
 )
+from repro.core.ecs import with_ecs_scans
 from repro.sim import SimulationConfig, simulate_spmv
 
 
@@ -68,21 +68,12 @@ class TestECS:
             ecs_from_result(plain)
 
     def test_measure_ecs_auto_interval(self, small_web):
-        ecs = measure_ecs(small_web, num_scans=16)
+        plain = SimulationConfig.scaled_for(small_web)
+        config = with_ecs_scans(small_web, plain, num_scans=16)
+        ecs = ecs_from_result(simulate_spmv(small_web, config))
         assert 0 < ecs.average_percent < 100
         approx_len = small_web.num_edges + small_web.num_vertices // 4
         assert ecs.scan_interval == approx_len // 16
-        # A run that already asks for scans keeps its interval.
-        assert measure_ecs(small_web, scan_interval=777).scan_interval == 777
-
-    def test_measure_ecs_rejects_mixed_args(self, small_web):
-        plain = SimulationConfig.scaled_for(small_web)
-        # A config that already scans must not drop the kwargs either.
-        scanning = SimulationConfig.scaled_for(small_web, scan_interval=2000)
-        cases = ((plain, {"pressure": 0.1}), (scanning, {"policy": "lru"}))
-        for config, kwargs in cases:
-            with pytest.raises(SimulationError, match="either a config or"):
-                measure_ecs(small_web, config, **kwargs)
 
 
 class TestHubMisses:

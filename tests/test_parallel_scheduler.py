@@ -9,11 +9,10 @@ from repro.sim import (
     concatenate_traces,
     edge_balanced_partitions,
     interleave_stream,
-    partition_edge_counts,
     simulate_work_stealing,
     spmv_trace,
 )
-from repro.sim.scheduler import chunk_costs, cost_balanced_chunks
+from repro.sim.scheduler import cost_balanced_chunks
 
 
 class TestPartitions:
@@ -25,7 +24,7 @@ class TestPartitions:
 
     def test_edges_roughly_balanced(self, small_social):
         boundaries = edge_balanced_partitions(small_social, 4)
-        counts = partition_edge_counts(small_social, boundaries)
+        counts = np.diff(small_social.in_adj.offsets[boundaries])
         assert counts.sum() == small_social.num_edges
         target = small_social.num_edges / 4
         # within 2x of ideal (hubs limit the achievable balance)
@@ -90,14 +89,6 @@ class TestInterleave:
 
 
 class TestChunks:
-    def test_chunk_costs_fixed_size(self):
-        costs = chunk_costs(np.ones(10), np.array([0, 6, 10]), 4)
-        assert [c.tolist() for c in costs] == [[4.0, 2.0], [4.0]]
-
-    def test_chunk_costs_rejects_bad_size(self):
-        with pytest.raises(SimulationError):
-            chunk_costs(np.ones(4), np.array([0, 4]), 0)
-
     def test_cost_balanced_chunks_split_hot_partition(self):
         per_vertex = np.ones(100)
         per_vertex[:10] = 50.0  # hot region

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import PermutationError
 from repro.graph import (
     apply_to_edges,
-    apply_to_vertex_data,
     check_permutation,
-    compose_permutations,
     identity_permutation,
     invert_permutation,
     is_permutation,
@@ -85,34 +83,16 @@ class TestInvertCompose:
         inv = invert_permutation(np.array([2, 0, 1]))
         assert inv.tolist() == [1, 2, 0]
 
-    def test_compose_hand_case(self):
-        first = np.array([1, 2, 0])
-        second = np.array([2, 0, 1])
-        composed = compose_permutations(first, second)
-        assert composed.tolist() == [second[f] for f in first.tolist()]
-
-    def test_compose_length_mismatch(self):
-        with pytest.raises(PermutationError):
-            compose_permutations(np.array([0, 1]), np.array([0, 1, 2]))
-
     @given(permutations)
     @settings(max_examples=30, deadline=None)
     def test_invert_roundtrip(self, perm):
         inv = invert_permutation(perm)
-        assert np.array_equal(compose_permutations(perm, inv),
-                              identity_permutation(perm.shape[0]))
+        assert np.array_equal(inv[perm], identity_permutation(perm.shape[0]))
 
     @given(permutations)
     @settings(max_examples=30, deadline=None)
     def test_double_invert_identity(self, perm):
         assert np.array_equal(invert_permutation(invert_permutation(perm)), perm)
-
-    @given(permutations)
-    @settings(max_examples=20, deadline=None)
-    def test_compose_with_identity(self, perm):
-        ident = identity_permutation(perm.shape[0])
-        assert np.array_equal(compose_permutations(perm, ident), perm)
-        assert np.array_equal(compose_permutations(ident, perm), perm)
 
 
 class TestApplication:
@@ -121,25 +101,6 @@ class TestApplication:
         src, dst = apply_to_edges(relabeling, np.array([0, 1]), np.array([1, 2]))
         assert src.tolist() == [2, 0]
         assert dst.tolist() == [0, 1]
-
-    def test_apply_to_vertex_data(self):
-        relabeling = np.array([1, 2, 0])
-        data = np.array([10.0, 20.0, 30.0])
-        moved = apply_to_vertex_data(relabeling, data)
-        # result[new] == data[old]
-        assert moved.tolist() == [30.0, 10.0, 20.0]
-
-    def test_apply_to_vertex_data_length_mismatch(self):
-        with pytest.raises(PermutationError):
-            apply_to_vertex_data(np.array([0, 1]), np.array([1.0]))
-
-    @given(permutations)
-    @settings(max_examples=20, deadline=None)
-    def test_data_roundtrip(self, perm):
-        data = np.arange(perm.shape[0], dtype=np.float64)
-        moved = apply_to_vertex_data(perm, data)
-        back = apply_to_vertex_data(invert_permutation(perm), moved)
-        assert np.array_equal(back, data)
 
 
 class TestSortOrder:
@@ -152,5 +113,5 @@ class TestSortOrder:
         assert sort_order_to_relabeling(np.array([0, 1, 2])).tolist() == [0, 1, 2]
 
     def test_rejects_non_permutation(self):
-        with pytest.raises(PermutationError):
+        with pytest.raises(PermutationError, match="^relabeling array is not a permutation$"):
             sort_order_to_relabeling(np.array([0, 0, 1]))

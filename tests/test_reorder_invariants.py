@@ -29,7 +29,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReorderingError, ReproError
-from repro.generate import planted_partition_edges
 from repro.graph import (
     Graph,
     build_graph,
@@ -39,6 +38,7 @@ from repro.graph import (
     random_permutation,
 )
 from repro.reorder import algorithm_names, get_algorithm
+from tests.fixture_graphs import planted_partition_edges
 
 #: Names whose relative order in the new ID space is sorted by degree:
 #: mapping to the predicate the suite asserts along the emitted order.

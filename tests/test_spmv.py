@@ -1,61 +1,34 @@
-"""Unit and property tests for the functional SpMV engine."""
+"""Unit and property tests for the pull SpMV that PageRank iterates."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
-from repro.graph import Graph, random_permutation, apply_to_vertex_data
-from repro.sim import pagerank, spmv_iterations, spmv_pull, spmv_push
+from repro.graph import Graph, random_permutation
+from repro.sim import pagerank
+
+
+def pull(graph, data):
+    """One pull iteration, as :func:`repro.sim.pagerank` runs it:
+    ``out[v] = sum of data[u] over in-neighbours u`` through the CSC."""
+    adj = graph.in_adj
+    return np.bincount(adj.edge_sources(), weights=data[adj.targets],
+                       minlength=graph.num_vertices)
 
 
 class TestPull:
     def test_ring_shifts_data(self, ring_graph):
         data = np.arange(12, dtype=np.float64)
-        out = spmv_pull(ring_graph, data)
+        out = pull(ring_graph, data)
         # vertex v's only in-neighbour is v-1 (mod 12)
         assert np.array_equal(out, np.roll(data, 1))
 
     def test_star_sums_leaves(self, star_graph):
         data = np.ones(20)
-        out = spmv_pull(star_graph, data)
+        out = pull(star_graph, data)
         assert out[0] == 19
         assert (out[1:] == 0).all()
-
-    def test_shape_validation(self, ring_graph):
-        with pytest.raises(SimulationError):
-            spmv_pull(ring_graph, np.ones(5))
-
-
-class TestPushPullEquivalence:
-    def test_equal_on_tiny(self, tiny_graph):
-        data = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
-        assert np.array_equal(spmv_pull(tiny_graph, data),
-                              spmv_push(tiny_graph, data))
-
-    def test_equal_on_social(self, small_social):
-        rng = np.random.default_rng(0)
-        data = rng.random(small_social.num_vertices)
-        assert np.allclose(spmv_pull(small_social, data),
-                           spmv_push(small_social, data))
-
-    def test_iterations(self, ring_graph):
-        data = np.arange(12, dtype=np.float64)
-        out = spmv_iterations(ring_graph, data, 3)
-        assert np.array_equal(out, np.roll(data, 3))
-
-    def test_zero_iterations(self, ring_graph):
-        data = np.arange(12, dtype=np.float64)
-        assert np.array_equal(spmv_iterations(ring_graph, data, 0), data)
-
-    def test_negative_iterations(self, ring_graph):
-        with pytest.raises(SimulationError):
-            spmv_iterations(ring_graph, np.zeros(12), -1)
-
-    def test_unknown_direction(self, ring_graph):
-        with pytest.raises(SimulationError):
-            spmv_iterations(ring_graph, np.zeros(12), 1, direction="up")
 
 
 class TestRelabelingInvariance:
@@ -74,11 +47,13 @@ class TestRelabelingInvariance:
 
         perm = random_permutation(n, seed=seed + 1)
         relabeled = graph.permuted(perm)
-        moved = apply_to_vertex_data(perm, data)
+        # The relabeled graph reads old vertex v's value at perm[v].
+        moved = np.empty_like(data)
+        moved[perm] = data
 
-        original = spmv_pull(graph, data)
-        relabeled_out = spmv_pull(relabeled, moved)
-        assert np.allclose(apply_to_vertex_data(perm, original), relabeled_out)
+        original = pull(graph, data)
+        relabeled_out = pull(relabeled, moved)
+        assert np.allclose(original, relabeled_out[perm])
 
 
 class TestPageRank:
@@ -106,4 +81,4 @@ class TestPageRank:
         relabeled = small_social.permuted(perm)
         r1 = pagerank(small_social, iterations=20)
         r2 = pagerank(relabeled, iterations=20)
-        assert np.allclose(apply_to_vertex_data(perm, r1), r2, atol=1e-12)
+        assert np.allclose(r1, r2[perm], atol=1e-12)
