@@ -2,9 +2,12 @@
 
 SlashBurn (Section IV-A of the paper) repeatedly removes hubs and finds
 the connected components of the remainder, recursing on the giant
-connected component (GCC).  This module provides a vectorized label
-propagation CC that is fast on the low-diameter power-law graphs and on
-the hub-stripped residues SlashBurn produces.
+connected component (GCC).  This module provides a vectorized
+hook-and-compress CC that is fast on the low-diameter power-law graphs
+and on the hub-stripped residues SlashBurn produces: each round hooks
+roots along edges, compresses every label to its root, and contracts
+the edge list to the edges still joining two roots, so later rounds
+scan only the edges between the trees built so far.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ def connected_components(
     *,
     active: np.ndarray | None = None,
 ) -> ComponentResult:
-    """Undirected connected components via pointer-jumping label propagation.
+    """Undirected connected components by hooking, pointer jumping and contraction.
 
     Parameters
     ----------
@@ -67,7 +70,7 @@ def connected_components(
         Optional boolean mask; inactive vertices are excluded (edges with
         an inactive endpoint are ignored, each inactive vertex receives
         label ``-1``).  This is how SlashBurn removes hubs without
-        rebuilding the edge list every iteration.
+        rebuilding the edge list for them.
     """
     sources = np.asarray(sources, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
@@ -78,21 +81,25 @@ def connected_components(
         keep = active[sources] & active[targets]
         sources, targets = sources[keep], targets[keep]
 
+    # Every label is a vertex of the same component and no larger than
+    # its own vertex, and only ever decreases; so the loop's fixed point
+    # labels each component with its smallest vertex ID.
     labels = np.arange(num_vertices, dtype=np.int64)
-    while True:
-        # Hook: every edge pulls both endpoints to the smaller label.
-        edge_min = np.minimum(labels[sources], labels[targets])
-        before = labels.copy()
-        np.minimum.at(labels, sources, edge_min)
-        np.minimum.at(labels, targets, edge_min)
+    src, dst = sources, targets
+    while src.size:
+        # Hook: src and dst are roots here; each larger root takes the
+        # smallest root it shares an edge with.
+        np.minimum.at(labels, np.maximum(src, dst), np.minimum(src, dst))
         # Compress: jump each label to its label's label until stable.
         while True:
             jumped = labels[labels]
             if np.array_equal(jumped, labels):
                 break
             labels = jumped
-        if np.array_equal(labels, before):
-            break
+        # Contract: edges between roots, minus those now inside one tree.
+        src, dst = labels[src], labels[dst]
+        joins = src != dst
+        src, dst = src[joins], dst[joins]
 
     if active is not None:
         labels[~active] = -1

@@ -12,6 +12,11 @@ The paper shows the GCC stops being power-law after a few iterations
 and proposes **SlashBurn++**: stop iterating once the GCC's maximum
 degree falls below ``sqrt(|V|)`` and lay out the remainder in one pass
 (Table VII).
+
+The edge list shrinks as vertices retire: slashed hubs and burnt spokes
+never become active again, so after each iteration the edges with an
+inactive endpoint are dropped, and the next degree count and component
+search scan only the remaining GCC's edges.
 """
 
 from __future__ import annotations
@@ -108,6 +113,9 @@ class SlashBurn(ReorderingAlgorithm):
         front = 0  # next low position for hubs
         back = n - 1  # next high position for spokes
         active = np.ones(n, dtype=bool)
+        # Degrees within the active subgraph; src/dst hold exactly the
+        # edges whose endpoints are both still active.
+        degrees = _degrees(n, src, dst)
         iterations: list[SlashBurnIteration] = []
         iteration = 0
 
@@ -115,7 +123,6 @@ class SlashBurn(ReorderingAlgorithm):
             active_count = int(active.sum())
             if active_count == 0:
                 break
-            degrees = _active_degrees(n, src, dst, active)
             if self.stop_at_sqrt_degree and iteration > 0:
                 max_degree = int(degrees[active].max(initial=0))
                 if max_degree < sqrt_threshold:
@@ -149,16 +156,21 @@ class SlashBurn(ReorderingAlgorithm):
                     active[spokes] = False
                 sp.set(hubs=int(hubs.shape[0]), spokes=int(spokes.size))
 
+                # Retire the edges of slashed and burnt vertices: no
+                # vertex becomes active again, so no later pass needs them.
+                keep = active[src] & active[dst]
+                src, dst = src[keep], dst[keep]
+                degrees = _degrees(n, src, dst)
+
             if self.record_iterations:
                 iterations.append(
-                    _snapshot(iteration, hubs, spokes, result, gcc, n, src, dst, active)
+                    _snapshot(iteration, hubs, spokes, result, gcc, degrees, active)
                 )
 
         # Remainder (the final GCC or the stopped residue).
         remainder = np.flatnonzero(active)
         if remainder.size:
             if self.remainder_order == "degree":
-                degrees = _active_degrees(n, src, dst, active)
                 tail = remainder[np.lexsort((remainder, -degrees[remainder]))]
             else:  # "original": leave the residue's layout untouched
                 tail = remainder
@@ -214,13 +226,10 @@ def slashburn_iterations(
     return result.details["iterations"]
 
 
-def _active_degrees(
-    n: int, src: np.ndarray, dst: np.ndarray, active: np.ndarray
-) -> np.ndarray:
-    """Total (undirected) degree of each vertex within the active subgraph."""
-    keep = active[src] & active[dst]
-    degrees = np.bincount(src[keep], minlength=n)
-    degrees += np.bincount(dst[keep], minlength=n)
+def _degrees(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Total (undirected) degree of each vertex over the given edges."""
+    degrees = np.bincount(src, minlength=n)
+    degrees += np.bincount(dst, minlength=n)
     return degrees.astype(np.int64)
 
 
@@ -254,14 +263,11 @@ def _snapshot(
     spokes: np.ndarray,
     result,
     gcc: int,
-    n: int,
-    src: np.ndarray,
-    dst: np.ndarray,
+    degrees: np.ndarray,
     active: np.ndarray,
 ) -> SlashBurnIteration:
-    gcc_degrees = _active_degrees(n, src, dst, active)
     members = np.flatnonzero(active)
-    member_degrees = gcc_degrees[members]
+    member_degrees = degrees[members]
     return SlashBurnIteration(
         iteration=iteration,
         num_hubs_slashed=int(hubs.shape[0]),

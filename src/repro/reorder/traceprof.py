@@ -13,6 +13,12 @@ so the new layout follows the profiled access timeline.
 
 Complexity: trace generation O(|E|), feature build O(|E|), K-means
 O(iters * k * n * W) on dense numpy — all seeded and deterministic.
+K-means dominates: each iteration is one BLAS product into a
+preallocated ``(n, k)`` dot-product buffer, the distances written into a
+second ``(n, k)`` buffer, and the centroid sums as one flat
+``np.bincount`` over ``(cluster, column)`` bins, so an iteration
+allocates nothing of size ``n * k`` and its heap stays at the two
+buffers plus O(n * W).
 Locality prediction (paper's I-V taxonomy): co-activation clustering is
 a direct attack on type-III windowed temporal locality (reuse within a
 phase) and yields type-IV/V spatial wins when co-activated vertices
@@ -158,36 +164,52 @@ def _kmeans(
     assignment ties go to the lowest cluster ID and empty clusters are
     reseeded to the point farthest from its centroid, so the result is
     a deterministic function of ``(features, k, seed, max_iters)``.
+
+    The loop holds two preallocated ``(n, k)`` float64 buffers, one for
+    the dot products and one for the distances, and computes into them
+    the same operations in the same order as the plain expression
+    ``row_sq + centroid_sq - 2.0 * (features @ centroids.T)``.  The
+    centroid sums are one flat ``np.bincount`` over ``(cluster, column)``
+    bins, which adds each bin's points in ascending index order starting
+    from 0.0 — the order ``np.add.at`` uses — so every iteration's
+    rounding, and hence the assignment, is the plain loop's.
     """
-    num_points = features.shape[0]
+    num_points, width = features.shape
     rng = np.random.default_rng(seed)
     centroids = features[rng.choice(num_points, size=k, replace=False)].copy()
     assignment = np.zeros(num_points, dtype=np.int64)
+    row_sq = (features**2).sum(axis=1, keepdims=True)
+    dots = np.empty((num_points, k), dtype=np.float64)
+    dist = np.empty((num_points, k), dtype=np.float64)
+    bins = np.empty((num_points, width), dtype=np.int64)
+    columns = np.arange(width, dtype=np.int64)
+    flat_features = features.reshape(-1)
     iters = 0
     for _ in range(max_iters):
         iters += 1
         # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2; argmin ties -> lowest ID.
-        dots = features @ centroids.T
-        sq = (features**2).sum(axis=1, keepdims=True) + (centroids**2).sum(
-            axis=1
-        )
-        new_assignment = np.argmin(sq - 2.0 * dots, axis=1).astype(np.int64)
+        np.matmul(features, centroids.T, out=dots)
+        np.add(row_sq, (centroids**2).sum(axis=1), out=dist)
+        dots *= 2.0
+        dist -= dots
+        new_assignment = np.argmin(dist, axis=1)
         if iters > 1 and np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assignment, features)
+        np.multiply(assignment[:, None], width, out=bins)
+        bins += columns
+        sums = np.bincount(
+            bins.reshape(-1), weights=flat_features, minlength=k * width
+        ).reshape(k, width)
         members = np.bincount(assignment, minlength=k).astype(np.float64)
         empty = members == 0
         if empty.any():
             # Reseed each empty cluster to the currently worst-fit point.
-            dist = (sq - 2.0 * dots)[
-                np.arange(num_points, dtype=np.int64), assignment
-            ]
+            worst = dist[np.arange(num_points, dtype=np.int64), assignment]
             for cluster in np.flatnonzero(empty).tolist():
-                farthest = int(np.argmax(dist))
+                farthest = int(np.argmax(worst))
                 sums[cluster] = features[farthest]
                 members[cluster] = 1.0
-                dist[farthest] = -np.inf
+                worst[farthest] = -np.inf
         centroids = sums / members[:, None]
     return assignment, iters

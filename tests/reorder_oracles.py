@@ -3,8 +3,11 @@
 Each function below is the straightforward formulation a faster
 production loop must match bit for bit: Rabbit-Order's merge over
 per-vertex neighbour dicts, label propagation's per-vertex mode vote by
-``np.unique`` + ``lexsort``, and GOrder's greedy pass that recomputes a
-vertex's window contribution when it leaves the window.  They are not
+``np.unique`` + ``lexsort``, GOrder's greedy pass that recomputes a
+vertex's window contribution when it leaves the window, SlashBurn's
+loop that filters the full edge list by the active mask on every pass,
+and HisOrder's K-means that builds fresh ``(n, k)`` temporaries and
+sums centroids with ``np.add.at`` every iteration.  They are not
 imported by ``src/`` and are never tuned for speed.
 """
 
@@ -15,10 +18,18 @@ from collections import deque
 
 import numpy as np
 
+from repro.graph.components import connected_components
 from repro.graph.graph import Graph
 from repro.graph.permute import sort_order_to_relabeling
+from repro.reorder.slashburn import SlashBurnIteration, _spoke_order, _top_k_active
 
-__all__ = ["gorder_oracle", "mode_labels_oracle", "rabbit_oracle"]
+__all__ = [
+    "gorder_oracle",
+    "kmeans_oracle",
+    "mode_labels_oracle",
+    "rabbit_oracle",
+    "slashburn_oracle",
+]
 
 
 # -- Rabbit-Order ------------------------------------------------------------
@@ -228,3 +239,142 @@ def gorder_oracle(
             best = int(np.flatnonzero(~placed)[0])
         current = best
     return sort_order_to_relabeling(order)
+
+
+# -- SlashBurn ---------------------------------------------------------------
+
+
+def slashburn_oracle(
+    graph: Graph,
+    k_ratio: float = 0.02,
+    *,
+    max_iterations: "int | None" = None,
+    stop_at_sqrt_degree: bool = False,
+    record_iterations: bool = False,
+    remainder_order: str = "degree",
+) -> "tuple[np.ndarray, dict]":
+    """``(relabeling, details)`` of SlashBurn, filtering every edge per pass."""
+    n = graph.num_vertices
+    src, dst = graph.edges()
+    k = max(1, int(k_ratio * n))
+    sqrt_threshold = math.sqrt(n)
+
+    order = np.full(n, -1, dtype=np.int64)
+    front = 0
+    back = n - 1
+    active = np.ones(n, dtype=bool)
+    iterations: "list[SlashBurnIteration]" = []
+    iteration = 0
+
+    while True:
+        active_count = int(active.sum())
+        if active_count == 0:
+            break
+        degrees = _active_degrees(n, src, dst, active)
+        if stop_at_sqrt_degree and iteration > 0:
+            max_degree = int(degrees[active].max(initial=0))
+            if max_degree < sqrt_threshold:
+                break
+        if active_count <= k or (
+            max_iterations is not None and iteration >= max_iterations
+        ):
+            break
+        iteration += 1
+
+        hubs = _top_k_active(degrees, active, k)
+        order[front : front + hubs.shape[0]] = hubs
+        front += hubs.shape[0]
+        active[hubs] = False
+
+        result = connected_components(n, src, dst, active=active)
+        if result.num_components == 0:
+            break
+        gcc = result.giant_component_id(by="edges")
+        spokes_mask = active & (result.labels != gcc)
+        spokes = np.flatnonzero(spokes_mask)
+        if spokes.size:
+            block = _spoke_order(spokes, result.labels, result.sizes, degrees)
+            order[back - block.shape[0] + 1 : back + 1] = block
+            back -= block.shape[0]
+            active[spokes] = False
+
+        if record_iterations:
+            gcc_degrees = _active_degrees(n, src, dst, active)
+            members = np.flatnonzero(active)
+            member_degrees = gcc_degrees[members]
+            iterations.append(
+                SlashBurnIteration(
+                    iteration=iteration,
+                    num_hubs_slashed=int(hubs.shape[0]),
+                    num_spoke_vertices=int(spokes.shape[0]),
+                    num_spoke_components=int(result.num_components - 1),
+                    gcc_vertices=int(members.shape[0]),
+                    gcc_edges=int(result.edge_counts[gcc]),
+                    gcc_max_degree=int(member_degrees.max(initial=0)),
+                    gcc_degrees=member_degrees,
+                )
+            )
+
+    remainder = np.flatnonzero(active)
+    if remainder.size:
+        if remainder_order == "degree":
+            degrees = _active_degrees(n, src, dst, active)
+            tail = remainder[np.lexsort((remainder, -degrees[remainder]))]
+        else:
+            tail = remainder
+        order[front : front + tail.shape[0]] = tail
+        front += tail.shape[0]
+
+    assert front == back + 1
+    details: dict = {"num_iterations": iteration, "k": k}
+    if record_iterations:
+        details["iterations"] = iterations
+    return sort_order_to_relabeling(order), details
+
+
+def _active_degrees(
+    n: int, src: np.ndarray, dst: np.ndarray, active: np.ndarray
+) -> np.ndarray:
+    keep = active[src] & active[dst]
+    degrees = np.bincount(src[keep], minlength=n)
+    degrees += np.bincount(dst[keep], minlength=n)
+    return degrees.astype(np.int64)
+
+
+# -- HisOrder K-means ----------------------------------------------------------
+
+
+def kmeans_oracle(
+    features: np.ndarray, k: int, *, seed: int, max_iters: int
+) -> "tuple[np.ndarray, int]":
+    """``(assignment, iterations)`` of the seeded dense K-means."""
+    num_points = features.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = features[rng.choice(num_points, size=k, replace=False)].copy()
+    assignment = np.zeros(num_points, dtype=np.int64)
+    iters = 0
+    for _ in range(max_iters):
+        iters += 1
+        dots = features @ centroids.T
+        sq = (features**2).sum(axis=1, keepdims=True) + (centroids**2).sum(
+            axis=1
+        )
+        new_assignment = np.argmin(sq - 2.0 * dots, axis=1).astype(np.int64)
+        if iters > 1 and np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assignment, features)
+        members = np.bincount(assignment, minlength=k).astype(np.float64)
+        empty = members == 0
+        if empty.any():
+            dist = (sq - 2.0 * dots)[
+                np.arange(num_points, dtype=np.int64), assignment
+            ]
+            for cluster in np.flatnonzero(empty).tolist():
+                farthest = int(np.argmax(dist))
+                sums[cluster] = features[farthest]
+                members[cluster] = 1.0
+                dist[farthest] = -np.inf
+        centroids = sums / members[:, None]
+    return assignment, iters

@@ -1,12 +1,14 @@
 """Oracle equality: packed-key graph construction matches lexsort/unique.
 
 ``Adjacency.from_edges`` (and through it ``Graph.from_edges``,
-``Graph.permuted`` and ``transpose``) and ``dedup_edges`` are compared
-against the plain formulations in :mod:`tests.graph_oracles` on random
-multigraphs with duplicate edges, self-loops, isolated vertices and
-``n`` of 0 and 1, and on the four seeded minis.  Every property asserts
-equality of the full ``offsets``/``targets`` arrays, or of the dedup
-output in order — a change that moves one neighbour fails here.
+``Graph.permuted`` and ``transpose``), ``dedup_edges`` and
+``connected_components`` are compared against the plain formulations
+in :mod:`tests.graph_oracles` on random multigraphs with duplicate
+edges, self-loops, isolated vertices and ``n`` of 0 and 1, and on the
+four seeded minis.  Every property asserts equality of the full
+``offsets``/``targets`` arrays, of the dedup output in order, or of
+every component label, size and edge count — a change that moves one
+neighbour or one vertex fails here.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from hypothesis import strategies as st
 import repro.graph.build as build
 from repro.bench.workloads import SIM_DATASETS
 from repro.generate import load_dataset
-from repro.graph import Adjacency, Graph, dedup_edges
+from repro.graph import Adjacency, Graph, connected_components, dedup_edges
 from tests.graph_oracles import (
     adjacency_oracle,
+    components_oracle,
     dedup_edges_oracle,
     graph_oracle,
     permuted_oracle,
@@ -121,6 +124,26 @@ def test_dedup_matches_oracle_on_signed_ids(data):
     assert_same_dedup(src, dst)
 
 
+def assert_same_components(num_vertices, sources, targets, active=None) -> None:
+    actual = connected_components(num_vertices, sources, targets, active=active)
+    expected = components_oracle(num_vertices, sources, targets, active=active)
+    np.testing.assert_array_equal(actual.labels, expected.labels)
+    np.testing.assert_array_equal(actual.sizes, expected.sizes)
+    np.testing.assert_array_equal(actual.edge_counts, expected.edge_counts)
+
+
+@ORACLE
+@given(edge_lists(), st.data())
+@example(_LOOPS, None)
+def test_components_match_oracle(edges, data):
+    n, src, dst = edges
+    active = None
+    if data is not None and data.draw(st.booleans()):
+        bits = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        active = np.array(bits, dtype=bool)
+    assert_same_components(n, src, dst, active)
+
+
 # -- seeded minis --------------------------------------------------------------
 
 MINI_SCALE = 0.1
@@ -162,3 +185,14 @@ def test_mini_dedup_matches_oracle(mini):
     both_src = np.concatenate([src, src[repeat]])[shuffle]
     both_dst = np.concatenate([dst, dst[repeat]])[shuffle]
     assert_same_dedup(both_src, both_dst)
+
+
+def test_mini_components_match_oracle(mini):
+    _, graph = mini
+    src, dst = graph.edges()
+    # Hubs removed, as in SlashBurn's first iteration: a GCC plus spokes.
+    hubs = np.argsort(-graph.total_degrees(), kind="stable")[: graph.num_vertices // 50]
+    active = np.ones(graph.num_vertices, dtype=bool)
+    active[hubs] = False
+    assert_same_components(graph.num_vertices, src, dst)
+    assert_same_components(graph.num_vertices, src, dst, active)

@@ -1,16 +1,19 @@
 """Oracle equality: the fast reordering loops match their plain versions.
 
-Rabbit-Order's merge, label propagation's mode vote and GOrder's greedy
-pass are each compared against the straightforward formulation in
-:mod:`tests.reorder_oracles` on random multigraphs with self-loops and
-on a few seeded social/web graphs.  Every property asserts equality of
-the full relabeling (or label vector), plus Rabbit-Order's merge
-statistics — a speed-up that changes one ID fails here.
+Rabbit-Order's merge, label propagation's mode vote, GOrder's greedy
+pass, SlashBurn's burn loop and HisOrder's K-means are each compared
+against the straightforward formulation in :mod:`tests.reorder_oracles`
+on random multigraphs with self-loops (random feature sets for the
+K-means) and on a few seeded social/web graphs.  Every property asserts
+equality of the full relabeling (or label vector), plus Rabbit-Order's
+merge statistics, SlashBurn's iteration snapshots and K-means' iteration
+count — a speed-up that changes one ID fails here.
 """
 
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,9 +22,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.graph.communities as communities
+import repro.reorder.traceprof as traceprof
 from repro.graph import Graph, label_propagation_communities
-from repro.reorder import get_algorithm
-from tests.reorder_oracles import gorder_oracle, mode_labels_oracle, rabbit_oracle
+from repro.reorder import SlashBurn, get_algorithm, slashburn_iterations
+from tests.reorder_oracles import (
+    gorder_oracle,
+    kmeans_oracle,
+    mode_labels_oracle,
+    rabbit_oracle,
+    slashburn_oracle,
+)
 
 ORACLE = settings(
     max_examples=200,
@@ -160,3 +170,156 @@ def test_gorder_matches_oracle_on_social(small_social, adaptive):
     np.testing.assert_array_equal(
         result.relabeling, gorder_oracle(small_social, adaptive=adaptive)
     )
+
+
+# -- SlashBurn ---------------------------------------------------------------
+
+
+def _assert_same_snapshots(fast, slow):
+    assert len(fast) == len(slow)
+    for got, want in zip(fast, slow):
+        for field in (
+            "iteration",
+            "num_hubs_slashed",
+            "num_spoke_vertices",
+            "num_spoke_components",
+            "gcc_vertices",
+            "gcc_edges",
+            "gcc_max_degree",
+        ):
+            assert getattr(got, field) == getattr(want, field), field
+        np.testing.assert_array_equal(got.gcc_degrees, want.gcc_degrees)
+        assert got.gcc_degrees.dtype == want.gcc_degrees.dtype
+
+
+@ORACLE
+@given(
+    multigraphs(),
+    st.floats(0.01, 0.5),
+    st.none() | st.integers(1, 6),
+    st.booleans(),
+    st.sampled_from(["degree", "original"]),
+)
+def test_slashburn_matches_oracle(graph, k_ratio, max_iterations, sqrt_stop, remainder):
+    params = dict(
+        max_iterations=max_iterations,
+        stop_at_sqrt_degree=sqrt_stop,
+        record_iterations=True,
+        remainder_order=remainder,
+    )
+    result = SlashBurn(k_ratio, **params)(graph)
+    expected, expected_details = slashburn_oracle(graph, k_ratio, **params)
+    np.testing.assert_array_equal(result.relabeling, expected)
+    assert result.details["num_iterations"] == expected_details["num_iterations"]
+    assert result.details["k"] == expected_details["k"]
+    _assert_same_snapshots(result.details["iterations"], expected_details["iterations"])
+
+
+@pytest.mark.parametrize("name", ["slashburn", "slashburn++"])
+def test_slashburn_matches_oracle_on_social(small_social, name):
+    result = get_algorithm(name)(small_social)
+    plus = name == "slashburn++"
+    expected, details = slashburn_oracle(
+        small_social,
+        stop_at_sqrt_degree=plus,
+        remainder_order="original" if plus else "degree",
+    )
+    np.testing.assert_array_equal(result.relabeling, expected)
+    assert result.details["num_iterations"] == details["num_iterations"]
+
+
+def test_slashburn_iterations_match_oracle(small_web):
+    _, details = slashburn_oracle(
+        small_web, max_iterations=16, record_iterations=True
+    )
+    _assert_same_snapshots(
+        slashburn_iterations(small_web, max_iterations=16), details["iterations"]
+    )
+
+
+# -- HisOrder K-means ----------------------------------------------------------
+
+
+@st.composite
+def feature_sets(draw) -> "tuple[np.ndarray, int]":
+    """Non-negative feature rows with frequent duplicates, plus a k.
+
+    Rows are drawn from a small pool of distinct rows half of the time,
+    so tied distances and clusters emptied by duplicate centroids (the
+    reseed path) are common; k covers 1, n and everything between.
+    """
+    n = draw(st.integers(1, 48))
+    width = draw(st.integers(1, 8))
+    pool = draw(st.integers(1, n))
+    value = st.integers(0, 4)
+    rows = [
+        draw(st.lists(value, min_size=width, max_size=width)) for _ in range(pool)
+    ]
+    pick = st.integers(0, pool - 1)
+    own = st.lists(value, min_size=width, max_size=width)
+    chosen = [
+        rows[draw(pick)] if draw(st.booleans()) else draw(own) for _ in range(n)
+    ]
+    features = np.array(chosen, dtype=np.float64).reshape(n, width)
+    if draw(st.booleans()):
+        # Production rows are L2-normalized histograms.
+        norms = np.sqrt((features**2).sum(axis=1, keepdims=True))
+        features = features / np.where(norms > 0, norms, 1.0)
+    k = draw(st.sampled_from([1, n]) | st.integers(1, n))
+    return features, k
+
+
+@ORACLE
+@given(feature_sets(), st.integers(0, 2**16), st.integers(1, 30))
+def test_kmeans_matches_oracle(data, seed, max_iters):
+    features, k = data
+    assignment, iters = traceprof._kmeans(features, k, seed=seed, max_iters=max_iters)
+    expected, expected_iters = kmeans_oracle(features, k, seed=seed, max_iters=max_iters)
+    np.testing.assert_array_equal(assignment, expected)
+    assert assignment.dtype == expected.dtype
+    assert iters == expected_iters
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_kmeans_matches_oracle_on_duplicate_rows(k):
+    # Six copies of two rows: every k > 2 starts with duplicate
+    # centroids, so clusters empty out and are reseeded.
+    features = np.repeat(np.eye(2, dtype=np.float64), 3, axis=0)
+    for seed in range(8):
+        got = traceprof._kmeans(features, k, seed=seed, max_iters=10)
+        want = kmeans_oracle(features, k, seed=seed, max_iters=10)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("fixture", ["small_social", "small_web"])
+def test_hisorder_matches_oracle(request, fixture):
+    graph = request.getfixturevalue(fixture)
+    result = get_algorithm("hisorder")(graph)
+    with mock.patch.object(traceprof, "_kmeans", kmeans_oracle):
+        expected = get_algorithm("hisorder")(graph)
+    np.testing.assert_array_equal(result.relabeling, expected.relabeling)
+    assert result.details["kmeans_iters"] == expected.details["kmeans_iters"]
+
+
+def _kmeans_peak(features: np.ndarray, k: int, max_iters: int) -> int:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        traceprof._kmeans(features, k, seed=3, max_iters=max_iters)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_kmeans_memory_does_not_grow_with_iterations():
+    # Uniform noise converges slowly, so every max_iters below is used up.
+    n, width, k = 4000, 32, 64
+    features = np.random.default_rng(5).random((n, width))
+    buffers = 2 * n * k * 8  # the distance and dot-product buffers
+    per_point = 2 * n * width * 8  # bin ids, argmin output, row norms, ...
+    bound = buffers + per_point + (1 << 16)
+    short, long = (_kmeans_peak(features, k, iters) for iters in (2, 25))
+    assert short < bound and long < bound, (short, long, bound)
+    assert long - short < (1 << 16), (short, long)
