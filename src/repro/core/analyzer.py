@@ -58,16 +58,14 @@ class LocalityAnalyzer:
     ----------
     graph:
         The graph to analyze (already relabeled, if studying an RA).
-    config:
-        Optional simulation configuration; when omitted a scaled one is
-        derived from the graph the first time a simulation-backed metric
-        is requested.  Scans and locality-type classification are always
-        enabled so ECS and :meth:`locality_types` are available.
+
+    The simulation-backed metrics share one traversal, run on first use
+    under :meth:`SimulationConfig.scaled_for` with ECS scans and
+    locality-type classification enabled.
     """
 
-    def __init__(self, graph: Graph, config: SimulationConfig | None = None):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self._config = config
         self._result: SimulationResult | None = None
 
     # -- structural metrics (no simulation needed) -------------------------
@@ -109,11 +107,7 @@ class LocalityAnalyzer:
     def simulation(self) -> SimulationResult:
         """The cached traversal simulation (run on first use)."""
         if self._result is None:
-            config = self._config
-            if config is None:
-                config = SimulationConfig.scaled_for(self.graph)
-            if config.scan_interval == 0:
-                config = with_ecs_scans(self.graph, config)
+            config = with_ecs_scans(self.graph, SimulationConfig.scaled_for(self.graph))
             self._result = simulate_spmv(self.graph, config, classify_locality=True)
         return self._result
 

@@ -25,7 +25,7 @@ from repro.sim.simulator import SimulationConfig, SimulationResult
 
 __all__ = ["ECSMeasurement", "ecs_from_result", "with_ecs_scans"]
 
-_DEFAULT_NUM_SCANS = 64
+NUM_ECS_SCANS = 64  # resident-set scans per traversal (Table V)
 
 
 @dataclass(frozen=True)
@@ -58,18 +58,18 @@ def ecs_from_result(result: SimulationResult) -> ECSMeasurement:
 
 
 def with_ecs_scans(
-    graph: "Graph | AddressSpace",
-    config: SimulationConfig,
-    num_scans: int = _DEFAULT_NUM_SCANS,
+    graph: "Graph | AddressSpace", config: SimulationConfig
 ) -> SimulationConfig:
-    """``config`` with about ``num_scans`` resident-set scans per traversal.
+    """``config`` with about ``NUM_ECS_SCANS`` resident-set scans per
+    traversal.
 
     A traversal issues about ``E + V // 4`` accesses (m random reads
     plus the sequential lines), so the scans are spaced that many
-    accesses over ``num_scans`` apart.  Only the vertex and edge counts
-    are read, so the address space of a stored run rebuilds its config.
+    accesses over ``NUM_ECS_SCANS`` apart.  Only the vertex and edge
+    counts are read, so the address space of a stored run rebuilds its
+    config.
     """
     approx_len = graph.num_edges + graph.num_vertices // 4
     return dataclasses.replace(
-        config, scan_interval=max(1, approx_len // max(1, num_scans))
+        config, scan_interval=max(1, approx_len // NUM_ECS_SCANS)
     )

@@ -48,10 +48,6 @@ class CommunityResult:
     def num_communities(self) -> int:
         return int(self.sizes.shape[0])
 
-    def members_of(self, community: int) -> np.ndarray:
-        """Vertex IDs belonging to ``community``, in increasing ID order."""
-        return np.flatnonzero(self.labels == community)
-
 
 def _mode_labels(
     vertices: np.ndarray, labels: np.ndarray, num_vertices: int

@@ -34,7 +34,6 @@ from repro.obs.core import (
     refresh_from_env,
     reset,
     span,
-    traced,
 )
 from repro.obs.export import (
     chrome_trace_events,
@@ -50,7 +49,6 @@ __all__ = [
     "EPOCH_ANCHOR",
     "SpanRecord",
     "span",
-    "traced",
     "enabled",
     "enable",
     "disable",

@@ -27,7 +27,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, TypeVar
+from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = [
     "TRACE_ENV",
@@ -39,7 +39,6 @@ __all__ = [
     "refresh_from_env",
     "recording",
     "span",
-    "traced",
     "completed_spans",
     "debug_counters",
     "peak_rss_bytes",
@@ -54,8 +53,6 @@ _FALSY = ("", "0", "false", "off", "no")
 #: ``time.time() - time.perf_counter()`` at import: add to a span's
 #: monotonic timestamps to recover approximate wall-clock seconds.
 EPOCH_ANCHOR = time.time() - time.perf_counter()
-
-F = TypeVar("F", bound=Callable[..., Any])
 
 
 def _env_enabled() -> bool:
@@ -290,36 +287,6 @@ def span(name: str, **attrs: Any) -> "_LiveSpan | _NullSpan":
     if not _STATE.enabled:
         return _NULL_SPAN
     return _LiveSpan(name, attrs)
-
-
-def traced(name: "str | F | None" = None) -> "Callable[[F], F] | F":
-    """Decorator tracing every call of the function as one span.
-
-    Use bare (``@traced``, span named ``module.qualname``) or with an
-    explicit span name (``@traced("sim.spmv")``).  The disabled path
-    adds one boolean check per call.
-    """
-
-    def decorate_with(span_name: "str | None") -> Callable[[F], F]:
-        def decorate(fn: F) -> F:
-            import functools
-
-            label = span_name or f"{fn.__module__}.{fn.__qualname__}"
-
-            @functools.wraps(fn)
-            def wrapper(*args: Any, **kwargs: Any) -> Any:
-                if not _STATE.enabled:
-                    return fn(*args, **kwargs)
-                with _LiveSpan(label, {}):
-                    return fn(*args, **kwargs)
-
-            return wrapper  # type: ignore[return-value]
-
-        return decorate
-
-    if callable(name):  # bare @traced
-        return decorate_with(None)(name)
-    return decorate_with(name)
 
 
 def peak_rss_bytes() -> Optional[int]:

@@ -34,7 +34,6 @@ from repro.sim.stats import (
     VertexAccessStats,
     attribute_random_accesses,
 )
-from repro.sim.timing import TimingModel
 from repro.sim.tlb import TLBConfig, lines_to_pages, simulate_tlb
 from repro.sim.trace import (
     MemoryTrace,
@@ -68,7 +67,6 @@ __all__ = [
     "LocalityTypeCounts",
     "VertexAccessStats",
     "attribute_random_accesses",
-    "TimingModel",
     "TLBConfig",
     "lines_to_pages",
     "simulate_tlb",

@@ -28,6 +28,12 @@ from repro.errors import SimulationError
 
 __all__ = ["Region", "AddressSpace"]
 
+# The paper's element sizes (Section III-B).  The cache, TLB and iHTL
+# sizing read VERTEX_DATA_BYTES from here.
+OFFSET_BYTES = 8
+EDGE_ID_BYTES = 4
+VERTEX_DATA_BYTES = 8
+
 
 class Region:
     """Region codes; values index the counters produced by region_counts."""
@@ -47,18 +53,12 @@ def _align_up(value: int, alignment: int) -> int:
 
 @dataclass(frozen=True)
 class AddressSpace:
-    """Byte layout for a graph of ``num_vertices`` / ``num_edges``.
-
-    The paper's element sizes are kept: 8-byte offsets, 4-byte edge IDs,
-    8-byte vertex data (Section III-B).
-    """
+    """Byte layout for a graph of ``num_vertices`` / ``num_edges``, with
+    the module's element sizes."""
 
     num_vertices: int
     num_edges: int
     line_size: int = 64
-    offsets_elem: int = 8
-    edges_elem: int = 4
-    data_elem: int = 8
 
     def __post_init__(self) -> None:
         if self.line_size <= 0 or self.line_size & (self.line_size - 1):
@@ -74,48 +74,49 @@ class AddressSpace:
 
     @property
     def edges_base(self) -> int:
-        size = (self.num_vertices + 1) * self.offsets_elem
+        size = (self.num_vertices + 1) * OFFSET_BYTES
         return _align_up(self.offsets_base + size, self.line_size)
 
     @property
     def data_base(self) -> int:
-        size = self.num_edges * self.edges_elem
+        size = self.num_edges * EDGE_ID_BYTES
         return _align_up(self.edges_base + size, self.line_size)
 
     @property
     def out_base(self) -> int:
-        size = self.num_vertices * self.data_elem
+        size = self.num_vertices * VERTEX_DATA_BYTES
         return _align_up(self.data_base + size, self.line_size)
 
     @property
     def end(self) -> int:
-        return _align_up(self.out_base + self.num_vertices * self.data_elem, self.line_size)
+        size = self.num_vertices * VERTEX_DATA_BYTES
+        return _align_up(self.out_base + size, self.line_size)
 
     # -- line helpers ------------------------------------------------------
 
     def data_lines(self, vertices: np.ndarray) -> np.ndarray:
         """Cache-line ID of ``Di[v]`` for each vertex (vectorized)."""
         vertices = np.asarray(vertices, dtype=np.int64)
-        return (self.data_base + vertices * self.data_elem) // self.line_size
+        return (self.data_base + vertices * VERTEX_DATA_BYTES) // self.line_size
 
     def out_lines(self, vertices: np.ndarray) -> np.ndarray:
         """Cache-line ID of ``Di+1[v]`` for each vertex."""
         vertices = np.asarray(vertices, dtype=np.int64)
-        return (self.out_base + vertices * self.data_elem) // self.line_size
+        return (self.out_base + vertices * VERTEX_DATA_BYTES) // self.line_size
 
     def offsets_lines(self, vertices: np.ndarray) -> np.ndarray:
         """Cache-line ID of ``offsets[v]``."""
         vertices = np.asarray(vertices, dtype=np.int64)
-        return (self.offsets_base + vertices * self.offsets_elem) // self.line_size
+        return (self.offsets_base + vertices * OFFSET_BYTES) // self.line_size
 
     def edges_lines(self, edge_indices: np.ndarray) -> np.ndarray:
         """Cache-line ID of ``edges[i]``."""
         edge_indices = np.asarray(edge_indices, dtype=np.int64)
-        return (self.edges_base + edge_indices * self.edges_elem) // self.line_size
+        return (self.edges_base + edge_indices * EDGE_ID_BYTES) // self.line_size
 
     def vertices_per_data_line(self) -> int:
         """How many vertex-data elements share one cache line."""
-        return max(1, self.line_size // self.data_elem)
+        return max(1, self.line_size // VERTEX_DATA_BYTES)
 
     def region_of_lines(self, lines: np.ndarray) -> np.ndarray:
         """Region code of each cache-line ID (vectorized)."""

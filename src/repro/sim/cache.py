@@ -29,6 +29,7 @@ from repro.errors import SimulationError
 from repro.obs import enabled as _obs_enabled
 from repro.obs import metrics as _obs_metrics
 from repro.sim import _draws
+from repro.sim.address_space import VERTEX_DATA_BYTES
 
 __all__ = [
     "CacheConfig",
@@ -42,6 +43,8 @@ _RRPV_MAX = 3  # 2-bit re-reference prediction values
 _DUEL_PERIOD = 32  # one SRRIP leader and one BRRIP leader per 32 sets
 _PSEL_MAX = 1023
 _PSEL_INIT = 512
+LINE_SIZE = 64  # bytes per line of the paper's L3
+SCALED_WAYS = 8  # associativity of the scaled L3 (DESIGN.md §2)
 
 # After the constants above: the kernels import them from this module.
 from repro.sim import _kernels  # noqa: E402
@@ -58,7 +61,7 @@ class CacheConfig:
 
     num_sets: int
     ways: int
-    line_size: int = 64
+    line_size: int = LINE_SIZE
     policy: str = "drrip"
     seed: int = 0
 
@@ -82,16 +85,10 @@ class CacheConfig:
 
     @classmethod
     def scaled_for(
-        cls,
-        num_vertices: int,
-        *,
-        pressure: float = 0.08,
-        ways: int = 8,
-        line_size: int = 64,
-        data_elem: int = 8,
-        policy: str = "drrip",
+        cls, num_vertices: int, *, pressure: float = 0.08, policy: str = "drrip"
     ) -> "CacheConfig":
-        """Cache sized to hold ``pressure`` of the vertex-data lines.
+        """``SCALED_WAYS``-way cache sized to hold ``pressure`` of the
+        vertex-data lines.
 
         The paper's 22 MB L3 holds a few percent of the vertex-data
         working set of its billion-edge graphs; this constructor keeps
@@ -99,10 +96,12 @@ class CacheConfig:
         """
         if not 0 < pressure:
             raise SimulationError(f"pressure must be positive, got {pressure}")
-        data_lines = max(1, num_vertices * data_elem // line_size)
-        target_lines = max(ways, int(data_lines * pressure))
-        num_sets = max(1, 1 << max(0, int(np.ceil(np.log2(target_lines / ways)))))
-        return cls(num_sets=num_sets, ways=ways, line_size=line_size, policy=policy)
+        data_lines = max(1, num_vertices * VERTEX_DATA_BYTES // LINE_SIZE)
+        target_lines = max(SCALED_WAYS, int(data_lines * pressure))
+        num_sets = max(
+            1, 1 << max(0, int(np.ceil(np.log2(target_lines / SCALED_WAYS))))
+        )
+        return cls(num_sets=num_sets, ways=SCALED_WAYS, policy=policy)
 
 
 @dataclass

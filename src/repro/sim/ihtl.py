@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.graph.graph import Graph
 
-from repro.sim.address_space import AddressSpace, Region
+from repro.sim.address_space import VERTEX_DATA_BYTES, AddressSpace, Region
 from repro.sim.cache import CacheConfig, SetAssociativeCache
 from repro.sim.trace import MemoryTrace, concatenate_traces, spmv_trace
 
@@ -33,6 +33,10 @@ __all__ = [
     "ihtl_trace",
     "simulate_ihtl",
 ]
+
+# Share of the cache the hub accumulators may fill; the rest is left to
+# the streamed topology.
+HUB_CACHE_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -56,16 +60,14 @@ class IHTLSplit:
         return self.sparse.num_edges
 
 
-def hubs_for_cache(graph: Graph, cache: CacheConfig, *, data_elem: int = 8,
-                   fraction: float = 0.5) -> int:
-    """Number of in-hubs whose data fits in ``fraction`` of the cache.
+def hubs_for_cache(graph: Graph, cache: CacheConfig) -> int:
+    """Number of in-hubs whose data fits in ``HUB_CACHE_FRACTION`` of the
+    cache.
 
     iHTL's cache-aware selection: keep the flipped blocks' accumulators
     resident while leaving room for the streamed topology.
     """
-    if not 0 < fraction <= 1:
-        raise SimulationError(f"fraction must be in (0, 1], got {fraction}")
-    budget = int(cache.capacity_bytes * fraction / data_elem)
+    budget = int(cache.capacity_bytes * HUB_CACHE_FRACTION / VERTEX_DATA_BYTES)
     return max(1, min(budget, graph.num_vertices))
 
 
@@ -94,11 +96,7 @@ def split_by_in_hubs(graph: Graph, num_hubs: int) -> IHTLSplit:
 
 
 def ihtl_trace(
-    graph: Graph,
-    num_hubs: int,
-    space: AddressSpace | None = None,
-    *,
-    promote_sequential: bool = True,
+    graph: Graph, num_hubs: int, space: AddressSpace | None = None
 ) -> tuple[MemoryTrace, IHTLSplit]:
     """Access trace of the iHTL hybrid traversal.
 
@@ -108,14 +106,8 @@ def ihtl_trace(
     if space is None:
         space = AddressSpace(graph.num_vertices, graph.num_edges)
     split = split_by_in_hubs(graph, num_hubs)
-    flipped_trace = spmv_trace(
-        split.flipped, space, direction="push",
-        promote_sequential=promote_sequential,
-    )
-    sparse_trace = spmv_trace(
-        split.sparse, space, direction="pull",
-        promote_sequential=promote_sequential,
-    )
+    flipped_trace = spmv_trace(split.flipped, space, direction="push")
+    sparse_trace = spmv_trace(split.sparse, space, direction="pull")
     return concatenate_traces([flipped_trace, sparse_trace]), split
 
 

@@ -24,6 +24,10 @@ from repro.sim.trace import MemoryTrace
 
 __all__ = ["edge_balanced_partitions", "interleave_stream"]
 
+# Accesses each thread contributes per turn of the Section V-B
+# round-robin interleave.
+ROUND_ROBIN_INTERVAL = 64
+
 
 def edge_balanced_partitions(graph: Graph, num_parts: int, *, direction: str = "pull") -> np.ndarray:
     """Contiguous vertex ranges with roughly equal edge counts.

@@ -24,6 +24,10 @@ __all__ = [
     "cost_balanced_chunks",
 ]
 
+# Work units per thread, matching the fine-grained edge-balanced
+# partitioning of the paper's runtime (Section III-B).
+WORK_UNITS_PER_THREAD = 64
+
 
 @dataclass(frozen=True)
 class ScheduleResult:
@@ -48,25 +52,20 @@ class ScheduleResult:
 
 
 def cost_balanced_chunks(
-    per_vertex_cost: np.ndarray,
-    boundaries: np.ndarray,
-    *,
-    chunks_per_thread: int = 64,
+    per_vertex_cost: np.ndarray, boundaries: np.ndarray
 ) -> list[np.ndarray]:
     """Cut partitions into chunks of roughly equal *cost*.
 
     Fixed vertex-count chunks make a hub-dense partition collapse into a
     couple of enormous work units; real runtimes split work by edges.
     Each chunk greedily accumulates consecutive vertices until it reaches
-    ``total_cost / (num_threads * chunks_per_thread)`` — a single vertex
+    ``total_cost / (num_threads * WORK_UNITS_PER_THREAD)`` — a single vertex
     may still exceed the cap (vertices are atomic work).
     """
-    if chunks_per_thread <= 0:
-        raise SimulationError("chunks_per_thread must be positive")
     per_vertex_cost = np.asarray(per_vertex_cost, dtype=np.float64)
     num_threads = boundaries.shape[0] - 1
     total = per_vertex_cost.sum()
-    cap = max(total / max(1, num_threads * chunks_per_thread), 1e-12)
+    cap = max(total / max(1, num_threads * WORK_UNITS_PER_THREAD), 1e-12)
     costs: list[np.ndarray] = []
     for p in range(num_threads):
         lo, hi = int(boundaries[p]), int(boundaries[p + 1])

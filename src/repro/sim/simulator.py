@@ -15,7 +15,7 @@ misses, and optionally the locality-type counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -28,7 +28,11 @@ from repro.obs import span
 
 from repro.sim.address_space import AddressSpace, Region
 from repro.sim.cache import CacheConfig, CacheSnapshot, Replay
-from repro.sim.parallel import edge_balanced_partitions, interleave_stream
+from repro.sim.parallel import (
+    ROUND_ROBIN_INTERVAL,
+    edge_balanced_partitions,
+    interleave_stream,
+)
 from repro.sim.scheduler import (
     ScheduleResult,
     cost_balanced_chunks,
@@ -40,7 +44,7 @@ from repro.sim.stats import (
     VertexAccessStats,
     vertex_counts,
 )
-from repro.sim.timing import TimingModel
+from repro.sim.timing import CYCLES_PER_EDGE, CYCLES_PER_L3_MISS, traversal_time_ms
 from repro.sim.tlb import TLBConfig, lines_to_pages, tlb_cache
 from repro.sim.trace import MemoryTrace, spmv_trace_chunks
 
@@ -54,22 +58,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Everything that parameterizes one SpMV simulation."""
+    """Everything that parameterizes one SpMV simulation.
+
+    Each field has a second caller or an oracle that sets it; the rest
+    of the model is module constants (DESIGN.md §6).
+    """
 
     cache: CacheConfig
     tlb: TLBConfig | None = None
     num_threads: int = 8
-    interleave_interval: int = 64
     scan_interval: int = 0
     direction: str = "pull"
-    promote_sequential: bool = True
-    timing: TimingModel = field(default_factory=TimingModel)
 
     def __post_init__(self) -> None:
         if self.num_threads <= 0:
             raise SimulationError("num_threads must be positive")
-        if self.interleave_interval <= 0:
-            raise SimulationError("interleave_interval must be positive")
         if self.scan_interval < 0:
             raise SimulationError("scan_interval must be >= 0 (0 takes no scans)")
         if self.direction not in ("pull", "push"):
@@ -83,25 +86,19 @@ class SimulationConfig:
         graph: "Graph | AddressSpace",
         *,
         pressure: float = 0.08,
-        num_threads: int = 8,
         scan_interval: int = 0,
         direction: str = "pull",
-        with_tlb: bool = True,
         policy: str = "drrip",
     ) -> "SimulationConfig":
         """Config whose cache/TLB are scaled to the graph's vertex count
         (DESIGN.md §2), which a stored run's address space also gives."""
-        cache = CacheConfig.scaled_for(
-            graph.num_vertices, pressure=pressure, policy=policy
-        )
-        tlb = TLBConfig.scaled_for(graph.num_vertices) if with_tlb else None
         return cls(
-            cache=cache,
-            tlb=tlb,
-            num_threads=num_threads,
+            cache=CacheConfig.scaled_for(
+                graph.num_vertices, pressure=pressure, policy=policy
+            ),
+            tlb=TLBConfig.scaled_for(graph.num_vertices),
             scan_interval=scan_interval,
             direction=direction,
-            timing=TimingModel(num_threads=num_threads),
         )
 
 
@@ -210,32 +207,27 @@ class SimulationResult:
 
     def per_vertex_cost(self) -> np.ndarray:
         """Simulated cycles each vertex's processing consumes."""
-        timing = self.config.timing
         degrees = self.in_degrees if self.config.direction == "pull" else self.out_degrees
         return (
-            degrees.astype(np.float64) * timing.cycles_per_edge
-            + self.proc_stats.misses.astype(np.float64) * timing.cycles_per_l3_miss
+            degrees.astype(np.float64) * CYCLES_PER_EDGE
+            + self.proc_stats.misses.astype(np.float64) * CYCLES_PER_L3_MISS
         )
 
-    def schedule(self, *, chunks_per_thread: int = 64) -> ScheduleResult:
-        """Work-stealing schedule of this traversal (idle % of Table IV).
-
-        Work units are cost-balanced chunks (~64 per thread), matching
-        the fine-grained edge-balanced partitioning of the paper's
-        runtime.
-        """
-        costs = cost_balanced_chunks(
-            self.per_vertex_cost(),
-            self.partition_boundaries,
-            chunks_per_thread=chunks_per_thread,
+    def schedule(self) -> ScheduleResult:
+        """Work-stealing schedule of this traversal (idle % of Table IV)
+        over cost-balanced chunks (:func:`cost_balanced_chunks`)."""
+        return simulate_work_stealing(
+            cost_balanced_chunks(self.per_vertex_cost(), self.partition_boundaries)
         )
-        return simulate_work_stealing(costs)
 
-    def traversal_time_ms(self, *, chunks_per_thread: int = 64) -> float:
+    def traversal_time_ms(self) -> float:
         """Simulated traversal time (Table IV "Time" substitute)."""
-        idle = self.schedule(chunks_per_thread=chunks_per_thread).idle_percent
-        return self.config.timing.traversal_time_ms(
-            self.num_edges, self.l3_misses, self.tlb_misses, idle
+        return traversal_time_ms(
+            self.num_edges,
+            self.l3_misses,
+            self.tlb_misses,
+            self.schedule().idle_percent,
+            self.config.num_threads,
         )
 
 
@@ -277,17 +269,12 @@ def _attribute(
 
 def simulate_spmv(
     graph: Graph,
-    config: SimulationConfig | None = None,
+    config: SimulationConfig,
     *,
     chunk_accesses: int = 1 << 20,
     classify_locality: bool = False,
-    **scaled_kwargs: Any,
 ) -> SimulationResult:
-    """Simulate one parallel SpMV traversal of ``graph``.
-
-    When ``config`` is omitted a scaled configuration is derived from the
-    graph via :meth:`SimulationConfig.scaled_for`, forwarding any keyword
-    arguments.
+    """Simulate one parallel SpMV traversal of ``graph`` under ``config``.
 
     The pipeline is trace chunks (:func:`spmv_trace_chunks`, one stream
     per thread partition) -> round-robin interleave
@@ -302,11 +289,6 @@ def simulate_spmv(
     (:class:`~repro.sim.stats.LocalityTypeClassifier`), at the cost of
     one sort of each chunk's random accesses.
     """
-    if config is None:
-        config = SimulationConfig.scaled_for(graph, **scaled_kwargs)
-    elif scaled_kwargs:
-        raise SimulationError("pass either a config or scaling kwargs, not both")
-
     num_vertices = graph.num_vertices
     random_region = (
         Region.VERTEX_DATA if config.direction == "pull" else Region.VERTEX_OUT
@@ -333,14 +315,13 @@ def simulate_spmv(
                     space,
                     direction=config.direction,
                     vertex_range=(int(boundaries[t]), int(boundaries[t + 1])),
-                    promote_sequential=config.promote_sequential,
                     max_accesses=max(1, chunk_accesses // config.num_threads),
                 ),
             )
             for t in range(config.num_threads)
         ]
         stream = interleave_stream(
-            sources, config.interleave_interval, batch_accesses=chunk_accesses
+            sources, ROUND_ROBIN_INTERVAL, batch_accesses=chunk_accesses
         )
 
         # Rows: regions; columns: misses, hits.
@@ -398,7 +379,7 @@ def simulate_spmv(
 
 def simulate_spmv_streamed(
     graph: Graph,
-    config: SimulationConfig | None = None,
+    config: SimulationConfig,
     *,
     num_shards: int = 1,
     shard_mode: str = "serial",

@@ -6,54 +6,43 @@ produces.  The model is deliberately simple — a traversal is memory
 bound, so time is dominated by edges streamed plus penalties for L3 and
 DTLB misses, inflated by scheduler idle time — and is used only for the
 *relative* comparisons the paper's tables make.
+
+The latencies are loosely calibrated to the paper's Xeon 6130.
+``CYCLES_PER_EDGE`` covers the streamed topology work and the L1/L2 hits
+of random accesses; ``CYCLES_PER_L3_MISS`` is the extra memory latency
+of an access that leaves the cache hierarchy (amortized over the
+memory-level parallelism of the traversal).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import SimulationError
 
-__all__ = ["TimingModel"]
+__all__ = ["traversal_time_ms"]
+
+CYCLES_PER_EDGE = 1.5
+CYCLES_PER_L3_MISS = 40.0
+CYCLES_PER_TLB_MISS = 30.0
+CLOCK_GHZ = 2.1
 
 
-@dataclass(frozen=True)
-class TimingModel:
-    """Latency parameters, loosely calibrated to the paper's Xeon 6130.
-
-    ``cycles_per_edge`` covers the streamed topology work and the L1/L2
-    hits of random accesses; ``cycles_per_l3_miss`` is the extra memory
-    latency of an access that leaves the cache hierarchy (amortized over
-    the memory-level parallelism of the traversal).
-    """
-
-    cycles_per_edge: float = 1.5
-    cycles_per_l3_miss: float = 40.0
-    cycles_per_tlb_miss: float = 30.0
-    clock_ghz: float = 2.1
-    num_threads: int = 8
-
-    def __post_init__(self) -> None:
-        if self.clock_ghz <= 0 or self.num_threads <= 0:
-            raise SimulationError("clock and thread count must be positive")
-
-    def traversal_time_ms(
-        self,
-        num_edges: int,
-        l3_misses: int,
-        tlb_misses: int = 0,
-        idle_percent: float = 0.0,
-    ) -> float:
-        """Simulated SpMV traversal time in milliseconds."""
-        if min(num_edges, l3_misses, tlb_misses) < 0:
-            raise SimulationError("negative event counts")
-        if not 0.0 <= idle_percent < 100.0:
-            raise SimulationError(f"idle_percent must be in [0, 100), got {idle_percent}")
-        cycles = (
-            num_edges * self.cycles_per_edge
-            + l3_misses * self.cycles_per_l3_miss
-            + tlb_misses * self.cycles_per_tlb_miss
-        )
-        parallel_cycles = cycles / self.num_threads
-        effective = parallel_cycles / (1.0 - idle_percent / 100.0)
-        return effective / (self.clock_ghz * 1e9) * 1e3
+def traversal_time_ms(
+    num_edges: int,
+    l3_misses: int,
+    tlb_misses: int,
+    idle_percent: float,
+    num_threads: int,
+) -> float:
+    """Simulated SpMV traversal time in milliseconds on ``num_threads``."""
+    if min(num_edges, l3_misses, tlb_misses) < 0:
+        raise SimulationError("negative event counts")
+    if not 0.0 <= idle_percent < 100.0:
+        raise SimulationError(f"idle_percent must be in [0, 100), got {idle_percent}")
+    cycles = (
+        num_edges * CYCLES_PER_EDGE
+        + l3_misses * CYCLES_PER_L3_MISS
+        + tlb_misses * CYCLES_PER_TLB_MISS
+    )
+    parallel_cycles = cycles / num_threads
+    effective = parallel_cycles / (1.0 - idle_percent / 100.0)
+    return effective / (CLOCK_GHZ * 1e9) * 1e3

@@ -13,9 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.sim.address_space import VERTEX_DATA_BYTES
 from repro.sim.cache import CacheConfig, SetAssociativeCache, SimulatedAccesses
 
 __all__ = ["TLBConfig", "simulate_tlb", "lines_to_pages", "tlb_cache"]
+
+TLB_COVERAGE = 2.0  # scaled TLB reach over the vertex data array
 
 
 @dataclass(frozen=True)
@@ -44,24 +47,21 @@ class TLBConfig:
         return self.entries // self.ways
 
     @classmethod
-    def scaled_for(
-        cls, num_vertices: int, *, coverage: float = 2.0, entries: int = 64, ways: int = 4, data_elem: int = 8
-    ) -> "TLBConfig":
-        """TLB whose reach covers ``coverage`` times the vertex data array.
+    def scaled_for(cls, num_vertices: int) -> "TLBConfig":
+        """Default-geometry TLB whose reach covers ``TLB_COVERAGE`` times
+        the vertex data array.
 
         Mirrors :meth:`repro.sim.cache.CacheConfig.scaled_for`.  The paper
         notes that "the total size of huge memory pages that are cached by
         TLB is much greater than the aggregate CPU cache capacity"
-        (Section VI-E), hence the default reach of twice the data array —
-        DTLB misses stay orders of magnitude rarer than L3 misses, as in
+        (Section VI-E), hence a reach of twice the data array — DTLB
+        misses stay orders of magnitude rarer than L3 misses, as in
         Table IV.
         """
-        if coverage <= 0:
-            raise SimulationError("coverage must be positive")
-        data_bytes = max(1, num_vertices * data_elem)
-        target_page = max(64, int(data_bytes * coverage / entries))
+        data_bytes = max(1, num_vertices * VERTEX_DATA_BYTES)
+        target_page = max(64, int(data_bytes * TLB_COVERAGE / cls.entries))
         page_size = 1 << int(np.ceil(np.log2(target_page)))
-        return cls(entries=entries, ways=ways, page_size=page_size)
+        return cls(page_size=page_size)
 
 
 def lines_to_pages(lines: np.ndarray, line_size: int, page_size: int) -> np.ndarray:

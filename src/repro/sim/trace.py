@@ -15,7 +15,7 @@ Per processed vertex ``v`` the pull traversal emits, in program order:
 
 Sequential streams are emitted at cache-line granularity: intra-line
 re-reads are guaranteed hits and are not replayed individually; instead
-each newly-entered sequential line is emitted twice (access + one
+each newly-entered ``edges`` line is emitted twice (access + one
 promotion) so recency-based policies observe the stream's short burst of
 reuse.  Random reads are emitted one per edge — they are the accesses
 every metric in the paper attributes and bins.
@@ -116,7 +116,6 @@ def _range_parts(
     direction: str,
     start: int,
     end: int,
-    promote_sequential: bool,
     carry: _DedupCarry,
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
     """Unsorted trace parts (+ sort positions) for vertices ``[start, end)``.
@@ -172,7 +171,8 @@ def _range_parts(
         _add(off_lines[keep], Region.OFFSETS, minus_one(int(keep.sum())),
              vertex_ids[keep], pos[keep])
 
-    # Edge-array stream: emit on line transitions (+ optional promotion).
+    # Edge-array stream: emit on line transitions, each twice (access +
+    # promotion).
     if edge_indices.size:
         e_lines = space.edges_lines(edge_indices)
         keep = np.ones(edge_indices.size, dtype=bool)
@@ -183,9 +183,8 @@ def _range_parts(
         kept_proc = processed[keep]
         kept_pos = edge_indices[keep] * 10 + 1
         _add(kept_lines, Region.EDGES, minus_one(kept_lines.size), kept_proc, kept_pos)
-        if promote_sequential:
-            _add(kept_lines.copy(), Region.EDGES, minus_one(kept_lines.size),
-                 kept_proc.copy(), kept_pos + 1)
+        _add(kept_lines.copy(), Region.EDGES, minus_one(kept_lines.size),
+             kept_proc.copy(), kept_pos + 1)
 
     # Random accesses to neighbour data: one per edge, always emitted.
     if edge_indices.size:
@@ -241,7 +240,6 @@ def spmv_trace(
     *,
     direction: str = "pull",
     vertex_range: tuple[int, int] | None = None,
-    promote_sequential: bool = True,
 ) -> MemoryTrace:
     """Generate the SpMV access trace of one traversal (or a slice of it).
 
@@ -254,8 +252,6 @@ def spmv_trace(
     vertex_range:
         Half-open ``[start, end)`` slice of the processing order; used by
         the parallel simulation to emit one trace per thread partition.
-    promote_sequential:
-        Emit each newly-entered sequential line twice (see module doc).
     """
     if space is None:
         space = AddressSpace(graph.num_vertices, graph.num_edges)
@@ -267,7 +263,6 @@ def spmv_trace(
             space,
             direction=direction,
             vertex_range=vertex_range,
-            promote_sequential=promote_sequential,
             max_accesses=3 * (graph.num_edges + graph.num_vertices) + 3,
         )
     )
@@ -282,7 +277,6 @@ def spmv_trace_chunks(
     *,
     direction: str = "pull",
     vertex_range: tuple[int, int] | None = None,
-    promote_sequential: bool = True,
     max_accesses: int = 1 << 20,
 ) -> Iterator[MemoryTrace]:
     """Stream the SpMV trace as bounded :class:`MemoryTrace` blocks.
@@ -343,7 +337,7 @@ def spmv_trace_chunks(
         # first possible position.
         cut = int(offsets[b]) * 10 if b < end else None
         chunk, pending = _sorted_chunk(
-            _range_parts(graph, space, direction, a, b, promote_sequential, carry),
+            _range_parts(graph, space, direction, a, b, carry),
             pending,
             cut,
             space,

@@ -101,10 +101,6 @@ class TestTLB:
         assert out.num_misses == 1
 
     def test_scaled_for_reach(self):
-        config = TLBConfig.scaled_for(100_000, coverage=2.0)
+        config = TLBConfig.scaled_for(100_000)
         reach = config.entries * config.page_size
         assert reach >= 2.0 * 100_000 * 8 / 2  # power-of-two rounding slack
-
-    def test_scaled_for_rejects_bad_coverage(self):
-        with pytest.raises(SimulationError):
-            TLBConfig.scaled_for(100, coverage=0)

@@ -37,7 +37,7 @@ class TestConfig:
             CacheConfig(num_sets=2, ways=2, policy="plru")
 
     def test_scaled_for_pressure(self):
-        config = CacheConfig.scaled_for(100_000, pressure=0.10, ways=8)
+        config = CacheConfig.scaled_for(100_000, pressure=0.10)
         data_lines = 100_000 * 8 // 64
         assert 0.04 < config.num_lines / data_lines < 0.25
 

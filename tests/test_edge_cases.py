@@ -57,12 +57,7 @@ class TestDegenerateGraphs:
 
     def test_analyzer_on_tiny_graph(self):
         g = graph_of(3, [(0, 1), (1, 2), (2, 0)], name="triangle")
-        analyzer = LocalityAnalyzer(
-            g,
-            SimulationConfig(
-                cache=CacheConfig(num_sets=1, ways=2), scan_interval=2
-            ),
-        )
+        analyzer = LocalityAnalyzer(g)
         summary = analyzer.summary()
         assert summary.num_edges == 3
         dist = analyzer.miss_rate_distribution()

@@ -250,6 +250,7 @@ def test_scale_streamed_golden(golden_rmat, update_golden):
         interleave_stream,
         spmv_trace_chunks,
     )
+    from repro.sim.parallel import ROUND_ROBIN_INTERVAL
 
     approx_len = golden_rmat.num_edges + golden_rmat.num_vertices // 4
     config = SimulationConfig.scaled_for(
@@ -268,7 +269,7 @@ def test_scale_streamed_golden(golden_rmat, update_golden):
         )
         for t in range(config.num_threads)
     ]
-    stream = interleave_stream(sources, config.interleave_interval, batch_accesses=512)
+    stream = interleave_stream(sources, ROUND_ROBIN_INTERVAL, batch_accesses=512)
     replay = Replay(config.cache, scan_interval=config.scan_interval)
     misses = sum(
         chunk.lines.shape[0] - int(replay.feed(chunk.lines).sum())

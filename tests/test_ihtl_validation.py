@@ -45,10 +45,6 @@ class TestSplit:
         hubs = hubs_for_cache(small_web, cache)
         assert 1 <= hubs <= cache.capacity_bytes // 8
 
-    def test_hubs_for_cache_bad_fraction(self, small_web):
-        with pytest.raises(SimulationError):
-            hubs_for_cache(small_web, CacheConfig(num_sets=4, ways=2), fraction=0)
-
 
 class TestIHTLTrace:
     def test_covers_every_edge_once(self, small_web):

@@ -10,7 +10,7 @@ from repro.core import (
     log_bins,
     miss_rate_degree_distribution,
 )
-from repro.core.ecs import with_ecs_scans
+from repro.core.ecs import NUM_ECS_SCANS, with_ecs_scans
 from repro.sim import SimulationConfig, simulate_spmv
 
 
@@ -69,11 +69,11 @@ class TestECS:
 
     def test_measure_ecs_auto_interval(self, small_web):
         plain = SimulationConfig.scaled_for(small_web)
-        config = with_ecs_scans(small_web, plain, num_scans=16)
+        config = with_ecs_scans(small_web, plain)
         ecs = ecs_from_result(simulate_spmv(small_web, config))
         assert 0 < ecs.average_percent < 100
         approx_len = small_web.num_edges + small_web.num_vertices // 4
-        assert ecs.scan_interval == approx_len // 16
+        assert ecs.scan_interval == approx_len // NUM_ECS_SCANS
 
 
 class TestHubMisses:

@@ -116,22 +116,6 @@ class TestSpans:
         assert spans["child-root"].parent_id == -1
         assert spans["child-root"].thread_id != spans["main-root"].thread_id
 
-    def test_traced_decorator_bare_and_named(self):
-        @obs.traced
-        def plain(x):
-            return x + 1
-
-        @obs.traced("custom.name")
-        def named(x):
-            return x * 2
-
-        with obs.recording():
-            assert plain(1) == 2
-            assert named(2) == 4
-        names = [record.name for record in obs.completed_spans()]
-        assert names[1] == "custom.name"
-        assert names[0].endswith("plain")
-
     def test_span_ids_are_unique_and_monotonic(self):
         with obs.recording():
             for index in range(5):

@@ -93,15 +93,11 @@ class TestChunks:
         per_vertex = np.ones(100)
         per_vertex[:10] = 50.0  # hot region
         boundaries = np.array([0, 10, 100])
-        chunks = cost_balanced_chunks(per_vertex, boundaries, chunks_per_thread=10)
+        chunks = cost_balanced_chunks(per_vertex, boundaries)
         # hot partition must be split into several chunks, not one blob
         assert len(chunks[0]) >= 5
         total = sum(c.sum() for c in chunks)
         assert total == pytest.approx(per_vertex.sum())
-
-    def test_cost_balanced_rejects_bad_count(self):
-        with pytest.raises(SimulationError):
-            cost_balanced_chunks(np.ones(4), np.array([0, 4]), chunks_per_thread=0)
 
 
 class TestWorkStealing:

@@ -11,10 +11,10 @@ from repro.sim import (
     CacheConfig,
     SimulationConfig,
     TLBConfig,
-    TimingModel,
     simulate_spmv,
     spmv_trace,
 )
+from repro.sim.timing import traversal_time_ms
 
 
 @pytest.fixture(scope="module")
@@ -86,25 +86,37 @@ class TestScheduleAndTiming:
         assert (cost >= 0).all()
 
     def test_timing_model_monotone_in_misses(self):
-        timing = TimingModel()
-        fast = timing.traversal_time_ms(1000, 10)
-        slow = timing.traversal_time_ms(1000, 10_000)
+        fast = traversal_time_ms(1000, 10, 0, 0.0, 8)
+        slow = traversal_time_ms(1000, 10_000, 0, 0.0, 8)
         assert slow > fast
 
     def test_timing_model_idle_inflates(self):
-        timing = TimingModel()
-        assert timing.traversal_time_ms(1000, 10, idle_percent=50.0) > (
-            timing.traversal_time_ms(1000, 10, idle_percent=0.0)
+        assert traversal_time_ms(1000, 10, 0, 50.0, 8) > (
+            traversal_time_ms(1000, 10, 0, 0.0, 8)
         )
 
     def test_timing_model_validation(self):
-        timing = TimingModel()
         with pytest.raises(SimulationError):
-            timing.traversal_time_ms(-1, 0)
+            traversal_time_ms(-1, 0, 0, 0.0, 8)
         with pytest.raises(SimulationError):
-            timing.traversal_time_ms(1, 1, idle_percent=100.0)
-        with pytest.raises(SimulationError):
-            TimingModel(clock_ghz=0)
+            traversal_time_ms(1, 1, 0, 100.0, 8)
+
+    @pytest.mark.parametrize("num_threads", [2, 8])
+    def test_time_divides_by_the_config_thread_count(self, small_web, num_threads):
+        """The cycle formula (1.5 per edge, 40 per L3 miss, 30 per TLB
+        miss, at 2.1 GHz) over the config's threads, inflated by idle."""
+        config = SimulationConfig(
+            cache=CacheConfig.scaled_for(small_web.num_vertices),
+            tlb=TLBConfig.scaled_for(small_web.num_vertices),
+            num_threads=num_threads,
+        )
+        sim = simulate_spmv(small_web, config)
+        cycles = (
+            sim.num_edges * 1.5 + sim.l3_misses * 40.0 + sim.tlb_misses * 30.0
+        )
+        busy = 1.0 - sim.schedule().idle_percent / 100.0
+        expected_ms = cycles / num_threads / busy / 2.1e9 * 1e3
+        assert sim.traversal_time_ms() == pytest.approx(expected_ms, rel=1e-12)
 
 
 class TestConfiguration:
@@ -115,11 +127,7 @@ class TestConfiguration:
         with pytest.raises(SimulationError):
             SimulationConfig(cache=cache, direction="both")
         # Bad intervals fail at construction, not inside a later run.
-        for field, value in (
-            ("scan_interval", -1),
-            ("interleave_interval", 0),
-            ("interleave_interval", -64),
-        ):
+        for field, value in (("scan_interval", -1), ("num_threads", -8)):
             with pytest.raises(SimulationError, match=field):
                 SimulationConfig(cache=cache, **{field: value})
             with pytest.raises(SimulationError, match=field):
@@ -128,9 +136,12 @@ class TestConfiguration:
             SimulationConfig.scaled_for(small_web, scan_interval=-5)
 
     def test_config_and_kwargs_exclusive(self, small_web):
+        """A config is required, and scaling kwargs are not accepted."""
         config = SimulationConfig.scaled_for(small_web)
-        with pytest.raises(SimulationError):
+        with pytest.raises(TypeError):
             simulate_spmv(small_web, config, pressure=0.5)
+        with pytest.raises(TypeError):
+            simulate_spmv(small_web)  # type: ignore[call-arg]
 
     def test_tlb_optional(self, small_web):
         config = SimulationConfig(

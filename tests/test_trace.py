@@ -57,15 +57,18 @@ class TestPullTrace:
         assert len(trace) == 0
 
     def test_promotion_doubles_sequential_lines(self, two_hop_ring):
-        promoted = spmv_trace(two_hop_ring, promote_sequential=True)
-        plain = spmv_trace(two_hop_ring, promote_sequential=False)
-        edges_promoted = (promoted.kinds == Region.EDGES).sum()
-        edges_plain = (plain.kinds == Region.EDGES).sum()
-        assert edges_promoted == 2 * edges_plain
+        """Each newly-entered edges line is emitted twice, back to back."""
+        trace = spmv_trace(two_hop_ring)
+        edge_lines = trace.lines[trace.kinds == Region.EDGES]
+        pairs = edge_lines.reshape(-1, 2)
+        np.testing.assert_array_equal(pairs[:, 0], pairs[:, 1])
+        assert np.all(np.diff(pairs[:, 0]) > 0)
+        first = int(np.flatnonzero(trace.kinds == Region.EDGES)[0])
+        assert trace.lines[first] == trace.lines[first + 1]
 
     def test_interleaving_edges_before_data(self, ring_graph):
         """Program order: a vertex's edges access precedes its data reads."""
-        trace = spmv_trace(ring_graph, promote_sequential=False)
+        trace = spmv_trace(ring_graph)
         kinds = trace.kinds.tolist()
         first_edge = kinds.index(Region.EDGES)
         first_data = kinds.index(Region.VERTEX_DATA)

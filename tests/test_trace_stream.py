@@ -47,7 +47,7 @@ from repro.sim import (
     spmv_trace,
     spmv_trace_chunks,
 )
-from repro.sim.parallel import edge_balanced_partitions
+from repro.sim.parallel import ROUND_ROBIN_INTERVAL, edge_balanced_partitions
 from repro.sim.trace import MemoryTrace
 
 _GRAPHS: dict = {}
@@ -145,11 +145,10 @@ def materialized_simulation(graph, config) -> dict:
             space,
             direction=config.direction,
             vertex_range=(int(bounds[t]), int(bounds[t + 1])),
-            promote_sequential=config.promote_sequential,
         )
         for t in range(config.num_threads)
     ]
-    merged, threads = interleave_traces(traces, config.interleave_interval)
+    merged, threads = interleave_traces(traces, ROUND_ROBIN_INTERVAL)
     # One reference-loop cache fed in scan-aligned cuts, snapshotted
     # after every cut that ends on a scan multiple.
     cache = SetAssociativeCache(config.cache)
@@ -200,12 +199,9 @@ class TestTraceChunks:
     @given(
         seed=st.integers(0, 3),
         direction=st.sampled_from(["pull", "push"]),
-        promote=st.booleans(),
         max_accesses=st.sampled_from([1, 7, 64, 509, 4096]),
     )
-    def test_concatenation_is_bit_exact(
-        self, seed, direction, promote, max_accesses
-    ):
+    def test_concatenation_is_bit_exact(self, seed, direction, max_accesses):
         graph = _rmat(seed)
         space = AddressSpace(graph.num_vertices, graph.num_edges)
         chunks = list(
@@ -213,13 +209,10 @@ class TestTraceChunks:
                 graph,
                 space,
                 direction=direction,
-                promote_sequential=promote,
                 max_accesses=max_accesses,
             )
         )
-        reference = spmv_trace(
-            graph, space, direction=direction, promote_sequential=promote
-        )
+        reference = spmv_trace(graph, space, direction=direction)
         _assert_traces_equal(concatenate_traces(chunks), reference)
         assert all(len(chunk) > 0 for chunk in chunks)
         if max_accesses * 4 < len(reference):
@@ -419,8 +412,11 @@ class TestStreamedSimulator:
             )
 
     def test_config_kwargs_are_exclusive(self, graph, config):
-        with pytest.raises(SimulationError):
+        """A config is required, and scaling kwargs are not accepted."""
+        with pytest.raises(TypeError):
             simulate_spmv(graph, config, pressure=0.5)
+        with pytest.raises(TypeError):
+            simulate_spmv(graph)  # type: ignore[call-arg]
 
     def test_streamed_alias_checks_shard_keywords(self, graph, config, reference):
         for num_shards, mode in ((1, "serial"), (2, "process")):
