@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.bench import workloads
+from repro.bench.workloads import workloads
 from repro.core import format_table
 from repro.generate import load_dataset
 from repro.obs import metrics as obs_metrics

@@ -16,87 +16,30 @@ Quickstart::
     result = get_algorithm("gorder")(graph)
     analyzer = LocalityAnalyzer(result.apply(graph))
     print(analyzer.miss_rate_distribution().series())
+
+Each name here and in the subpackages' ``__init__`` is one that a
+script, example or sibling package imports from there; everything else
+is imported from its defining module (``repro.sim.tlb``,
+``repro.graph.permute``, ...).
 """
 
-from repro.core import (
-    LocalityAnalyzer,
-    aid_degree_distribution,
-    aid_per_vertex,
-    asymmetricity_degree_distribution,
-    degree_range_decomposition,
-    ecs_from_result,
-    hub_coverage,
-    hub_data_misses,
-    miss_rate_degree_distribution,
-)
-from repro.errors import (
-    ExperimentError,
-    GraphFormatError,
-    PermutationError,
-    ReorderingError,
-    ReproError,
-    SimulationError,
-)
-from repro.generate import (
-    DATASETS,
-    dataset_names,
-    load_dataset,
-    social_network,
-    web_graph,
-)
-from repro.graph import Graph, build_graph, validate_graph
-from repro.reorder import (
-    ReorderResult,
-    ReorderingAlgorithm,
-    algorithm_names,
-    get_algorithm,
-)
-from repro.sim import (
-    CacheConfig,
-    SimulationConfig,
-    SimulationResult,
-    TLBConfig,
-    pagerank,
-    simulate_ihtl,
-    simulate_spmv,
-)
+from repro.core.analyzer import LocalityAnalyzer
+from repro.generate.datasets import load_dataset
+from repro.reorder import algorithm_names, get_algorithm
+from repro.reorder.base import ReorderingAlgorithm
+from repro.sim.simulator import SimulationConfig, simulate_spmv
+from repro.sim.spmv import pagerank
 
 __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
     "LocalityAnalyzer",
-    "aid_degree_distribution",
-    "aid_per_vertex",
-    "asymmetricity_degree_distribution",
-    "degree_range_decomposition",
-    "ecs_from_result",
-    "hub_coverage",
-    "hub_data_misses",
-    "miss_rate_degree_distribution",
-    "ExperimentError",
-    "GraphFormatError",
-    "PermutationError",
-    "ReorderingError",
-    "ReproError",
-    "SimulationError",
-    "DATASETS",
-    "dataset_names",
     "load_dataset",
-    "social_network",
-    "web_graph",
-    "Graph",
-    "build_graph",
-    "validate_graph",
-    "ReorderResult",
     "ReorderingAlgorithm",
     "algorithm_names",
     "get_algorithm",
-    "CacheConfig",
     "SimulationConfig",
-    "SimulationResult",
-    "TLBConfig",
     "pagerank",
-    "simulate_ihtl",
     "simulate_spmv",
 ]

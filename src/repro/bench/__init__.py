@@ -1,31 +1,5 @@
 """Experiment harness regenerating every table and figure of the paper."""
 
-from repro.bench.harness import (
-    EXPERIMENTS,
-    ExperimentReport,
-    experiment_ids,
-    run_experiment,
-    run_experiments,
-)
-from repro.bench.workloads import (
-    SIM_DATASETS,
-    SOCIAL_DATASETS,
-    STUDIED_ALGORITHMS,
-    WEB_DATASETS,
-    Workloads,
-    workloads,
-)
+from repro.bench.harness import experiment_ids, run_experiment, run_experiments
 
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentReport",
-    "experiment_ids",
-    "run_experiment",
-    "run_experiments",
-    "SIM_DATASETS",
-    "SOCIAL_DATASETS",
-    "STUDIED_ALGORITHMS",
-    "WEB_DATASETS",
-    "Workloads",
-    "workloads",
-]
+__all__ = ["experiment_ids", "run_experiment", "run_experiments"]

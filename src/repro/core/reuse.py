@@ -2,9 +2,10 @@
 
 Background metric the paper positions its tools against (Section I):
 reuse-distance curves summarize whole-program locality but "do not
-reveal detailed information about the impact of RAs".  Provided here so
-that comparison can be reproduced: the histogram feeds a classic
-"misses vs cache size" curve for any trace.
+reveal detailed information about the impact of RAs".  Here the exact
+distances drive the simulator's accuracy check
+(:mod:`repro.core.validation`): an access hits a fully-associative LRU
+cache of ``C`` lines exactly when its distance is below ``C``.
 
 The implementation is the standard exact algorithm: a Fenwick tree over
 access timestamps marks the most recent position of every line; the
@@ -14,13 +15,9 @@ since the line's previous access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.errors import SimulationError
-
-__all__ = ["ReuseProfile", "reuse_distances", "reuse_distance_histogram"]
+__all__ = ["reuse_distances"]
 
 _COLD = -1
 
@@ -61,46 +58,3 @@ def reuse_distances(lines: np.ndarray) -> np.ndarray:
         total_marked += 1
         last_position[line] = t
     return distances
-
-
-@dataclass(frozen=True)
-class ReuseProfile:
-    """Histogram of reuse distances in power-of-two buckets."""
-
-    bucket_upper: np.ndarray  # exclusive upper edge of each bucket
-    counts: np.ndarray
-    cold_misses: int
-
-    @property
-    def total_reuses(self) -> int:
-        return int(self.counts.sum())
-
-    def miss_count_for_cache(self, num_lines: int) -> int:
-        """Misses of a fully-associative LRU cache of ``num_lines`` lines.
-
-        Exact for distances that fall on bucket boundaries; conservative
-        (counts the whole straddling bucket as misses) otherwise.
-        """
-        if num_lines <= 0:
-            raise SimulationError("cache size must be positive")
-        missed = self.counts[self.bucket_upper > num_lines].sum()
-        return int(missed) + self.cold_misses
-
-
-def reuse_distance_histogram(lines: np.ndarray) -> ReuseProfile:
-    """Bucket the exact reuse distances of a trace by powers of two."""
-    distances = reuse_distances(lines)
-    cold = int((distances == _COLD).sum())
-    reuses = distances[distances >= 0]
-    if reuses.size == 0:
-        return ReuseProfile(
-            bucket_upper=np.zeros(0, dtype=np.int64),
-            counts=np.zeros(0, dtype=np.int64),
-            cold_misses=cold,
-        )
-    max_bucket = int(np.ceil(np.log2(max(1, int(reuses.max())) + 1))) + 1
-    upper = np.power(2, np.arange(1, max_bucket + 1), dtype=np.int64)
-    idx = np.searchsorted(upper, reuses, side="right")
-    idx = np.minimum(idx, upper.shape[0] - 1)
-    counts = np.bincount(idx, minlength=upper.shape[0]).astype(np.int64)
-    return ReuseProfile(bucket_upper=upper, counts=counts, cold_misses=cold)

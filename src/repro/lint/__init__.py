@@ -16,25 +16,4 @@ violations use per-line ``# repro-lint: disable=RLxxx`` comments or the
 committed baseline file.
 """
 
-from repro.lint.baseline import Baseline
-from repro.lint.cli import main
-from repro.lint.config import LintConfig, find_root, load_config
-from repro.lint.engine import LintReport, lint_paths, lint_source
-from repro.lint.rules import RULES, Finding, ModuleContext, Rule, Severity, register
-
-__all__ = [
-    "Baseline",
-    "Finding",
-    "LintConfig",
-    "LintReport",
-    "ModuleContext",
-    "RULES",
-    "Rule",
-    "Severity",
-    "find_root",
-    "lint_paths",
-    "lint_source",
-    "load_config",
-    "main",
-    "register",
-]
+__all__: list[str] = []

@@ -1,9 +1,8 @@
-"""Rule registry for the invariant linter.
+"""The invariant linter's five rules, keyed by code.
 
-New rules self-describe via class attributes on :class:`Rule` subclasses
-and are added here with :func:`register`; everything else (severity
-overrides, disable comments, baselining, CLI selection) picks them up
-automatically from the registry.
+Each rule self-describes via class attributes on its :class:`Rule`
+subclass; severity overrides, disable comments, baselining and CLI
+selection all read :data:`RULES`.
 """
 
 from __future__ import annotations
@@ -30,34 +29,24 @@ __all__ = [
     "Rule",
     "Severity",
     "RULES",
-    "register",
     "resolve_rules",
     "collect_import_aliases",
 ]
 
-RULES: Dict[str, Type[Rule]] = {}
-
-
-def register(rule_cls: Type[Rule]) -> Type[Rule]:
-    """Add a rule class to the registry (usable as a decorator)."""
-    if rule_cls.code in RULES:
-        raise LintError(f"duplicate rule code {rule_cls.code}")
-    RULES[rule_cls.code] = rule_cls
-    return rule_cls
-
-
-for _cls in (
-    ExplicitDtypeRule,
-    SeededRngRule,
-    NoPythonEdgeLoopRule,
-    ExceptionDisciplineRule,
-    NoMutableDefaultRule,
-):
-    register(_cls)
+RULES: Dict[str, Type[Rule]] = {
+    rule.code: rule
+    for rule in (
+        ExplicitDtypeRule,
+        SeededRngRule,
+        NoPythonEdgeLoopRule,
+        ExceptionDisciplineRule,
+        NoMutableDefaultRule,
+    )
+}
 
 
 def resolve_rules(select: Iterable[str] = ()) -> List[Rule]:
-    """Instantiate the selected rules (all registered rules by default)."""
+    """Instantiate the selected rules (all rules by default)."""
     codes = list(select) or sorted(RULES)
     unknown = [code for code in codes if code not in RULES]
     if unknown:

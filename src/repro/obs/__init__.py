@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from repro.obs import metrics
 from repro.obs.core import (
-    EPOCH_ANCHOR,
-    TRACE_ENV,
     SpanRecord,
     completed_spans,
     debug_counters,
@@ -31,41 +29,26 @@ from repro.obs.core import (
     enabled,
     peak_rss_bytes,
     recording,
-    refresh_from_env,
     reset,
     span,
 )
-from repro.obs.export import (
-    chrome_trace_events,
-    export_run,
-    load_run,
-    save_chrome_trace,
-    save_run,
-    summarize_run,
-)
+from repro.obs.export import load_run, save_chrome_trace, save_run
 
 __all__ = [
-    "TRACE_ENV",
-    "EPOCH_ANCHOR",
     "SpanRecord",
     "span",
     "enabled",
     "enable",
     "disable",
     "recording",
-    "refresh_from_env",
-    "reset",
     "reset_all",
     "completed_spans",
     "debug_counters",
     "metrics",
     "peak_rss_bytes",
-    "export_run",
     "save_run",
     "load_run",
-    "chrome_trace_events",
     "save_chrome_trace",
-    "summarize_run",
 ]
 
 

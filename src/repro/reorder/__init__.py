@@ -6,45 +6,15 @@ from repro.reorder.base import ReorderingAlgorithm, ReorderResult
 from repro.reorder.baselines import BFSOrder, DegreeSort, Identity, RandomOrder
 from repro.reorder.community import CommunityOrder
 from repro.reorder.dbg import DegreeBasedGrouping
-from repro.reorder.edr import EDRRestricted, efficacy_degree_range
 from repro.reorder.gorder import GOrder
 from repro.reorder.hubsort import HubCluster, HubSort
 from repro.reorder.hybrid import HybridOrder
 from repro.reorder.rabbit import RabbitOrder
 from repro.reorder.rcm import ReverseCuthillMcKee
-from repro.reorder.slashburn import (
-    SlashBurn,
-    SlashBurnIteration,
-    SlashBurnPP,
-    slashburn_iterations,
-)
+from repro.reorder.slashburn import SlashBurn, SlashBurnPP
 from repro.reorder.traceprof import TraceProfiledOrder
 
-__all__ = [
-    "ReorderingAlgorithm",
-    "ReorderResult",
-    "BFSOrder",
-    "CommunityOrder",
-    "DegreeBasedGrouping",
-    "DegreeSort",
-    "Identity",
-    "RandomOrder",
-    "TraceProfiledOrder",
-    "EDRRestricted",
-    "efficacy_degree_range",
-    "GOrder",
-    "HubCluster",
-    "HubSort",
-    "HybridOrder",
-    "RabbitOrder",
-    "ReverseCuthillMcKee",
-    "SlashBurn",
-    "SlashBurnIteration",
-    "SlashBurnPP",
-    "slashburn_iterations",
-    "get_algorithm",
-    "algorithm_names",
-]
+__all__ = ["ReorderResult", "get_algorithm", "algorithm_names"]
 
 _FACTORIES = {
     "identity": Identity,

@@ -8,39 +8,7 @@ store doubles as the response cache shared across workers and restarts.
 Ships with a seeded Zipf load harness (:mod:`repro.serve.loadgen`).
 """
 
-from __future__ import annotations
-
 from repro.serve.app import ReorderService
-from repro.serve.coalesce import SingleFlight
-from repro.serve.http import HttpClient, HttpRequest, HttpResponse, request_once
-from repro.serve.jobs import (
-    DIRECTIONS,
-    JOB_KINDS,
-    POLICIES,
-    canonical_job,
-    job_fingerprint,
-)
-from repro.serve.loadgen import LoadResult, LoadSpec, generate_load, run_load, zipf_requests
-from repro.serve.pool import WorkerPool
-from repro.serve.worker import execute_job
+from repro.serve.http import HttpClient
 
-__all__ = [
-    "ReorderService",
-    "SingleFlight",
-    "WorkerPool",
-    "HttpClient",
-    "HttpRequest",
-    "HttpResponse",
-    "request_once",
-    "JOB_KINDS",
-    "POLICIES",
-    "DIRECTIONS",
-    "canonical_job",
-    "job_fingerprint",
-    "LoadSpec",
-    "LoadResult",
-    "zipf_requests",
-    "run_load",
-    "generate_load",
-    "execute_job",
-]
+__all__ = ["ReorderService", "HttpClient"]

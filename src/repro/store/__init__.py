@@ -19,47 +19,8 @@ The subsystem has four layers (DESIGN.md §9):
 ``$REPRO_STORE_DIR`` (default ``./.repro-store``).
 """
 
-from repro.store.fingerprint import (
-    canonical_json,
-    clear_code_version_cache,
-    code_version,
-    fingerprint,
-)
-from repro.store.gc import GCReport, VerifyReport, collect_garbage, verify_store
-from repro.store.manifest import RunManifest, StageRecord, environment_snapshot
-from repro.store.memo import cached_stage
-from repro.store.serializers import (
-    SERIALIZERS,
-    StoredSimulation,
-    get_serializer,
-    jsonify,
-)
-from repro.store.store import (
-    STORE_DIR_ENV,
-    ArtifactInfo,
-    ArtifactStore,
-    default_store_dir,
-)
+from repro.store.fingerprint import code_version
+from repro.store.manifest import RunManifest
+from repro.store.store import ArtifactStore, default_store_dir
 
-__all__ = [
-    "ArtifactInfo",
-    "ArtifactStore",
-    "GCReport",
-    "RunManifest",
-    "SERIALIZERS",
-    "STORE_DIR_ENV",
-    "StageRecord",
-    "StoredSimulation",
-    "VerifyReport",
-    "cached_stage",
-    "canonical_json",
-    "clear_code_version_cache",
-    "code_version",
-    "collect_garbage",
-    "default_store_dir",
-    "environment_snapshot",
-    "fingerprint",
-    "get_serializer",
-    "jsonify",
-    "verify_store",
-]
+__all__ = ["ArtifactStore", "RunManifest", "code_version", "default_store_dir"]

@@ -10,7 +10,8 @@ import pytest
 
 from repro.generate import social_network, web_graph
 from repro.generate.rmat import rmat_edges
-from repro.graph import Graph, build_graph
+from repro.graph.build import build_graph
+from repro.graph.graph import Graph
 from tests.fixture_graphs import planted_partition_edges, ring_edges
 
 

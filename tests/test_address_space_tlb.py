@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AddressSpace, Region, TLBConfig, lines_to_pages, simulate_tlb
+from repro.sim.address_space import AddressSpace, Region
+from repro.sim.tlb import TLBConfig, lines_to_pages, simulate_tlb
 
 
 class TestAddressSpace:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.core import aid_degree_distribution, aid_per_vertex, log_bins
+from repro.core.aid import aid_degree_distribution, aid_per_vertex
+from repro.core.binning import log_bins
 from repro.graph import Graph
 
 
@@ -60,7 +61,7 @@ class TestPerVertex:
         assert aid[1] == 0.0
 
     def test_clustering_lowers_aid(self, community_graph):
-        from repro.graph import random_permutation
+        from repro.graph.permute import random_permutation
 
         clustered = np.nanmean(aid_per_vertex(community_graph))
         scrambled_graph = community_graph.permuted(

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
+from repro.core.asymmetricity import (
     asymmetricity_degree_distribution,
     asymmetricity_per_vertex,
-    average_gap_profile,
     reciprocity,
 )
+from repro.core.gap import average_gap_profile
 from repro.graph import Graph
 
 

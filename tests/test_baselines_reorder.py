@@ -9,16 +9,12 @@ from repro.bench.experiments import table2_preprocessing
 from repro.bench.experiments.table2_preprocessing import reorder_in_child
 from repro.errors import ExperimentError, PermutationError, ReorderingError
 from repro.generate import load_dataset
-from repro.graph import Graph, invert_permutation, is_permutation, validate_graph
-from repro.reorder import (
-    BFSOrder,
-    DegreeSort,
-    Identity,
-    RandomOrder,
-    ReorderingAlgorithm,
-    algorithm_names,
-    get_algorithm,
-)
+from repro.graph.graph import Graph
+from repro.graph.permute import invert_permutation, is_permutation
+from repro.graph.validate import validate_graph
+from repro.reorder import algorithm_names, get_algorithm
+from repro.reorder.base import ReorderingAlgorithm
+from repro.reorder.baselines import BFSOrder, DegreeSort, Identity, RandomOrder
 
 
 class _ExitOnUnpickle:

@@ -6,13 +6,13 @@ The experiments themselves, and their paper shape checks, run in
 
 import pytest
 
-from repro.bench import (
+from repro.bench.harness import (
     EXPERIMENTS,
     ExperimentReport,
-    Workloads,
     experiment_ids,
     run_experiment,
 )
+from repro.bench.workloads import Workloads
 from repro.errors import ExperimentError
 
 

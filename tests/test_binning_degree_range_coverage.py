@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.core import (
-    coverage_at,
-    degree_range_decomposition,
-    hub_coverage,
-    log_bins,
-)
+from repro.core.binning import log_bins
+from repro.core.degree_range import degree_range_decomposition
+from repro.core.hub_coverage import coverage_at, hub_coverage
 from repro.graph import Graph
 
 

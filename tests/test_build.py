@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph import build_graph, dedup_edges, validate_graph
+from repro.graph.build import build_graph, dedup_edges
+from repro.graph.validate import validate_graph
 
 
 class TestDedup:

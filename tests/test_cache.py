@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import CacheConfig, Replay, SetAssociativeCache
+from repro.sim.cache import CacheConfig, Replay, SetAssociativeCache
 
 traces = st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=400)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph import connected_components
+from repro.graph.components import connected_components
 from tests.fixture_graphs import ring_edges
 
 

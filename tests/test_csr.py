@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph import Adjacency
+from repro.graph.csr import Adjacency
 
 
 # The smallest vertex count whose packed edge keys ``src * n + dst``

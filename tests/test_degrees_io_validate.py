@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph import (
-    Adjacency,
-    Graph,
+from repro.graph.csr import Adjacency
+from repro.graph.degrees import (
     degree_class_edges,
     degree_class_labels,
     power_law_tail_exponent,
-    validate_graph,
 )
+from repro.graph.graph import Graph
+from repro.graph.validate import validate_graph
 
 
 class TestDegreeHelpers:

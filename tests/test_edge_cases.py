@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from repro import SimulationConfig, get_algorithm, simulate_spmv
-from repro.core import (
-    LocalityAnalyzer,
-    aid_per_vertex,
-    asymmetricity_per_vertex,
-    degree_range_decomposition,
-    miss_rate_degree_distribution,
-)
-from repro.graph import Graph, build_graph
+from repro.core.aid import aid_per_vertex
+from repro.core.analyzer import LocalityAnalyzer
+from repro.core.asymmetricity import asymmetricity_per_vertex
+from repro.core.degree_range import degree_range_decomposition
+from repro.core.missdist import miss_rate_degree_distribution
+from repro.graph.build import build_graph
+from repro.graph.graph import Graph
 from repro.sim import CacheConfig, Region, spmv_trace
 from repro.sim.cache import SetAssociativeCache
 

@@ -4,18 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ExperimentError, GraphFormatError
-from repro.core import reciprocity
-from repro.generate import (
-    DATASETS,
-    dataset_names,
-    host_sizes,
-    load_dataset,
-    rmat_edges,
-    social_network,
-    web_graph,
-)
+from repro.core.asymmetricity import reciprocity
+from repro.generate.datasets import DATASETS, dataset_names, load_dataset
+from repro.generate.rmat import rmat_edges
+from repro.generate.social import social_network
+from repro.generate.webgraph import host_sizes, web_graph
 from tests.fixture_graphs import planted_partition_edges, ring_edges
-from repro.graph import validate_graph
+from repro.graph.validate import validate_graph
 
 
 class TestRmat:
@@ -138,7 +133,7 @@ class TestDatasetRegistry:
         validate_graph(small)
 
     def test_scale_env_validation(self, monkeypatch):
-        from repro.generate import scale_factor
+        from repro.generate.datasets import scale_factor
 
         for bad in ("abc", "-1", "nan", "inf", "-inf"):
             monkeypatch.setenv("REPRO_SCALE", bad)

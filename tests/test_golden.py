@@ -243,13 +243,10 @@ def test_scale_streamed_golden(golden_rmat, update_golden):
     position-keyed draw stream moves one of these integers and fails
     here.
     """
-    from repro.sim import (
-        AddressSpace,
-        Replay,
-        edge_balanced_partitions,
-        interleave_stream,
-        spmv_trace_chunks,
-    )
+    from repro.sim.address_space import AddressSpace
+    from repro.sim.cache import Replay
+    from repro.sim.parallel import edge_balanced_partitions, interleave_stream
+    from repro.sim.trace import spmv_trace_chunks
     from repro.sim.parallel import ROUND_ROBIN_INTERVAL
 
     approx_len = golden_rmat.num_edges + golden_rmat.num_vertices // 4

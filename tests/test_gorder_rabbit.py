@@ -5,8 +5,11 @@ import pytest
 
 from repro.errors import ReorderingError
 from repro.core import aid_per_vertex
-from repro.graph import Graph, invert_permutation, is_permutation, validate_graph
-from repro.reorder import GOrder, RabbitOrder
+from repro.graph.graph import Graph
+from repro.graph.permute import invert_permutation, is_permutation
+from repro.graph.validate import validate_graph
+from repro.reorder.gorder import GOrder
+from repro.reorder.rabbit import RabbitOrder
 
 
 def graph_of(n, edges):
@@ -67,7 +70,7 @@ class TestRabbitOrder:
         relabeled = community_graph.permuted(result.relabeling)
         # new IDs within a planted block should be much closer than random
         before = np.nanmean(aid_per_vertex(community_graph))
-        from repro.graph import random_permutation
+        from repro.graph.permute import random_permutation
 
         scrambled = community_graph.permuted(
             random_permutation(community_graph.num_vertices, seed=1)

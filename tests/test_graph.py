@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph import Adjacency, Graph, random_permutation, validate_graph
+from repro.graph.csr import Adjacency
+from repro.graph.graph import Graph
+from repro.graph.permute import random_permutation
+from repro.graph.validate import validate_graph
 
 
 class TestConstruction:

@@ -23,7 +23,10 @@ from hypothesis import strategies as st
 import repro.graph.build as build
 from repro.bench.workloads import SIM_DATASETS
 from repro.generate import load_dataset
-from repro.graph import Adjacency, Graph, connected_components, dedup_edges
+from repro.graph.build import dedup_edges
+from repro.graph.components import connected_components
+from repro.graph.csr import Adjacency
+from repro.graph.graph import Graph
 from tests.graph_oracles import (
     adjacency_oracle,
     components_oracle,

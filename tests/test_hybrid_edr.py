@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ReorderingError
-from repro.core import log_bins
+from repro.core.binning import log_bins
 from repro.core.missdist import MissRateDistribution
-from repro.graph import invert_permutation, is_permutation, validate_graph
-from repro.reorder import (
-    EDRRestricted,
-    HybridOrder,
-    Identity,
-    RabbitOrder,
-    efficacy_degree_range,
-)
+from repro.graph.permute import invert_permutation, is_permutation
+from repro.graph.validate import validate_graph
+from repro.reorder.baselines import Identity
+from repro.reorder.edr import EDRRestricted, efficacy_degree_range
+from repro.reorder.hybrid import HybridOrder
+from repro.reorder.rabbit import RabbitOrder
 
 
 class TestHybrid:

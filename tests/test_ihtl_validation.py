@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.core import validate_simulator
-from repro.graph import random_permutation
-from repro.sim import (
-    CacheConfig,
-    SimulationConfig,
-    hubs_for_cache,
-    ihtl_trace,
-    simulate_ihtl,
-    simulate_spmv,
-    split_by_in_hubs,
-)
+from repro.core.validation import validate_simulator
+from repro.graph.permute import random_permutation
+from repro.sim.cache import CacheConfig
+from repro.sim.ihtl import hubs_for_cache, ihtl_trace, simulate_ihtl, split_by_in_hubs
+from repro.sim.simulator import SimulationConfig, simulate_spmv
 
 
 class TestSplit:

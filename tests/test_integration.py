@@ -15,8 +15,8 @@ from repro import (
     get_algorithm,
     simulate_spmv,
 )
-from repro.core import miss_rate_degree_distribution
-from repro.graph import validate_graph
+from repro.core.missdist import miss_rate_degree_distribution
+from repro.graph.validate import validate_graph
 
 
 @pytest.mark.parametrize("name", sorted(set(algorithm_names())))
@@ -59,7 +59,7 @@ class TestEveryAlgorithmEndToEnd:
 
 class TestAnalyzerOnReorderedGraphs:
     def test_rabbit_improves_scrambled_web(self, small_web):
-        from repro.graph import random_permutation
+        from repro.graph.permute import random_permutation
 
         scrambled = small_web.permuted(
             random_permutation(small_web.num_vertices, seed=3)
@@ -73,7 +73,7 @@ class TestAnalyzerOnReorderedGraphs:
 
     def test_locality_types_shift_with_reordering(self, small_web):
         """Clustering converts cold/irregular accesses into reuse."""
-        from repro.graph import random_permutation
+        from repro.graph.permute import random_permutation
 
         scrambled = small_web.permuted(
             random_permutation(small_web.num_vertices, seed=4)

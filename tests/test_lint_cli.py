@@ -13,9 +13,10 @@ import textwrap
 import pytest
 
 from repro.errors import LintError
-from repro.lint import Baseline, Severity, load_config
+from repro.lint.baseline import Baseline
 from repro.lint.cli import EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
-from repro.lint.rules.base import Finding
+from repro.lint.config import load_config
+from repro.lint.rules.base import Finding, Severity
 
 BAD_SIM_SOURCE = textwrap.dedent(
     """

@@ -1,7 +1,7 @@
 """Fixture-driven good/bad snippets for every invariant-linter rule.
 
 Each rule gets paired positive/negative fixtures run through
-:func:`repro.lint.lint_source` with a config whose scopes cover the
+:func:`repro.lint.engine.lint_source` with a config whose scopes cover the
 fixture's virtual path, so rule scoping itself is also exercised.
 """
 
@@ -9,8 +9,10 @@ import textwrap
 
 import pytest
 
-from repro.lint import LintConfig, Severity, lint_source
-from repro.lint.config import default_config
+from repro.lint.config import LintConfig, default_config
+from repro.lint.engine import lint_source
+from repro.lint.rules import RULES
+from repro.lint.rules.base import Rule, Severity
 
 SIM_PATH = "src/repro/sim/fixture.py"
 HOT_PATH = "src/repro/sim/_kernels.py"
@@ -280,3 +282,13 @@ class TestEngineBehaviour:
 
         with pytest.raises(LintError):
             lint("x = 1\n", select=["RL999"])
+
+    def test_rule_codes_are_rl001_to_rl005_and_distinct(self):
+        shipped = [
+            rule.code
+            for rule in Rule.__subclasses__()
+            if rule.__module__.startswith("repro.lint.rules.")
+        ]
+        expected = ["RL001", "RL002", "RL003", "RL004", "RL005"]
+        assert sorted(shipped) == expected
+        assert sorted(RULES) == expected

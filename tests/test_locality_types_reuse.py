@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import reuse_distance_histogram, reuse_distances
-from repro.sim import AddressSpace, LocalityTypeClassifier, MemoryTrace, Region
+from repro.core.reuse import reuse_distances
+from repro.sim.address_space import AddressSpace, Region
+from repro.sim.stats import LocalityTypeClassifier
+from repro.sim.trace import MemoryTrace
 from repro.sim.cache import CacheConfig, SetAssociativeCache
 
 
@@ -98,22 +100,6 @@ class TestReuseDistances:
         # a b b a -> distance 1, not 2
         distances = reuse_distances(np.array([1, 2, 2, 1]))
         assert distances[-1] == 1
-
-    def test_histogram_cold_misses(self):
-        profile = reuse_distance_histogram(np.array([1, 2, 3]))
-        assert profile.cold_misses == 3
-        assert profile.total_reuses == 0
-
-    def test_histogram_counts(self):
-        profile = reuse_distance_histogram(np.array([1, 2, 1, 2]))
-        assert profile.total_reuses == 2
-
-    def test_miss_count_rejects_zero_cache(self):
-        from repro.errors import SimulationError
-
-        profile = reuse_distance_histogram(np.array([1, 1]))
-        with pytest.raises(SimulationError):
-            profile.miss_count_for_cache(0)
 
     def test_cross_validates_fully_associative_lru(self):
         """Reuse-distance-derived misses bound the simulated LRU cache."""

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError, SimulationError
-from repro.core import (
-    ecs_from_result,
-    hub_data_misses,
-    log_bins,
-    miss_rate_degree_distribution,
-)
-from repro.core.ecs import NUM_ECS_SCANS, with_ecs_scans
+from repro.core.binning import log_bins
+from repro.core.ecs import NUM_ECS_SCANS, ecs_from_result, with_ecs_scans
+from repro.core.hubs_misses import hub_data_misses
+from repro.core.missdist import miss_rate_degree_distribution
 from repro.sim import SimulationConfig, simulate_spmv
 
 

@@ -17,7 +17,13 @@ from repro import obs
 from repro.errors import ObservabilityError
 from repro.obs import metrics as obs_metrics
 from repro.obs.cli import main as obs_main
-from repro.obs.export import PhaseSummary, aggregate_phases
+from repro.obs.core import TRACE_ENV, refresh_from_env, reset
+from repro.obs.export import (
+    PhaseSummary,
+    aggregate_phases,
+    export_run,
+    summarize_run,
+)
 from repro.sim.simulator import SimulationConfig, simulate_spmv
 
 
@@ -33,18 +39,18 @@ def clean_obs_state():
 
 class TestSwitch:
     def test_disabled_by_default_without_env(self, monkeypatch):
-        monkeypatch.delenv(obs.TRACE_ENV, raising=False)
-        assert obs.refresh_from_env() is False
+        monkeypatch.delenv(TRACE_ENV, raising=False)
+        assert refresh_from_env() is False
 
     @pytest.mark.parametrize("value", ["", "0", "false", "OFF", "no", " 0 "])
     def test_falsy_env_values_disable(self, monkeypatch, value):
-        monkeypatch.setenv(obs.TRACE_ENV, value)
-        assert obs.refresh_from_env() is False
+        monkeypatch.setenv(TRACE_ENV, value)
+        assert refresh_from_env() is False
 
     @pytest.mark.parametrize("value", ["1", "true", "on", "yes", "anything"])
     def test_truthy_env_values_enable(self, monkeypatch, value):
-        monkeypatch.setenv(obs.TRACE_ENV, value)
-        assert obs.refresh_from_env() is True
+        monkeypatch.setenv(TRACE_ENV, value)
+        assert refresh_from_env() is True
         obs.disable()
 
     def test_recording_restores_prior_state(self):
@@ -135,7 +141,7 @@ class TestOverheadGuard:
         the disabled path created nothing at all.
         """
         assert not obs.enabled()
-        obs.reset()
+        reset()
         config = SimulationConfig.scaled_for(ring_graph)
         result = simulate_spmv(ring_graph, config)
         assert result.num_accesses > 0  # the pipeline really ran
@@ -258,8 +264,8 @@ class TestPercentiles:
             histogram = obs_metrics.registry.histogram("req.latency_ms")
             for value in (10.0, 20.0, 30.0):
                 histogram.observe(value)
-            document = obs.export_run()
-        text = obs.summarize_run(document)
+            document = export_run()
+        text = summarize_run(document)
         assert "p50=20" in text
         assert "p95=30" in text
         assert "p99=30" in text
@@ -308,7 +314,7 @@ class TestExport:
             with obs.span("outer"):
                 with obs.span("inner"):
                     pass
-            document = obs.export_run()
+            document = export_run()
         phases = {entry.path: entry for entry in aggregate_phases(document["spans"])}
         assert set(phases) == {"outer", "outer/inner"}
         outer = phases["outer"]
@@ -322,8 +328,8 @@ class TestExport:
     def test_summarize_run_mentions_phases_and_metrics(self):
         with obs.recording():
             self._record_small_run()
-            document = obs.export_run()
-        text = obs.summarize_run(document)
+            document = export_run()
+        text = summarize_run(document)
         assert "bench.fig3" in text
         assert "reorder.rabbit" in text
         assert "store.hit" in text

@@ -13,15 +13,15 @@ once per run of this module.
 
 import pytest
 
-from repro.bench import Workloads, experiment_ids, run_experiment
-from repro.core import validate_simulator
-from repro.reorder import GOrder, RabbitOrder, SlashBurn
-from repro.sim import (
-    CacheConfig,
-    SimulationConfig,
-    simulate_ihtl,
-    simulate_spmv,
-)
+from repro.bench.harness import experiment_ids, run_experiment
+from repro.bench.workloads import Workloads
+from repro.core.validation import validate_simulator
+from repro.reorder.gorder import GOrder
+from repro.reorder.rabbit import RabbitOrder
+from repro.reorder.slashburn import SlashBurn
+from repro.sim.cache import CacheConfig
+from repro.sim.ihtl import simulate_ihtl
+from repro.sim.simulator import SimulationConfig, simulate_spmv
 
 pytestmark = pytest.mark.slow
 

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import (
-    AddressSpace,
-    concatenate_traces,
-    edge_balanced_partitions,
-    interleave_stream,
-    simulate_work_stealing,
-    spmv_trace,
-)
-from repro.sim.scheduler import cost_balanced_chunks
+from repro.sim.address_space import AddressSpace
+from repro.sim.parallel import edge_balanced_partitions, interleave_stream
+from repro.sim.scheduler import cost_balanced_chunks, simulate_work_stealing
+from repro.sim.trace import concatenate_traces, spmv_trace
 
 
 class TestPartitions:

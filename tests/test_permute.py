@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PermutationError
-from repro.graph import (
+from repro.graph.permute import (
     apply_to_edges,
     check_permutation,
     identity_permutation,

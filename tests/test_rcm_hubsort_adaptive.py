@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ReorderingError
-from repro.core import average_gap_profile
-from repro.graph import Graph, invert_permutation, is_permutation, validate_graph
-from repro.reorder import (
-    GOrder,
-    HubCluster,
-    HubSort,
-    ReverseCuthillMcKee,
-    get_algorithm,
-)
+from repro.core.gap import average_gap_profile
+from repro.graph.graph import Graph
+from repro.graph.permute import invert_permutation, is_permutation
+from repro.graph.validate import validate_graph
+from repro.reorder import get_algorithm
+from repro.reorder.gorder import GOrder
+from repro.reorder.hubsort import HubCluster, HubSort
+from repro.reorder.rcm import ReverseCuthillMcKee
 
 
 class TestRCM:
@@ -22,7 +21,7 @@ class TestRCM:
         validate_graph(result.apply(small_web))
 
     def test_reduces_bandwidth_of_scrambled_ring(self, ring_graph):
-        from repro.graph import random_permutation
+        from repro.graph.permute import random_permutation
 
         scrambled = ring_graph.permuted(random_permutation(12, seed=2))
         result = ReverseCuthillMcKee()(scrambled)

@@ -29,14 +29,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReorderingError, ReproError
-from repro.graph import (
-    Graph,
-    build_graph,
-    invert_permutation,
-    is_permutation,
-    modularity,
-    random_permutation,
-)
+from repro.graph.build import build_graph
+from repro.graph.communities import modularity
+from repro.graph.graph import Graph
+from repro.graph.permute import invert_permutation, is_permutation, random_permutation
 from repro.reorder import algorithm_names, get_algorithm
 from tests.fixture_graphs import planted_partition_edges
 

@@ -23,8 +23,10 @@ from hypothesis import strategies as st
 
 import repro.graph.communities as communities
 import repro.reorder.traceprof as traceprof
-from repro.graph import Graph, label_propagation_communities
-from repro.reorder import SlashBurn, get_algorithm, slashburn_iterations
+from repro.graph.communities import label_propagation_communities
+from repro.graph.graph import Graph
+from repro.reorder import get_algorithm
+from repro.reorder.slashburn import SlashBurn, slashburn_iterations
 from tests.reorder_oracles import (
     gorder_oracle,
     kmeans_oracle,

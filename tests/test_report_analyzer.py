@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    LocalityAnalyzer,
-    format_matrix,
-    format_series,
-    format_table,
-    format_value,
-)
+from repro.core.analyzer import LocalityAnalyzer
+from repro.core.report import format_matrix, format_series, format_table, format_value
 
 
 class TestFormatValue:

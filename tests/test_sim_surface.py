@@ -14,14 +14,11 @@ import inspect
 import pytest
 
 from repro.core.ecs import with_ecs_scans
-from repro.sim import (
-    AddressSpace,
-    CacheConfig,
-    SimulationConfig,
-    TLBConfig,
-    simulate_spmv,
-    spmv_trace_chunks,
-)
+from repro.sim.address_space import AddressSpace
+from repro.sim.cache import CacheConfig
+from repro.sim.simulator import SimulationConfig, simulate_spmv
+from repro.sim.tlb import TLBConfig
+from repro.sim.trace import spmv_trace_chunks
 
 # A new setting must name the second non-test caller (or the oracle)
 # that needs a value other than its default; until then it is a module

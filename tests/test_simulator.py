@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.graph import random_permutation
-from repro.sim import (
-    CacheConfig,
-    SimulationConfig,
-    TLBConfig,
-    simulate_spmv,
-    spmv_trace,
-)
+from repro.graph.permute import random_permutation
+from repro.sim.cache import CacheConfig
+from repro.sim.simulator import SimulationConfig, simulate_spmv
+from repro.sim.tlb import TLBConfig
+from repro.sim.trace import spmv_trace
 from repro.sim.timing import traversal_time_ms
 
 

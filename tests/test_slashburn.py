@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ReorderingError
-from repro.graph import invert_permutation, is_permutation, validate_graph
-from repro.reorder import SlashBurn, SlashBurnPP, slashburn_iterations
+from repro.graph.permute import invert_permutation, is_permutation
+from repro.graph.validate import validate_graph
+from repro.reorder.slashburn import SlashBurn, SlashBurnPP, slashburn_iterations
 
 
 class TestSlashBurn:

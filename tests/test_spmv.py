@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import Graph, random_permutation
-from repro.sim import pagerank
+from repro.graph.graph import Graph
+from repro.graph.permute import random_permutation
+from repro.sim.spmv import pagerank
 
 
 def pull(graph, data):

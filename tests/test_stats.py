@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AddressSpace, MemoryTrace, Region, attribute_random_accesses
+from repro.sim.address_space import AddressSpace, Region
+from repro.sim.stats import attribute_random_accesses
+from repro.sim.trace import MemoryTrace
 
 
 def trace_of(records, n=16):

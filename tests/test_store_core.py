@@ -19,15 +19,9 @@ from repro.graph import Graph
 from repro.reorder import get_algorithm
 from repro.reorder.base import ReorderResult
 from repro.sim import SimulationConfig, simulate_spmv
-from repro.store import (
-    STORE_DIR_ENV,
-    ArtifactStore,
-    StoredSimulation,
-    collect_garbage,
-    default_store_dir,
-    get_serializer,
-    verify_store,
-)
+from repro.store.gc import collect_garbage, verify_store
+from repro.store.serializers import StoredSimulation, get_serializer
+from repro.store.store import STORE_DIR_ENV, ArtifactStore, default_store_dir
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import StoreError
-from repro.store import (
+from repro.store.fingerprint import (
     canonical_json,
     clear_code_version_cache,
     code_version,

@@ -11,22 +11,20 @@ underlying producers (``load_dataset`` / ``get_algorithm`` /
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import math
 
 import numpy as np
 import pytest
 
-# The package re-exports a ``workloads`` *instance*, which shadows the
-# submodule as an attribute — resolve the real module for monkeypatching.
-workloads_module = importlib.import_module("repro.bench.workloads")
-fingerprint_module = importlib.import_module("repro.store.fingerprint")
+from repro.bench import workloads as workloads_module
 from repro.bench.harness import run_experiment, run_experiments
 from repro.bench.workloads import Workloads
 from repro.errors import ExperimentError
 from repro.serve.jobs import canonical_job
 from repro.serve.worker import execute_job
-from repro.store import ArtifactStore, environment_snapshot
+from repro.store import fingerprint as fingerprint_module
+from repro.store.manifest import environment_snapshot
+from repro.store.store import ArtifactStore
 
 _DATASET = "twtr-mini"
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AddressSpace, Region, concatenate_traces, spmv_trace
+from repro.sim.address_space import AddressSpace, Region
+from repro.sim.trace import concatenate_traces, spmv_trace
 
 
 class TestPullTrace:

@@ -28,27 +28,29 @@ from repro import obs
 from repro.bench.experiments.scale_curve import build_ladder_graph
 from repro.errors import SimulationError
 from repro.generate.rmat import rmat_edges
-from repro.graph import Graph, build_graph
+from repro.graph.build import build_graph
+from repro.graph.graph import Graph
 from repro.obs import metrics as obs_metrics
-from repro.sim import (
-    AddressSpace,
-    CacheSnapshot,
+from repro.sim.address_space import AddressSpace, Region
+from repro.sim.cache import CacheSnapshot, SetAssociativeCache
+from repro.sim.parallel import (
+    ROUND_ROBIN_INTERVAL,
+    edge_balanced_partitions,
+    interleave_stream,
+)
+from repro.sim.simulator import SimulationConfig, simulate_spmv, simulate_spmv_streamed
+from repro.sim.stats import (
     LocalityTypeClassifier,
     LocalityTypeCounts,
-    Region,
-    SetAssociativeCache,
-    SimulationConfig,
     attribute_random_accesses,
+)
+from repro.sim.tlb import simulate_tlb
+from repro.sim.trace import (
+    MemoryTrace,
     concatenate_traces,
-    interleave_stream,
-    simulate_spmv,
-    simulate_spmv_streamed,
-    simulate_tlb,
     spmv_trace,
     spmv_trace_chunks,
 )
-from repro.sim.parallel import ROUND_ROBIN_INTERVAL, edge_balanced_partitions
-from repro.sim.trace import MemoryTrace
 
 _GRAPHS: dict = {}
 
