@@ -4,14 +4,22 @@ The paper derives an *efficacy degree range* from the Figure 1 curves
 and relabels only the vertices inside it, reporting reduced
 preprocessing time "without affecting the traversal time" (Frndstr
 139 s -> 103 s, TwtrMpi 66 s -> 12 s).
+
+The two preprocessing times are measured here, back to back on the same
+graph, not read from the stored reorderings: a stored time was taken
+whenever its artifact was computed, under whatever else loaded the host
+then, and two such times can overlap even where EDR's saving is real.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.core.binning import log_bins
 from repro.core.missdist import miss_rate_degree_distribution
 from repro.core.report import format_table
 from repro.errors import ReorderingError
+from repro.graph.graph import Graph
 from repro.reorder.edr import EDRRestricted, efficacy_degree_range
 from repro.reorder.rabbit import RabbitOrder
 
@@ -20,13 +28,14 @@ from repro.bench.workloads import SOCIAL_DATASETS, WEB_DATASETS, Workloads
 
 _DATASETS = (SOCIAL_DATASETS[0], WEB_DATASETS[0])
 _TRAVERSAL_TOLERANCE = 1.20  # "without affecting the traversal time"
+#: Interleaved calls of each Rabbit-Order variant; the fastest counts.
+_TIMING_ROUNDS = 2
 
 
 def run(workloads: Workloads) -> ExperimentReport:
     rows = []
     metrics: dict[str, dict[str, float]] = {}
     for dataset in _DATASETS:
-        full = workloads.reordering(dataset, "rabbit")
         full_sim = workloads.simulation(dataset, "rabbit")
 
         lo, hi = _efficacy_range(workloads, dataset)
@@ -41,9 +50,12 @@ def run(workloads: Workloads) -> ExperimentReport:
             params={"lo": lo, "hi": hi},
         )
 
+        full_prep, edr_prep = _preprocessing_seconds(
+            workloads.graph(dataset), edr_factory
+        )
         metrics[dataset] = {
-            "full_prep": full.preprocessing_seconds,
-            "edr_prep": restricted.preprocessing_seconds,
+            "full_prep": full_prep,
+            "edr_prep": edr_prep,
             "full_time": full_sim.traversal_time_ms(),
             "edr_time": restricted_sim.traversal_time_ms(),
             "in_range": restricted.details["num_in_range"],
@@ -84,6 +96,19 @@ def run(workloads: Workloads) -> ExperimentReport:
         data={"rows": rows, "metrics": metrics},
         shape_checks=shape_checks,
     )
+
+
+def _preprocessing_seconds(
+    graph: Graph, edr_factory: Callable[[], EDRRestricted]
+) -> tuple[float, float]:
+    """Fastest preprocessing time of full and of EDR-restricted
+    Rabbit-Order over ``_TIMING_ROUNDS`` interleaved calls each on
+    ``graph``, so both see the same host load."""
+    full, restricted = [], []
+    for _ in range(_TIMING_ROUNDS):
+        full.append(RabbitOrder()(graph).preprocessing_seconds)
+        restricted.append(edr_factory()(graph).preprocessing_seconds)
+    return min(full), min(restricted)
 
 
 def _efficacy_range(workloads: Workloads, dataset: str) -> tuple[int, int]:

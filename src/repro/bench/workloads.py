@@ -360,8 +360,9 @@ class Workloads:
     ) -> SimulationResult:
         """Cached SpMV cache simulation of (source, RA, config).
 
-        Every run takes the periodic resident-set snapshots the ECS
-        metric reads.  ``reverse=True`` simulates the reversed graph (a
+        Every run takes the periodic resident-set scans the ECS metric
+        reads, and keeps each as its per-region line counts.
+        ``reverse=True`` simulates the reversed graph (a
         CSR read traversal — Table VI's comparison); ``policy`` and
         ``pressure`` pick the cache (see
         :meth:`SimulationConfig.scaled_for`).  ``params`` are the RA's

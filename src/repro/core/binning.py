@@ -8,7 +8,7 @@ into these bins so curves from different metrics line up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,10 +24,37 @@ class DegreeBins:
     """Half-open degree bins ``[lower[i], lower[i+1])``.
 
     ``lower`` has one extra element acting as the exclusive upper edge of
-    the last bin.
+    the last bin.  Degrees at or above the last bin's lower edge fall in
+    the last bin, so :meth:`index_of` is one gather from a table over
+    ``[0, lower[-2]]``, whose size depends on the bins, never on the
+    degrees binned.
     """
 
     lower: np.ndarray
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        lower = np.asarray(self.lower, dtype=np.int64)
+        if lower.ndim != 1 or lower.shape[0] < 2:
+            raise ReproError("degree bins need at least two edges")
+        if lower[0] < 0 or np.any(lower[1:] < lower[:-1]):
+            raise ReproError(
+                "degree bin edges must be non-negative and non-decreasing"
+            )
+        # table[d] is the bin of degree d: -1 below lower[0], and bin i
+        # (the last one holding d, as ``searchsorted(..., "right") - 1``
+        # picks it) for d in [lower[i], lower[i+1]).
+        num_bins = lower.shape[0] - 1
+        inner = np.arange(num_bins - 1, dtype=np.int64)
+        table = np.concatenate(
+            [
+                np.full(int(lower[0]), -1, dtype=np.int64),
+                np.repeat(inner, np.diff(lower[:-1])),
+                np.array([num_bins - 1], dtype=np.int64),
+            ]
+        )
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "_table", table)
 
     @property
     def num_bins(self) -> int:
@@ -47,11 +74,11 @@ class DegreeBins:
         ]
 
     def index_of(self, degrees: np.ndarray) -> np.ndarray:
-        """Bin index per degree; ``-1`` for degrees below the first edge."""
+        """Bin index per (non-negative) degree; ``-1`` for degrees below
+        the first edge and the last bin for degrees at or above its lower
+        edge."""
         degrees = np.asarray(degrees, dtype=np.int64)
-        idx = np.searchsorted(self.lower, degrees, side="right") - 1
-        idx[idx >= self.num_bins] = self.num_bins - 1
-        return idx
+        return self._table[np.clip(degrees, 0, int(self.lower[-2]))]
 
 
 def log_bins(max_degree: int, *, min_degree: int = 1) -> DegreeBins:

@@ -52,7 +52,7 @@ def ecs_from_result(result: SimulationResult) -> ECSMeasurement:
     samples = result.effective_cache_size_samples()
     if samples.size == 0:
         raise SimulationError(
-            "simulation has no cache snapshots; rerun with scan_interval > 0"
+            "simulation has no ECS scans; rerun with scan_interval > 0"
         )
     return ECSMeasurement(samples=samples, scan_interval=result.config.scan_interval)
 

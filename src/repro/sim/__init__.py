@@ -3,7 +3,7 @@
 :func:`simulate_spmv` streams per-thread trace chunks through a
 round-robin interleave into one shared cache
 (:class:`repro.sim.cache.Replay`), which also cuts the Effective Cache
-Size snapshots.
+Size snapshots; the result keeps only their per-region line counts.
 """
 
 from repro.sim.address_space import AddressSpace, Region

@@ -141,8 +141,8 @@ class AddressSpace:
         Equivalent to ``np.stack([self.region_counts(g) for g in
         line_groups])`` but classifies the concatenated lines once and
         splits the histogram with a single ``bincount`` over
-        ``group_id * Region.COUNT + region`` keys.  Used by the ECS
-        metric, whose snapshots arrive as many small resident-line sets.
+        ``group_id * Region.COUNT + region`` keys.  :func:`simulate_spmv`
+        counts its ECS scans' resident-line sets with it, once per run.
         Returns an int64 array of shape ``(len(line_groups),
         Region.COUNT)``.
         """

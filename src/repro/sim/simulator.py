@@ -7,10 +7,10 @@ simulated shared L3 (and optionally a DTLB).  Both phases stream: trace
 chunks -> round-robin merge -> one-cache replay, each holding
 O(``chunk_accesses``) accesses at a time.  Everything the
 paper's metrics read off the per-access outcome is folded in chunk by
-chunk, so the returned :class:`SimulationResult` is O(V + snapshots):
+chunk, so the returned :class:`SimulationResult` is O(V + scans):
 per-region counters, per-vertex access and miss counts under both
-attributions, resident-line snapshots for the Effective Cache Size, TLB
-misses, and optionally the locality-type counts.
+attributions, the per-region count of resident lines at each Effective
+Cache Size scan, TLB misses, and optionally the locality-type counts.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import span
 
 from repro.sim.address_space import AddressSpace, Region
-from repro.sim.cache import CacheConfig, CacheSnapshot, Replay
+from repro.sim.cache import CacheConfig, Replay
 from repro.sim.parallel import (
     ROUND_ROBIN_INTERVAL,
     edge_balanced_partitions,
@@ -104,14 +104,17 @@ class SimulationConfig:
 
 @dataclass
 class SimulationResult:
-    """Outcome of one simulated parallel SpMV traversal, O(V + snapshots).
+    """Outcome of one simulated parallel SpMV traversal, O(V + scans).
 
     ``in_degrees``/``out_degrees`` are the simulated graph's, the only
     part of it the timing model and the per-degree metrics read.
     ``region_accesses``/``region_hits`` count accesses and hits per
     :class:`~repro.sim.address_space.Region`; ``read_stats`` and
     ``proc_stats`` attribute the random accesses and their misses per
-    vertex (see :mod:`repro.sim.stats`).  ``locality_types`` is set when
+    vertex (see :mod:`repro.sim.stats`).  ``scan_region_counts`` is an
+    int64 ``(scans, Region.COUNT)`` matrix: row ``i`` counts the lines
+    resident at the ``i``-th ECS scan per region, the one thing the
+    Effective Cache Size reads of them.  ``locality_types`` is set when
     the run classified reuses (``classify_locality=True``).
     """
 
@@ -123,7 +126,7 @@ class SimulationResult:
     region_hits: np.ndarray
     read_stats: VertexAccessStats
     proc_stats: VertexAccessStats
-    snapshots: list[CacheSnapshot]
+    scan_region_counts: np.ndarray
     tlb_misses: int
     partition_boundaries: np.ndarray
     locality_types: LocalityTypeCounts | None = None
@@ -180,26 +183,16 @@ class SimulationResult:
     # -- effective cache size --------------------------------------------------
 
     def effective_cache_size_samples(self) -> np.ndarray:
-        """Per-snapshot percentage of capacity holding random-access data.
-
-        Snapshots are classified in one batched pass (see
-        :meth:`AddressSpace.region_counts_batch`) instead of one
-        ``region_counts`` call per snapshot.
-        """
-        if not self.snapshots:
-            return np.zeros(0, dtype=np.float64)
+        """Per-scan percentage of capacity holding random-access data."""
         capacity = self.config.cache.num_lines
-        counts = self.space.region_counts_batch(
-            [snap.resident_lines for snap in self.snapshots]
-        )
-        return counts[:, self.random_region] / capacity * 100.0
+        return self.scan_region_counts[:, self.random_region] / capacity * 100.0
 
     def effective_cache_size(self) -> float:
-        """Average ECS percentage over all snapshots (Table V)."""
+        """Average ECS percentage over all scans (Table V)."""
         samples = self.effective_cache_size_samples()
         if samples.size == 0:
             raise SimulationError(
-                "no snapshots recorded; run with scan_interval > 0 to measure ECS"
+                "no ECS scans recorded; run with scan_interval > 0 to measure ECS"
             )
         return float(samples.mean())
 
@@ -282,8 +275,10 @@ def simulate_spmv(
     (:class:`~repro.sim.cache.Replay`, which also cuts the ECS
     snapshots), with the TLB replayed alongside.  Each merged chunk of
     ~``chunk_accesses`` accesses is attributed and dropped before the
-    next one is built.  Results are bit-identical for every
-    ``chunk_accesses`` (``tests/test_trace_stream.py``).
+    next one is built.  At the end the snapshots' resident lines are
+    classified by region in one pass, and only those counts are kept.
+    Results are bit-identical for every ``chunk_accesses``
+    (``tests/test_trace_stream.py``).
 
     ``classify_locality=True`` also counts locality types I–V
     (:class:`~repro.sim.stats.LocalityTypeClassifier`), at the cost of
@@ -354,6 +349,9 @@ def simulate_spmv(
 
         region_accesses = region_outcomes.sum(axis=1)
         region_hits = region_outcomes[:, 1].copy()
+        scan_region_counts = space.region_counts_batch(
+            [snap.resident_lines for snap in replay.snapshots]
+        )
         if obs_enabled():
             obs_metrics.registry.counter("sim.accesses").inc(int(region_accesses.sum()))
             obs_metrics.registry.counter("sim.l3_misses").inc(
@@ -370,7 +368,7 @@ def simulate_spmv(
         region_hits=region_hits,
         read_stats=VertexAccessStats(accesses=by_read[0], misses=by_read[1]),
         proc_stats=VertexAccessStats(accesses=by_proc[0], misses=by_proc[1]),
-        snapshots=replay.snapshots,
+        scan_region_counts=scan_region_counts,
         tlb_misses=tlb_misses,
         partition_boundaries=boundaries,
         locality_types=classifier.counts() if classifier is not None else None,

@@ -39,7 +39,6 @@ from repro.graph.csr import Adjacency
 from repro.graph.graph import Graph
 from repro.reorder.base import ReorderResult
 from repro.sim.address_space import AddressSpace
-from repro.sim.cache import CacheSnapshot
 from repro.sim.simulator import SimulationConfig, SimulationResult
 from repro.sim.stats import LocalityTypeCounts, VertexAccessStats
 
@@ -305,15 +304,15 @@ class AIDSerializer(DataclassSerializer):
 
 @dataclass
 class StoredSimulation:
-    """A :class:`SimulationResult` minus its config: O(V + snapshots).
+    """A :class:`SimulationResult` minus its config: O(V + scans).
 
     The config is re-derived deterministically from the stored vertex
     and edge counts, so the simulation artifact keeps only the graph's
     in/out degrees and what the simulator produced: per-region
     access/hit counters, per-vertex access/miss counts under both
-    attributions, ECS snapshots (flattened with lengths), partition
-    boundaries, TLB misses and the locality-type counts when the run
-    classified them.
+    attributions, the ``(scans, Region.COUNT)`` resident-line counts of
+    the ECS scans, partition boundaries, TLB misses and the
+    locality-type counts when the run classified them.
     """
 
     in_degrees: np.ndarray
@@ -325,16 +324,13 @@ class StoredSimulation:
     proc_accesses: np.ndarray
     proc_misses: np.ndarray
     partition_boundaries: np.ndarray
-    snapshot_indices: np.ndarray
-    snapshot_lines: np.ndarray
-    snapshot_lengths: np.ndarray
+    scan_region_counts: np.ndarray
     tlb_misses: int
     space_params: dict
     locality_types: "dict | None" = None
 
     @classmethod
     def from_result(cls, result: SimulationResult) -> "StoredSimulation":
-        snapshots = result.snapshots
         return cls(
             in_degrees=result.in_degrees,
             out_degrees=result.out_degrees,
@@ -345,16 +341,7 @@ class StoredSimulation:
             proc_accesses=result.proc_stats.accesses,
             proc_misses=result.proc_stats.misses,
             partition_boundaries=result.partition_boundaries,
-            snapshot_indices=np.asarray(
-                [snap.access_index for snap in snapshots], dtype=np.int64
-            ),
-            snapshot_lines=np.concatenate(
-                [snap.resident_lines for snap in snapshots]
-                or [np.zeros(0, dtype=np.int64)]
-            ),
-            snapshot_lengths=np.asarray(
-                [snap.resident_lines.shape[0] for snap in snapshots], dtype=np.int64
-            ),
+            scan_region_counts=result.scan_region_counts,
             tlb_misses=result.tlb_misses,
             space_params=asdict(result.space),
             locality_types=(
@@ -369,7 +356,6 @@ class StoredSimulation:
 
     def to_result(self, config: SimulationConfig) -> SimulationResult:
         """Rebuild the full result under the config the run used."""
-        lines = np.split(self.snapshot_lines, np.cumsum(self.snapshot_lengths)[:-1])
         return SimulationResult(
             in_degrees=self.in_degrees,
             out_degrees=self.out_degrees,
@@ -379,10 +365,7 @@ class StoredSimulation:
             region_hits=self.region_hits,
             read_stats=VertexAccessStats(self.read_accesses, self.read_misses),
             proc_stats=VertexAccessStats(self.proc_accesses, self.proc_misses),
-            snapshots=[
-                CacheSnapshot(access_index=index, resident_lines=resident)
-                for index, resident in zip(self.snapshot_indices.tolist(), lines)
-            ],
+            scan_region_counts=self.scan_region_counts,
             tlb_misses=int(self.tlb_misses),
             partition_boundaries=self.partition_boundaries,
             locality_types=(

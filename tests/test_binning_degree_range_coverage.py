@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.core.binning import log_bins
+from repro.core.binning import DegreeBins, log_bins
 from repro.core.degree_range import degree_range_decomposition
 from repro.core.hub_coverage import coverage_at, hub_coverage
 from repro.graph import Graph
@@ -58,6 +58,74 @@ class TestLogBins:
         assert bins.lower[idx] <= degree
         if idx + 1 < bins.lower.shape[0]:
             assert degree < bins.lower[idx + 1] or idx == bins.num_bins - 1
+
+
+def searchsorted_bins(lower: np.ndarray, degrees) -> np.ndarray:
+    """The binning ``index_of`` replaced: a right-sided ``searchsorted``
+    minus one, clamped into the last bin."""
+    idx = np.searchsorted(lower, np.asarray(degrees, dtype=np.int64), side="right") - 1
+    idx[idx >= lower.shape[0] - 1] = lower.shape[0] - 2
+    return idx
+
+
+_ORACLE_BINS = {
+    "log-1": log_bins(1).lower,
+    "log-100": log_bins(100).lower,
+    "log-100-min3": log_bins(100, min_degree=3).lower,
+    "log-100000": log_bins(100_000).lower,
+    "custom": np.array([1, 3, 4, 9, 30], dtype=np.int64),
+    "custom-from-zero-repeated-edge": np.array([0, 7, 7, 12], dtype=np.int64),
+    "custom-one-bin": np.array([6, 11], dtype=np.int64),
+}
+
+
+class TestIndexOfOracle:
+    @pytest.mark.parametrize("name", sorted(_ORACLE_BINS))
+    def test_edges_and_extremes_match_searchsorted(self, name):
+        lower = _ORACLE_BINS[name]
+        bins = DegreeBins(lower=lower)
+        degrees = np.array(
+            [0, 1, int(lower[0]), int(lower[0]) + 1, int(lower[1]) - 1,
+             int(lower[-2]) - 1, int(lower[-2]), int(lower[-1]) - 1,
+             int(lower[-1]), int(lower[-1]) + 1, 10 * int(lower[-1]) + 3,
+             2**40]
+            + [int(edge) for edge in lower],
+            dtype=np.int64,
+        )
+        got = bins.index_of(degrees)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, searchsorted_bins(lower, degrees))
+        # Degrees at or above the last bin's lower edge clamp into it.
+        assert (got[degrees >= lower[-2]] == bins.num_bins - 1).all()
+        assert (got[degrees < lower[0]] == -1).all()
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_BINS))
+    def test_empty_input(self, name):
+        got = DegreeBins(lower=_ORACLE_BINS[name]).index_of(np.zeros(0, dtype=np.int64))
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+    @given(
+        edges=st.lists(st.integers(0, 300), min_size=2, max_size=9),
+        degrees=st.lists(st.integers(0, 2000), max_size=200),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_bins_match_searchsorted(self, edges, degrees):
+        lower = np.sort(np.array(edges, dtype=np.int64))
+        got = DegreeBins(lower=lower).index_of(np.array(degrees, dtype=np.int64))
+        np.testing.assert_array_equal(got, searchsorted_bins(lower, degrees))
+
+    def test_table_size_depends_on_bins_not_degrees(self):
+        bins = log_bins(100)
+        assert bins.index_of(np.array([2**50]))[0] == bins.num_bins - 1
+        assert bins._table.shape[0] == int(bins.lower[-2]) + 1
+
+    def test_rejects_malformed_edges(self):
+        with pytest.raises(ReproError):
+            DegreeBins(lower=np.array([5], dtype=np.int64))
+        with pytest.raises(ReproError):
+            DegreeBins(lower=np.array([1, 5, 2], dtype=np.int64))
+        with pytest.raises(ReproError):
+            DegreeBins(lower=np.array([-1, 5], dtype=np.int64))
 
 
 class TestDegreeRange:

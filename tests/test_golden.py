@@ -164,7 +164,7 @@ def test_table5_ecs_golden(identity_sim, rabbit_sim, update_golden):
             "effective_cache_size_percent": sim.effective_cache_size(),
             "l3_misses": sim.l3_misses,
             "num_accesses": sim.num_accesses,
-            "num_snapshots": len(sim.snapshots),
+            "num_snapshots": sim.scan_region_counts.shape[0],
         }
     check_golden("table5_ecs", computed, update_golden)
 
@@ -248,6 +248,7 @@ def test_scale_streamed_golden(golden_rmat, update_golden):
     from repro.sim.parallel import edge_balanced_partitions, interleave_stream
     from repro.sim.trace import spmv_trace_chunks
     from repro.sim.parallel import ROUND_ROBIN_INTERVAL
+    from tests.test_trace_stream import region_counts_of
 
     approx_len = golden_rmat.num_edges + golden_rmat.num_vertices // 4
     config = SimulationConfig.scaled_for(
@@ -273,15 +274,20 @@ def test_scale_streamed_golden(golden_rmat, update_golden):
         for chunk, _ in stream
     )
     assert misses == result.l3_misses
+    # The result keeps each scan's per-region counts of the lines the
+    # replay held; the lines themselves are pinned through the replay.
+    np.testing.assert_array_equal(
+        result.scan_region_counts, region_counts_of(space, replay.snapshots)
+    )
     computed = {
         "num_accesses": result.num_accesses,
         "l3_misses": result.l3_misses,
         "tlb_misses": result.tlb_misses,
         "random_accesses": result.random_accesses,
         "random_misses": result.random_misses,
-        "num_snapshots": len(result.snapshots),
+        "num_snapshots": len(replay.snapshots),
         "snapshot_checksum": int(
-            sum(int(s.resident_lines.sum()) for s in result.snapshots)
+            sum(int(s.resident_lines.sum()) for s in replay.snapshots)
         ),
         "effective_cache_size_percent": result.effective_cache_size(),
         "psel": replay.cache._psel,

@@ -18,10 +18,11 @@ from repro.generate import social_network
 from repro.graph import Graph
 from repro.reorder import get_algorithm
 from repro.reorder.base import ReorderResult
-from repro.sim import SimulationConfig, simulate_spmv
+from repro.sim import Region, SimulationConfig, simulate_spmv
 from repro.store.gc import collect_garbage, verify_store
 from repro.store.serializers import StoredSimulation, get_serializer
 from repro.store.store import STORE_DIR_ENV, ArtifactStore, default_store_dir
+from tests.test_trace_stream import region_counts_of, replayed_snapshots
 
 
 @pytest.fixture
@@ -108,14 +109,36 @@ class TestRoundTrips:
         assert rebuilt.locality_types == result.locality_types
         assert rebuilt.tlb_misses == result.tlb_misses
         assert rebuilt.l3_misses == result.l3_misses
-        assert len(rebuilt.snapshots) == len(result.snapshots)
-        for a, b in zip(rebuilt.snapshots, result.snapshots):
-            assert a.access_index == b.access_index
-            assert np.array_equal(a.resident_lines, b.resident_lines)
+        assert np.array_equal(rebuilt.scan_region_counts, result.scan_region_counts)
         assert rebuilt.effective_cache_size() == result.effective_cache_size()
         assert np.array_equal(rebuilt.in_degrees, two_hop_ring.in_degrees())
         assert np.array_equal(rebuilt.out_degrees, two_hop_ring.out_degrees())
         assert rebuilt.num_edges == two_hop_ring.num_edges
+
+    def test_simulation_stores_scan_counts_not_lines(self, store, two_hop_ring):
+        """A stored simulation keeps each ECS scan as its per-region
+        counts and no resident line id, and reads them back exactly."""
+        config = SimulationConfig.scaled_for(two_hop_ring, scan_interval=16)
+        result = simulate_spmv(two_hop_ring, config)
+        snapshots = replayed_snapshots(two_hop_ring, config)
+        assert len(snapshots) > 1
+        store.put(_key(10), "simulation", StoredSimulation.from_result(result))
+        loaded = store.get(_key(10), "simulation")
+        counts = loaded.scan_region_counts
+        assert counts.dtype == np.int64
+        assert counts.shape == (len(snapshots), Region.COUNT)
+        assert np.array_equal(counts, region_counts_of(result.space, snapshots))
+        assert (counts.sum(axis=1) <= config.cache.num_lines).all()
+        arrays = {
+            item.name
+            for item in dataclasses.fields(loaded)
+            if isinstance(getattr(loaded, item.name), np.ndarray)
+        }
+        assert arrays == {
+            "in_degrees", "out_degrees", "region_accesses", "region_hits",
+            "read_accesses", "read_misses", "proc_accesses", "proc_misses",
+            "partition_boundaries", "scan_region_counts",
+        }
 
     def test_aid(self, store, two_hop_ring):
         vertex_aid = VertexAID.of(two_hop_ring)

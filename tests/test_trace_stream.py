@@ -32,7 +32,7 @@ from repro.graph.build import build_graph
 from repro.graph.graph import Graph
 from repro.obs import metrics as obs_metrics
 from repro.sim.address_space import AddressSpace, Region
-from repro.sim.cache import CacheSnapshot, SetAssociativeCache
+from repro.sim.cache import CacheSnapshot, Replay, SetAssociativeCache
 from repro.sim.parallel import (
     ROUND_ROBIN_INTERVAL,
     edge_balanced_partitions,
@@ -189,6 +189,45 @@ def materialized_simulation(graph, config) -> dict:
     }
 
 
+def replayed_snapshots(
+    graph: Graph, config: SimulationConfig, chunk_accesses: int = 1 << 20
+):
+    """The ECS snapshots of a :class:`Replay` fed the stream that
+    ``simulate_spmv(graph, config, chunk_accesses=chunk_accesses)``
+    replays: its partitions, trace chunks and round-robin batches."""
+    space = AddressSpace(
+        graph.num_vertices, graph.num_edges, line_size=config.cache.line_size
+    )
+    bounds = edge_balanced_partitions(
+        graph, config.num_threads, direction=config.direction
+    )
+    sources = [
+        spmv_trace_chunks(
+            graph,
+            space,
+            direction=config.direction,
+            vertex_range=(int(bounds[t]), int(bounds[t + 1])),
+            max_accesses=max(1, chunk_accesses // config.num_threads),
+        )
+        for t in range(config.num_threads)
+    ]
+    replay = Replay(config.cache, scan_interval=config.scan_interval)
+    for chunk, _ in interleave_stream(
+        sources, ROUND_ROBIN_INTERVAL, batch_accesses=chunk_accesses
+    ):
+        replay.feed(chunk.lines)
+    return replay.snapshots
+
+
+def region_counts_of(space: AddressSpace, snapshots) -> np.ndarray:
+    """``(scans, Region.COUNT)`` resident-line counts, one
+    ``region_counts`` call per snapshot."""
+    return np.array(
+        [space.region_counts(snap.resident_lines) for snap in snapshots],
+        dtype=np.int64,
+    ).reshape(-1, Region.COUNT)
+
+
 def _assert_traces_equal(actual: MemoryTrace, expected: MemoryTrace) -> None:
     np.testing.assert_array_equal(actual.lines, expected.lines)
     np.testing.assert_array_equal(actual.kinds, expected.kinds)
@@ -339,7 +378,27 @@ class TestStreamedSimulator:
         streamed = simulate_spmv(
             graph, config, chunk_accesses=chunk_accesses, classify_locality=True
         )
-        self._assert_matches(streamed, reference)
+        self._assert_matches(
+            streamed, reference, replayed_snapshots(graph, config, chunk_accesses)
+        )
+
+    @pytest.mark.parametrize("chunk_accesses", [1 << 20, 1 << 12, 997, 61])
+    def test_scan_counts_are_region_counts_of_replay_snapshots(
+        self, graph, config, chunk_accesses
+    ):
+        """The result keeps, per ECS scan, exactly the per-region count
+        of the lines the replay held at that scan."""
+        result = simulate_spmv(graph, config, chunk_accesses=chunk_accesses)
+        snapshots = replayed_snapshots(graph, config, chunk_accesses)
+        assert len(snapshots) > 1
+        counts = result.scan_region_counts
+        assert counts.dtype == np.int64
+        assert counts.shape == (len(snapshots), Region.COUNT)
+        np.testing.assert_array_equal(counts, region_counts_of(result.space, snapshots))
+        np.testing.assert_array_equal(
+            result.effective_cache_size_samples(),
+            counts[:, Region.VERTEX_DATA] / config.cache.num_lines * 100.0,
+        )
 
     def test_push_matches_materialized_simulation(self, graph):
         config = SimulationConfig.scaled_for(
@@ -348,7 +407,11 @@ class TestStreamedSimulator:
         streamed = simulate_spmv(
             graph, config, chunk_accesses=1500, classify_locality=True
         )
-        self._assert_matches(streamed, materialized_simulation(graph, config))
+        self._assert_matches(
+            streamed,
+            materialized_simulation(graph, config),
+            replayed_snapshots(graph, config, 1500),
+        )
 
     @pytest.mark.slow
     def test_ladder_graph_is_chunk_exact_in_bounded_memory(self):
@@ -392,7 +455,10 @@ class TestStreamedSimulator:
         assert large_peak < bound(1 << 20), (large_peak, bound(1 << 20))
 
     @staticmethod
-    def _assert_matches(streamed, reference) -> None:
+    def _assert_matches(streamed, reference, snapshots) -> None:
+        """``streamed`` equals the materialized ``reference``, and the
+        ``snapshots`` of a replay fed the same stream equal its
+        reference-loop snapshots."""
         np.testing.assert_array_equal(
             streamed.region_accesses, reference["region_accesses"]
         )
@@ -406,12 +472,16 @@ class TestStreamedSimulator:
         np.testing.assert_array_equal(
             streamed.partition_boundaries, reference["partition_boundaries"]
         )
-        assert len(streamed.snapshots) == len(reference["snapshots"])
-        for got, want in zip(streamed.snapshots, reference["snapshots"]):
+        assert len(snapshots) == len(reference["snapshots"])
+        for got, want in zip(snapshots, reference["snapshots"]):
             assert got.access_index == want.access_index
             np.testing.assert_array_equal(
                 got.resident_lines, want.resident_lines
             )
+        np.testing.assert_array_equal(
+            streamed.scan_region_counts,
+            region_counts_of(streamed.space, reference["snapshots"]),
+        )
 
     def test_config_kwargs_are_exclusive(self, graph, config):
         """A config is required, and scaling kwargs are not accepted."""
@@ -421,6 +491,7 @@ class TestStreamedSimulator:
             simulate_spmv(graph)  # type: ignore[call-arg]
 
     def test_streamed_alias_checks_shard_keywords(self, graph, config, reference):
+        snapshots = replayed_snapshots(graph, config)
         for num_shards, mode in ((1, "serial"), (2, "process")):
             alias = simulate_spmv_streamed(
                 graph,
@@ -429,7 +500,7 @@ class TestStreamedSimulator:
                 shard_mode=mode,
                 classify_locality=True,
             )
-            self._assert_matches(alias, reference)
+            self._assert_matches(alias, reference, snapshots)
         with pytest.raises(SimulationError, match="num_shards"):
             simulate_spmv_streamed(graph, config, num_shards=0)
         with pytest.raises(SimulationError, match="shard_mode"):
