@@ -9,11 +9,11 @@ This package machine-checks those contracts:
 ``python -m repro.lint [paths]``
 
 Rules (see :mod:`repro.lint.rules`): RL001 explicit-dtype, RL002
-seeded-rng, RL003 no-python-edge-loop (warn tier), RL004
-exception-discipline, RL005 no-mutable-default-args.  Configuration
-lives in ``[tool.repro-lint]`` of ``pyproject.toml``; intentional
-violations use per-line ``# repro-lint: disable=RLxxx`` comments or the
-committed baseline file.
+seeded-rng, RL003 no-python-edge-loop, RL004 exception-discipline,
+RL005 no-mutable-default-args.  The linter has no settings: each rule's
+scope is a constant in its module, every finding exits 1, and an
+intentional violation carries a per-line ``# repro-lint: disable=RLxxx``
+comment.
 """
 
 __all__: list[str] = []

@@ -1,9 +1,9 @@
 """Linting engine: file discovery, parsing, rule dispatch, suppression.
 
 The engine is deliberately free of rule knowledge: it parses each module
-once, builds a :class:`ModuleContext`, runs every enabled rule from the
-registry, then applies the two suppression layers — per-line
-``# repro-lint: disable=RLxxx`` comments and the committed baseline file.
+once, builds a :class:`ModuleContext`, runs every rule in the registry,
+then drops the findings a per-line ``# repro-lint: disable=RLxxx``
+comment names.
 """
 
 from __future__ import annotations
@@ -12,22 +12,11 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from repro.errors import LintError
-from repro.lint.baseline import Baseline
-from repro.lint.config import LintConfig
-from repro.lint.rules import (
-    RULES,
-    Finding,
-    ModuleContext,
-    Rule,
-    Severity,
-    collect_import_aliases,
-    resolve_rules,
-)
-
-_ALL_CODES = frozenset(RULES) | {"RL000"}
+from repro.lint.rules import RULES
+from repro.lint.rules.base import Finding, ModuleContext, collect_import_aliases
 
 __all__ = ["LintReport", "lint_paths", "lint_source"]
 
@@ -36,118 +25,77 @@ _DISABLE_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
 @dataclass
 class LintReport:
-    """Outcome of one lint run, after all suppression layers."""
+    """Outcome of one lint run, after inline suppression."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     disabled: int = 0  # count suppressed by inline disable comments
     files_checked: int = 0
-
-    @property
-    def errors(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity is Severity.ERROR]
-
-    @property
-    def warnings(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity is Severity.WARN]
 
     @property
     def ok(self) -> bool:
         return not self.findings
 
 
-def lint_paths(
-    paths: Sequence[Path],
-    config: LintConfig,
-    *,
-    baseline: "Baseline | None" = None,
-    select: Iterable[str] = (),
-) -> LintReport:
-    """Lint every ``.py`` file under ``paths`` (files or directories)."""
-    rules = resolve_rules(select)
-    rules = [r for r in rules if config.rule_enabled(r.code)]
+def lint_paths(paths: Sequence[Path], root: Path) -> LintReport:
+    """Lint every ``.py`` file under ``paths`` (files or directories).
+
+    Findings name files relative to ``root``, which is what the rule
+    scopes (``src/repro/sim``, ...) are written against.
+    """
     report = LintReport()
-    raw: List[Finding] = []
     for path in _discover(paths):
-        relpath = _relpath(path, config.root)
         try:
             source = path.read_text()
         except OSError as exc:
             raise LintError(f"cannot read {path}: {exc}") from exc
-        file_findings, disabled = _lint_module(source, relpath, config, rules)
-        raw.extend(file_findings)
+        findings, disabled = _lint_module(source, _relpath(path, root))
+        report.findings.extend(findings)
         report.disabled += disabled
         report.files_checked += 1
-    raw.sort(key=lambda f: (f.relpath, f.line, f.col, f.code))
-    if baseline is not None:
-        report.findings, report.baselined = baseline.filter(raw)
-    else:
-        report.findings = raw
+    report.findings.sort(key=lambda f: (f.relpath, f.line, f.col, f.code))
     return report
 
 
-def lint_source(
-    source: str,
-    relpath: str,
-    config: LintConfig,
-    *,
-    select: Iterable[str] = (),
-) -> List[Finding]:
+def lint_source(source: str, relpath: str) -> List[Finding]:
     """Lint one in-memory module (test and tooling entry point)."""
-    rules = [r for r in resolve_rules(select) if config.rule_enabled(r.code)]
-    findings, _ = _lint_module(source, relpath, config, rules)
+    findings, _ = _lint_module(source, relpath)
     findings.sort(key=lambda f: (f.line, f.col, f.code))
     return findings
 
 
-def _lint_module(
-    source: str,
-    relpath: str,
-    config: LintConfig,
-    rules: Sequence[Rule],
-) -> Tuple[List[Finding], int]:
-    lines = source.splitlines()
+def _lint_module(source: str, relpath: str) -> Tuple[List[Finding], int]:
     try:
         tree = ast.parse(source, filename=relpath)
     except SyntaxError as exc:
         finding = Finding(
             code="RL000",
-            severity=Severity.ERROR,
             relpath=relpath,
             line=exc.lineno or 1,
             col=(exc.offset or 1) - 1,
             message=f"syntax error: {exc.msg}",
-            source_line=(exc.text or "").strip(),
         )
         return [finding], 0
-    module = ModuleContext(
-        path=config.root / relpath,
-        relpath=relpath,
-        tree=tree,
-        lines=lines,
-        config=config,
-    )
+    module = ModuleContext(relpath=relpath, tree=tree)
     collect_import_aliases(module)
+    lines = source.splitlines()
     findings: List[Finding] = []
     disabled = 0
-    for rule in rules:
-        for finding in rule.check(module):
-            if finding.code in _disabled_codes(module, finding.line):
+    for rule in RULES.values():
+        for finding in rule().check(module):
+            if finding.code in _disabled_codes(lines, finding.line):
                 disabled += 1
             else:
                 findings.append(finding)
     return findings, disabled
 
 
-def _disabled_codes(module: ModuleContext, lineno: int) -> Set[str]:
-    """Rule codes disabled on one physical line (``all`` disables every rule)."""
-    match = _DISABLE_RE.search(module.source_line(lineno))
+def _disabled_codes(lines: List[str], lineno: int) -> Set[str]:
+    """Rule codes disabled on one physical line."""
+    line = lines[lineno - 1] if 1 <= lineno <= len(lines) else ""
+    match = _DISABLE_RE.search(line)
     if not match:
         return set()
-    codes = {token.strip() for token in match.group(1).split(",") if token.strip()}
-    if "all" in codes:
-        return set(_ALL_CODES)
-    return codes
+    return {token.strip() for token in match.group(1).split(",") if token.strip()}
 
 
 def _discover(paths: Sequence[Path]) -> List[Path]:

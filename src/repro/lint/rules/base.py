@@ -1,25 +1,19 @@
-"""Shared vocabulary of the invariant linter: findings, severities, rules.
+"""Shared vocabulary of the invariant linter: findings, modules, rules.
 
-A rule is a small AST visitor packaged with an identity (``code``), a
-default :class:`Severity`, and a fix-it oriented message.  Rules are
-registered in :mod:`repro.lint.rules` and run by
-:mod:`repro.lint.engine`; they never read files themselves — the engine
-hands each one a fully parsed :class:`ModuleContext`.
+A rule is a small AST visitor packaged with an identity (``code``) and
+a fix-it oriented message.  Rules are registered in
+:mod:`repro.lint.rules` and run by :mod:`repro.lint.engine`; they never
+read files themselves — the engine hands each one a fully parsed
+:class:`ModuleContext`.
 """
 
 from __future__ import annotations
 
 import ast
-import enum
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Set
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.lint.config import LintConfig
+from typing import Dict, Iterator, Set
 
 __all__ = [
-    "Severity",
     "Finding",
     "ModuleContext",
     "Rule",
@@ -27,73 +21,40 @@ __all__ = [
 ]
 
 
-class Severity(enum.Enum):
-    """Finding tiers: errors block CI, warnings are baselined/allowlisted."""
-
-    WARN = "warn"
-    ERROR = "error"
-
-    def __str__(self) -> str:
-        return self.value
-
-
 @dataclass(frozen=True)
 class Finding:
     """One rule violation at one source location."""
 
     code: str
-    severity: Severity
     relpath: str
     line: int
     col: int
     message: str
-    source_line: str = ""
-
-    def fingerprint(self) -> str:
-        """Line-number-free identity used by the baseline file.
-
-        Uses the stripped source text instead of the line number so a
-        baseline survives unrelated edits above the finding.
-        """
-        return f"{self.relpath}::{self.code}::{self.source_line}"
 
     def render(self) -> str:
-        return (
-            f"{self.relpath}:{self.line}:{self.col}: "
-            f"{self.code} [{self.severity}] {self.message}"
-        )
+        return f"{self.relpath}:{self.line}:{self.col}: {self.code} {self.message}"
 
 
 @dataclass
 class ModuleContext:
     """Everything a rule may inspect about one parsed module."""
 
-    path: Path
     relpath: str  # POSIX-style, relative to the lint root
     tree: ast.Module
-    lines: List[str]  # raw source lines (1-based access via ``source_line``)
-    config: "LintConfig"
     numpy_aliases: Set[str] = field(default_factory=set)
     numpy_random_aliases: Set[str] = field(default_factory=set)
     stdlib_random_aliases: Set[str] = field(default_factory=set)
     numpy_from_imports: Dict[str, str] = field(default_factory=dict)
 
-    def source_line(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
-
 
 class Rule:
-    """Base class for pluggable invariant checks.
+    """Base class for the invariant checks.
 
-    Subclasses set the class attributes and implement :meth:`check`,
-    yielding ``(node, message)``-shaped findings via :meth:`finding`.
+    Subclasses set ``code`` and implement :meth:`check`, yielding
+    findings built by :meth:`finding`.
     """
 
     code: str = "RL000"
-    name: str = "unnamed"
-    default_severity: Severity = Severity.ERROR
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -101,17 +62,12 @@ class Rule:
     def finding(
         self, module: ModuleContext, node: ast.AST, message: str
     ) -> Finding:
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        severity = module.config.severity_for(self.code, self.default_severity)
         return Finding(
             code=self.code,
-            severity=severity,
             relpath=module.relpath,
-            line=lineno,
-            col=col,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
             message=message,
-            source_line=module.source_line(lineno),
         )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.rules.base import Finding, ModuleContext, Rule, Severity
+from repro.lint.rules.base import Finding, ModuleContext, Rule
 
 __all__ = ["NoMutableDefaultRule"]
 
@@ -20,8 +20,6 @@ _MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray"})
 
 class NoMutableDefaultRule(Rule):
     code = "RL005"
-    name = "no-mutable-default-args"
-    default_severity = Severity.ERROR
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(module.tree):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from repro.lint.rules.base import Finding, ModuleContext, Rule, Severity
+from repro.lint.rules.base import Finding, ModuleContext, Rule
 
 __all__ = ["ExplicitDtypeRule"]
 
@@ -21,14 +21,24 @@ __all__ = ["ExplicitDtypeRule"]
 #: or infer a dtype from their input and are deliberately not listed.
 CONSTRUCTORS = frozenset({"zeros", "ones", "empty", "full", "arange"})
 
+#: Where kernel/reference bit-exactness depends on dtypes: the whole
+#: simulator and graph layer, plus the reorder modules whose relabelings
+#: feed memoized stage keys (dtype drift there would re-key artifacts).
+#: A directory scope covers every module below it.
+DTYPE_SCOPES = (
+    "src/repro/sim",
+    "src/repro/graph",
+    "src/repro/reorder/dbg.py",
+    "src/repro/reorder/community.py",
+    "src/repro/reorder/traceprof.py",
+)
+
 
 class ExplicitDtypeRule(Rule):
     code = "RL001"
-    name = "explicit-dtype"
-    default_severity = Severity.ERROR
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if not _in_scope(module):
+        if not _in_scope(module.relpath):
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -46,13 +56,9 @@ class ExplicitDtypeRule(Rule):
             )
 
 
-def _in_scope(module: ModuleContext) -> bool:
-    scopes = module.config.dtype_scopes
-    if not scopes:
-        return True
+def _in_scope(relpath: str) -> bool:
     return any(
-        module.relpath == scope or module.relpath.startswith(scope.rstrip("/") + "/")
-        for scope in scopes
+        relpath == scope or relpath.startswith(scope + "/") for scope in DTYPE_SCOPES
     )
 
 

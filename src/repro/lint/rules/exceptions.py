@@ -14,7 +14,7 @@ import ast
 import builtins
 from typing import Iterator
 
-from repro.lint.rules.base import Finding, ModuleContext, Rule, Severity
+from repro.lint.rules.base import Finding, ModuleContext, Rule
 
 __all__ = ["ExceptionDisciplineRule"]
 
@@ -25,18 +25,20 @@ BUILTIN_EXCEPTIONS = frozenset(
     if isinstance(obj, type) and issubclass(obj, BaseException)
 )
 
+#: Builtins that may still be raised: protocol and control-flow exceptions.
+ALLOWED_RAISES = frozenset(
+    {"NotImplementedError", "SystemExit", "KeyboardInterrupt", "StopIteration"}
+)
+
 
 class ExceptionDisciplineRule(Rule):
     code = "RL004"
-    name = "exception-discipline"
-    default_severity = Severity.ERROR
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        allowed = frozenset(module.config.allowed_raises)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Raise):
                 name = _raised_builtin(node)
-                if name and name not in allowed:
+                if name and name not in ALLOWED_RAISES:
                     yield self.finding(
                         module,
                         node,

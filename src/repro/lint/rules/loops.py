@@ -4,35 +4,46 @@ The simulation stack's throughput rests on the hot-path modules staying
 vectorized (DESIGN.md §7); an innocuous ``for`` over an edge array turns
 a microsecond kernel step into a multi-second crawl at paper-scale
 traces.  The rule is a heuristic — it flags ``for`` statements whose
-iterable mentions edge/access/trace-shaped identifiers — and is
-warn-tier: the bit-exact reference oracle loop is allowlisted via
-``edge-loop-allow`` and intentional survivors live in the baseline.
+iterable mentions edge/access/trace-shaped identifiers.  A loop that is
+meant to be one, such as the two of the bit-exact reference oracle
+``SetAssociativeCache._simulate_reference``, carries a per-line
+``# repro-lint: disable=RL003`` comment.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Tuple
+from typing import Iterator
 
-from repro.lint.rules.base import Finding, ModuleContext, Rule, Severity
+from repro.lint.rules.base import Finding, ModuleContext, Rule
 
 __all__ = ["NoPythonEdgeLoopRule"]
 
 #: Lower-cased substrings marking an identifier as edge/access/trace data.
 HOT_IDENTIFIER_MARKERS = ("edge", "access", "trace", "line", "neighbo")
 
+#: The modules on the simulation hot path.
+HOT_PATH_MODULES = frozenset(
+    {
+        "src/repro/sim/_kernels.py",
+        "src/repro/sim/cache.py",
+        "src/repro/sim/trace.py",
+        "src/repro/graph/csr.py",
+        "src/repro/reorder/dbg.py",
+        "src/repro/reorder/community.py",
+        "src/repro/reorder/traceprof.py",
+    }
+)
+
 
 class NoPythonEdgeLoopRule(Rule):
     code = "RL003"
-    name = "no-python-edge-loop"
-    default_severity = Severity.WARN
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if module.relpath not in module.config.hot_path_modules:
+        if module.relpath not in HOT_PATH_MODULES:
             return
-        allow = frozenset(module.config.edge_loop_allow)
-        for node, qualname in _for_loops_with_qualnames(module.tree):
-            if f"{module.relpath}::{qualname}" in allow:
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.For):
                 continue
             marker = _hot_identifier(node.iter)
             if marker is None:
@@ -41,30 +52,9 @@ class NoPythonEdgeLoopRule(Rule):
                 module,
                 node,
                 f"Python-level for loop over {marker!r} in a hot-path "
-                f"module; vectorize with NumPy, or allowlist via "
-                f"edge-loop-allow if this is a reference oracle",
+                f"module; vectorize with NumPy, or mark a reference "
+                f"oracle's loop with '# repro-lint: disable=RL003'",
             )
-
-
-def _for_loops_with_qualnames(
-    tree: ast.Module,
-) -> List[Tuple[ast.For, str]]:
-    """Every ``for`` statement paired with its enclosing qualname."""
-    found: List[Tuple[ast.For, str]] = []
-
-    def visit(node: ast.AST, stack: List[str]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, stack + [child.name])
-            elif isinstance(child, ast.ClassDef):
-                visit(child, stack + [child.name])
-            else:
-                if isinstance(child, ast.For):
-                    found.append((child, ".".join(stack) or "<module>"))
-                visit(child, stack)
-
-    visit(tree, [])
-    return found
 
 
 def _hot_identifier(iter_expr: ast.expr) -> "str | None":

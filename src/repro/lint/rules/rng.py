@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.rules.base import Finding, ModuleContext, Rule, Severity
+from repro.lint.rules.base import Finding, ModuleContext, Rule
 
 __all__ = ["SeededRngRule"]
 
@@ -45,8 +45,6 @@ _FIX = (
 
 class SeededRngRule(Rule):
     code = "RL002"
-    name = "seeded-rng"
-    default_severity = Severity.ERROR
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(module.tree):

@@ -167,9 +167,11 @@ async def _drive_one(
     payload: Dict[str, Any],
     result: LoadResult,
 ) -> None:
+    # A request's latency runs from its first send to its final answer,
+    # so time spent backing off from 429s counts.
     loop = asyncio.get_running_loop()
+    started = loop.time()
     for _attempt in range(_MAX_RETRIES):
-        started = loop.time()
         status, body, _headers = await client.request("POST", path, payload)
         elapsed_ms = (loop.time() - started) * 1e3
         if status == 429:

@@ -225,7 +225,7 @@ class SetAssociativeCache:
         lines_list = lines.tolist()
 
         if policy == "lru":
-            for i, line in enumerate(lines_list):
+            for i, line in enumerate(lines_list):  # repro-lint: disable=RL003
                 s = line % num_sets
                 ts = tags[s]
                 if line in ts:
@@ -247,7 +247,7 @@ class SetAssociativeCache:
                     self._draw_key, self._access_pos, num_accesses
                 ).tolist()
             )
-            for i, line in enumerate(lines_list):
+            for i, line in enumerate(lines_list):  # repro-lint: disable=RL003
                 s = line % num_sets
                 ts = tags[s]
                 if line in ts:

@@ -50,15 +50,7 @@ PACKAGE_EXPORTS = {
     "repro.generate": {"load_dataset", "social_network", "web_graph"},
     "repro.graph": {"Graph", "invert_permutation", "sort_order_to_relabeling"},
     "repro.lint": set(),
-    "repro.lint.rules": {
-        "RULES",
-        "Finding",
-        "ModuleContext",
-        "Rule",
-        "Severity",
-        "collect_import_aliases",
-        "resolve_rules",
-    },
+    "repro.lint.rules": {"RULES"},
     "repro.obs": {
         "SpanRecord",
         "completed_spans",

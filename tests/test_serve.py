@@ -31,6 +31,7 @@ from repro.serve.app import ReorderService
 from repro.serve.coalesce import SingleFlight
 from repro.serve.http import HttpClient, request_once
 from repro.serve.jobs import canonical_job, job_fingerprint
+from repro.serve import loadgen
 from repro.serve.loadgen import LoadSpec, run_load, zipf_requests
 from repro.serve.pool import WorkerPool
 from repro.store import ArtifactStore
@@ -745,3 +746,58 @@ class TestLoadGenerator:
         assert set(quantiles) == {"p50", "p95", "p99"}
         assert quantiles["p50"] <= quantiles["p95"] <= quantiles["p99"]
         assert warm.to_dict()["store_hit_ratio"] == 1.0
+
+    def test_latency_counts_429_back_off(self, tmp_path, serving_env, monkeypatch):
+        """Latency runs from the first send to the final answer."""
+        release = threading.Event()
+
+        def stuck(job: Dict[str, Any], store_root: Optional[str]) -> Dict[str, Any]:
+            assert release.wait(timeout=30)
+            return {"result": {}, "stages": {}, "artifacts": {}}
+
+        monkeypatch.setattr(app_module, "execute_job", stuck)
+        spec = LoadSpec(
+            datasets=("twtr-mini",),
+            algorithms=("identity",),
+            kind="reorder",
+            num_requests=1,
+            concurrency=1,
+        )
+        filler_payload = {
+            "dataset": "twtr-mini",
+            "algorithm": "random",
+            "params": {"seed": 1},
+        }
+
+        async def scenario():
+            service = _service(
+                tmp_path, max_workers=1, max_queue_depth=0, executor="thread"
+            )
+            host, port = await service.start()
+            try:
+                filler = asyncio.ensure_future(
+                    request_once(host, port, "POST", "/reorder", filler_payload)
+                )
+                rejected = metrics.registry.counter("serve.rejected")
+                deadline = asyncio.get_running_loop().time() + 30
+                while service.pool.in_flight < 1:
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.01)
+                load = asyncio.ensure_future(run_load(host, port, spec))
+                while rejected.value < 1:
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.01)
+                release.set()
+                await filler
+                return await load
+            finally:
+                await service.stop()
+
+        result = asyncio.run(scenario())
+        assert result.completed == 1 and result.failed == 0
+        assert result.retries_429 >= 1
+        # The service's Retry-After is at least 1 s, so each 429 makes
+        # the client sleep the full capped back-off.
+        back_off_ms = result.retries_429 * loadgen._MAX_RETRY_SLEEP_S * 1e3
+        (latency_ms,) = result.latencies_ms
+        assert latency_ms >= back_off_ms
