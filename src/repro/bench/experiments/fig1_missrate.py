@@ -43,6 +43,7 @@ def run(workloads: Workloads) -> ExperimentReport:
     datasets = (SOCIAL_DATASETS[0], SOCIAL_DATASETS[1], WEB_DATASETS[0], WEB_DATASETS[1])
     sections: list[str] = []
     distributions: dict[tuple[str, str], object] = {}
+    workloads._simulate_together(datasets, STUDIED_ALGORITHMS + EXTENDED_ALGORITHMS)
     for dataset in datasets:
         graph = workloads.graph(dataset)
         bins = log_bins(max(1, int(graph.in_degrees().max(initial=1))))

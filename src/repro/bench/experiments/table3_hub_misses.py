@@ -21,6 +21,7 @@ from repro.bench.workloads import SOCIAL_DATASETS, STUDIED_ALGORITHMS, Workloads
 def run(workloads: Workloads) -> ExperimentReport:
     rows = []
     per_row_misses: dict[tuple[str, int], dict[str, int]] = {}
+    workloads._simulate_together(SOCIAL_DATASETS, STUDIED_ALGORITHMS)
     for dataset in SOCIAL_DATASETS:
         graph = workloads.graph(dataset)
         low = int(graph.average_degree)

@@ -27,6 +27,7 @@ def run(workloads: Workloads) -> ExperimentReport:
     rows = []
     l3: dict[tuple[str, str], int] = {}
     time_ms: dict[tuple[str, str], float] = {}
+    workloads._simulate_together(SIM_DATASETS, STUDIED_ALGORITHMS)
     for dataset in SIM_DATASETS:
         row: list = [dataset, workloads.family(dataset)]
         for algorithm in STUDIED_ALGORITHMS:

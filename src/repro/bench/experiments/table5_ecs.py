@@ -25,6 +25,7 @@ def run(workloads: Workloads) -> ExperimentReport:
     rows = []
     ecs: dict[tuple[str, str], float] = {}
     l3: dict[tuple[str, str], int] = {}
+    workloads._simulate_together(SIM_DATASETS, STUDIED_ALGORITHMS + EXTENDED_ALGORITHMS)
     for dataset in SIM_DATASETS:
         row: list = [dataset]
         for algorithm in STUDIED_ALGORITHMS + EXTENDED_ALGORITHMS:

@@ -19,6 +19,7 @@ _DATASETS = SOCIAL_DATASETS + WEB_DATASETS[:1]
 def run(workloads: Workloads) -> ExperimentReport:
     rows = []
     metrics: dict[tuple[str, str], dict[str, float]] = {}
+    workloads._simulate_together(_DATASETS, ("slashburn", "slashburn++"))
     for dataset in _DATASETS:
         for label, algorithm in (("sb", "slashburn"), ("sb++", "slashburn++")):
             result = workloads.reordering(dataset, algorithm)

@@ -17,7 +17,7 @@ result.  Workload sizes scale with ``REPRO_SCALE`` (see
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.core.aid import VertexAID
 from repro.core.ecs import with_ecs_scans
@@ -27,7 +27,13 @@ from repro.obs import span
 from repro.graph.graph import Graph
 from repro.reorder import ReorderResult, get_algorithm
 from repro.sim.address_space import AddressSpace
-from repro.sim.simulator import SimulationConfig, SimulationResult, simulate_spmv
+from repro.sim.cache import CacheConfig
+from repro.sim.simulator import (
+    SimulationConfig,
+    SimulationResult,
+    simulate_spmv,
+    simulate_spmv_group,
+)
 from repro.store.manifest import RunManifest
 from repro.store.memo import cached_stage
 from repro.store.serializers import StoredSimulation
@@ -154,7 +160,7 @@ def _simulation_config(
         "repro.core.ecs",
         "repro.store.serializers",
     ),
-    key=lambda load_graph, graph_key, algorithm, params, reverse, **cache: {
+    key=lambda simulate, graph_key, algorithm, params, reverse, **cache: {
         "graph": graph_key,
         "algorithm": algorithm,
         "params": params,
@@ -167,7 +173,7 @@ def _simulation_config(
     ),
 )
 def _simulation_stage(
-    load_graph: Callable[[], Graph],
+    simulate: Callable[[], SimulationResult],
     graph_key: str,
     algorithm: str,
     params: dict,
@@ -177,8 +183,7 @@ def _simulation_stage(
     policy: str,
     pressure: float,
 ) -> SimulationResult:
-    graph = load_graph()
-    return simulate_spmv(graph, _simulation_config(graph, direction, policy, pressure))
+    return simulate()
 
 
 class Workloads:
@@ -379,25 +384,80 @@ class Workloads:
         )
         if key not in self._simulations:
 
-            def load_graph() -> Graph:
+            def simulate() -> SimulationResult:
                 graph = self.reordered_graph(
                     source, algorithm, factory=factory, **params
                 )
-                return graph.reversed() if reverse else graph
-
-            with span("workload.simulation", dataset=source, algorithm=algorithm):
-                self._simulations[key] = _simulation_stage(
-                    load_graph,
-                    graph_key,
-                    algorithm,
-                    params,
-                    reverse,
-                    direction=direction,
-                    policy=policy,
-                    pressure=pressure,
-                    **self._stage_kwargs(),
+                if reverse:
+                    graph = graph.reversed()
+                return simulate_spmv(
+                    graph, _simulation_config(graph, direction, policy, pressure)
                 )
+
+            self._store_simulation(source, key, simulate)
         return self._simulations[key]
+
+    def _store_simulation(
+        self, source: str, key: tuple, simulate: Callable[[], SimulationResult]
+    ) -> None:
+        """Memoize the simulation ``key`` through the store; ``simulate``
+        computes it on a miss."""
+        graph_key, algorithm, params, direction, reverse, policy, pressure = key
+        with span("workload.simulation", dataset=source, algorithm=algorithm):
+            self._simulations[key] = _simulation_stage(
+                simulate,
+                graph_key,
+                algorithm,
+                dict(params),
+                reverse,
+                direction=direction,
+                policy=policy,
+                pressure=pressure,
+                **self._stage_kwargs(),
+            )
+
+    def _simulate_together(
+        self, sources: Iterable[str], algorithms: Iterable[str]
+    ) -> None:
+        """Compute the missing default simulations of ``sources`` x
+        ``algorithms``, the L3 replays of each cache geometry together.
+
+        A cell is missing unless memory or (without ``refresh``) the
+        store holds it.  Missing cells are grouped by cache config and
+        simulated with :func:`simulate_spmv_group`; each goes through the
+        simulation stage under the key, and with the manifest record,
+        that :meth:`simulation` with its default settings gives it.  The
+        experiments of the paper sweep call this before their cell loops;
+        one-cell callers (the service) use :meth:`simulation`.
+        """
+        # simulation()'s defaults: pull, not reversed, DRRIP, pressure 0.08.
+        direction, reverse, policy, pressure = "pull", False, "drrip", 0.08
+        by_cache: "dict[CacheConfig, list]" = {}
+        algorithms = tuple(algorithms)
+        for source in sources:
+            graph_key, _ = self._source(source)
+            for algorithm in algorithms:
+                key = (graph_key, algorithm, (), direction, reverse, policy, pressure)
+                if key in self._simulations:
+                    continue
+                if self._store is not None and not self._refresh:
+                    content_key = _simulation_stage.content_key(  # type: ignore[attr-defined]
+                        None, graph_key, algorithm, {}, reverse,
+                        direction=direction, policy=policy, pressure=pressure,
+                    )
+                    if self._store.contains(content_key, "simulation"):
+                        continue
+                graph = self.reordered_graph(source, algorithm)
+                config = _simulation_config(graph, direction, policy, pressure)
+                by_cache.setdefault(config.cache, []).append(
+                    (source, key, graph, config)
+                )
+        for cells in by_cache.values():
+            finishers = simulate_spmv_group(
+                (graph, config) for _, _, graph, config in cells
+            )
+            for (source, key, _, _), finish in zip(cells, finishers):
+                self._store_simulation(source, key, finish)
 
     def family(self, dataset: str) -> str:
         """'SN' or 'WG' for a registered dataset."""

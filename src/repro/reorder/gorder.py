@@ -90,13 +90,15 @@ class GOrder(ReorderingAlgorithm):
             threshold = max(int(math.sqrt(graph.num_edges)), int(math.sqrt(n)))
         expandable = (graph.out_degrees() <= threshold).tolist()
 
-        # score[u] = S(u, window); placed vertices are masked at -inf.
+        # score[u] = S(u, window); placed vertices are masked at -inf,
+        # which no later +-1 changes.  An unplaced score is a count of
+        # window contributions, so it is >= 0 and argmax never picks a
+        # placed vertex.
         score = np.zeros(n, dtype=np.float64)
-        placed = np.zeros(n, dtype=bool)
         order = np.empty(n, dtype=np.int64)
-        # Window members with their contributions, computed once on entry
-        # and subtracted again on exit.
-        window: deque[tuple[int, np.ndarray]] = deque()
+        # Window members' contributions, computed once on entry and
+        # subtracted again on exit.
+        window: deque[np.ndarray] = deque()
 
         def contributions(v: int) -> np.ndarray:
             """Vertices whose score changes by 1 when v joins the window."""
@@ -119,21 +121,18 @@ class GOrder(ReorderingAlgorithm):
         start = int(np.argmax(total_deg))
         cursor = 0
         current = start
-        # Lowest vertex that may still be unplaced; only ever moves up.
-        first_unplaced = 0
         # One span for the whole greedy pass: the loop body is per-vertex
         # hot, so per-iteration spans would distort what they measure.
         with span("reorder.gorder.greedy", huge_threshold=threshold):
             while True:
                 order[cursor] = current
                 cursor += 1
-                placed[current] = True
                 score[current] = -np.inf
                 if cursor == n:
                     break
 
                 entering = contributions(current)
-                window.append((current, entering))
+                window.append(entering)
                 np.add.at(score, entering, 1.0)
                 if self.adaptive:
                     # Grow while placing LDV, shrink when a hub enters.
@@ -143,20 +142,9 @@ class GOrder(ReorderingAlgorithm):
                         window_size = max(self.window, window_size - 2)
                     max_window_seen = max(max_window_seen, window_size)
                 while len(window) > window_size:
-                    leaver, leaving = window.popleft()
-                    np.add.at(score, leaving, -1.0)
-                    score[leaver] = -np.inf  # keep placed vertices masked
+                    np.add.at(score, window.popleft(), -1.0)
 
-                best = int(np.argmax(score))
-                if placed[best]:
-                    # Every unplaced vertex scored -inf cannot happen (only
-                    # placed ones are masked), but argmax may land on a
-                    # placed vertex when all remaining scores are 0 and the
-                    # mask is -inf; fall back to the first unplaced vertex.
-                    while placed[first_unplaced]:
-                        first_unplaced += 1
-                    best = first_unplaced
-                current = best
+                current = int(np.argmax(score))
 
         details["window"] = self.window
         details["huge_threshold"] = threshold

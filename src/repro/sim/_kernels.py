@@ -45,19 +45,25 @@ Architecture (see DESIGN.md for the long version):
     exact chunk-entry states with a segmented Hillis–Steele scan in
     ``log2(chunks)`` vectorized rounds, and one pass is exact.
 
-5.  **RRIP: one column per cache set, one exact pass.**  RRIP state has
-    no compact summary, so SRRIP/BRRIP/DRRIP give each set its own
-    column, which enters with the set's real state.  Every insertion
-    value is known before its set replays (point 6), so one pass is
-    exact.  DRRIP replays its leader sets first: leader insertions are
-    fixed by role and never read PSEL.  The leader heads' miss bits,
-    in program order, then give the exact PSEL trajectory through a
-    parallel prefix scan over clamp-add compositions
-    (:func:`_saturating_walk`), each follower head reads its insertion
-    policy off that trajectory, and the followers replay in one more
-    pass.  The row count is the busiest set's access count, so
-    dispatch (:func:`use_kernel`) sends an RRIP batch here only when
-    ``n >= _RRIP_MIN_DENSITY * max_set_count``.
+5.  **RRIP: one column per (cache, set), one exact pass.**  RRIP state
+    has no compact summary, so SRRIP/BRRIP/DRRIP give each set its own
+    column, which enters with the set's real state.  A batch may hold
+    the accesses of K independent caches of one config: cache ``k``'s
+    set ``s`` is column ``k * num_sets + s``, so K caches are just
+    K x S columns of one pass, and one cache is the K = 1 case.  Every
+    insertion value is known before its set replays (point 6), so one
+    pass is exact.  DRRIP replays every cache's leader sets first:
+    leader insertions are fixed by role and never read PSEL.  The
+    leader heads' miss bits, in each cache's program order, then give
+    each cache's exact PSEL trajectory through one parallel prefix scan
+    over clamp-add compositions (:func:`_saturating_walks`), each
+    follower head reads its insertion policy off its own cache's
+    trajectory, and every cache's followers replay in one more pass.
+    Over a run of batches (:class:`LockstepReplay`) that pass is the
+    next batch's leader pass, so a batch costs one pass, not two.
+    The row count is the busiest column's access count, so dispatch
+    (:func:`use_kernel`) sends an RRIP batch here only when the whole
+    combined batch has ``n >= _RRIP_MIN_DENSITY * max_column_count``.
 
 6.  **Per-access insertion draws.**  BRRIP's bimodal draw for the access
     at lifetime position ``p`` is the counter-hash ``_draws.long_insert
@@ -74,7 +80,7 @@ reference calls can interleave on the same cache object bit-exactly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,12 +92,17 @@ if TYPE_CHECKING:  # pragma: no cover - defined after cache.py imports us
     from repro.sim.cache import CacheConfig, SetAssociativeCache
 
 __all__ = [
+    "LockstepReplay",
     "kernel_possible",
     "kernel_replay",
     "kernel_simulate",
     "set_ids",
     "use_kernel",
 ]
+
+#: Where each cache's accesses sit in a combined batch: cache ``k``'s are
+#: ``lines[bounds[k]:bounds[k + 1]]``.
+Bounds = Union[Sequence[int], np.ndarray]
 
 # Dispatch heuristics: below these the reference loop beats the
 # kernel's fixed grouping overhead.
@@ -121,19 +132,29 @@ _WRITE = np.repeat(np.arange(_RRPV_MAX + 1, dtype=np.int8), _CODE)
 _WRITE[_HIT::_CODE] = 0
 
 
-def set_ids(lines: np.ndarray, num_sets: int) -> np.ndarray:
-    """Set index of every line, as int16 (int32 beyond 32768 sets).
+def set_ids(
+    lines: np.ndarray, num_sets: int, bounds: Optional[Bounds] = None
+) -> np.ndarray:
+    """Set index of every line, as int16 (int32 beyond 32768 columns).
 
-    Power-of-two geometries (the common case) take a mask; an int64
-    ``%`` over a large batch costs about ten times as much.  Either is
-    computed in int64 and written straight into the narrow result.
+    With ``bounds``, ``lines`` is the combined batch of K caches (cache
+    ``k``'s accesses are ``lines[bounds[k]:bounds[k + 1]]``) and the
+    result is each line's column, ``k * num_sets + set``.  Power-of-two
+    geometries (the common case) take a mask; an int64 ``%`` over a
+    large batch costs about ten times as much.  Either is computed in
+    the lines' width and written straight into the narrow result.
     """
-    dtype = np.int16 if num_sets <= (1 << 15) else np.int32
+    caches = 1 if bounds is None else len(bounds) - 1
+    dtype = np.int16 if caches * num_sets <= (1 << 15) else np.int32
     sets = np.empty(lines.shape[0], dtype=dtype)
     if num_sets & (num_sets - 1) == 0:
         np.bitwise_and(lines, num_sets - 1, out=sets, casting="unsafe")
     else:
         np.remainder(lines, num_sets, out=sets, casting="unsafe")
+    if caches > 1:
+        sets += np.repeat(
+            np.arange(0, caches * num_sets, num_sets, dtype=dtype), np.diff(bounds)
+        )
     return sets
 
 
@@ -154,7 +175,9 @@ def use_kernel(
     The kernel must be able to replay the batch and, by the size
     heuristics, likely beat the reference loop; everything else runs
     the reference loop.  ``sets`` are the batch's :func:`set_ids`, if
-    the caller already has them.
+    the caller already has them; for the combined batch of several
+    caches they are its columns, so the density rule weighs the busiest
+    (cache, set) column against the whole combined batch.
     """
     if not kernel_possible(config, lines):
         return False
@@ -177,29 +200,38 @@ def use_kernel(
 # ---------------------------------------------------------------------------
 
 
-def _state_arrays(cache: SetAssociativeCache) -> Tuple[np.ndarray, np.ndarray]:
-    """Cache list state -> (tags, rrpv) int64/int8 arrays, (num_sets, ways).
+def _state_arrays(
+    caches: Sequence[SetAssociativeCache],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Caches' list state -> (tags, rrpv) int64/int8 arrays, (K * num_sets, ways).
 
-    Tags hold *compressed* values ``line // num_sets`` (-1 for invalid).
-    For LRU the way axis is recency order (way 0 = LRU), matching the
-    reference list layout; for RRIP it is positional.
+    Cache ``k`` holds rows ``k * num_sets`` onwards.  Tags hold
+    *compressed* values ``line // num_sets`` (-1 for invalid).  For LRU
+    the way axis is recency order (way 0 = LRU), matching the reference
+    list layout; for RRIP it is positional.
     """
-    num_sets = cache.config.num_sets
-    tags = np.asarray(cache._tags, dtype=np.int64)
-    rrpv = np.asarray(cache._rrpv, dtype=np.int8)
-    comp = np.where(tags >= 0, tags // num_sets, -1)
-    return comp, rrpv
+    config = caches[0].config
+    tags = np.asarray([c._tags for c in caches], dtype=np.int64)
+    rrpv = np.asarray([c._rrpv for c in caches], dtype=np.int8)
+    tags = tags.reshape(-1, config.ways)
+    comp = np.where(tags >= 0, tags // config.num_sets, -1)
+    return comp, rrpv.reshape(-1, config.ways)
 
 
 def _write_state(
-    cache: SetAssociativeCache, tags: np.ndarray, rrpv: Optional[np.ndarray]
+    caches: Sequence[SetAssociativeCache], tags: np.ndarray, rrpv: Optional[np.ndarray]
 ) -> None:
-    num_sets = cache.config.num_sets
+    config = caches[0].config
+    num_sets = config.num_sets
+    shape = (len(caches), num_sets, config.ways)
+    comp = tags.reshape(shape).astype(np.int64)
     sets = np.arange(num_sets, dtype=np.int64)[:, None]
-    lines = np.where(tags >= 0, tags.astype(np.int64) * num_sets + sets, -1)
-    cache._tags = lines.tolist()
-    if rrpv is not None:
-        cache._rrpv = rrpv.astype(np.int64).tolist()
+    lines = np.where(comp >= 0, comp * num_sets + sets, -1).tolist()
+    rows = rrpv.reshape(shape).astype(np.int64).tolist() if rrpv is not None else None
+    for k, cache in enumerate(caches):
+        cache._tags = lines[k]
+        if rows is not None:
+            cache._rrpv = rows[k]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +240,7 @@ def _write_state(
 
 
 class _Streams:
-    """One batch grouped by set and run-deduplicated (set-major order).
+    """One batch grouped by column and run-deduplicated (column-major order).
 
     Only run heads are kept: every other access is a hit, so
     ``head_prog`` (each head's program position) is all the replay
@@ -217,7 +249,7 @@ class _Streams:
 
     __slots__ = (
         "n", "nd", "head_prog", "run2", "ded_tags", "counts_d", "set_start",
-        "tag_dtype",
+        "max_tag", "tag_dtype",
     )
 
     n: int
@@ -227,6 +259,7 @@ class _Streams:
     ded_tags: np.ndarray
     counts_d: np.ndarray
     set_start: np.ndarray
+    max_tag: int
     tag_dtype: type
 
 
@@ -245,14 +278,20 @@ def _index_dtype(n: int) -> type:
 
 
 def _build_streams(
-    lines: np.ndarray, sets: np.ndarray, num_sets: int, state_max_tag: int
+    lines: np.ndarray,
+    sets: np.ndarray,
+    num_columns: int,
+    num_sets: int,
+    state_max_tag: int,
 ) -> _Streams:
-    """Group a batch by set and dedup its runs, in O(batch) memory.
+    """Group a batch by column and dedup its runs, in O(batch) memory.
 
-    Batch-length temporaries are narrow (int16/int32 tags and set ids,
-    int32 positions, bool masks) and freed after their last use.  Only
-    ``argsort``'s result and the head indices come as int64; the sort
-    order is narrowed at once, the head indices die with the gathers.
+    ``sets`` are the batch's :func:`set_ids`, ``num_columns`` of them
+    (``num_sets`` per cache).  Batch-length temporaries are narrow
+    (int16/int32 tags and set ids, int32 positions, bool masks) and
+    freed after their last use.  Only ``argsort``'s result and the head
+    indices come as int64; the sort order is narrowed at once, the head
+    indices die with the gathers.
     """
     st = _Streams()
     n = lines.shape[0]
@@ -261,8 +300,8 @@ def _build_streams(
     # The state's tags share the dtype, so it must hold theirs too.
     pow2 = num_sets & (num_sets - 1) == 0
     shift = num_sets.bit_length() - 1
-    max_tag = int(lines.max()) >> shift if pow2 else int(lines.max()) // num_sets
-    st.tag_dtype = _tag_dtype(max(max_tag, state_max_tag))
+    st.max_tag = int(lines.max()) >> shift if pow2 else int(lines.max()) // num_sets
+    st.tag_dtype = _tag_dtype(max(st.max_tag, state_max_tag))
     tags = np.empty(n, dtype=st.tag_dtype)
     if pow2:
         np.right_shift(lines, shift, out=tags, casting="unsafe")
@@ -276,9 +315,9 @@ def _build_streams(
     order = order.astype(_index_dtype(n))
     sorted_sets = sets[order]
 
-    # Run dedup: equal lines are always in the same set, so adjacent equal
-    # (set, tag) pairs in the sorted stream are consecutive same-line
-    # accesses of one set stream.
+    # Run dedup: equal lines of one cache are always in the same column,
+    # so adjacent equal (column, tag) pairs in the sorted stream are
+    # consecutive same-line accesses of one set stream.
     keep = np.empty(n, dtype=bool)
     keep[0] = True
     np.not_equal(sorted_tags[1:], sorted_tags[:-1], out=keep[1:])
@@ -300,7 +339,7 @@ def _build_streams(
     del keep, heads
 
     st.set_start = np.append(
-        np.searchsorted(ded_sets, np.arange(num_sets, dtype=ded_sets.dtype)), st.nd
+        np.searchsorted(ded_sets, np.arange(num_columns, dtype=ded_sets.dtype)), st.nd
     )
     st.counts_d = np.diff(st.set_start)
     return st
@@ -409,7 +448,7 @@ def _lru_entries(
     Returns (num_streams, ways) recency rows: entry state each chunk sees.
     """
     # Segmented inclusive Hillis-Steele scan of the summary monoid along
-    # each set's chunk chain (chains are contiguous in set-major order).
+    # each set's chunk chain (chains are contiguous in column-major order).
     pref = summ.copy()
     max_chunk = int(sm_chunk.max(initial=0))
     d = 1
@@ -539,14 +578,20 @@ def _lockstep_rrip(
 # ---------------------------------------------------------------------------
 
 
-def _saturating_walk(p0: int, deltas: np.ndarray) -> np.ndarray:
-    """PSEL trajectory: p[i] = clip(p[i-1] + deltas[i], 0, _PSEL_MAX).
+def _saturating_walks(
+    p0: np.ndarray, deltas: np.ndarray, bounds: np.ndarray
+) -> np.ndarray:
+    """PSEL trajectories of K caches: p[i] = clip(p[i-1] + deltas[i], 0, _PSEL_MAX).
 
-    Fast path: if the raw cumulative walk never leaves the valid range the
-    clamps never fire and a plain cumsum is exact.  Otherwise run an
-    exact parallel prefix scan over the clamp-add functions.  Each step
-    is ``f(x) = min(c, max(b, x + s))`` with ``(s, b, c) = (delta, 0,
-    PSEL_MAX)``, and that family is closed under composition::
+    Cache ``k``'s walk is ``deltas[bounds[k]:bounds[k + 1]]``, starting
+    from ``p0[k]``; the result is aligned with ``deltas``.
+
+    Fast path: a walk whose raw cumulative sum never leaves the valid
+    range never clamps, so a plain cumsum is exact.  The walks that do
+    clamp run one exact parallel prefix scan over the clamp-add
+    functions.  Each step is ``f(x) = min(c, max(b, x + s))`` with
+    ``(s, b, c) = (delta, 0, PSEL_MAX)``, and that family is closed under
+    composition::
 
         (f_r . f_l)(x) = min(c', max(b', x + s'))
         s' = s_l + s_r
@@ -556,17 +601,31 @@ def _saturating_walk(p0: int, deltas: np.ndarray) -> np.ndarray:
     so a Hillis-Steele doubling scan yields every prefix composition in
     ``O(n log n)`` vector work — no scalar replay however often the
     counter saturates (thrashing workloads pin PSEL at a rail for most
-    of the trace, which made restart-based replays degenerate).
+    of the trace, which made restart-based replays degenerate).  The
+    walks share one scan: each starts with the constant function
+    ``(0, p0, p0)``, which no composition with earlier steps can change.
     """
-    raw = np.cumsum(deltas, dtype=np.int64) + p0
-    if raw.shape[0] == 0:
-        return raw
-    if 0 <= raw.min() and raw.max() <= _PSEL_MAX:
-        return raw
-    n = deltas.shape[0]
-    s = deltas.astype(np.int64, copy=True)
-    b = np.zeros(n, dtype=np.int64)
-    c = np.full(n, _PSEL_MAX, dtype=np.int64)
+    p0 = np.asarray(p0, dtype=np.int64)
+    lens = np.diff(bounds)
+    walk = np.cumsum(deltas, dtype=np.int64)
+    if walk.shape[0] == 0:
+        return walk
+    before = np.concatenate(([0], walk))[bounds[:-1]]
+    walk += np.repeat(p0 - before, lens)
+    out = (walk < 0) | (walk > _PSEL_MAX)
+    if not out.any():
+        return walk
+    walk_of = np.repeat(np.arange(lens.shape[0], dtype=np.int64), lens)
+    clamped = np.zeros(lens.shape[0], dtype=bool)
+    clamped[walk_of[out]] = True
+    idx = np.flatnonzero(clamped[walk_of])
+    clamps = np.flatnonzero(clamped)
+    # Each clamped walk's steps, after its constant start.
+    starts = np.concatenate(([0], np.cumsum(lens[clamps])[:-1]))
+    s = np.insert(deltas[idx].astype(np.int64), starts, 0)
+    b = np.insert(np.zeros(idx.shape[0], dtype=np.int64), starts, p0[clamps])
+    c = np.insert(np.full(idx.shape[0], _PSEL_MAX, dtype=np.int64), starts, p0[clamps])
+    n = s.shape[0]
     k = 1
     while k < n:
         s_r, b_r, c_r = s[k:], b[k:], c[k:]
@@ -576,7 +635,10 @@ def _saturating_walk(p0: int, deltas: np.ndarray) -> np.ndarray:
         c2 = np.minimum(c_r, np.maximum(b_r, c_l + s_r))
         s[k:], b[k:], c[k:] = s2, b2, c2
         k *= 2
-    return np.minimum(c, np.maximum(b, p0 + s))
+    steps = np.ones(n, dtype=bool)
+    steps[starts + np.arange(starts.shape[0], dtype=np.int64)] = False
+    walk[idx] = np.minimum(c, np.maximum(b, s))[steps]
+    return walk
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +657,7 @@ def _hits_program_order(st: _Streams, hit_ded: np.ndarray) -> np.ndarray:
 def _replay_lru(st: _Streams, tags: np.ndarray, ways: int) -> np.ndarray:
     """Single-pass exact LRU replay of one batch over chunked streams.
 
-    ``tags`` (num_sets, ways), in recency order, are updated in place.
+    ``tags`` (columns, ways), in recency order, are updated in place.
     Returns the hit bits.
     """
     counts_d = st.counts_d
@@ -635,90 +697,247 @@ def _replay_lru(st: _Streams, tags: np.ndarray, ways: int) -> np.ndarray:
     return _hits_program_order(st, hit_ded)
 
 
-def _replay_sets(
-    st: _Streams,
-    sets: np.ndarray,
-    ins: np.ndarray,
+def _replay_columns(
+    parts: Sequence[Tuple[_Streams, np.ndarray, np.ndarray, np.ndarray]],
     tags: np.ndarray,
     rrpv: np.ndarray,
-    hit_ded: np.ndarray,
 ) -> None:
-    """One exact RRIP pass over ``sets`` (non-empty), one column each.
+    """One exact RRIP pass over the columns of one or more batches.
 
-    ``ins`` is every deduped access's insertion RRPV; only those of
-    ``sets`` are read.  Updates those sets' rows of ``tags``/``rrpv``
-    and their accesses' entries of ``hit_ded`` in place.
+    Each part is ``(st, columns, ins, hit_ded)``: a batch's streams, the
+    non-empty columns of it this pass replays, every deduped access's
+    insertion RRPV (only those of ``columns`` are read) and the array
+    that receives their hit bits.  The parts' columns are disjoint, so
+    they step together in one ragged lockstep pass.  Updates those
+    columns' rows of ``tags``/``rrpv`` in place.
     """
-    colperm, steps, src = _layout(st.set_start[sets], st.counts_d[sets])
-    cols = sets[colperm]
+    offsets = np.cumsum([0] + [st.nd for st, _, _, _ in parts])
+    starts = np.concatenate(
+        [st.set_start[cols] + off for (st, cols, _, _), off in zip(parts, offsets)]
+    )
+    lens = np.concatenate([st.counts_d[cols] for st, cols, _, _ in parts])
+    if len(parts) == 1:
+        ded, ins = parts[0][0].ded_tags, parts[0][2]
+    else:
+        ded = np.concatenate([st.ded_tags for st, _, _, _ in parts])
+        ins = np.concatenate([part[2] for part in parts])
+    colperm, steps, src = _layout(starts, lens)
+    cols = np.concatenate([part[1] for part in parts])[colperm]
     t, r = tags[cols], rrpv[cols]
     code = ins[src]
     code *= _CODE
     VR = np.empty(src.shape[0], dtype=np.int8)
-    _lockstep_rrip(st.ded_tags[src], code, steps, t, r, VR)
+    _lockstep_rrip(ded[src].astype(tags.dtype, copy=False), code, steps, t, r, VR)
     tags[cols], rrpv[cols] = t, r
-    hit_ded[src] = VR == _HIT
+    hit = VR == _HIT
+    if len(parts) == 1:
+        parts[0][3][src] = hit
+        return
+    for (_, _, _, hit_ded), lo, hi in zip(parts, offsets, offsets[1:]):
+        mine = (src >= lo) & (src < hi)
+        hit_ded[src[mine] - lo] = hit[mine]
 
 
-def _replay_rrip(
-    st: _Streams,
-    policy: str,
-    tags: np.ndarray,
-    rrpv: np.ndarray,
-    psel: int,
-    draw: Tuple[int, int],
-    roles: np.ndarray,
-) -> Tuple[np.ndarray, int]:
-    """Exact replay of one batch for srrip/brrip/drrip.
+def _long_inserts(
+    st: _Streams, key: int, shift: np.ndarray, num_sets: int
+) -> np.ndarray:
+    """Each run head's bimodal draw: is its insertion long?
 
-    ``tags``/``rrpv`` (num_sets, ways) are updated in place.  ``draw``
-    is the cache's ``(draw key, batch start position)``, which BRRIP and
-    DRRIP hash at their run heads' positions (SRRIP never draws), and
-    ``roles`` DRRIP's per-set dueling roles.  Returns ``(hits, psel)``.
+    Cache ``k``'s head at batch position ``q`` sits at lifetime position
+    ``q + shift[k]``.  Heads are column-major, so each cache's heads
+    are one contiguous range.
     """
-    ins = np.full(st.nd, _RRPV_MAX - 1, dtype=np.int8)
-    if policy != "srrip":
-        bimodal = np.where(
-            _draws.long_inserts_at(draw[0], draw[1], st.head_prog),
-            np.int8(_RRPV_MAX - 1),
-            np.int8(_RRPV_MAX),
-        )
-        if policy == "brrip":
-            ins = bimodal
-    hit_ded = np.empty(st.nd, dtype=bool)
-    present = st.counts_d > 0
-    if policy != "drrip":
-        # A run of length >= 2 pins its line at RRPV 0 whatever the policy.
-        ins[st.run2] = 0
-        _replay_sets(st, np.flatnonzero(present), ins, tags, rrpv, hit_ded)
-        return _hits_program_order(st, hit_ded), psel
+    base = int(shift.min())
+    if (shift == base).all():
+        return _draws.long_inserts_at(key, base, st.head_prog)
+    heads = np.diff(st.set_start[::num_sets])
+    return _draws.long_inserts_at(
+        key, base, st.head_prog + np.repeat(shift - base, heads)
+    )
 
-    # Leaders first: their insertions are fixed by role.
-    role_d = np.repeat(roles, st.counts_d)
-    np.copyto(ins, bimodal, where=role_d == 2)
-    ins[st.run2] = 0
-    leaders = np.flatnonzero(present & (roles != 0))
-    if leaders.shape[0]:
-        _replay_sets(st, leaders, ins, tags, rrpv, hit_ded)
-    # Leader-head misses vote on PSEL in program order.
-    lead_miss = np.flatnonzero((role_d != 0) & ~hit_ded)
-    vote_pos = st.head_prog[lead_miss]
-    by_pos = np.argsort(vote_pos)
-    vote_pos = vote_pos[by_pos]
-    votes = np.where(role_d[lead_miss[by_pos]] == 1, 1, -1)
-    traj = np.concatenate(([psel], _saturating_walk(psel, votes)))
-    followers = np.flatnonzero(present & (roles == 0))
-    if followers.shape[0]:
-        # A head at program position p reads PSEL after every vote before
-        # p: traj[j] holds from just after vote j-1 through vote j's own
-        # position, which is never a follower's.
-        span_len = np.diff(np.concatenate(([0], vote_pos + 1, [st.n])))
-        use_b = np.repeat(traj >= _PSEL_INIT, span_len)[st.head_prog]
+
+class LockstepReplay:
+    """K caches of one config, replayed as arrays over combined batches.
+
+    A combined batch holds cache ``k``'s next accesses at positions
+    ``bounds[k]:bounds[k + 1]`` (possibly none).  :meth:`kernel` replays
+    one in lockstep passes with one column per (cache, set);
+    :meth:`reference` sends one through each cache's own ``simulate``.
+    Both return the batches completed so far, in order, each as
+    ``(hits, tags)``: its hit bits and every cache's compressed tags
+    (``line // num_sets``, -1 invalid; rows ``k * num_sets`` onwards are
+    cache ``k``'s) right after it.  :meth:`finish` completes the rest and
+    writes the state back to the caches.
+
+    SRRIP, BRRIP and LRU complete each batch in its own pass.  DRRIP
+    completes a batch one call late: each pass replays the leader sets
+    of the new batch together with the follower sets of the batch
+    before.  Leaders never read PSEL, and a batch's followers need only
+    its own leaders' votes, so a batch costs one pass rather than two.
+    """
+
+    def __init__(self, caches: Sequence[SetAssociativeCache]) -> None:
+        self.caches = caches
+        config = caches[0].config
+        self._config = config
+        self._roles = np.tile(np.asarray(caches[0]._role, dtype=np.int8), len(caches))
+        self._leaders = np.flatnonzero(self._roles != 0)
+        # The DRRIP batch whose followers wait for the next pass: its
+        # pass part and its leader rows' tags right after it.
+        self._waiting: Optional[
+            Tuple[Tuple[_Streams, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+        ] = None
+        self._load()
+
+    def _load(self) -> None:
+        tags, self.rrpv = _state_arrays(self.caches)
+        self._max_tag = int(tags.max())
+        self.tags = tags.astype(_tag_dtype(self._max_tag))
+        self.psel = np.asarray([c._psel for c in self.caches], dtype=np.int64)
+        self.pos = np.asarray([c._access_pos for c in self.caches], dtype=np.int64)
+
+    def _store(self) -> None:
+        lru = self._config.policy == "lru"
+        # Reference LRU never touches RRPV state; keep it bit-identical.
+        _write_state(self.caches, self.tags, None if lru else self.rrpv)
+        for cache, psel, pos in zip(self.caches, self.psel.tolist(), self.pos.tolist()):
+            cache._psel = psel
+            cache._access_pos = pos
+
+    def kernel(
+        self, lines: np.ndarray, sets: np.ndarray, bounds: Bounds
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Replay a combined batch :func:`kernel_possible` accepts; ``sets``
+        are its :func:`set_ids` with the same ``bounds``."""
+        config = self._config
+        num_sets = config.num_sets
+        cuts = np.asarray(bounds, dtype=np.int64)
+        st = _build_streams(
+            lines, sets, len(self.caches) * num_sets, num_sets, self._max_tag
+        )
+        self._max_tag = max(self._max_tag, st.max_tag)
+        self.tags = self.tags.astype(st.tag_dtype, copy=False)
+        policy = config.policy
+        if policy == "lru":
+            self.pos += np.diff(cuts)
+            return [(_replay_lru(st, self.tags, config.ways), self.tags.copy())]
+        ins = np.full(st.nd, _RRPV_MAX - 1, dtype=np.int8)
+        bimodal = ins
+        if policy != "srrip":
+            # Bimodal draws are keyed by each cache's lifetime access
+            # position (bit-exact with the reference by construction —
+            # same hash, same keys).
+            bimodal = np.where(
+                _long_inserts(st, self.caches[0]._draw_key, self.pos - cuts[:-1], num_sets),
+                np.int8(_RRPV_MAX - 1),
+                np.int8(_RRPV_MAX),
+            )
+        self.pos += np.diff(cuts)
+        hit_ded = np.empty(st.nd, dtype=bool)
+        present = st.counts_d > 0
+        if policy != "drrip":
+            if policy == "brrip":
+                ins = bimodal
+            # A run of length >= 2 pins its line at RRPV 0 whatever the policy.
+            ins[st.run2] = 0
+            _replay_columns(
+                [(st, np.flatnonzero(present), ins, hit_ded)], self.tags, self.rrpv
+            )
+            return [(_hits_program_order(st, hit_ded), self.tags.copy())]
+
+        # Leaders' insertions are fixed by role.
+        role_d = np.repeat(self._roles, st.counts_d)
+        np.copyto(ins, bimodal, where=role_d == 2)
+        ins[st.run2] = 0
+        parts = [(st, np.flatnonzero(present & (self._roles != 0)), ins, hit_ded)]
+        if self._waiting is not None:
+            parts.append(self._waiting[0])
+        parts = [part for part in parts if part[1].shape[0]]
+        if parts:
+            _replay_columns(parts, self.tags, self.rrpv)
+        done = self._complete()
+        leader_tags = self.tags[self._leaders]
+        self._follower_insertions(st, ins, bimodal, role_d, hit_ded, cuts)
+        followers = np.flatnonzero(present & (self._roles == 0))
+        self._waiting = ((st, followers, ins, hit_ded), leader_tags)
+        return done
+
+    def _follower_insertions(
+        self,
+        st: _Streams,
+        ins: np.ndarray,
+        bimodal: np.ndarray,
+        role_d: np.ndarray,
+        hit_ded: np.ndarray,
+        cuts: np.ndarray,
+    ) -> None:
+        """Walk each cache's PSEL over its leader heads' misses and set
+        its follower heads' insertions (in ``ins``) from it."""
+        # Leader-head misses vote on their cache's PSEL in program order;
+        # batch positions are cache-major, so sorting them groups the
+        # votes by cache.
+        lead_miss = np.flatnonzero((role_d != 0) & ~hit_ded)
+        vote_pos = st.head_prog[lead_miss]
+        by_pos = np.argsort(vote_pos)
+        vote_pos = vote_pos[by_pos]
+        votes = np.where(role_d[lead_miss[by_pos]] == 1, 1, -1)
+        vote_cuts = np.searchsorted(vote_pos, cuts)
+        walk = _saturating_walks(self.psel, votes, vote_cuts)
+        # A head at batch position p reads its cache's PSEL after every
+        # vote of that cache before p: each vote's value holds from just
+        # after its position, which is never a follower's, and each
+        # cache's batch starts at the PSEL it entered with.  A cache's
+        # start sorts after a vote of the cache before at the same
+        # position, so the start wins.
+        starts = vote_cuts[:-1]
+        change = np.insert(vote_pos + 1, starts, cuts[:-1])
+        value = np.insert(walk, starts, self.psel)
+        span_len = np.diff(np.append(change, st.n))
+        use_b = np.repeat(value >= _PSEL_INIT, span_len)[st.head_prog]
         use_b &= role_d == 0
         use_b &= ~st.run2
         np.copyto(ins, bimodal, where=use_b)
-        _replay_sets(st, followers, ins, tags, rrpv, hit_ded)
-    return _hits_program_order(st, hit_ded), int(traj[-1])
+        voted = np.diff(vote_cuts) > 0
+        self.psel[voted] = walk[vote_cuts[1:][voted] - 1]
+
+    def _complete(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """The waiting DRRIP batch, once its followers have replayed."""
+        if self._waiting is None:
+            return []
+        (st, _, _, hit_ded), leader_tags = self._waiting
+        self._waiting = None
+        tags = self.tags.copy()
+        tags[self._leaders] = leader_tags
+        return [(_hits_program_order(st, hit_ded), tags)]
+
+    def _flush(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Replay the waiting batch's followers in a pass of their own."""
+        if self._waiting is not None and self._waiting[0][1].shape[0]:
+            _replay_columns([self._waiting[0]], self.tags, self.rrpv)
+        return self._complete()
+
+    def reference(
+        self, lines: np.ndarray, bounds: Bounds
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Replay a combined batch through each cache's own ``simulate``."""
+        done = self._flush()
+        self._store()
+        hits = np.concatenate(
+            [np.zeros(0, dtype=np.uint8)]
+            + [
+                cache.simulate(lines[lo:hi]).hits
+                for cache, lo, hi in zip(self.caches, bounds, bounds[1:])
+                if hi > lo
+            ]
+        )
+        self._load()
+        return done + [(hits, self.tags.copy())]
+
+    def finish(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Complete every batch and write the state back to the caches."""
+        done = self._flush()
+        self._store()
+        return done
 
 
 # ---------------------------------------------------------------------------
@@ -737,33 +956,28 @@ def kernel_simulate(
     """
     if not kernel_possible(cache.config, lines):
         return None
-    return kernel_replay(cache, lines, set_ids(lines, cache.config.num_sets))
+    bounds = (0, lines.shape[0])
+    return kernel_replay([cache], lines, set_ids(lines, cache.config.num_sets), bounds)
 
 
 def kernel_replay(
-    cache: SetAssociativeCache, lines: np.ndarray, sets: np.ndarray
+    caches: Sequence[SetAssociativeCache],
+    lines: np.ndarray,
+    sets: np.ndarray,
+    bounds: Bounds,
 ) -> np.ndarray:
-    """Replay a batch :func:`kernel_possible` accepts; ``sets`` are its
-    :func:`set_ids`.  Returns the hit bits and updates the cache."""
-    config = cache.config
-    policy = config.policy
-    n = lines.shape[0]
-    with _obs_span("sim.kernel", policy=policy, accesses=n):
-        tags, rrpv = _state_arrays(cache)
-        pos0 = cache._access_pos
-        st = _build_streams(lines, sets, config.num_sets, int(tags.max()))
-        tags = tags.astype(st.tag_dtype)
-        if policy == "lru":
-            hits = _replay_lru(st, tags, config.ways)
-        else:
-            # Bimodal draws are keyed by the cache's lifetime access
-            # position (bit-exact with the reference by construction —
-            # same hash, same keys).
-            hits, cache._psel = _replay_rrip(
-                st, policy, tags, rrpv, cache._psel, (cache._draw_key, pos0),
-                np.asarray(cache._role, dtype=np.int8),
-            )
-        # Reference LRU never touches RRPV state; keep it bit-identical.
-        _write_state(cache, tags, rrpv if policy != "lru" else None)
-        cache._access_pos = pos0 + n
-    return hits
+    """Replay one combined batch :func:`kernel_possible` accepts.
+
+    ``caches`` share one config; cache ``k``'s next accesses are
+    ``lines[bounds[k]:bounds[k + 1]]``, in its program order, and
+    ``sets`` are the batch's :func:`set_ids` with the same ``bounds``.
+    Returns the hit bits of the combined batch and updates every cache
+    exactly as replaying its own accesses alone would.
+    """
+    config = caches[0].config
+    with _obs_span(
+        "sim.kernel", policy=config.policy, accesses=lines.shape[0], caches=len(caches)
+    ):
+        replay = LockstepReplay(caches)
+        done = replay.kernel(lines, sets, bounds) + replay.finish()
+    return done[0][0]

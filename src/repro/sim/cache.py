@@ -21,7 +21,9 @@ kernels in :mod:`repro.sim._kernels` can replay every policy bit-exactly.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +38,7 @@ __all__ = [
     "CacheSnapshot",
     "Replay",
     "SetAssociativeCache",
+    "replay_group",
 ]
 
 _POLICIES = ("lru", "srrip", "brrip", "drrip")
@@ -112,6 +115,12 @@ class CacheSnapshot:
     resident_lines: np.ndarray = field(repr=False)
 
 
+def _line_ids(lines: "np.ndarray | list[int]") -> np.ndarray:
+    """``lines`` as an integer array, keeping an integer array's width."""
+    arr = np.asarray(lines)
+    return arr if arr.dtype.kind in "iu" else arr.astype(np.int64)
+
+
 def _segment_bounds(length: int, global_start: int, scan_interval: int) -> list[int]:
     """Split points so every global ``scan_interval`` multiple ends a segment."""
     if not scan_interval:
@@ -141,8 +150,11 @@ class Replay:
         self._position = 0
 
     def feed(self, chunk: np.ndarray) -> np.ndarray:
-        """Replay the next chunk of the stream; returns its hit bits."""
-        arr = np.asarray(chunk, dtype=np.int64)
+        """Replay the next chunk of the stream; returns its hit bits.
+
+        The chunk's line ids keep their integer width.
+        """
+        arr = _line_ids(chunk)
         if not arr.shape[0]:
             return np.zeros(0, dtype=np.uint8)
         scan = self._scan_interval
@@ -155,6 +167,74 @@ class Replay:
                 self.snapshots.append(CacheSnapshot(end, self.cache.resident_lines()))
         self._position += arr.shape[0]
         return hits[0] if len(hits) == 1 else np.concatenate(hits)
+
+
+def replay_group(
+    caches: Sequence["SetAssociativeCache"],
+    streams: Sequence[np.ndarray],
+    scan_intervals: Sequence[int],
+) -> list[list[CacheSnapshot]]:
+    """Replay K independent caches of one config, each fed its whole stream.
+
+    Cache ``k`` replays ``streams[k]`` exactly as a fresh :class:`Replay`
+    with ``scan_intervals[k]`` fed it would, cut at each of its own scan
+    multiples.  Batch ``j`` of every stream that has one forms one
+    combined batch.  When that batch passes
+    :func:`repro.sim._kernels.use_kernel` as a whole, the kernel replays
+    all of it in lockstep, one column per (cache, set)
+    (:class:`repro.sim._kernels.LockstepReplay`); otherwise each cache
+    replays its part on its own.  Each stream is overwritten with its
+    hit bits (0/1) as it is replayed, so the group holds nothing per
+    access but the streams themselves.  Returns each cache's snapshots,
+    one per scan multiple it reached.
+    """
+    config = caches[0].config
+    if any(cache.config != config for cache in caches):
+        raise SimulationError("a replay group needs one cache config")
+    num_sets = config.num_sets
+    cuts = [
+        _segment_bounds(stream.shape[0], 0, scan)
+        for stream, scan in zip(streams, scan_intervals)
+    ]
+    snapshots: list[list[CacheSnapshot]] = [[] for _ in caches]
+    replay = _kernels.LockstepReplay(caches)
+    # Batches fed but not yet completed: their index, parts and bounds.
+    fed: deque[tuple[int, list[np.ndarray], np.ndarray]] = deque()
+    set_of_row = np.arange(num_sets, dtype=np.int64)[:, None]
+
+    def complete(done: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        for hits, tags in done:
+            j, parts, bounds = fed.popleft()
+            for k, (part, lo, hi) in enumerate(zip(parts, bounds, bounds[1:])):
+                if hi == lo:
+                    continue
+                part[:] = hits[lo:hi]
+                end = cuts[k][j + 1]
+                if scan_intervals[k] and end % scan_intervals[k] == 0:
+                    # Cache k's resident lines, set-major as resident_lines().
+                    rows = tags[k * num_sets : (k + 1) * num_sets].astype(np.int64)
+                    lines = rows * num_sets + set_of_row
+                    snapshots[k].append(CacheSnapshot(end, lines[rows >= 0]))
+
+    for j in range(max((len(c) - 1 for c in cuts), default=0)):
+        parts = [
+            stream[c[j] : c[j + 1]] if j + 1 < len(c) else stream[:0]
+            for stream, c in zip(streams, cuts)
+        ]
+        bounds = np.concatenate(([0], np.cumsum([p.shape[0] for p in parts])))
+        lines = np.concatenate(parts)
+        sets = _kernels.set_ids(lines, num_sets, bounds)
+        fed.append((j, parts, bounds))
+        if _kernels.use_kernel(config, lines, sets):
+            if _obs_enabled():
+                _obs_metrics.registry.counter("cache.accesses").inc(lines.shape[0])
+                _obs_metrics.registry.counter("cache.kernel_batches").inc()
+            complete(replay.kernel(lines, sets, bounds))
+        else:
+            complete(replay.reference(lines, bounds))
+        del lines, sets
+    complete(replay.finish())
+    return snapshots
 
 
 class SetAssociativeCache:
@@ -193,12 +273,13 @@ class SetAssociativeCache:
     def simulate(self, lines: np.ndarray) -> "SimulatedAccesses":
         """Run the trace through the cache, mutating its state.
 
-        ``lines`` are int64 line IDs in program order.  The batch alone
+        ``lines`` are line IDs in program order, of any integer width
+        (both paths narrow their tags themselves).  The batch alone
         picks the implementation (:func:`repro.sim._kernels.use_kernel`):
         the vectorized kernel when it is applicable and likely faster,
         the per-access reference loop otherwise.  Both are bit-exact.
         """
-        lines = np.asarray(lines, dtype=np.int64)
+        lines = _line_ids(lines)
         # One guarded per-batch increment; the per-access loops below
         # stay uninstrumented so the disabled path is untouched.
         if _obs_enabled():
@@ -207,7 +288,9 @@ class SetAssociativeCache:
         if _kernels.use_kernel(self.config, lines, sets):
             if _obs_enabled():
                 _obs_metrics.registry.counter("cache.kernel_batches").inc()
-            return SimulatedAccesses(hits=_kernels.kernel_replay(self, lines, sets))
+            return SimulatedAccesses(
+                hits=_kernels.kernel_replay([self], lines, sets, (0, lines.shape[0]))
+            )
         if _obs_enabled():
             _obs_metrics.registry.counter("cache.reference_batches").inc()
         return self._simulate_reference(lines)

@@ -11,12 +11,14 @@ chunk, so the returned :class:`SimulationResult` is O(V + scans):
 per-region counters, per-vertex access and miss counts under both
 attributions, the per-region count of resident lines at each Effective
 Cache Size scan, TLB misses, and optionally the locality-type counts.
+:func:`simulate_spmv_group` gives the same results for many cells of
+one cache config, their L3 replays run together in lockstep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import span
 
 from repro.sim.address_space import AddressSpace, Region
-from repro.sim.cache import CacheConfig, Replay
+from repro.sim.cache import CacheConfig, Replay, SetAssociativeCache, replay_group
 from repro.sim.parallel import (
     ROUND_ROBIN_INTERVAL,
     edge_balanced_partitions,
@@ -52,8 +54,13 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "simulate_spmv",
+    "simulate_spmv_group",
     "simulate_spmv_streamed",
 ]
+
+
+#: Accesses per merged trace chunk, unless a caller picks its own.
+_CHUNK_ACCESSES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -260,11 +267,134 @@ def _attribute(
         totals[1] += misses
 
 
+def _partition(graph: Graph, config: SimulationConfig) -> "tuple[AddressSpace, np.ndarray]":
+    """The traversal's address space and its thread partition boundaries."""
+    with span("sim.partition"):
+        space = AddressSpace(
+            graph.num_vertices, graph.num_edges, line_size=config.cache.line_size
+        )
+        boundaries = edge_balanced_partitions(
+            graph, config.num_threads, direction=config.direction
+        )
+    return space, boundaries
+
+
+def _merged_chunks(
+    graph: Graph,
+    config: SimulationConfig,
+    space: AddressSpace,
+    boundaries: np.ndarray,
+    chunk_accesses: int,
+) -> "Iterator[tuple[MemoryTrace, np.ndarray]]":
+    """Trace chunks of every thread partition, merged round-robin into
+    batches of ~``chunk_accesses`` accesses (with each access's thread)."""
+    sources = [
+        _in_spans(
+            "sim.trace",
+            spmv_trace_chunks(
+                graph,
+                space,
+                direction=config.direction,
+                vertex_range=(int(boundaries[t]), int(boundaries[t + 1])),
+                max_accesses=max(1, chunk_accesses // config.num_threads),
+            ),
+        )
+        for t in range(config.num_threads)
+    ]
+    return interleave_stream(
+        sources, ROUND_ROBIN_INTERVAL, batch_accesses=chunk_accesses
+    )
+
+
+def _traversal(
+    graph: Graph,
+    config: SimulationConfig,
+    space: AddressSpace,
+    boundaries: np.ndarray,
+    l3: Callable[[np.ndarray], np.ndarray],
+    snapshots: Callable[[], "list[np.ndarray]"],
+    *,
+    chunk_accesses: int,
+    classify_locality: bool,
+) -> SimulationResult:
+    """Stream one traversal's merged chunks and fold in their outcomes.
+
+    ``l3`` gives each chunk's L3 hit bits from its line ids, in stream
+    order; ``snapshots`` gives, once the stream has ended, the lines
+    resident at each ECS scan.  The TLB is replayed alongside.
+    """
+    num_vertices = graph.num_vertices
+    random_region = (
+        Region.VERTEX_DATA if config.direction == "pull" else Region.VERTEX_OUT
+    )
+    # Rows: regions; columns: misses, hits.
+    region_outcomes = np.zeros((Region.COUNT, 2), dtype=np.int64)
+    # Rows: accesses, misses.
+    by_read = np.zeros((2, num_vertices), dtype=np.int64)
+    by_proc = np.zeros((2, num_vertices), dtype=np.int64)
+    classifier = (
+        LocalityTypeClassifier(space, random_region) if classify_locality else None
+    )
+    tlb = tlb_cache(config.tlb) if config.tlb is not None else None
+    tlb_misses = 0
+    for chunk, thread_ids in _merged_chunks(
+        graph, config, space, boundaries, chunk_accesses
+    ):
+        hits = l3(chunk.lines)
+        if tlb is not None and config.tlb is not None:
+            with span("sim.tlb"):
+                tlb_misses += tlb.simulate(
+                    lines_to_pages(
+                        chunk.lines, config.cache.line_size, config.tlb.page_size
+                    )
+                ).num_misses
+        with span("sim.attribute"):
+            _attribute(chunk, hits, random_region, region_outcomes, by_read, by_proc)
+            if classifier is not None:
+                classifier.add(chunk, thread_ids)
+        # Drop this batch before the stream builds the next one.
+        del chunk, thread_ids, hits
+
+    region_accesses = region_outcomes.sum(axis=1)
+    region_hits = region_outcomes[:, 1].copy()
+    scan_region_counts = space.region_counts_batch(snapshots())
+    if obs_enabled():
+        obs_metrics.registry.counter("sim.accesses").inc(int(region_accesses.sum()))
+        obs_metrics.registry.counter("sim.l3_misses").inc(
+            int(region_outcomes[:, 0].sum())
+        )
+        obs_metrics.registry.counter("sim.tlb_misses").inc(tlb_misses)
+    return SimulationResult(
+        in_degrees=graph.in_degrees(),
+        out_degrees=graph.out_degrees(),
+        config=config,
+        space=space,
+        region_accesses=region_accesses,
+        region_hits=region_hits,
+        read_stats=VertexAccessStats(accesses=by_read[0], misses=by_read[1]),
+        proc_stats=VertexAccessStats(accesses=by_proc[0], misses=by_proc[1]),
+        scan_region_counts=scan_region_counts,
+        tlb_misses=tlb_misses,
+        partition_boundaries=boundaries,
+        locality_types=classifier.counts() if classifier is not None else None,
+    )
+
+
+def _spmv_span(graph: Graph, config: SimulationConfig) -> Any:
+    return span(
+        "sim.spmv",
+        vertices=graph.num_vertices,
+        edges=graph.num_edges,
+        policy=config.cache.policy,
+        threads=config.num_threads,
+    )
+
+
 def simulate_spmv(
     graph: Graph,
     config: SimulationConfig,
     *,
-    chunk_accesses: int = 1 << 20,
+    chunk_accesses: int = _CHUNK_ACCESSES,
     classify_locality: bool = False,
 ) -> SimulationResult:
     """Simulate one parallel SpMV traversal of ``graph`` under ``config``.
@@ -284,95 +414,140 @@ def simulate_spmv(
     (:class:`~repro.sim.stats.LocalityTypeClassifier`), at the cost of
     one sort of each chunk's random accesses.
     """
-    num_vertices = graph.num_vertices
-    random_region = (
-        Region.VERTEX_DATA if config.direction == "pull" else Region.VERTEX_OUT
-    )
-    with span(
-        "sim.spmv",
-        vertices=num_vertices,
-        edges=graph.num_edges,
-        policy=config.cache.policy,
-        threads=config.num_threads,
-    ):
-        with span("sim.partition"):
-            space = AddressSpace(
-                num_vertices, graph.num_edges, line_size=config.cache.line_size
-            )
-            boundaries = edge_balanced_partitions(
-                graph, config.num_threads, direction=config.direction
-            )
-        sources = [
-            _in_spans(
-                "sim.trace",
-                spmv_trace_chunks(
-                    graph,
-                    space,
-                    direction=config.direction,
-                    vertex_range=(int(boundaries[t]), int(boundaries[t + 1])),
-                    max_accesses=max(1, chunk_accesses // config.num_threads),
-                ),
-            )
-            for t in range(config.num_threads)
-        ]
-        stream = interleave_stream(
-            sources, ROUND_ROBIN_INTERVAL, batch_accesses=chunk_accesses
-        )
-
-        # Rows: regions; columns: misses, hits.
-        region_outcomes = np.zeros((Region.COUNT, 2), dtype=np.int64)
-        # Rows: accesses, misses.
-        by_read = np.zeros((2, num_vertices), dtype=np.int64)
-        by_proc = np.zeros((2, num_vertices), dtype=np.int64)
-        classifier = (
-            LocalityTypeClassifier(space, random_region) if classify_locality else None
-        )
-        tlb = tlb_cache(config.tlb) if config.tlb is not None else None
-        tlb_misses = 0
+    with _spmv_span(graph, config):
+        space, boundaries = _partition(graph, config)
         replay = Replay(config.cache, scan_interval=config.scan_interval)
-        for chunk, thread_ids in stream:
-            with span("sim.cache", accesses=len(chunk)):
-                hits = replay.feed(chunk.lines)
-            if tlb is not None and config.tlb is not None:
-                with span("sim.tlb"):
-                    tlb_misses += tlb.simulate(
-                        lines_to_pages(
-                            chunk.lines, config.cache.line_size, config.tlb.page_size
-                        )
-                    ).num_misses
-            with span("sim.attribute"):
-                _attribute(chunk, hits, random_region, region_outcomes, by_read, by_proc)
-                if classifier is not None:
-                    classifier.add(chunk, thread_ids)
-            # Drop this batch before the stream builds the next one.
-            del chunk, thread_ids, hits
 
-        region_accesses = region_outcomes.sum(axis=1)
-        region_hits = region_outcomes[:, 1].copy()
-        scan_region_counts = space.region_counts_batch(
-            [snap.resident_lines for snap in replay.snapshots]
+        def l3(lines: np.ndarray) -> np.ndarray:
+            with span("sim.cache", accesses=lines.shape[0]):
+                return replay.feed(lines)
+
+        return _traversal(
+            graph,
+            config,
+            space,
+            boundaries,
+            l3,
+            lambda: [snap.resident_lines for snap in replay.snapshots],
+            chunk_accesses=chunk_accesses,
+            classify_locality=classify_locality,
         )
-        if obs_enabled():
-            obs_metrics.registry.counter("sim.accesses").inc(int(region_accesses.sum()))
-            obs_metrics.registry.counter("sim.l3_misses").inc(
-                int(region_outcomes[:, 0].sum())
-            )
-            obs_metrics.registry.counter("sim.tlb_misses").inc(tlb_misses)
 
-    return SimulationResult(
-        in_degrees=graph.in_degrees(),
-        out_degrees=graph.out_degrees(),
-        config=config,
-        space=space,
-        region_accesses=region_accesses,
-        region_hits=region_hits,
-        read_stats=VertexAccessStats(accesses=by_read[0], misses=by_read[1]),
-        proc_stats=VertexAccessStats(accesses=by_proc[0], misses=by_proc[1]),
-        scan_region_counts=scan_region_counts,
-        tlb_misses=tlb_misses,
-        partition_boundaries=boundaries,
-        locality_types=classifier.counts() if classifier is not None else None,
-    )
+
+#: Most L3 accesses one :func:`simulate_spmv_group` holds between its
+#: two passes over the traces: a group closes once its cells reach it.
+#: At 2 B per access (the paper sweep's line ids fit 16 bits) that is
+#: 8 MB of line ids.
+GROUP_ACCESS_BUDGET = 1 << 22
+
+
+@dataclass
+class _HeldCell:
+    """One cell of a group between its two passes: its L3 line ids, which
+    the replay overwrites with their hit bits, and its scans."""
+
+    graph: Graph
+    config: SimulationConfig
+    space: AddressSpace
+    boundaries: np.ndarray
+    lines: np.ndarray
+    snapshots: "list[np.ndarray]"
+
+
+def _held_lines(graph: Graph, config: SimulationConfig) -> _HeldCell:
+    """First pass over one cell's trace: keep only its L3 line ids, in
+    the narrowest dtype that holds every line of its address space."""
+    space, boundaries = _partition(graph, config)
+    dtype = np.min_scalar_type(space.end // space.line_size)
+    parts = [
+        chunk.lines.astype(dtype)
+        for chunk, _ in _merged_chunks(
+            graph, config, space, boundaries, _CHUNK_ACCESSES
+        )
+    ]
+    lines = parts[0] if len(parts) == 1 else np.concatenate(parts, dtype=dtype)
+    return _HeldCell(graph, config, space, boundaries, lines, [])
+
+
+def _finisher(cell: _HeldCell) -> Callable[[], SimulationResult]:
+    """Second pass over one replayed cell's trace: attribute its held hit
+    bits chunk by chunk, as :func:`simulate_spmv` attributes its replay's."""
+
+    def finish() -> SimulationResult:
+        hits, position = cell.lines, 0
+
+        def l3(lines: np.ndarray) -> np.ndarray:
+            nonlocal position
+            end = position + lines.shape[0]
+            out = hits[position:end].astype(np.uint8)
+            position = end
+            return out
+
+        with _spmv_span(cell.graph, cell.config):
+            result = _traversal(
+                cell.graph,
+                cell.config,
+                cell.space,
+                cell.boundaries,
+                l3,
+                lambda: cell.snapshots,
+                chunk_accesses=_CHUNK_ACCESSES,
+                classify_locality=False,
+            )
+        if position != hits.shape[0]:
+            raise SimulationError(
+                "a re-streamed trace differs in length from its first pass"
+            )
+        return result
+
+    return finish
+
+
+def _replay_held(cells: "list[_HeldCell]") -> "Iterator[Callable[[], SimulationResult]]":
+    """Replay the held cells' L3 streams together, then yield their finishers."""
+    if not cells:
+        return
+    total = sum(cell.lines.shape[0] for cell in cells)
+    with span("sim.spmv", policy=cells[0].config.cache.policy, cells=len(cells)):
+        with span("sim.cache", accesses=total):
+            snapshots = replay_group(
+                [SetAssociativeCache(cell.config.cache) for cell in cells],
+                [cell.lines for cell in cells],
+                [cell.config.scan_interval for cell in cells],
+            )
+    for cell, snaps in zip(cells, snapshots):
+        cell.snapshots = [snap.resident_lines for snap in snaps]
+    for cell in cells:
+        yield _finisher(cell)
+
+
+def simulate_spmv_group(
+    cells: "Iterable[tuple[Graph, SimulationConfig]]",
+) -> "Iterator[Callable[[], SimulationResult]]":
+    """:func:`simulate_spmv` of many ``(graph, config)`` cells, their L3
+    replays run together.
+
+    Every config must have one cache; scan intervals may differ.  Yields,
+    in order, one function per cell that returns the cell's
+    :func:`simulate_spmv` result, bit for bit; call it before asking for
+    the next.  Cells are taken in groups.  A first pass over each cell's
+    trace keeps only its L3 line ids, until the group holds
+    :data:`GROUP_ACCESS_BUDGET` of them.  The group's caches then replay
+    together (:func:`~repro.sim.cache.replay_group`): batch ``j`` of
+    every cell is one lockstep kernel pass.  Each cell's function
+    streams its trace a second time and attributes the held hit bits.
+    Nothing of a group outlives its cells' functions.
+    """
+    held: "list[_HeldCell]" = []
+    accesses = 0
+    for graph, config in cells:
+        with _spmv_span(graph, config):
+            held.append(_held_lines(graph, config))
+        accesses += held[-1].lines.shape[0]
+        if accesses >= GROUP_ACCESS_BUDGET:
+            yield from _replay_held(held)
+            held, accesses = [], 0
+    yield from _replay_held(held)
 
 
 def simulate_spmv_streamed(

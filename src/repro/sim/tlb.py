@@ -65,13 +65,19 @@ class TLBConfig:
 
 
 def lines_to_pages(lines: np.ndarray, line_size: int, page_size: int) -> np.ndarray:
-    """Convert cache-line IDs to page IDs."""
+    """Convert non-negative cache-line IDs to page IDs, in the narrowest
+    integer dtype that holds the largest of them."""
     if page_size < line_size or page_size % line_size:
         raise SimulationError(
             f"page_size {page_size} must be a multiple of line_size {line_size}"
         )
-    ratio = page_size // line_size
-    return np.asarray(lines, dtype=np.int64) // ratio
+    # Both sizes are powers of two, so the ratio is one too.
+    shift = (page_size // line_size).bit_length() - 1
+    lines = np.asarray(lines)
+    top = int(lines.max()) >> shift if lines.shape[0] else 0
+    pages = np.empty(lines.shape[0], dtype=np.min_scalar_type(top))
+    np.right_shift(lines, shift, out=pages, casting="unsafe")
+    return pages
 
 
 def tlb_cache(config: TLBConfig) -> SetAssociativeCache:

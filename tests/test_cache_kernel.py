@@ -326,7 +326,7 @@ class TestBatchMemory:
     B/access on this batch.
     """
 
-    #: Heap peak per access of one ``kernel_replay``, its hit bits included.
+    #: Heap peak per access of one one-cache ``kernel_replay``, its hit bits included.
     PEAK_BYTES_PER_ACCESS = 30
 
     @pytest.mark.parametrize("policy", ["lru", "srrip", "drrip"])
@@ -343,7 +343,7 @@ class TestBatchMemory:
         cache = SetAssociativeCache(config)
         tracemalloc.start()
         try:
-            _kernels.kernel_replay(cache, lines, sets)
+            _kernels.kernel_replay([cache], lines, sets, (0, n))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -500,3 +500,78 @@ class TestKernelAgainstOracle:
         runs = np.tile(np.arange(num_sets) + num_sets * rng.integers(0, 25, size=num_sets), 40)
         config = CacheConfig(num_sets=num_sets, ways=ways, policy=policy, seed=1)
         _replay_against_oracle(config, [warm, runs, warm])
+
+
+class TestMultiCacheKernelAgainstOracle:
+    """K independent caches of one config replayed in lockstep passes.
+
+    Each round replays every cache that still has a batch as one
+    combined kernel batch (one column per (cache, set)), once per batch
+    (``kernel_replay``) and once over all rounds (``LockstepReplay``,
+    where DRRIP shares each follower pass with the next round's leader
+    pass).  Each cache must end every round exactly where its own
+    oracle, fed only its own accesses, does.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        policy=st.sampled_from(["srrip", "brrip", "drrip"]),
+        geom=st.tuples(st.sampled_from([1, 2, 8, 33, 64]), st.sampled_from([1, 2, 4, 8])),
+        caches=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_group_matches_independent_oracles(self, policy, geom, caches, seed):
+        num_sets, ways = geom
+        rng = np.random.default_rng(seed)
+        config = CacheConfig(num_sets=num_sets, ways=ways, policy=policy, seed=seed % 5)
+        per_batch = [SetAssociativeCache(config) for _ in range(caches)]
+        pipelined = [SetAssociativeCache(config) for _ in range(caches)]
+        oracles = [RRIPOracle(num_sets, ways, policy, config.seed) for _ in range(caches)]
+        streams = []
+        for k, oracle in enumerate(oracles):
+            # Some caches start with PSEL pinned at a rail, so their
+            # first leader votes clamp at once.
+            oracle.psel = per_batch[k]._psel = pipelined[k]._psel = (
+                _PSEL_INIT, 0, _PSEL_MAX
+            )[k % 3]
+            # Each cache touches only some of its sets (the rest stay
+            # empty) and runs out of batches after its own count of
+            # rounds; a round may give it no accesses at all.
+            used = rng.choice(num_sets, size=int(rng.integers(1, num_sets + 1)), replace=False)
+            rounds = int(rng.integers(1, 5))
+            streams.append([
+                used[rng.integers(0, used.shape[0], size=n)]
+                + num_sets * rng.integers(0, 3 * ways, size=n)
+                for n in rng.integers(0, 300, size=rounds).tolist()
+            ])
+        # Combined batches of every round with accesses, and what each
+        # cache's oracle gives for them: hits, then its compressed tags.
+        batches = []
+        for j in range(max(len(s) for s in streams)):
+            parts = [s[j] if j < len(s) else s[0][:0] for s in streams]
+            bounds = np.concatenate(([0], np.cumsum([p.shape[0] for p in parts])))
+            if bounds[-1]:
+                hits = np.concatenate([o.simulate(p) for o, p in zip(oracles, parts)])
+                tags = np.asarray(
+                    [[[line // num_sets if line >= 0 else -1 for line, _ in ways_]
+                      for ways_ in o.sets] for o in oracles]
+                ).reshape(caches * num_sets, ways)
+                batches.append((np.concatenate(parts), bounds, hits, tags))
+
+        replay = _kernels.LockstepReplay(pipelined)
+        completed = []
+        for lines, bounds, want, _ in batches:
+            sets = _kernels.set_ids(lines, num_sets, bounds)
+            got = _kernels.kernel_replay(per_batch, lines, sets, bounds)
+            assert np.array_equal(got, want)
+            completed += replay.kernel(lines, sets, bounds)
+        completed += replay.finish()
+        assert len(completed) == len(batches)
+        for (hits, tags), (_, _, want, want_tags) in zip(completed, batches):
+            assert np.array_equal(hits, want)
+            assert np.array_equal(tags, want_tags)
+        for group in (per_batch, pipelined):
+            for cache, oracle in zip(group, oracles):
+                assert (cache._tags, cache._rrpv) == _oracle_state(oracle)
+                assert cache._psel == oracle.psel
+                assert cache._access_pos == oracle.pos
