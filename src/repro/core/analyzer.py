@@ -3,8 +3,9 @@
 :class:`LocalityAnalyzer` bundles the per-graph metrics (AID,
 asymmetricity, degree range decomposition, hub coverage, gap profile)
 and the simulation-backed metrics (miss-rate distribution, ECS, hub
-misses, locality types) behind one object, caching the simulation so a
-battery of metrics reuses a single traversal.
+misses) behind one object, caching the simulation so a battery of
+metrics reuses a single traversal.  Locality types need no cache
+replay: they are counted off the traversal's trace alone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.sim.simulator import SimulationConfig, SimulationResult, simulate_spmv
+from repro.sim.simulator import (
+    SimulationConfig,
+    SimulationResult,
+    count_locality_types,
+    simulate_spmv,
+)
 from repro.sim.stats import LocalityTypeCounts
 
 from repro.core.aid import AIDDistribution, aid_degree_distribution, aid_per_vertex
@@ -60,8 +66,7 @@ class LocalityAnalyzer:
         The graph to analyze (already relabeled, if studying an RA).
 
     The simulation-backed metrics share one traversal, run on first use
-    under :meth:`SimulationConfig.scaled_for` with ECS scans and
-    locality-type classification enabled.
+    under :meth:`SimulationConfig.scaled_for` with ECS scans enabled.
     """
 
     def __init__(self, graph: Graph):
@@ -108,7 +113,7 @@ class LocalityAnalyzer:
         """The cached traversal simulation (run on first use)."""
         if self._result is None:
             config = with_ecs_scans(self.graph, SimulationConfig.scaled_for(self.graph))
-            self._result = simulate_spmv(self.graph, config, classify_locality=True)
+            self._result = simulate_spmv(self.graph, config)
         return self._result
 
     def miss_rate_distribution(self, by: str = "proc") -> MissRateDistribution:
@@ -121,6 +126,5 @@ class LocalityAnalyzer:
         return hub_data_misses(self.simulation, min_degree)
 
     def locality_types(self) -> LocalityTypeCounts:
-        counts = self.simulation.locality_types
-        assert counts is not None  # the simulation always classifies
-        return counts
+        """Locality types I–V of the traversal's trace; no cache is replayed."""
+        return count_locality_types(self.graph, SimulationConfig.scaled_for(self.graph))

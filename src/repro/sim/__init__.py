@@ -4,6 +4,9 @@
 round-robin interleave into one shared cache
 (:class:`repro.sim.cache.Replay`), which also cuts the Effective Cache
 Size snapshots; the result keeps only their per-region line counts.
+Locality types I–V read no hit bit, so
+:func:`repro.sim.simulator.count_locality_types` classifies the same
+merged stream with no cache replayed.
 """
 
 from repro.sim.address_space import AddressSpace, Region

@@ -10,9 +10,12 @@ paper's metrics read off the per-access outcome is folded in chunk by
 chunk, so the returned :class:`SimulationResult` is O(V + scans):
 per-region counters, per-vertex access and miss counts under both
 attributions, the per-region count of resident lines at each Effective
-Cache Size scan, TLB misses, and optionally the locality-type counts.
+Cache Size scan and TLB misses.
 :func:`simulate_spmv_group` gives the same results for many cells of
 one cache config, their L3 replays run together in lockstep.
+:func:`count_locality_types` classifies the same merged stream's reuses
+into locality types I–V without replaying any cache: the types depend
+on who last touched a line, never on whether the access hit.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from repro.sim.trace import MemoryTrace, spmv_trace_chunks
 __all__ = [
     "SimulationConfig",
     "SimulationResult",
+    "count_locality_types",
     "simulate_spmv",
     "simulate_spmv_group",
     "simulate_spmv_streamed",
@@ -121,8 +125,8 @@ class SimulationResult:
     vertex (see :mod:`repro.sim.stats`).  ``scan_region_counts`` is an
     int64 ``(scans, Region.COUNT)`` matrix: row ``i`` counts the lines
     resident at the ``i``-th ECS scan per region, the one thing the
-    Effective Cache Size reads of them.  ``locality_types`` is set when
-    the run classified reuses (``classify_locality=True``).
+    Effective Cache Size reads of them.  Locality types are not part of
+    it: :func:`count_locality_types` reads them off the trace alone.
     """
 
     in_degrees: np.ndarray
@@ -136,7 +140,6 @@ class SimulationResult:
     scan_region_counts: np.ndarray
     tlb_misses: int
     partition_boundaries: np.ndarray
-    locality_types: LocalityTypeCounts | None = None
 
     # -- headline counters --------------------------------------------------
 
@@ -158,9 +161,7 @@ class SimulationResult:
 
     @property
     def random_region(self) -> int:
-        return (
-            Region.VERTEX_DATA if self.config.direction == "pull" else Region.VERTEX_OUT
-        )
+        return _random_region(self.config)
 
     @property
     def random_accesses(self) -> int:
@@ -229,6 +230,11 @@ class SimulationResult:
             self.schedule().idle_percent,
             self.config.num_threads,
         )
+
+
+def _random_region(config: SimulationConfig) -> int:
+    """The region a traversal in ``config.direction`` accesses at random."""
+    return Region.VERTEX_DATA if config.direction == "pull" else Region.VERTEX_OUT
 
 
 def _in_spans(name: str, chunks: Iterable[MemoryTrace]) -> Iterator[MemoryTrace]:
@@ -315,7 +321,6 @@ def _traversal(
     snapshots: Callable[[], "list[np.ndarray]"],
     *,
     chunk_accesses: int,
-    classify_locality: bool,
 ) -> SimulationResult:
     """Stream one traversal's merged chunks and fold in their outcomes.
 
@@ -324,17 +329,12 @@ def _traversal(
     resident at each ECS scan.  The TLB is replayed alongside.
     """
     num_vertices = graph.num_vertices
-    random_region = (
-        Region.VERTEX_DATA if config.direction == "pull" else Region.VERTEX_OUT
-    )
+    random_region = _random_region(config)
     # Rows: regions; columns: misses, hits.
     region_outcomes = np.zeros((Region.COUNT, 2), dtype=np.int64)
     # Rows: accesses, misses.
     by_read = np.zeros((2, num_vertices), dtype=np.int64)
     by_proc = np.zeros((2, num_vertices), dtype=np.int64)
-    classifier = (
-        LocalityTypeClassifier(space, random_region) if classify_locality else None
-    )
     tlb = tlb_cache(config.tlb) if config.tlb is not None else None
     tlb_misses = 0
     for chunk, thread_ids in _merged_chunks(
@@ -350,8 +350,6 @@ def _traversal(
                 ).num_misses
         with span("sim.attribute"):
             _attribute(chunk, hits, random_region, region_outcomes, by_read, by_proc)
-            if classifier is not None:
-                classifier.add(chunk, thread_ids)
         # Drop this batch before the stream builds the next one.
         del chunk, thread_ids, hits
 
@@ -376,7 +374,6 @@ def _traversal(
         scan_region_counts=scan_region_counts,
         tlb_misses=tlb_misses,
         partition_boundaries=boundaries,
-        locality_types=classifier.counts() if classifier is not None else None,
     )
 
 
@@ -395,7 +392,6 @@ def simulate_spmv(
     config: SimulationConfig,
     *,
     chunk_accesses: int = _CHUNK_ACCESSES,
-    classify_locality: bool = False,
 ) -> SimulationResult:
     """Simulate one parallel SpMV traversal of ``graph`` under ``config``.
 
@@ -409,10 +405,6 @@ def simulate_spmv(
     classified by region in one pass, and only those counts are kept.
     Results are bit-identical for every ``chunk_accesses``
     (``tests/test_trace_stream.py``).
-
-    ``classify_locality=True`` also counts locality types I–V
-    (:class:`~repro.sim.stats.LocalityTypeClassifier`), at the cost of
-    one sort of each chunk's random accesses.
     """
     with _spmv_span(graph, config):
         space, boundaries = _partition(graph, config)
@@ -430,7 +422,6 @@ def simulate_spmv(
             l3,
             lambda: [snap.resident_lines for snap in replay.snapshots],
             chunk_accesses=chunk_accesses,
-            classify_locality=classify_locality,
         )
 
 
@@ -492,7 +483,6 @@ def _finisher(cell: _HeldCell) -> Callable[[], SimulationResult]:
                 l3,
                 lambda: cell.snapshots,
                 chunk_accesses=_CHUNK_ACCESSES,
-                classify_locality=False,
             )
         if position != hits.shape[0]:
             raise SimulationError(
@@ -548,6 +538,24 @@ def simulate_spmv_group(
             yield from _replay_held(held)
             held, accesses = [], 0
     yield from _replay_held(held)
+
+
+def count_locality_types(graph: Graph, config: SimulationConfig) -> LocalityTypeCounts:
+    """Locality types I–V (Section IV-D) of one parallel SpMV traversal.
+
+    A type is read off who last touched a line (thread, processed vertex,
+    read vertex), never off whether the access hit.  So the partitions
+    and round-robin batches :func:`simulate_spmv` replays go straight
+    into one :class:`~repro.sim.stats.LocalityTypeClassifier`, and no
+    cache or TLB is replayed.
+    """
+    space, boundaries = _partition(graph, config)
+    classifier = LocalityTypeClassifier(space, _random_region(config))
+    for chunk, thread_ids in _merged_chunks(
+        graph, config, space, boundaries, _CHUNK_ACCESSES
+    ):
+        classifier.add(chunk, thread_ids)
+    return classifier.counts()
 
 
 def simulate_spmv_streamed(

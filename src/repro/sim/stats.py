@@ -11,10 +11,12 @@ random access (DESIGN.md §6):
   rate distributions, where processing a high-in-degree vertex requires
   many random reads.
 
-Both attributions, and the locality-type classification of Section
-IV-D, are computed chunk by chunk while the simulator replays the trace
-(:func:`repro.sim.simulator.simulate_spmv`), so a simulation result
-keeps O(V) counters instead of the O(accesses) trace.
+Both attributions are computed chunk by chunk while the simulator
+replays the trace (:func:`repro.sim.simulator.simulate_spmv`), so a
+simulation result keeps O(V) counters instead of the O(accesses) trace.
+The locality-type classification of Section IV-D reads no hit bit, so
+it streams the same trace with no cache replayed
+(:func:`repro.sim.simulator.count_locality_types`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "LocalityTypeClassifier",
     "LocalityTypeCounts",
     "VertexAccessStats",
-    "attribute_random_accesses",
 ]
 
 
@@ -56,39 +57,6 @@ class VertexAccessStats:
     @property
     def total_misses(self) -> int:
         return int(self.misses.sum())
-
-
-def attribute_random_accesses(
-    trace: MemoryTrace,
-    hits: np.ndarray,
-    num_vertices: int,
-    *,
-    by: str = "read",
-    random_region: int = Region.VERTEX_DATA,
-) -> VertexAccessStats:
-    """Aggregate the trace's random accesses per vertex.
-
-    Parameters
-    ----------
-    by:
-        ``"read"`` attributes each random access to the vertex whose
-        data is touched; ``"proc"`` to the vertex being processed.
-    random_region:
-        Region whose accesses count as random (``VERTEX_DATA`` for pull
-        traces, ``VERTEX_OUT`` for push traces).
-    """
-    hits = np.asarray(hits)
-    if hits.shape[0] != len(trace):
-        raise SimulationError("hits array length must match the trace")
-    if by == "read":
-        field = trace.read_vertex
-    elif by == "proc":
-        field = trace.proc_vertex
-    else:
-        raise SimulationError(f"attribution must be 'read' or 'proc', got {by!r}")
-    mask = trace.kinds == random_region
-    accesses, misses = vertex_counts(field[mask], hits[mask] == 0, num_vertices)
-    return VertexAccessStats(accesses=accesses, misses=misses)
 
 
 def vertex_counts(

@@ -40,7 +40,7 @@ from repro.graph.graph import Graph
 from repro.reorder.base import ReorderResult
 from repro.sim.address_space import AddressSpace
 from repro.sim.simulator import SimulationConfig, SimulationResult
-from repro.sim.stats import LocalityTypeCounts, VertexAccessStats
+from repro.sim.stats import VertexAccessStats
 
 __all__ = [
     "Serializer",
@@ -311,8 +311,7 @@ class StoredSimulation:
     in/out degrees and what the simulator produced: per-region
     access/hit counters, per-vertex access/miss counts under both
     attributions, the ``(scans, Region.COUNT)`` resident-line counts of
-    the ECS scans, partition boundaries, TLB misses and the
-    locality-type counts when the run classified them.
+    the ECS scans, partition boundaries and TLB misses.
     """
 
     in_degrees: np.ndarray
@@ -327,7 +326,6 @@ class StoredSimulation:
     scan_region_counts: np.ndarray
     tlb_misses: int
     space_params: dict
-    locality_types: "dict | None" = None
 
     @classmethod
     def from_result(cls, result: SimulationResult) -> "StoredSimulation":
@@ -344,9 +342,6 @@ class StoredSimulation:
             scan_region_counts=result.scan_region_counts,
             tlb_misses=result.tlb_misses,
             space_params=asdict(result.space),
-            locality_types=(
-                None if result.locality_types is None else asdict(result.locality_types)
-            ),
         )
 
     @property
@@ -368,11 +363,6 @@ class StoredSimulation:
             scan_region_counts=self.scan_region_counts,
             tlb_misses=int(self.tlb_misses),
             partition_boundaries=self.partition_boundaries,
-            locality_types=(
-                None
-                if self.locality_types is None
-                else LocalityTypeCounts(**self.locality_types)
-            ),
         )
 
 

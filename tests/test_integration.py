@@ -17,6 +17,7 @@ from repro import (
 )
 from repro.core.missdist import miss_rate_degree_distribution
 from repro.graph.validate import validate_graph
+from repro.sim.simulator import count_locality_types
 
 
 @pytest.mark.parametrize("name", sorted(set(algorithm_names())))
@@ -81,8 +82,7 @@ class TestAnalyzerOnReorderedGraphs:
         config = SimulationConfig.scaled_for(small_web)
 
         def spatial_fraction(graph):
-            counts = simulate_spmv(graph, config, classify_locality=True).locality_types
-            fractions = counts.fractions()
+            fractions = count_locality_types(graph, config).fractions()
             return fractions["I"] + fractions["III"]
 
         result = get_algorithm("rabbit")(scrambled)

@@ -1,15 +1,25 @@
 """Unit tests for locality type classification and reuse distances."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.core.analyzer import LocalityAnalyzer
 from repro.core.reuse import reuse_distances
+from repro.generate.rmat import rmat_edges
+from repro.graph.build import build_graph
+from repro.obs import metrics as obs_metrics
 from repro.sim.address_space import AddressSpace, Region
+from repro.sim.parallel import ROUND_ROBIN_INTERVAL, edge_balanced_partitions
+from repro.sim.simulator import SimulationConfig, count_locality_types
 from repro.sim.stats import LocalityTypeClassifier
-from repro.sim.trace import MemoryTrace
+from repro.sim.trace import MemoryTrace, spmv_trace
 from repro.sim.cache import CacheConfig, SetAssociativeCache
+from tests.test_trace_stream import interleave_traces
 
 
 def trace_from(records, num_vertices=64, num_edges=64):
@@ -174,3 +184,60 @@ def test_classifier_matches_scan_across_chunks(records, cuts):
     assert [
         got.type_i, got.type_ii, got.type_iii, got.type_iv, got.type_v, got.cold
     ] == _scan_counts(records)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    log_scale=st.integers(1, 8),
+    num_edges=st.integers(0, 1500),
+    num_threads=st.integers(1, 8),
+    direction=st.sampled_from(["pull", "push"]),
+)
+def test_count_matches_classifier_of_whole_interleaved_trace(
+    seed, log_scale, num_edges, num_threads, direction
+):
+    """The trace-only count equals one classifier fed the whole merged
+    trace at once: per-partition traces, round-robin interleaved, with
+    no simulator in between."""
+    src, dst = rmat_edges(log_scale, num_edges, seed=seed)
+    graph = build_graph(1 << log_scale, src, dst, name=f"rm{seed}").graph
+    config = dataclasses.replace(
+        SimulationConfig.scaled_for(graph, direction=direction),
+        num_threads=num_threads,
+    )
+    space = AddressSpace(
+        graph.num_vertices, graph.num_edges, line_size=config.cache.line_size
+    )
+    bounds = edge_balanced_partitions(graph, num_threads, direction=direction)
+    traces = [
+        spmv_trace(
+            graph,
+            space,
+            direction=direction,
+            vertex_range=(int(bounds[t]), int(bounds[t + 1])),
+        )
+        for t in range(num_threads)
+    ]
+    merged, threads = interleave_traces(traces, ROUND_ROBIN_INTERVAL)
+    random_region = Region.VERTEX_DATA if direction == "pull" else Region.VERTEX_OUT
+    classifier = LocalityTypeClassifier(space, random_region)
+    classifier.add(merged, threads)
+    counts = count_locality_types(graph, config)
+    assert counts == classifier.counts()
+    assert counts.total_reuses + counts.cold == int(
+        np.count_nonzero(merged.kinds == random_region)
+    )
+
+
+def test_analyzer_locality_types_replay_no_cache(small_social):
+    """The analyzer counts locality types off the trace: no L3 or TLB
+    access is replayed and no cache span opens."""
+    with obs.recording():
+        counts = LocalityAnalyzer(small_social).locality_types()
+        accesses = obs_metrics.registry.counter("cache.accesses").value
+        names = {record.name for record in obs.completed_spans()}
+    assert counts.total_reuses > 0
+    assert accesses == 0
+    assert "sim.trace" in names
+    assert not names & {"sim.cache", "sim.tlb"}

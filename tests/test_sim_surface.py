@@ -32,7 +32,7 @@ SURFACE_FIELDS = {
 
 SURFACE_KEYWORDS = {
     SimulationConfig.scaled_for: ("pressure", "scan_interval", "direction", "policy"),
-    simulate_spmv: ("chunk_accesses", "classify_locality"),
+    simulate_spmv: ("chunk_accesses",),
     spmv_trace_chunks: ("direction", "vertex_range", "max_accesses"),
 }
 

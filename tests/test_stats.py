@@ -1,12 +1,12 @@
-"""Unit tests for per-vertex access attribution."""
+"""Unit tests for the per-vertex attribution oracle of the streaming tests."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.address_space import AddressSpace, Region
-from repro.sim.stats import attribute_random_accesses
 from repro.sim.trace import MemoryTrace
+from tests.test_trace_stream import attribute_random_accesses
 
 
 def trace_of(records, n=16):

@@ -19,6 +19,7 @@ from repro.graph import Graph
 from repro.reorder import get_algorithm
 from repro.reorder.base import ReorderResult
 from repro.sim import Region, SimulationConfig, simulate_spmv
+from repro.sim.simulator import count_locality_types
 from repro.store.gc import collect_garbage, verify_store
 from repro.store.serializers import StoredSimulation, get_serializer
 from repro.store.store import STORE_DIR_ENV, ArtifactStore, default_store_dir
@@ -88,7 +89,7 @@ class TestRoundTrips:
 
     def test_simulation(self, store, two_hop_ring):
         config = SimulationConfig.scaled_for(two_hop_ring, scan_interval=16)
-        result = simulate_spmv(two_hop_ring, config, classify_locality=True)
+        result = simulate_spmv(two_hop_ring, config)
         stored = StoredSimulation.from_result(result)
         # O(V) counters, never one entry per access.
         assert result.num_accesses > two_hop_ring.num_vertices + 1
@@ -106,7 +107,10 @@ class TestRoundTrips:
             assert np.array_equal(
                 rebuilt.random_stats(by).misses, result.random_stats(by).misses
             )
-        assert rebuilt.locality_types == result.locality_types
+        # Locality types are not stored: counted off the trace, they
+        # classify every random access the stored counters saw.
+        types = count_locality_types(two_hop_ring, config)
+        assert types.total_reuses + types.cold == rebuilt.random_accesses
         assert rebuilt.tlb_misses == result.tlb_misses
         assert rebuilt.l3_misses == result.l3_misses
         assert np.array_equal(rebuilt.scan_region_counts, result.scan_region_counts)
@@ -174,15 +178,13 @@ def _assert_bit_exact(loaded, original) -> None:
             assert got.tobytes() == want.tobytes(), item.name
 
 
-def _stored_simulation(graph, *, scan_interval: int, classify: bool):
+def _stored_simulation(graph, *, scan_interval: int):
     config = SimulationConfig.scaled_for(graph, scan_interval=scan_interval)
-    return StoredSimulation.from_result(
-        simulate_spmv(graph, config, classify_locality=classify)
-    )
+    return StoredSimulation.from_result(simulate_spmv(graph, config))
 
 
-#: Every dataclass kind, with empty arrays, non-finite AID values and
-#: ``locality_types`` both unset and set.
+#: Every dataclass kind, with empty arrays, non-finite AID values and a
+#: simulation both with ECS scans and without.
 _DATACLASS_CASES = {
     "reordering": lambda g: ("reordering", get_algorithm("degree")(g)),
     "reordering-empty": lambda g: (
@@ -200,13 +202,13 @@ _DATACLASS_CASES = {
         "aid",
         VertexAID(aid=np.zeros(0), degrees=np.zeros(0, dtype=np.int64)),
     ),
-    "simulation-classified": lambda g: (
+    "simulation-scanned": lambda g: (
         "simulation",
-        _stored_simulation(g, scan_interval=16, classify=True),
+        _stored_simulation(g, scan_interval=16),
     ),
-    "simulation-unclassified-no-snapshots": lambda g: (
+    "simulation-no-snapshots": lambda g: (
         "simulation",
-        _stored_simulation(g, scan_interval=0, classify=False),
+        _stored_simulation(g, scan_interval=0),
     ),
 }
 
@@ -260,7 +262,7 @@ class TestFlatRoundTrip:
         _assert_bit_exact(store.get(_key(14), kind), original)
 
     def test_get_opens_the_payload_once(self, store, two_hop_ring, monkeypatch):
-        kind, original = _DATACLASS_CASES["simulation-classified"](two_hop_ring)
+        kind, original = _DATACLASS_CASES["simulation-scanned"](two_hop_ring)
         info = store.put(_key(15), kind, original)
         assert _count_opens(monkeypatch, store, _key(15), kind, info.path) == 1
 

@@ -9,8 +9,9 @@ materializing reference bit for bit, for any chunk size, thread count,
 interval and thread count.  The references here compute the same things
 the direct way — whole traces, one stable-sort merge, one replay, then
 attribution and a per-access locality-type loop over the retained
-trace.  The tests pin that equivalence across randomized RMAT graphs,
-both traversal directions, chunk sizes down to 1 access, and the
+trace, which :func:`count_locality_types` must match without a replay.
+The tests pin that equivalence across randomized RMAT graphs, both
+traversal directions, chunk sizes down to 1 access, and the
 chunk-boundary edge cases (zero-degree runs, a boundary inside one
 vertex's access burst, finished-early threads).
 """
@@ -38,11 +39,17 @@ from repro.sim.parallel import (
     edge_balanced_partitions,
     interleave_stream,
 )
-from repro.sim.simulator import SimulationConfig, simulate_spmv, simulate_spmv_streamed
+from repro.sim.simulator import (
+    SimulationConfig,
+    count_locality_types,
+    simulate_spmv,
+    simulate_spmv_streamed,
+)
 from repro.sim.stats import (
     LocalityTypeClassifier,
     LocalityTypeCounts,
-    attribute_random_accesses,
+    VertexAccessStats,
+    vertex_counts,
 )
 from repro.sim.tlb import simulate_tlb
 from repro.sim.trace import (
@@ -104,6 +111,39 @@ def interleave_traces(traces: list, interval: int):
         space=joined.space,
     )
     return merged, threads[order]
+
+
+def attribute_random_accesses(
+    trace: MemoryTrace,
+    hits: np.ndarray,
+    num_vertices: int,
+    *,
+    by: str = "read",
+    random_region: int = Region.VERTEX_DATA,
+) -> VertexAccessStats:
+    """Aggregate the trace's random accesses per vertex.
+
+    Parameters
+    ----------
+    by:
+        ``"read"`` attributes each random access to the vertex whose
+        data is touched; ``"proc"`` to the vertex being processed.
+    random_region:
+        Region whose accesses count as random (``VERTEX_DATA`` for pull
+        traces, ``VERTEX_OUT`` for push traces).
+    """
+    hits = np.asarray(hits)
+    if hits.shape[0] != len(trace):
+        raise SimulationError("hits array length must match the trace")
+    if by == "read":
+        field = trace.read_vertex
+    elif by == "proc":
+        field = trace.proc_vertex
+    else:
+        raise SimulationError(f"attribution must be 'read' or 'proc', got {by!r}")
+    mask = trace.kinds == random_region
+    accesses, misses = vertex_counts(field[mask], hits[mask] == 0, num_vertices)
+    return VertexAccessStats(accesses=accesses, misses=misses)
 
 
 def classify_by_loop(trace, thread_ids, random_region):
@@ -375,12 +415,11 @@ class TestStreamedSimulator:
     def test_matches_materialized_simulation(
         self, graph, config, reference, chunk_accesses
     ):
-        streamed = simulate_spmv(
-            graph, config, chunk_accesses=chunk_accesses, classify_locality=True
-        )
+        streamed = simulate_spmv(graph, config, chunk_accesses=chunk_accesses)
         self._assert_matches(
             streamed, reference, replayed_snapshots(graph, config, chunk_accesses)
         )
+        assert count_locality_types(graph, config) == reference["locality_types"]
 
     @pytest.mark.parametrize("chunk_accesses", [1 << 20, 1 << 12, 997, 61])
     def test_scan_counts_are_region_counts_of_replay_snapshots(
@@ -404,14 +443,12 @@ class TestStreamedSimulator:
         config = SimulationConfig.scaled_for(
             graph, scan_interval=300, direction="push", policy="brrip"
         )
-        streamed = simulate_spmv(
-            graph, config, chunk_accesses=1500, classify_locality=True
-        )
+        streamed = simulate_spmv(graph, config, chunk_accesses=1500)
+        reference = materialized_simulation(graph, config)
         self._assert_matches(
-            streamed,
-            materialized_simulation(graph, config),
-            replayed_snapshots(graph, config, 1500),
+            streamed, reference, replayed_snapshots(graph, config, 1500)
         )
+        assert count_locality_types(graph, config) == reference["locality_types"]
 
     @pytest.mark.slow
     def test_ladder_graph_is_chunk_exact_in_bounded_memory(self):
@@ -468,7 +505,6 @@ class TestStreamedSimulator:
             np.testing.assert_array_equal(got.accesses, want.accesses)
             np.testing.assert_array_equal(got.misses, want.misses)
         assert streamed.tlb_misses == reference["tlb_misses"]
-        assert streamed.locality_types == reference["locality_types"]
         np.testing.assert_array_equal(
             streamed.partition_boundaries, reference["partition_boundaries"]
         )
@@ -494,13 +530,10 @@ class TestStreamedSimulator:
         snapshots = replayed_snapshots(graph, config)
         for num_shards, mode in ((1, "serial"), (2, "process")):
             alias = simulate_spmv_streamed(
-                graph,
-                config,
-                num_shards=num_shards,
-                shard_mode=mode,
-                classify_locality=True,
+                graph, config, num_shards=num_shards, shard_mode=mode
             )
             self._assert_matches(alias, reference, snapshots)
+        assert count_locality_types(graph, config) == reference["locality_types"]
         with pytest.raises(SimulationError, match="num_shards"):
             simulate_spmv_streamed(graph, config, num_shards=0)
         with pytest.raises(SimulationError, match="shard_mode"):
