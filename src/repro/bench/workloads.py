@@ -17,13 +17,17 @@ result.  Workload sizes scale with ``REPRO_SCALE`` (see
 
 from __future__ import annotations
 
+import dataclasses
+import os
 from typing import Callable, Iterable, Optional
 
 from repro.core.aid import VertexAID
 from repro.core.ecs import with_ecs_scans
-from repro.errors import ExperimentError, ServeError
+from repro.errors import ExperimentError, ReproError, ServeError
 from repro.generate.datasets import DATASETS, load_dataset, scale_factor
+from repro.obs import metrics as obs_metrics
 from repro.obs import span
+from repro.obs.core import completed_spans, graft, reset
 from repro.graph.graph import Graph
 from repro.reorder import ReorderResult, get_algorithm
 from repro.sim.address_space import AddressSpace
@@ -184,6 +188,37 @@ def _simulation_stage(
     pressure: float,
 ) -> SimulationResult:
     return simulate()
+
+
+#: A reordering worker's fork of the parent's :class:`Workloads`.
+_forked_workloads: "Workloads | None" = None
+
+
+def _adopt(workloads: "Workloads") -> None:
+    """Reordering-pool initializer: keep the forked parent's cache."""
+    global _forked_workloads
+    _forked_workloads = workloads
+
+
+def _reorder_in_worker(source: str, algorithm: str) -> tuple:
+    """Reordering-pool task: one default reordering on the forked cache.
+
+    Returns the result, its manifest records, this worker's pid, the
+    spans it completed and its counter deltas, for the parent to adopt.
+    """
+    workloads = _forked_workloads
+    assert workloads is not None
+    workloads.manifest = dataclasses.replace(workloads.manifest, records=[])
+    reset()
+    before = obs_metrics.registry.snapshot()
+    result = workloads.reordering(source, algorithm)
+    return (
+        result,
+        workloads.manifest.records,
+        os.getpid(),
+        completed_spans(),
+        obs_metrics.registry.counter_delta(before),
+    )
 
 
 class Workloads:
@@ -423,7 +458,9 @@ class Workloads:
         ``algorithms``, the L3 replays of each cache geometry together.
 
         A cell is missing unless memory or (without ``refresh``) the
-        store holds it.  Missing cells are grouped by cache config and
+        store holds it.  The missing cells' reorderings are computed
+        first, in parallel (:meth:`_reorder_in_workers`).  Missing cells
+        are then grouped by cache config and
         simulated with :func:`simulate_spmv_group`; each goes through the
         simulation stage under the key, and with the manifest record,
         that :meth:`simulation` with its default settings gives it.  The
@@ -432,7 +469,7 @@ class Workloads:
         """
         # simulation()'s defaults: pull, not reversed, DRRIP, pressure 0.08.
         direction, reverse, policy, pressure = "pull", False, "drrip", 0.08
-        by_cache: "dict[CacheConfig, list]" = {}
+        missing = []
         algorithms = tuple(algorithms)
         for source in sources:
             graph_key, _ = self._source(source)
@@ -447,17 +484,80 @@ class Workloads:
                     )
                     if self._store.contains(content_key, "simulation"):
                         continue
-                graph = self.reordered_graph(source, algorithm)
-                config = _simulation_config(graph, direction, policy, pressure)
-                by_cache.setdefault(config.cache, []).append(
-                    (source, key, graph, config)
-                )
+                missing.append((source, key))
+        self._reorder_in_workers([(source, key[1]) for source, key in missing])
+        by_cache: "dict[CacheConfig, list]" = {}
+        for source, key in missing:
+            graph = self.reordered_graph(source, key[1])
+            config = _simulation_config(graph, direction, policy, pressure)
+            by_cache.setdefault(config.cache, []).append((source, key, graph, config))
         for cells in by_cache.values():
             finishers = simulate_spmv_group(
                 (graph, config) for _, _, graph, config in cells
             )
             for (source, key, _, _), finish in zip(cells, finishers):
                 self._store_simulation(source, key, finish)
+
+    def _reorder_in_workers(self, cells: "list[tuple[str, str]]") -> None:
+        """Compute the missing default reorderings of ``cells``, one
+        forked worker process per core.
+
+        A reordering is missing unless it is the identity, in memory or
+        (without ``refresh``) in the store.  Each worker runs
+        :meth:`reordering` on its fork of this cache, so the result goes
+        through the reordering stage, and into the store, as it would
+        here; this process adopts its result, manifest records, spans
+        (under one ``workload.reorder_pool`` span, a lane per worker pid)
+        and counter deltas.  An RA that raises re-raises here as the same
+        :class:`ReproError` subclass, and a worker that dies as an
+        :class:`ExperimentError`; both name the dataset and the RA.
+        """
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        tasks = []
+        for source, algorithm in dict.fromkeys(cells):
+            graph_key, _ = self._source(source)
+            key = (graph_key, algorithm, ())
+            if algorithm == "identity" or key in self._reorderings:
+                continue
+            if self._store is not None and not self._refresh:
+                content_key = _reordering_stage.content_key(  # type: ignore[attr-defined]
+                    None, graph_key, algorithm, {}, None
+                )
+                if self._store.contains(content_key, "reordering"):
+                    continue
+            tasks.append((source, algorithm, key))
+        if not tasks:
+            return
+        # Sorting loads every source graph, so no worker forks without one.
+        tasks.sort(key=lambda task: -self.graph(task[0]).num_edges)
+        workers = min(len(os.sched_getaffinity(0)), len(tasks))
+        pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt,
+            initargs=(self,),
+        )
+        with span("workload.reorder_pool", tasks=len(tasks), workers=workers), pool:
+            futures = [
+                (source, algorithm, key, pool.submit(_reorder_in_worker, source, algorithm))
+                for source, algorithm, key in tasks
+            ]
+            for source, algorithm, key, future in futures:
+                try:
+                    result, records, pid, spans, deltas = future.result()
+                except Exception as exc:  # an RA's error, or a dead worker
+                    pool.shutdown(cancel_futures=True)
+                    error = type(exc) if isinstance(exc, ReproError) else ExperimentError
+                    raise error(
+                        f"{algorithm} on {source} failed in its reordering worker: {exc!r}"
+                    ) from exc
+                self._reorderings[key] = result
+                self.manifest.records.extend(records)
+                graft(spans, thread_id=pid)
+                for name, delta in deltas.items():
+                    obs_metrics.registry.counter(name).inc(delta)
 
     def family(self, dataset: str) -> str:
         """'SN' or 'WG' for a registered dataset."""

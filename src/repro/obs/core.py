@@ -23,11 +23,12 @@ else enables) and can be flipped programmatically with
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 __all__ = [
     "TRACE_ENV",
@@ -40,6 +41,7 @@ __all__ = [
     "recording",
     "span",
     "completed_spans",
+    "graft",
     "debug_counters",
     "peak_rss_bytes",
     "reset",
@@ -120,6 +122,19 @@ class _State:
 _STATE = _State()
 
 
+def _after_fork_in_child() -> None:
+    """Give a forked child its own lock, an empty span buffer and no open
+    spans: another parent thread may have held the lock at the fork, and
+    the parent's spans are the parent's to report."""
+    _STATE.lock = threading.Lock()
+    _STATE.spans = []
+    _STATE.spans_started = 0
+    _STATE.local = threading.local()
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
 def enabled() -> bool:
     """Whether span tracing and metrics collection are active."""
     return _STATE.enabled
@@ -177,6 +192,38 @@ def completed_spans() -> List[SpanRecord]:
     """Snapshot of every span finished so far (oldest first)."""
     with _STATE.lock:
         return list(_STATE.spans)
+
+
+def graft(records: Sequence[SpanRecord], *, thread_id: int) -> None:
+    """Adopt spans another process completed, under this thread's open span.
+
+    Each record gets a fresh span id and ``thread_id`` (a worker's pid,
+    so the chrome export draws one lane per worker); a record whose
+    parent is not among ``records`` hangs under the open span.  The
+    timestamps stay as recorded: ``perf_counter`` reads one system-wide
+    monotonic clock, so a forked worker's spans line up with the
+    parent's.
+    """
+    if not records:
+        return
+    state = _STATE
+    stack = state.stack()
+    parent_id = stack[-1] if stack else -1
+    with state.lock:
+        ids = {}
+        for record in records:
+            ids[record.span_id] = state.next_span_id
+            state.next_span_id += 1
+        state.spans_started += len(records)
+        state.spans.extend(
+            dataclasses.replace(
+                record,
+                span_id=ids[record.span_id],
+                parent_id=ids.get(record.parent_id, parent_id),
+                thread_id=thread_id,
+            )
+            for record in records
+        )
 
 
 def debug_counters() -> Dict[str, int]:

@@ -11,6 +11,7 @@ one per access).
 from __future__ import annotations
 
 import math
+import os
 import threading
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -258,3 +259,14 @@ class MetricsRegistry:
 
 #: The shared registry every instrumented layer writes to.
 registry = MetricsRegistry()
+
+
+def _after_fork_in_child() -> None:
+    """Fresh locks in a forked child: another parent thread may have held
+    one at the fork."""
+    registry._lock = threading.Lock()
+    for instrument in registry._instruments.values():
+        instrument._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)

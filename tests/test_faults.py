@@ -12,6 +12,12 @@ but ``Adjacency`` rejects), resealed with a matching checksum, is
 quarantined as a deserialization failure, and the next run recomputes
 the same result.
 
+A reordering worker of the paper sweep's fork pool fails: an RA that
+raises there re-raises in the parent as the same :class:`ReproError`
+subclass, and a worker killed mid-task surfaces as an
+:class:`ExperimentError` within a bound, never a hang; both name the
+dataset and the RA.
+
 A store write hits a full disk: the store raises a typed
 :class:`StoreError`, leaves no scratch file, and the service answers a
 500 naming it.  An HTTP client sends broken framing — an over-long
@@ -33,6 +39,8 @@ import hashlib
 import json
 import logging
 import math
+import os
+import signal
 import time
 import warnings
 from pathlib import Path
@@ -43,7 +51,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.workloads import Workloads
-from repro.errors import ServeError, StoreError
+from repro.errors import ExperimentError, ReorderingError, ServeError, StoreError
+from repro.reorder import get_algorithm
 from repro.serve import http
 from repro.serve.app import ReorderService
 from repro.serve.http import HttpRequest, HttpResponse, read_request, request_once
@@ -292,6 +301,38 @@ class TestPipelineRecomputes:
         assert warm.name == cold.name
         # The recomputed artifact is committed and reads back clean.
         assert store.get(info.key, "graph") == cold
+
+
+class TestReorderWorkers:
+    """An RA failing in the sweep's fork pool (one cell: twtr-mini x GOrder)."""
+
+    def _run_failing(self, monkeypatch, compute) -> pytest.ExceptionInfo:
+        monkeypatch.setattr(type(get_algorithm("gorder")), "compute", compute)
+        start = time.perf_counter()
+        with pytest.raises(Exception) as excinfo:
+            Workloads()._simulate_together([_DATASET], ["identity", "gorder"])
+        assert time.perf_counter() - start < _BOUND_S
+        assert "gorder" in str(excinfo.value) and _DATASET in str(excinfo.value)
+        return excinfo
+
+    def test_raising_ra_keeps_its_error_type(self, tiny_scale, monkeypatch):
+        def compute(self, graph, details):
+            raise ReorderingError("injected")
+
+        excinfo = self._run_failing(monkeypatch, compute)
+        assert type(excinfo.value) is ReorderingError
+        assert "injected" in str(excinfo.value)
+
+    def test_killed_worker_is_an_experiment_error(self, tiny_scale, monkeypatch):
+        parent = os.getpid()
+
+        def compute(self, graph, details):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise AssertionError("the RA ran in the parent process")
+
+        excinfo = self._run_failing(monkeypatch, compute)
+        assert type(excinfo.value) is ExperimentError
 
 
 class TestWarmServe:

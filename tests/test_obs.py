@@ -9,7 +9,9 @@ that property assertable without timing noise.
 from __future__ import annotations
 
 import json
+import os
 import threading
+import time
 
 import pytest
 
@@ -17,7 +19,8 @@ from repro import obs
 from repro.errors import ObservabilityError
 from repro.obs import metrics as obs_metrics
 from repro.obs.cli import main as obs_main
-from repro.obs.core import TRACE_ENV, refresh_from_env, reset
+from repro.obs import core as obs_core
+from repro.obs.core import TRACE_ENV, graft, refresh_from_env, reset
 from repro.obs.export import (
     PhaseSummary,
     aggregate_phases,
@@ -159,6 +162,88 @@ class TestOverheadGuard:
             counters = obs.debug_counters()
         assert counters["spans_started"] > 0
         assert counters["metric_updates"] > 0
+
+
+def _wait_for_exit(pid: int, bound_s: float) -> int:
+    """The exit code of child ``pid``; kills it and fails past ``bound_s``."""
+    deadline = time.monotonic() + bound_s
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+    pytest.fail(f"forked child still running after {bound_s} s: deadlocked")
+
+
+class TestFork:
+    def test_child_gets_fresh_lock_and_empty_buffer(self):
+        """A child forked while another thread holds the span and metric
+        locks records its own spans and counters, and none of the
+        parent's."""
+        holding, release = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            with obs_core._STATE.lock, obs_metrics.registry._lock, counter._lock:
+                holding.set()
+                release.wait()
+
+        with obs.recording():
+            counter = obs_metrics.registry.counter("fork.test")
+            with obs.span("parent.open"):
+                with obs.span("parent.done"):
+                    pass
+                thread = threading.Thread(target=hold)
+                thread.start()
+                holding.wait()
+                try:
+                    pid = os.fork()
+                    if pid == 0:  # the child: report through the exit code
+                        code = 1
+                        try:
+                            with obs.span("child.root"):
+                                counter.inc(3)
+                            spans = obs.completed_spans()
+                            code = 0 if (
+                                [(r.name, r.parent_id) for r in spans]
+                                == [("child.root", -1)]
+                                and obs_metrics.registry.snapshot()["fork.test"]["value"] == 3
+                                and obs.debug_counters()["spans_started"] == 1
+                            ) else 2
+                        finally:
+                            os._exit(code)
+                    assert _wait_for_exit(pid, 5.0) == 0
+                finally:
+                    release.set()
+                    thread.join()
+        assert [r.name for r in obs.completed_spans()] == ["parent.done", "parent.open"]
+
+    def test_graft_renumbers_under_the_open_span(self):
+        worker = [
+            obs.SpanRecord(7, 3, "reorder.rabbit", 11, 1.0, 2.0, {"vertices": 4}),
+            obs.SpanRecord(3, -1, "workload.reordering", 11, 0.5, 2.5),
+            obs.SpanRecord(9, 42, "store.reordering", 11, 2.5, 2.6),
+        ]
+        with obs.recording():
+            with obs.span("workload.reorder_pool"):
+                graft(worker, thread_id=4321)
+            spans = obs.completed_spans()
+            counters = obs.debug_counters()
+        pool = spans[-1]
+        rabbit, reordering, store = spans[:3]
+        assert len({r.span_id for r in spans}) == 4
+        assert reordering.parent_id == store.parent_id == pool.span_id
+        assert rabbit.parent_id == reordering.span_id
+        assert {r.thread_id for r in spans[:3]} == {4321}
+        assert (rabbit.start_s, rabbit.end_s, rabbit.attrs) == (1.0, 2.0, {"vertices": 4})
+        assert counters["spans_started"] == counters["spans_completed"] == 4
+
+    def test_graft_of_nothing_allocates_nothing(self):
+        graft([], thread_id=1)
+        assert obs.debug_counters() == {
+            "spans_started": 0, "spans_completed": 0, "metric_updates": 0,
+        }
 
 
 class TestMetrics:
