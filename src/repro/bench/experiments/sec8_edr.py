@@ -13,23 +13,23 @@ then, and two such times can overlap even where EDR's saving is real.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.core.binning import log_bins
 from repro.core.missdist import miss_rate_degree_distribution
 from repro.core.report import format_table
 from repro.errors import ReorderingError
-from repro.graph.graph import Graph
 from repro.reorder.edr import EDRRestricted, efficacy_degree_range
 from repro.reorder.rabbit import RabbitOrder
 
 from repro.bench.harness import ExperimentReport
-from repro.bench.workloads import SOCIAL_DATASETS, WEB_DATASETS, Workloads
+from repro.bench.workloads import (
+    SOCIAL_DATASETS,
+    WEB_DATASETS,
+    Workloads,
+    fastest_preprocessing_seconds,
+)
 
 _DATASETS = (SOCIAL_DATASETS[0], WEB_DATASETS[0])
 _TRAVERSAL_TOLERANCE = 1.20  # "without affecting the traversal time"
-#: Interleaved calls of each Rabbit-Order variant; the fastest counts.
-_TIMING_ROUNDS = 2
 
 
 def run(workloads: Workloads) -> ExperimentReport:
@@ -50,8 +50,8 @@ def run(workloads: Workloads) -> ExperimentReport:
             params={"lo": lo, "hi": hi},
         )
 
-        full_prep, edr_prep = _preprocessing_seconds(
-            workloads.graph(dataset), edr_factory
+        full_prep, edr_prep = fastest_preprocessing_seconds(
+            workloads.graph(dataset), (RabbitOrder, edr_factory)
         )
         metrics[dataset] = {
             "full_prep": full_prep,
@@ -96,19 +96,6 @@ def run(workloads: Workloads) -> ExperimentReport:
         data={"rows": rows, "metrics": metrics},
         shape_checks=shape_checks,
     )
-
-
-def _preprocessing_seconds(
-    graph: Graph, edr_factory: Callable[[], EDRRestricted]
-) -> tuple[float, float]:
-    """Fastest preprocessing time of full and of EDR-restricted
-    Rabbit-Order over ``_TIMING_ROUNDS`` interleaved calls each on
-    ``graph``, so both see the same host load."""
-    full, restricted = [], []
-    for _ in range(_TIMING_ROUNDS):
-        full.append(RabbitOrder()(graph).preprocessing_seconds)
-        restricted.append(edr_factory()(graph).preprocessing_seconds)
-    return min(full), min(restricted)
 
 
 def _efficacy_range(workloads: Workloads, dataset: str) -> tuple[int, int]:

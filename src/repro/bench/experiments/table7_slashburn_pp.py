@@ -4,14 +4,24 @@ SlashBurn++ (Section VIII-B1) stops iterating once the GCC's maximum
 degree falls below ``sqrt(|V|)``, skipping the late iterations that
 tear apart LDV neighbourhoods.  The paper reports reduced preprocessing
 time, traversal time, and L3 misses on its social datasets.
+
+The two preprocessing times are measured here, interleaved on the same
+graph, not read from the stored reorderings, whose times were taken
+under whatever else ran beside them (see sec8_edr).
 """
 
 from __future__ import annotations
 
 from repro.core.report import format_table
+from repro.reorder import get_algorithm
 
 from repro.bench.harness import ExperimentReport
-from repro.bench.workloads import SOCIAL_DATASETS, WEB_DATASETS, Workloads
+from repro.bench.workloads import (
+    SOCIAL_DATASETS,
+    WEB_DATASETS,
+    Workloads,
+    fastest_preprocessing_seconds,
+)
 
 _DATASETS = SOCIAL_DATASETS + WEB_DATASETS[:1]
 
@@ -21,11 +31,17 @@ def run(workloads: Workloads) -> ExperimentReport:
     metrics: dict[tuple[str, str], dict[str, float]] = {}
     workloads._simulate_together(_DATASETS, ("slashburn", "slashburn++"))
     for dataset in _DATASETS:
-        for label, algorithm in (("sb", "slashburn"), ("sb++", "slashburn++")):
+        sb_prep, sbpp_prep = fastest_preprocessing_seconds(
+            workloads.graph(dataset),
+            (lambda: get_algorithm("slashburn"), lambda: get_algorithm("slashburn++")),
+        )
+        for label, algorithm, prep in (
+            ("sb", "slashburn", sb_prep), ("sb++", "slashburn++", sbpp_prep)
+        ):
             result = workloads.reordering(dataset, algorithm)
             sim = workloads.simulation(dataset, algorithm)
             metrics[(dataset, label)] = {
-                "prep": result.preprocessing_seconds,
+                "prep": prep,
                 "time": sim.traversal_time_ms(),
                 "l3": float(sim.l3_misses),
                 "iters": float(result.details["num_iterations"]),

@@ -30,6 +30,7 @@ from repro.obs import span
 from repro.obs.core import completed_spans, graft, reset
 from repro.graph.graph import Graph
 from repro.reorder import ReorderResult, get_algorithm
+from repro.reorder.base import ReorderingAlgorithm
 from repro.sim.address_space import AddressSpace
 from repro.sim.cache import CacheConfig
 from repro.sim.simulator import (
@@ -51,6 +52,7 @@ __all__ = [
     "EXTENDED_ALGORITHMS",
     "Workloads",
     "workloads",
+    "fastest_preprocessing_seconds",
 ]
 
 #: Dataset analogues used by the simulation-heavy experiments (two per
@@ -188,6 +190,47 @@ def _simulation_stage(
     pressure: float,
 ) -> SimulationResult:
     return simulate()
+
+
+#: Interleaved calls of each RA :func:`fastest_preprocessing_seconds`
+#: makes; the fastest counts.
+_TIMING_ROUNDS = 2
+
+
+def fastest_preprocessing_seconds(
+    graph: Graph, factories: "tuple[Callable[[], ReorderingAlgorithm], ...]"
+) -> "list[float]":
+    """Fastest preprocessing time of each RA ``factories`` builds, over
+    ``_TIMING_ROUNDS`` interleaved calls each on ``graph`` in this
+    process, so all of them see the same host load.
+
+    Experiments that compare RAs' times measure them here rather than
+    read the stored reorderings: a stored time was taken by whichever
+    run computed the artifact, under whatever else loaded the host then
+    (the sweep's reordering pool runs RAs side by side).
+    """
+    seconds: "list[list[float]]" = [[] for _ in factories]
+    for _ in range(_TIMING_ROUNDS):
+        for factory, times in zip(factories, seconds):
+            times.append(factory()(graph).preprocessing_seconds)
+    return [min(times) for times in seconds]
+
+
+def _reorder_workers(tasks: int) -> int:
+    """Reordering-pool size: one worker per available core, and never
+    more than ``tasks``.  A process that :mod:`multiprocessing` started
+    (a worker of ``run_experiments``' process executor) gets one: its
+    sibling workers already take the other cores."""
+    import multiprocessing
+
+    if multiprocessing.parent_process() is not None:
+        return 1
+    cores = (
+        len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")  # not on macOS
+        else os.cpu_count() or 1
+    )
+    return min(cores, tasks)
 
 
 #: A reordering worker's fork of the parent's :class:`Workloads`.
@@ -499,8 +542,8 @@ class Workloads:
                 self._store_simulation(source, key, finish)
 
     def _reorder_in_workers(self, cells: "list[tuple[str, str]]") -> None:
-        """Compute the missing default reorderings of ``cells``, one
-        forked worker process per core.
+        """Compute the missing default reorderings of ``cells`` in forked
+        worker processes, one per core (:func:`_reorder_workers`).
 
         A reordering is missing unless it is the identity, in memory or
         (without ``refresh``) in the store.  Each worker runs
@@ -532,7 +575,7 @@ class Workloads:
             return
         # Sorting loads every source graph, so no worker forks without one.
         tasks.sort(key=lambda task: -self.graph(task[0]).num_edges)
-        workers = min(len(os.sched_getaffinity(0)), len(tasks))
+        workers = _reorder_workers(len(tasks))
         pool = ProcessPoolExecutor(
             workers,
             mp_context=multiprocessing.get_context("fork"),
@@ -548,7 +591,12 @@ class Workloads:
                 try:
                     result, records, pid, spans, deltas = future.result()
                 except Exception as exc:  # an RA's error, or a dead worker
-                    pool.shutdown(cancel_futures=True)
+                    # Kill the siblings' running RAs: shutdown alone waits
+                    # for them, and the pool has no public way to stop them.
+                    running = list(pool._processes.values())
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    for process in running:
+                        process.kill()
                     error = type(exc) if isinstance(exc, ReproError) else ExperimentError
                     raise error(
                         f"{algorithm} on {source} failed in its reordering worker: {exc!r}"

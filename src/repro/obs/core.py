@@ -132,7 +132,8 @@ def _after_fork_in_child() -> None:
     _STATE.local = threading.local()
 
 
-os.register_at_fork(after_in_child=_after_fork_in_child)
+if hasattr(os, "register_at_fork"):  # POSIX only; nothing forks elsewhere
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def enabled() -> bool:

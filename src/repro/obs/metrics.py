@@ -269,4 +269,5 @@ def _after_fork_in_child() -> None:
         instrument._lock = threading.Lock()
 
 
-os.register_at_fork(after_in_child=_after_fork_in_child)
+if hasattr(os, "register_at_fork"):  # POSIX only; nothing forks elsewhere
+    os.register_at_fork(after_in_child=_after_fork_in_child)

@@ -39,6 +39,7 @@ import hashlib
 import json
 import logging
 import math
+import multiprocessing
 import os
 import signal
 import time
@@ -306,11 +307,13 @@ class TestPipelineRecomputes:
 class TestReorderWorkers:
     """An RA failing in the sweep's fork pool (one cell: twtr-mini x GOrder)."""
 
-    def _run_failing(self, monkeypatch, compute) -> pytest.ExceptionInfo:
+    def _run_failing(
+        self, monkeypatch, compute, algorithms=("identity", "gorder")
+    ) -> pytest.ExceptionInfo:
         monkeypatch.setattr(type(get_algorithm("gorder")), "compute", compute)
         start = time.perf_counter()
         with pytest.raises(Exception) as excinfo:
-            Workloads()._simulate_together([_DATASET], ["identity", "gorder"])
+            Workloads()._simulate_together([_DATASET], algorithms)
         assert time.perf_counter() - start < _BOUND_S
         assert "gorder" in str(excinfo.value) and _DATASET in str(excinfo.value)
         return excinfo
@@ -322,6 +325,25 @@ class TestReorderWorkers:
         excinfo = self._run_failing(monkeypatch, compute)
         assert type(excinfo.value) is ReorderingError
         assert "injected" in str(excinfo.value)
+
+    def test_raising_ra_does_not_wait_for_its_siblings(self, tiny_scale, monkeypatch):
+        """GOrder is queued first and raises at once; Rabbit-Order, running
+        beside it (or queued behind it on one core), would take a minute."""
+
+        def stall(self, graph, details):
+            time.sleep(60)
+
+        def compute(self, graph, details):
+            raise ReorderingError("injected")
+
+        monkeypatch.setattr(type(get_algorithm("rabbit")), "compute", stall)
+        excinfo = self._run_failing(monkeypatch, compute, ("gorder", "rabbit"))
+        assert type(excinfo.value) is ReorderingError
+        # The stalled sibling was stopped, not left to run out its minute.
+        deadline = time.perf_counter() + _BOUND_S
+        while multiprocessing.active_children():
+            assert time.perf_counter() < deadline, "a reordering worker outlived the error"
+            time.sleep(0.05)
 
     def test_killed_worker_is_an_experiment_error(self, tiny_scale, monkeypatch):
         parent = os.getpid()

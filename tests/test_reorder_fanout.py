@@ -6,19 +6,29 @@ leave exactly what one :meth:`Workloads.reordering` call per cell
 leaves: the same relabelings, the same stored artifacts under the same
 keys and provenance, and the same manifest counts.  A traced run must
 still show every RA's span, now under the sweep's span in one lane per
-worker process.  Failures are in ``tests/test_faults.py``.
+worker process.  An RA's time there is taken beside other RAs, so
+table7 times its SlashBurn pair itself.  Failures are in
+``tests/test_faults.py``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.bench.harness import run_experiment
-from repro.bench.workloads import Workloads
+from repro.bench.workloads import (
+    Workloads,
+    _reorder_workers,
+    fastest_preprocessing_seconds,
+)
 from repro.obs import metrics as obs_metrics
 from repro.obs.export import chrome_trace_events, export_run
 from repro.store.store import ArtifactStore
@@ -156,3 +166,48 @@ def test_traced_fig1_shows_every_ra_in_a_worker_lane(clean_obs):
     assert lanes == worker_lanes
     # SlashBurn's iteration counter reached the parent from the workers.
     assert document["metrics"]["reorder.iterations"]["value"] > 0
+
+
+def test_fastest_preprocessing_seconds_interleaves_and_keeps_the_minimum():
+    calls = []
+
+    def factory(name, times):
+        def build():
+            def reorder(graph):
+                calls.append(name)
+                return SimpleNamespace(preprocessing_seconds=times.pop(0))
+
+            return reorder
+
+        return build
+
+    seconds = fastest_preprocessing_seconds(
+        None, (factory("a", [3.0, 1.0]), factory("b", [0.5, 2.0]))
+    )
+    assert seconds == [1.0, 0.5]
+    assert calls == ["a", "b", "a", "b"]
+
+
+def test_table7_times_its_pair_apart_from_the_pool():
+    """table7's preprocessing columns do not read the reorderings the
+    pool computed (each timed beside another RA)."""
+    workloads = Workloads()
+    run_experiment("table7", workloads)
+    pooled = {
+        key: dataclasses.replace(result, preprocessing_seconds=1e6)
+        for key, result in workloads._reorderings.items()
+    }
+    workloads._reorderings.update(pooled)
+    metrics = run_experiment("table7", workloads).data["metrics"]
+    assert {label for _, label in metrics} == {"sb", "sb++"}
+    assert all(0 < cell["prep"] < 1e6 for cell in metrics.values())
+
+
+def test_pool_size_follows_cores_but_not_inside_a_pool_worker():
+    """One worker per core and at most one per task; in a process that
+    multiprocessing started (a ``--jobs`` executor worker) just one."""
+    assert _reorder_workers(1) == 1
+    assert _reorder_workers(64) == min(len(os.sched_getaffinity(0)), 64)
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(1, mp_context=context) as pool:
+        assert pool.submit(_reorder_workers, 64).result() == 1
